@@ -44,21 +44,21 @@ type t = {
   attempted : int;
   failed : int;
   metrics : (string * float) list;
-      (** Every end-to-end metric, plus the per-layer ones in a traced
-          run. *)
+      (** Everything the run measured; the JSON line picks the
+          end-to-end or the per-layer set. *)
   samples : (string * int) list;  (** Sample count behind a metric. *)
   notes : string list;  (** Extra lines for the human-readable part. *)
   problems : string list;  (** Failed output checks. *)
 }
 
-(* Names in the one-line summary over all workloads carry a
-   "workload/" prefix. *)
 (* p99 is printed, not reported: on a virtual machine whose host steals
    CPU time it tracks the steal rate rather than the program. *)
 let p99_note ~p99 ~n =
   Printf.sprintf "p99 %.6g us over %d samples (%d beyond it; printed, not a metric)"
     p99 n (n - Sample.rank ~n 0.99)
 
+(* Names in the one-line summary over all workloads carry a
+   "workload/" prefix. *)
 let unit_of name =
   let name =
     match String.rindex_opt name '/' with
