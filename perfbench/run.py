@@ -23,8 +23,11 @@ TARGETS = ["./bin/repro.exe", "./bench/check_trace.exe", "./perfbench/bench.exe"
 
 def main():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # The shared dune cache lives outside the checkout; keep every
+    # write of a run inside it.
     build = subprocess.run(
-        ["dune", "build", "--root", ".", "--display", "quiet", *TARGETS],
+        ["dune", "build", "--root", ".", "--display", "quiet", "--cache=disabled",
+         *TARGETS],
         cwd=root,
         stdout=sys.stderr,
         stderr=sys.stderr,
