@@ -13,7 +13,6 @@
 
 module Lv = Loadvec.Load_vector
 module Mv = Loadvec.Mutable_vector
-module Vec = Sample.Vec
 
 let eps = 0.25
 let max_t = 1_000_000
@@ -86,7 +85,7 @@ let check c tau =
 
 (* The same solve, one layer call at a time, inside layer spans. *)
 let solve_traced c =
-  let span = Layers.span in
+  let span = Obs.with_span in
   let states =
     span "partition_space.enumerate" (fun () ->
         Markov.Partition_space.enumerate ~n:c.nm ~m:c.nm)
@@ -128,7 +127,8 @@ let time_spmv chain =
   (Sample.median times, float_of_int bytes)
 
 (* Whole rounds until the window has passed: (ops, failed, latencies
-   in us per chain, latency groups per round, seconds, problems). *)
+   in us per chain, latency groups per round, seconds, peak RSS read as
+   the window closes, problems). *)
 let exact_window ~seconds =
   let lat = ref [] and rounds = ref [] and problems = ref [] in
   let ops = ref 0 and failed = ref 0 in
@@ -154,7 +154,8 @@ let exact_window ~seconds =
     rounds := this_round :: !rounds
   done;
   let elapsed = Proc.seconds_between t_start (Proc.now_ns ()) in
-  (!ops, !failed, !lat, !rounds, elapsed, List.rev !problems)
+  let rss = Proc.peak_rss_mb (Unix.getpid ()) in
+  (!ops, !failed, !lat, !rounds, elapsed, rss, List.rev !problems)
 
 let exact_traced () =
   let t0 = Proc.now_ns () in
@@ -230,51 +231,112 @@ let coalesce_op ~seed i =
 (* Ops recomputed after the window to show the times repeat exactly. *)
 let recheck_ops = 200
 
+(* Latency sub-windows, and the most ops one may hold: at about 3 ms an
+   op, a sub-window holds under 200. *)
+let sub_window_ns = 500_000_000
+let sub_window_cap = 1 lsl 16
+
+(* Coalescence times are counted up to this many steps, far above
+   Theorem 1's bound; a longer time counts in the last bucket. *)
+let time_cap = 1 lsl 14
+
+type coalesce_result = {
+  ops : int;
+  failed : int;
+  p50_us : float;  (** Means over the sub-windows of each one's order statistic. *)
+  p90_us : float;
+  groups : int;  (** Sub-windows. *)
+  elapsed : float;
+  rss : float;  (** Peak RSS in MiB, read as the window closes. *)
+  median_time : float;
+  problems : string list;
+}
+
+(* The window keeps fixed-size buffers only, so that the worker's peak
+   RSS does not grow with the ops a run completes: the latencies of the
+   open sub-window, whose order statistics are taken in place when it
+   closes; a count per coalescence time; the first [recheck_ops] times. *)
 let coalesce_window ~seed ~seconds =
-  let times = Vec.create () and lat = Vec.create () in
-  let ends = Vec.create () in
-  let failed = ref 0 in
+  let max_groups = (int_of_float (seconds *. 1e9) / sub_window_ns) + 1 in
+  let p50 = Array.make max_groups 0. and p90 = Array.make max_groups 0. in
+  let groups = ref 0 and open_group = ref 0 in
+  let lat = Array.make sub_window_cap 0 and len = ref 0 in
+  let counts = Array.make (time_cap + 1) 0 in
+  let first = Array.make recheck_ops (-1) in
+  let ops = ref 0 and failed = ref 0 in
   let t_start = Proc.now_ns () in
   let deadline = Int64.add t_start (Int64.of_float (seconds *. 1e9)) in
-  let i = ref 0 in
-  while Int64.compare (Proc.now_ns ()) deadline < 0 do
+  let last = ref t_start in
+  while Int64.compare !last deadline < 0 do
     let t0 = Proc.now_ns () in
-    let r = coalesce_op ~seed !i in
+    let r = coalesce_op ~seed !ops in
     let t1 = Proc.now_ns () in
-    Vec.push lat (Int64.to_int (Int64.sub t1 t0));
-    Vec.push ends (Int64.to_int (Int64.sub t1 t_start));
-    (match r with
-    | Some (t, _) -> Vec.push times t
-    | None ->
-        incr failed;
-        Vec.push times (-1));
-    incr i
+    (* An op that ends in a later sub-window closes the open one; the
+       sub-window open when the window ends is partial and dropped. *)
+    let g = Int64.to_int (Int64.sub t1 t_start) / sub_window_ns in
+    if g > !open_group then begin
+      if !len > 0 then begin
+        p50.(!groups) <- float_of_int (Sample.int_quantile lat ~len:!len 0.5) /. 1e3;
+        p90.(!groups) <- float_of_int (Sample.int_quantile lat ~len:!len 0.9) /. 1e3;
+        incr groups
+      end;
+      len := 0;
+      open_group := g
+    end;
+    if !len = sub_window_cap then failwith "perfbench: a latency sub-window is full";
+    lat.(!len) <- Int64.to_int (Int64.sub t1 t0);
+    incr len;
+    let t =
+      match r with
+      | Some (t, _) ->
+          let b = min t time_cap in
+          counts.(b) <- counts.(b) + 1;
+          t
+      | None ->
+          incr failed;
+          -1
+    in
+    if !ops < recheck_ops then first.(!ops) <- t;
+    incr ops;
+    last := t1
   done;
-  let ops = !i in
+  let rss = Proc.peak_rss_mb (Unix.getpid ()) in
+  let ops = !ops in
   let problems = ref [] in
   if !failed > 0 then
     problems := Printf.sprintf "%d runs hit the step limit" !failed :: !problems;
   let mismatched = ref 0 in
   for j = 0 to min ops recheck_ops - 1 do
     let again = match coalesce_op ~seed j with Some (t, _) -> t | None -> -1 in
-    if again <> Vec.get times j then incr mismatched
+    if again <> first.(j) then incr mismatched
   done;
   if !mismatched > 0 then
     problems :=
       Printf.sprintf "%d of the first %d coalescence times did not repeat"
         !mismatched (min ops recheck_ops)
       :: !problems;
-  let ok_times =
-    List.filter (fun t -> t >= 0) (List.init ops (Vec.get times))
-    |> List.map float_of_int
+  (* The median of the completed runs' times, from their counts. *)
+  let median_time =
+    let n = ops - !failed in
+    if n = 0 then infinity
+    else
+      let r = Sample.rank ~n 0.5 in
+      let rec go t acc =
+        let acc = acc + counts.(t) in
+        if acc >= r then if t = time_cap then infinity else float_of_int t
+        else go (t + 1) acc
+      in
+      go 0 0
   in
-  let med = if ok_times = [] then infinity else Sample.median ok_times in
-  if med > coalesce_bound then
+  if median_time > coalesce_bound then
     problems :=
       Printf.sprintf "median coalescence time %.0f above the Theorem 1 bound %.0f"
-        med coalesce_bound
+        median_time coalesce_bound
       :: !problems;
-  (ops, !failed + !mismatched, lat, ends, med, List.rev !problems)
+  let mean a = Sample.mean (List.init !groups (Array.get a)) in
+  { ops; failed = !failed + !mismatched; p50_us = mean p50; p90_us = mean p90;
+    groups = !groups; elapsed = Proc.seconds_between t_start !last; rss; median_time;
+    problems = List.rev !problems }
 
 (* Ops of a traced run: the same ops untraced, then traced. *)
 let traced_ops = 500
@@ -290,7 +352,7 @@ let coalesce_traced ~seed =
   let t1 = Proc.now_ns () in
   let traced =
     List.init traced_ops (fun i ->
-        Layers.span "coalescence.run" (fun () -> coalesce_op ~seed i))
+        Obs.with_span "coalescence.run" (fun () -> coalesce_op ~seed i))
   in
   let traced_s = Proc.seconds_between t1 (Proc.now_ns ()) in
   let selfs = Layers.self_times [ "coalescence.run" ] in
@@ -315,12 +377,10 @@ let coalesce_traced ~seed =
 (* ---- the worker ---- *)
 
 (* ops_per_s over the whole window; p50 and p90 as means over
-   sub-windows ([groups]) of each one's order statistic. *)
-let finish_metrics ~ops ~elapsed ~groups =
-  [ ("ops_per_s", float_of_int ops /. elapsed);
-    ("p50_us", Sample.mean_quantile groups 0.5);
-    ("p90_us", Sample.mean_quantile groups 0.9);
-    ("peak_rss_mb", Proc.peak_rss_mb (Unix.getpid ())) ]
+   sub-windows of each one's order statistic. *)
+let finish_metrics ~ops ~elapsed ~p50 ~p90 ~rss =
+  [ ("ops_per_s", float_of_int ops /. elapsed); ("p50_us", p50); ("p90_us", p90);
+    ("peak_rss_mb", rss) ]
 
 (* Set up, announce readiness on stdout, run, and marshal the report
    (setup_s is measured by the parent).  A traced run writes its spans
@@ -344,7 +404,7 @@ let worker ~workload ~seed ~seconds ~trace ~trace_file ~setup_only =
               notes = List.map label round; problems }
         else
           let ticks = Proc.cpu_ticks () in
-          let ops, failed, lat, rounds, elapsed, problems = exact_window ~seconds in
+          let ops, failed, lat, rounds, elapsed, rss, problems = exact_window ~seconds in
           let steal = Proc.steal_note ticks in
           let n = List.length lat in
           let per_chain =
@@ -359,10 +419,13 @@ let worker ~workload ~seed ~seconds ~trace ~trace_file ~setup_only =
           in
           Some
             { Report.workload; correct = problems = []; attempted = ops; failed;
-              metrics = finish_metrics ~ops ~elapsed ~groups:rounds;
+              metrics =
+                finish_metrics ~ops ~elapsed ~rss
+                  ~p50:(Sample.mean_quantile rounds 0.5)
+                  ~p90:(Sample.mean_quantile rounds 0.9);
               samples =
                 [ ("ops_per_s", n); ("p50_us", List.length rounds);
-                  ("p90_us", List.length rounds) ];
+                  ("p90_us", List.length rounds); ("peak_rss_mb", 1) ];
               notes =
                 Printf.sprintf
                   "sub-windows are rounds of %d solves: p50_us is the mean \
@@ -385,34 +448,23 @@ let worker ~workload ~seed ~seconds ~trace ~trace_file ~setup_only =
               samples = []; notes = []; problems }
         else
           let ticks = Proc.cpu_ticks () in
-          let ops, failed, lat, ends, med, problems =
-            coalesce_window ~seed ~seconds
-          in
+          let w = coalesce_window ~seed ~seconds in
           let steal = Proc.steal_note ticks in
-          let lat_us =
-            List.init (Vec.length lat) (fun i -> float_of_int (Vec.get lat i) /. 1e3)
-          in
-          let span_ns = Vec.get ends (Vec.length ends - 1) in
-          let groups =
-            Sample.sub_windows ~width_ns:500_000_000 ~span_ns
-              (List.init ops (fun i ->
-                   (Vec.get ends i, float_of_int (Vec.get lat i) /. 1e3, 1)))
-          in
-          let metrics =
-            finish_metrics ~ops ~elapsed:(float_of_int span_ns /. 1e9) ~groups
-          in
           Some
-            { Report.workload; correct = problems = []; attempted = ops; failed;
-              metrics;
+            { Report.workload; correct = w.problems = []; attempted = w.ops;
+              failed = w.failed;
+              metrics =
+                finish_metrics ~ops:w.ops ~elapsed:w.elapsed ~p50:w.p50_us
+                  ~p90:w.p90_us ~rss:w.rss;
               samples =
-                [ ("ops_per_s", ops); ("p50_us", List.length groups);
-                  ("p90_us", List.length groups) ];
+                [ ("ops_per_s", w.ops); ("p50_us", w.groups); ("p90_us", w.groups);
+                  ("peak_rss_mb", 1) ];
               notes =
                 [ Printf.sprintf
-                    "median coalescence time %.0f steps (Theorem 1 bound %.0f)" med
-                    coalesce_bound;
-                  Report.p99_note ~p99:(Sample.quantile lat_us 0.99) ~n:ops; steal ];
-              problems }
+                    "median coalescence time %.0f steps (Theorem 1 bound %.0f)"
+                    w.median_time coalesce_bound;
+                  steal ];
+              problems = w.problems }
     | w -> failwith ("unknown analysis workload " ^ w)
   in
   if trace && not setup_only then Obs.write_trace ~path:trace_file;

@@ -3,16 +3,13 @@
      bench.exe [--workload W] [--seed N] [--seconds S] [--trace 0|1]
                --repro PATH --check-trace PATH
 
-   W is serve-read, exact-mix, coalesce-sim, serve-write, or all (the
-   first three; the default, with seed 1, 25 s, untraced).  The run prints each metric with
-   its unit and sample count, then one JSON line (see Report); it exits
-   1 when an output check fails.  run.py builds the executables and
-   supplies --repro and --check-trace. *)
-
-(* The workloads BENCHMARK.json declares, which "all" runs.  serve-write
-   runs only when named: its spread over runs of the same code was too
-   wide to bound (README.md, Noise). *)
-let workloads = [ "serve-read"; "exact-mix"; "coalesce-sim" ]
+   W is a workload BENCHMARK.json declares, or all (each in turn; the
+   default, with seed 1, 25 s, untraced).  The workloads and the names
+   and units of the metrics are read from BENCHMARK.json in the
+   directory the benchmark runs from, the checkout root.  The run prints
+   each metric with its unit and sample count, then one JSON line (see
+   Report); it exits 1 when an output check fails.  run.py builds the
+   executables and supplies --repro and --check-trace. *)
 
 (* Scratch state of the runs (fixture, state copies, sockets, traces),
    relative to the checkout root the benchmark runs from. *)
@@ -33,14 +30,15 @@ let analysis ~checker ~workload ~seed ~seconds ~trace =
     | Unix.WEXITED 0 -> ()
     | _ -> failwith ("perfbench: the " ^ workload ^ " worker failed")
   in
-  (* Two set-up launches before the measured worker and two after it,
-     so that their median spans the run. *)
+  (* Four set-up launches before the measured worker and four after it,
+     so that their median spans the run.  A set-up takes 0.15 s at most,
+     so nine cost little. *)
   let probe () =
     let c = Proc.spawn self (args ~setup_only:true) in
     checked_wait c;
     c.Proc.setup_s
   in
-  let before = if trace then [] else List.init 2 (fun _ -> probe ()) in
+  let before = if trace then [] else List.init 4 (fun _ -> probe ()) in
   let c = Proc.spawn self (args ~setup_only:false) in
   let (r : Report.t) =
     Fun.protect
@@ -52,33 +50,27 @@ let analysis ~checker ~workload ~seed ~seconds ~trace =
     | Ok () -> { r with notes = r.notes @ [ "trace: " ^ trace_file workload ] }
     | Error e -> { r with correct = false; problems = r.problems @ [ e ] }
   else
-    let setups = before @ (c.Proc.setup_s :: List.init 2 (fun _ -> probe ())) in
+    let setups = before @ (c.Proc.setup_s :: List.init 4 (fun _ -> probe ())) in
     { r with
       metrics = ("setup_s", Sample.median setups) :: r.metrics;
       samples = ("setup_s", List.length setups) :: r.samples }
 
 let run_one ~repro ~checker ~workload ~seed ~seconds ~trace =
   match workload with
-  | "serve-write" ->
-      Serve_bench.run Serve_bench.write_mix ~repro ~checker ~work ~seed ~seconds ~trace
-  | "serve-read" ->
-      Serve_bench.run Serve_bench.read_mix ~repro ~checker ~work ~seed ~seconds ~trace
+  | "serve-read" -> Serve_bench.run ~repro ~checker ~work ~seed ~seconds ~trace
   | "exact-mix" | "coalesce-sim" -> analysis ~checker ~workload ~seed ~seconds ~trace
-  | w ->
-      Printf.eprintf "perfbench: unknown workload %S (%s, serve-write or all)\n" w
-        (String.concat ", " workloads);
-      exit 2
+  | w -> failwith ("perfbench: no code for the workload " ^ w)
 
 (* A traced run reports every per-layer metric: a layer the workload
    never calls reads 0. *)
-let complete ~trace (r : Report.t) =
+let complete (d : Report.declared) ~trace (r : Report.t) =
   if not trace then r
   else
     let missing =
       List.filter_map
         (fun (name, _) ->
           if List.mem_assoc name r.metrics then None else Some (name, 0.))
-        Report.per_layer
+        d.per_layer
     in
     { r with metrics = r.metrics @ missing }
 
@@ -126,26 +118,35 @@ let () =
       Analysis_bench.worker ~workload ~seed ~seconds ~trace
         ~trace_file:(get "trace-file") ~setup_only:(List.mem_assoc "setup-only" o)
   | None ->
+      let d = Report.declared "BENCHMARK.json" in
       let repro = get "repro" and checker = get "check-trace" in
       let workload = get "workload" in
+      let selected =
+        if workload = "all" then d.workloads
+        else if List.mem workload d.workloads then [ workload ]
+        else begin
+          Printf.eprintf "perfbench: unknown workload %S (%s or all)\n" workload
+            (String.concat ", " d.workloads);
+          exit 2
+        end
+      in
       if not (Sys.file_exists work) then Unix.mkdir work 0o755;
-      let selected = if workload = "all" then workloads else [ workload ] in
       let reports =
         List.map
           (fun workload ->
             let r =
-              complete ~trace
+              complete d ~trace
                 (run_one ~repro ~checker ~workload ~seed ~seconds ~trace)
             in
-            Report.print_human r;
+            Report.print_human d r;
             r)
           selected
       in
-      let names = List.map fst (if trace then Report.per_layer else Report.end_to_end) in
+      let metrics = if trace then d.per_layer else d.end_to_end in
       let correct = List.for_all (fun r -> r.Report.correct) reports in
       let line =
         match reports with
-        | [ r ] -> Report.json_line r ~names
+        | [ r ] -> Report.json_line r ~metrics
         | _ ->
             (* One line over all workloads: metric names are prefixed by
                the workload. *)
@@ -157,11 +158,16 @@ let () =
                 metrics =
                   List.concat_map
                     (fun r ->
-                      List.map (fun n -> (r.Report.workload ^ "/" ^ n, Report.value r n)) names)
+                      List.map
+                        (fun (n, _) -> (r.Report.workload ^ "/" ^ n, Report.value r n))
+                        metrics)
                     reports }
             in
             Report.json_line all
-              ~names:(List.concat_map (fun w -> List.map (fun n -> w ^ "/" ^ n) names) selected)
+              ~metrics:
+                (List.concat_map
+                   (fun w -> List.map (fun (n, u) -> (w ^ "/" ^ n, u)) metrics)
+                   selected)
       in
       print_endline line;
       exit (if correct then 0 else 1)

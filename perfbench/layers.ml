@@ -1,21 +1,12 @@
 (* Layer spans and their self times.
 
    The traced runs wrap each public call into a layer in a span named
-   after the layer ([span]).  A layer's self time is its span's duration
-   minus the durations of the layer spans nested directly inside it.
+   after the layer (Obs.with_span).  A layer's self time is its span's
+   duration minus the durations of the layer spans nested directly
+   inside it.
    Spans the library records on its own (exact.mixing_time,
    runner.rep, ...) are not layer boundaries: their time stays with the
    layer span that encloses them. *)
-
-let span name f =
-  let sp = Obs.begin_span name in
-  match f () with
-  | v ->
-      Obs.end_span sp;
-      v
-  | exception e ->
-      Obs.end_span sp;
-      raise e
 
 type total = { calls : int; self_ns : float; durations : float list }
 

@@ -4,39 +4,37 @@
    unit and the sample count behind it — and then, as its last line,
    one JSON object: {"correct", "attempted", "failed", "metrics"}.  The
    metrics are the end-to-end set for an untraced run and the per-layer
-   set for a traced one.  The names and units below are the ones
-   BENCHMARK.json declares. *)
+   set for a traced one, with the names and units BENCHMARK.json
+   declares. *)
 
-let end_to_end =
-  [ ("setup_s", "s"); ("ops_per_s", "1/s"); ("p50_us", "us"); ("p90_us", "us");
-    ("peak_rss_mb", "MiB") ]
+module Json = Experiment.Json
 
-(* Per layer, in the order of the layer table in README.md.  A layer a
-   workload never calls reports 0: that workload is where the layer's
-   metrics must not move. *)
-let per_layer =
-  [
-    ("wire.decode_ns", "ns"); ("wire.encode_ns", "ns");
-    ("wire.request_bytes", "bytes"); ("wire.reply_bytes", "bytes");
-    ("cluster.apply_ns", "ns");
-    ("journal.append_ns", "ns"); ("journal.flush_ns", "ns");
-    ("journal.bytes_per_event", "bytes");
-    ("store.snapshot_ms", "ms"); ("store.snapshots", "count");
-    ("store.restore_s", "s"); ("store.replayed_events", "count");
-    ("server.cpu_us_per_op", "us"); ("server.unattributed_ns", "ns");
-    ("server.events_per_round", "count");
-    ("client.cpu_us_per_op", "us"); ("ipc.wait_share", "ratio");
-    ("gc.minor_words_per_op", "words"); ("gc.promoted_words_per_op", "words");
-    ("gc.major_collections", "count");
-    ("exact_builder.enumerate_s", "s"); ("exact_builder.build_s", "s");
-    ("exact.stationary_s", "s"); ("exact.mix_s", "s");
-    ("exact.states", "count"); ("exact.nnz", "count");
-    ("blocked_csr.spmv_ns", "ns"); ("blocked_csr.spmv_calls", "count");
-    ("blocked_csr.bytes_per_spmv", "bytes"); ("blocked_csr.gb_per_s", "GB/s");
-    ("coalescence.steps_per_op", "count"); ("coalescence.ns_per_step", "ns");
-    ("coalescence.minor_words_per_step", "words");
-    ("trace.overhead", "ratio");
-  ]
+(* What BENCHMARK.json declares: the workloads, and (name, unit) per
+   end-to-end and per-layer metric. *)
+type declared = {
+  workloads : string list;
+  end_to_end : (string * string) list;
+  per_layer : (string * string) list;
+}
+
+let declared path =
+  let fail what = failwith (Printf.sprintf "perfbench: %s: %s" path what) in
+  let j =
+    match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok j -> j
+    | Error e -> fail e
+  in
+  let field key m =
+    match Json.member key m with
+    | Some (Json.String s) -> s
+    | _ -> fail ("an entry lacks " ^ key)
+  in
+  let entries key =
+    match Json.member key j with Some (Json.List l) -> l | _ -> fail ("no " ^ key)
+  in
+  let metrics key = List.map (fun m -> (field "name" m, field "unit" m)) (entries key) in
+  { workloads = List.map (field "name") (entries "workloads");
+    end_to_end = metrics "end_to_end"; per_layer = metrics "per_layer" }
 
 type t = {
   workload : string;
@@ -57,24 +55,12 @@ let p99_note ~p99 ~n =
   Printf.sprintf "p99 %.6g us over %d samples (%d beyond it; printed, not a metric)"
     p99 n (n - Sample.rank ~n 0.99)
 
-(* Names in the one-line summary over all workloads carry a
-   "workload/" prefix. *)
-let unit_of name =
-  let name =
-    match String.rindex_opt name '/' with
-    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-    | None -> name
-  in
-  match List.assoc_opt name end_to_end with
-  | Some u -> u
-  | None -> List.assoc name per_layer
-
 let value r name =
   match List.assoc_opt name r.metrics with
   | Some v -> v
   | None -> failwith ("metric not measured: " ^ name)
 
-let print_human r =
+let print_human d r =
   Printf.printf "perfbench %s: %s, %d attempted, %d failed\n" r.workload
     (if r.correct then "correct" else "INCORRECT")
     r.attempted r.failed;
@@ -86,17 +72,21 @@ let print_human r =
         | Some n -> Printf.sprintf "  (%d samples)" n
         | None -> ""
       in
-      Printf.printf "  %-34s %16.6g %s%s\n" name v (unit_of name) samples)
+      Printf.printf "  %-34s %16.6g %s%s\n" name v
+        (List.assoc name (d.end_to_end @ d.per_layer))
+        samples)
     r.metrics;
   List.iter (fun n -> Printf.printf "  %s\n" n) r.notes
 
-let json_line r ~names =
-  let metric name =
+(* The result line over [metrics], (name, unit) pairs.  A float prints
+   with the digits that read back as the same value. *)
+let json_line r ~metrics =
+  let metric (name, unit) =
     let v = value r name in
     if not (Float.is_finite v) then failwith ("non-finite metric: " ^ name);
-    Printf.sprintf "%S: {\"value\": %.17g, \"unit\": %S}" name v (unit_of name)
+    (name, Json.Obj [ ("value", Json.Float v); ("unit", Json.String unit) ])
   in
-  Printf.sprintf
-    "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}"
-    r.correct r.attempted r.failed
-    (String.concat ", " (List.map metric names))
+  Json.to_string ~indent:0
+    (Json.Obj
+       [ ("correct", Json.Bool r.correct); ("attempted", Json.Int r.attempted);
+         ("failed", Json.Int r.failed); ("metrics", Json.Obj (List.map metric metrics)) ])

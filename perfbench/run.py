@@ -4,10 +4,11 @@ benchmark workload (or all of them).
 
     python3 perfbench/run.py [--workload NAME] [--seed N] [--seconds S] [--trace 0|1]
 
-NAME is serve-read, exact-mix, coalesce-sim, serve-write or all (the
-default: the first three, seed 1, 25 s each, untraced).  Run it from the
-root of a checkout; the last line of standard output is the run's JSON
-result.  See perfbench/README.md for what is measured.
+NAME is a workload BENCHMARK.json declares (serve-read, exact-mix,
+coalesce-sim) or all (the default: each in turn, seed 1, 25 s each,
+untraced).  Run it from the root of a checkout; the last line of
+standard output is the run's JSON result.  See perfbench/README.md for
+what is measured.
 """
 
 import os

@@ -42,6 +42,32 @@ let weighted_quantile pairs q =
 let quantile xs q = weighted_quantile (List.map (fun x -> (x, 1)) xs) q
 let median xs = quantile xs 0.5
 
+(* The exact q order statistic of a.(0) .. a.(len - 1), found in place
+   by quickselect: the prefix is reordered, nothing is allocated. *)
+let int_quantile (a : int array) ~len q =
+  if len = 0 then invalid_arg "Sample.int_quantile: no samples";
+  let k = rank ~n:len q - 1 in
+  let lo = ref 0 and hi = ref (len - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while a.(!j) > pivot do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    (* [lo, j] holds values <= pivot, [i, hi] values >= pivot, and
+       anything between them equals the pivot. *)
+    if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
+  done;
+  a.(k)
+
 (* Samples (completion time in ns since the window opened, value,
    multiplicity) split into consecutive sub-windows of [width_ns]; a
    trailing partial sub-window is dropped. *)

@@ -1,5 +1,5 @@
-(* The serve workloads: the real `repro serve` daemon, restored from a
-   crash-state fixture and driven over its Unix socket by this process
+(* The serve-read workload: the real `repro serve` daemon, restored from
+   a crash-state fixture and driven over its Unix socket by this process
    as a closed-loop, single-connection client.
 
    One run:
@@ -34,9 +34,8 @@ let cluster_config =
     rule = Core.Scheduling_rule.abku 2; repr = Core.Repr.Array_backed;
     seed = 0x5EED }
 
-(* Snapshot cadence, in mutations: every timed run holds dozens of
-   snapshot cuts and journal compactions on the write mix and several
-   on the read mix.  One write batch in 256 carries a cut. *)
+(* Snapshot cadence, in mutations: every timed run holds several
+   snapshot cuts and journal compactions. *)
 let snapshot_every = 131072
 
 (* The fixture: mutations before the snapshot, and the journal tail
@@ -46,43 +45,30 @@ let fixture_head = 65536
 let fixture_tail = 1_000_000
 let fixture_seed = 0xF17
 
+let name = "serve-read"
 
-type mix = {
-  name : string;
-  batch : int;
-  insert : float;
-  remove : float;
-  watermark : float;  (** The rest are probes. *)
-}
-
-let write_mix =
-  { name = "serve-write"; batch = 512; insert = 0.5; remove = 0.5;
-    watermark = 0. }
-
-let read_mix =
-  { name = "serve-read"; batch = 64; insert = 0.05; remove = 0.05;
-    watermark = 0.10 }
+(* Requests per batch. *)
+let batch = 64
 
 (* Distinct requests encoded per run; the client cycles through them. *)
 let distinct_requests = 1 lsl 19
 
-let add_request buf g mix =
+(* 5% insert, 5% remove, 10% watermark, 80% probe. *)
+let add_request buf g =
   let u = Prng.Rng.float g in
-  if u < mix.insert then
+  if u < 0.05 then
     Printf.bprintf buf "{\"op\":\"insert\",\"key\":%d}\n"
       (Prng.Rng.int g 1_000_000_000)
-  else if u < mix.insert +. mix.remove then
-    Buffer.add_string buf "{\"op\":\"remove\"}\n"
-  else if u < mix.insert +. mix.remove +. mix.watermark then
-    Buffer.add_string buf "{\"op\":\"watermark\"}\n"
+  else if u < 0.10 then Buffer.add_string buf "{\"op\":\"remove\"}\n"
+  else if u < 0.20 then Buffer.add_string buf "{\"op\":\"watermark\"}\n"
   else Buffer.add_string buf "{\"op\":\"probe\"}\n"
 
-let encode_batches mix ~seed =
+let encode_batches ~seed =
   let g = Prng.Rng.create ~seed () in
-  Array.init (distinct_requests / mix.batch) (fun _ ->
-      let buf = Buffer.create (mix.batch * 32) in
-      for _ = 1 to mix.batch do
-        add_request buf g mix
+  Array.init (distinct_requests / batch) (fun _ ->
+      let buf = Buffer.create (batch * 32) in
+      for _ = 1 to batch do
+        add_request buf g
       done;
       Buffer.to_bytes buf)
 
@@ -188,7 +174,7 @@ let rec write_all fd b off len =
 
 (* One slice of the timed window, sending batches [first], [first + 1],
    ... of the cyclic stream. *)
-let run_window fd batches ~first ~batch ~seconds ~daemon =
+let run_window fd batches ~first ~seconds ~daemon =
   let w =
     { sent = Vec.create (); seg_chunk = Vec.create (); seg_off = Vec.create ();
       seg_len = Vec.create (); chunks = [| Bytes.create chunk_bytes |];
@@ -351,7 +337,7 @@ let replay_slice r batches (w : window) =
     let b = batches.(Vec.get w.sent j) in
     let lines = split_lines b in
     let traced = r.trace_every > 0 && r.batches mod r.trace_every = 0 in
-    let span name f = if traced then Layers.span name f else f () in
+    let span name f = if traced then Obs.with_span name f else f () in
     let sp = if traced then Obs.begin_span "serve.batch" else Obs.null_span in
     let events =
       span "wire.parse" (fun () ->
@@ -382,7 +368,7 @@ let replay_slice r batches (w : window) =
         r.writer <- Serve.Journal.Writer.create ~path:r.jpath r.fp;
         r.last_snapshot <- Serve.Cluster.seq r.cluster
       in
-      if r.trace_every > 0 then Layers.span "store.snapshot" snapshot else snapshot ()
+      if r.trace_every > 0 then Obs.with_span "store.snapshot" snapshot else snapshot ()
     end;
     Obs.end_span sp;
     let expected = Buffer.contents r.out in
@@ -408,10 +394,14 @@ let slice_seconds = 5.
 (* Latency sub-windows within a slice. *)
 let sub_window_ns = 500_000_000
 
-let run mix ~repro ~checker ~work ~seed ~seconds ~trace =
+(* The traced replay spans one batch in this many, which keeps the trace
+   to about a hundred thousand events. *)
+let trace_every = 8
+
+let run ~repro ~checker ~work ~seed ~seconds ~trace =
   let fixture = ensure_fixture ~work in
-  let batches = encode_batches mix ~seed in
-  let run_dir = Filename.concat work (Printf.sprintf "%s-%d" mix.name (Unix.getpid ())) in
+  let batches = encode_batches ~seed in
+  let run_dir = Filename.concat work (Printf.sprintf "%s-%d" name (Unix.getpid ())) in
   Proc.rm_rf run_dir;
   Unix.mkdir run_dir 0o755;
   let daemons = ref [] in
@@ -458,8 +448,7 @@ let run mix ~repro ~checker ~work ~seed ~seconds ~trace =
       let traced =
         if trace then
           Some
-            (replayer ~fixture ~dir:(Filename.concat run_dir "replay1")
-               ~trace_every:(max 1 (512 / mix.batch)))
+            (replayer ~fixture ~dir:(Filename.concat run_dir "replay1") ~trace_every)
         else None
       in
       Obs.reset ();
@@ -478,7 +467,7 @@ let run mix ~repro ~checker ~work ~seed ~seconds ~trace =
             let first = ref 0 and left = ref seconds in
             while !left > 0. do
               let w =
-                run_window fd batches ~first:!first ~batch:mix.batch
+                run_window fd batches ~first:!first
                   ~seconds:(Float.min slice_seconds !left) ~daemon:c.Proc.pid
               in
               first := !first + Vec.length w.sent;
@@ -545,7 +534,7 @@ let run mix ~repro ~checker ~work ~seed ~seconds ~trace =
         match traced with
         | None -> ([], [])
         | Some t ->
-            let path = Filename.concat work (mix.name ^ "-trace.json") in
+            let path = Filename.concat work (name ^ "-trace.json") in
             Obs.write_trace ~path;
             (match Layers.check_trace ~checker path with
             | Ok () -> ()
@@ -590,17 +579,18 @@ let run mix ~repro ~checker ~work ~seed ~seconds ~trace =
                    traced, %.3f s untraced)"
                   path t.batches t.trace_every t.replay_s plain.replay_s ] )
       in
-      { Report.workload = mix.name; correct = !problems = []; attempted = !ops;
+      { Report.workload = name; correct = !problems = []; attempted = !ops;
         failed; metrics = e2e @ client @ layer_metrics;
         samples =
           [ ("setup_s", List.length !setups); ("ops_per_s", !ops);
-            ("p50_us", List.length !groups); ("p90_us", List.length !groups) ];
+            ("p50_us", List.length !groups); ("p90_us", List.length !groups);
+            ("peak_rss_mb", 1) ];
         notes =
           [ Printf.sprintf
               "window %.3f s in slices of %.0f s, %d batches of %d; daemon %.0f \
                ns CPU/request, client %.0f ns CPU/request, client blocked \
                %.1f%% of the window"
-              !wall slice_seconds plain.batches mix.batch server_cpu_ns
+              !wall slice_seconds plain.batches batch server_cpu_ns
               (!client_cpu *. 1e9 /. ops_f) (100. *. !wait /. !wall);
             Report.p99_note ~p99 ~n:requests; steal ]
           @ trace_notes;
