@@ -4,7 +4,7 @@
                --repro PATH --check-trace PATH
 
    W is a workload BENCHMARK.json declares, or all (each in turn; the
-   default, with seed 1, 25 s, untraced).  The workloads and the names
+   default, with seed 1, 30 s, untraced).  The workloads and the names
    and units of the metrics are read from BENCHMARK.json in the
    directory the benchmark runs from, the checkout root.  The run prints
    each metric with its unit and sample count, then one JSON line (see
@@ -86,7 +86,7 @@ let () =
         exit 2
   in
   let o = opts [] args in
-  let defaults = [ ("workload", "all"); ("seed", "1"); ("seconds", "25"); ("trace", "0") ] in
+  let defaults = [ ("workload", "all"); ("seed", "1"); ("seconds", "30"); ("trace", "0") ] in
   let get k =
     match List.assoc_opt k o with
     | Some v -> v

@@ -5,7 +5,7 @@ benchmark workload (or all of them).
     python3 perfbench/run.py [--workload NAME] [--seed N] [--seconds S] [--trace 0|1]
 
 NAME is a workload BENCHMARK.json declares (serve-read, exact-mix,
-coalesce-sim) or all (the default: each in turn, seed 1, 25 s each,
+coalesce-sim) or all (the default: each in turn, seed 1, 30 s each,
 untraced).  Run it from the root of a checkout; the last line of
 standard output is the run's JSON result.  See perfbench/README.md for
 what is measured.
@@ -43,6 +43,14 @@ def main():
         "--check-trace", os.path.join("_build", "default", "bench", "check_trace.exe"),
         *sys.argv[1:],
     ]
+    # Run bench.exe and every process it starts on one CPU.  At most one
+    # of them is busy at a time (the serve client waits while the daemon
+    # works, and the reverse; bench.exe waits for an analysis worker), so
+    # this costs no parallelism.  On two CPUs a hand-off between client
+    # and daemon waits, twice a batch, for the host to wake the halted
+    # virtual CPU of the other side, and that wait follows the load of
+    # the whole host, not the program.
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     # A process group of its own, so that a timeout can stop bench.exe
     # and the daemon it launched together.
     proc = subprocess.Popen(cmd, cwd=root, start_new_session=True)

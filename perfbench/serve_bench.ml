@@ -7,7 +7,7 @@
       directory a kill -9 leaves behind — a snapshot plus an uncompacted
       journal tail — written through the public Store API;
    2. encodes the request stream from the seed into flat per-batch
-      buffers, before any timing;
+      buffers, and keeps the events they encode, before any timing;
    3. launches the daemon five times over the run, each on a fresh
       copy of the fixture, timing exec to the read of its banner
       (restore = snapshot load + journal replay); the third launch
@@ -15,7 +15,7 @@
    4. sends batches back to back in slices of the window, recording
       every reply byte and the latency of every request (write of its
       batch to the read that returned its reply line);
-   5. after each slice, replays the same requests in-process on a second
+   5. after each slice, replays the same events in-process on a second
       copy of the fixture, through the public calls the daemon makes
       each round, and compares every reply byte (with --trace 1, a third
       copy replays them inside layer spans);
@@ -53,24 +53,36 @@ let batch = 64
 (* Distinct requests encoded per run; the client cycles through them. *)
 let distinct_requests = 1 lsl 19
 
+(* One batch as sent, and the events its lines encode. *)
+type batch = { wire : Bytes.t; events : Engine.Event.t array }
+
 (* 5% insert, 5% remove, 10% watermark, 80% probe. *)
 let add_request buf g =
   let u = Prng.Rng.float g in
-  if u < 0.05 then
-    Printf.bprintf buf "{\"op\":\"insert\",\"key\":%d}\n"
-      (Prng.Rng.int g 1_000_000_000)
-  else if u < 0.10 then Buffer.add_string buf "{\"op\":\"remove\"}\n"
-  else if u < 0.20 then Buffer.add_string buf "{\"op\":\"watermark\"}\n"
-  else Buffer.add_string buf "{\"op\":\"probe\"}\n"
+  if u < 0.05 then begin
+    let key = Prng.Rng.int g 1_000_000_000 in
+    Printf.bprintf buf "{\"op\":\"insert\",\"key\":%d}\n" key;
+    Engine.Event.Insert key
+  end
+  else if u < 0.10 then begin
+    Buffer.add_string buf "{\"op\":\"remove\"}\n";
+    Engine.Event.Remove
+  end
+  else if u < 0.20 then begin
+    Buffer.add_string buf "{\"op\":\"watermark\"}\n";
+    Engine.Event.Watermark
+  end
+  else begin
+    Buffer.add_string buf "{\"op\":\"probe\"}\n";
+    Engine.Event.Probe
+  end
 
 let encode_batches ~seed =
   let g = Prng.Rng.create ~seed () in
   Array.init (distinct_requests / batch) (fun _ ->
       let buf = Buffer.create (batch * 32) in
-      for _ = 1 to batch do
-        add_request buf g
-      done;
-      Buffer.to_bytes buf)
+      let events = Array.init batch (fun _ -> add_request buf g) in
+      { wire = Buffer.to_bytes buf; events })
 
 (* ---- fixture ---- *)
 
@@ -197,7 +209,7 @@ let run_window fd batches ~first ~seconds ~daemon =
       incr ci;
       pos := 0
     end;
-    let b = batches.((first + !i) mod nb) in
+    let b = batches.((first + !i) mod nb).wire in
     let seg = !pos in
     let t0 = Proc.now_ns () in
     write_all fd b 0 (Bytes.length b);
@@ -269,9 +281,12 @@ let layer_names =
     "cluster.apply"; "wire.reply"; "store.snapshot" ]
 
 (* The daemon's state, rebuilt in-process, replaying the stream slice by
-   slice.  A traced replayer spans one batch in [trace_every] (0: none)
-   and every snapshot; [traced_requests] counts the requests of the
-   spanned batches, the base of the per-request layer times. *)
+   slice.  A replayer that decodes parses every request line with
+   Wire.parse, as the daemon does; one that does not applies the events
+   kept at encoding, which gives the same replies in half the time.  A
+   traced replayer spans one batch in [trace_every] (0: none) and every
+   snapshot; [traced_requests] counts the requests of the spanned
+   batches, the base of the per-request layer times. *)
 type replayer = {
   store : Serve.Store.t;
   cluster : Serve.Cluster.t;
@@ -280,6 +295,7 @@ type replayer = {
   mutable writer : Serve.Journal.Writer.t;
   mutable last_snapshot : int;
   out : Buffer.t;
+  decode : bool;
   trace_every : int;
   restore_s : float;
   replayed_events : int;
@@ -294,7 +310,7 @@ type replayer = {
   mutable journal_bytes : int;
 }
 
-let replayer ~fixture ~dir ~trace_every =
+let replayer ~fixture ~dir ~decode ~trace_every =
   Proc.copy_dir fixture dir;
   let replayed_events =
     Serve.Journal.fold ~path:(Filename.concat dir "journal.bin") ~init:0
@@ -308,7 +324,7 @@ let replayer ~fixture ~dir ~trace_every =
   let jpath = Filename.concat dir "replay-journal.bin" in
   { store; cluster; fp; jpath; writer = Serve.Journal.Writer.create ~path:jpath fp;
     last_snapshot = Serve.Cluster.seq cluster; out = Buffer.create 65536;
-    trace_every; restore_s; replayed_events; batches = 0; failed = 0;
+    decode; trace_every; restore_s; replayed_events; batches = 0; failed = 0;
     replay_s = 0.; requests = 0; traced_requests = 0; request_bytes = 0;
     reply_bytes = 0; journaled_events = 0; journal_bytes = 0 }
 
@@ -335,18 +351,19 @@ let replay_slice r batches (w : window) =
   let t0 = Proc.now_ns () in
   for j = 0 to Vec.length w.sent - 1 do
     let b = batches.(Vec.get w.sent j) in
-    let lines = split_lines b in
     let traced = r.trace_every > 0 && r.batches mod r.trace_every = 0 in
     let span name f = if traced then Obs.with_span name f else f () in
     let sp = if traced then Obs.begin_span "serve.batch" else Obs.null_span in
     let events =
-      span "wire.parse" (fun () ->
-          Array.map
-            (fun l ->
-              match Serve.Wire.parse l with
-              | Ok (_, Serve.Wire.Event ev) -> ev
-              | _ -> failwith ("perfbench: unexpected request " ^ l))
-            lines)
+      if not r.decode then b.events
+      else
+        span "wire.parse" (fun () ->
+            Array.map
+              (fun l ->
+                match Serve.Wire.parse l with
+                | Ok (_, Serve.Wire.Event ev) -> ev
+                | _ -> failwith ("perfbench: unexpected request " ^ l))
+              (split_lines b.wire))
     in
     let muts = Array.of_list (List.filter Engine.Event.is_mutation (Array.to_list events)) in
     if Array.length muts > 0 then begin
@@ -372,12 +389,12 @@ let replay_slice r batches (w : window) =
     end;
     Obs.end_span sp;
     let expected = Buffer.contents r.out in
-    let n = Array.length lines in
+    let n = Array.length events in
     r.failed <- r.failed + mismatches ~expected ~actual:(segment w j) ~requests:n;
     r.batches <- r.batches + 1;
     r.requests <- r.requests + n;
     if traced then r.traced_requests <- r.traced_requests + n;
-    r.request_bytes <- r.request_bytes + Bytes.length b;
+    r.request_bytes <- r.request_bytes + Bytes.length b.wire;
     r.reply_bytes <- r.reply_bytes + String.length expected
   done;
   r.replay_s <- r.replay_s +. Proc.seconds_between t0 (Proc.now_ns ())
@@ -444,11 +461,17 @@ let run ~repro ~checker ~work ~seed ~seconds ~trace =
       in
       probe 1;
       probe ~signal:Sys.sigkill 2;
-      let plain = replayer ~fixture ~dir:(Filename.concat run_dir "replay0") ~trace_every:0 in
+      (* The check decodes only in a traced run, where its time is the
+         untraced base of trace.overhead. *)
+      let plain =
+        replayer ~fixture ~dir:(Filename.concat run_dir "replay0") ~decode:trace
+          ~trace_every:0
+      in
       let traced =
         if trace then
           Some
-            (replayer ~fixture ~dir:(Filename.concat run_dir "replay1") ~trace_every)
+            (replayer ~fixture ~dir:(Filename.concat run_dir "replay1") ~decode:true
+               ~trace_every)
         else None
       in
       Obs.reset ();
