@@ -50,7 +50,11 @@ def main():
     # and daemon waits, twice a batch, for the host to wake the halted
     # virtual CPU of the other side, and that wait follows the load of
     # the whole host, not the program.
-    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    try:
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    except OSError as e:
+        print(f"perfbench: cannot pin to one CPU ({e}); running unpinned",
+              file=sys.stderr)
     # A process group of its own, so that a timeout can stop bench.exe
     # and the daemon it launched together.
     proc = subprocess.Popen(cmd, cwd=root, start_new_session=True)
