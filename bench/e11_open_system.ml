@@ -55,10 +55,9 @@ let run ctx =
   let n = Ctx.scale ctx ~quick:16 ~full:32 in
   let m = 2 * n in
   let p = Core.Open_process.make (Sr.abku 2) ~n in
-  let chain =
-    Markov.Chain.make (fun g v ->
-        Core.Open_process.step_normalized p g v;
-        v)
+  let step g v =
+    Core.Open_process.step_normalized p g v;
+    v
   in
   let rng = Ctx.rng ctx ~experiment:11_500 in
   let rec times t acc =
@@ -70,7 +69,7 @@ let run ctx =
      empirical-TV estimator small. *)
   let bucket v = Mv.total v * 8 / m in
   let profile =
-    Markov.Empirical.decay_profile chain ~rng
+    Markov.Empirical.decay_profile ~step ~rng
       ~x0:(fun () -> Mv.of_load_vector (Lv.all_in_one ~n ~m))
       ~y0:(fun () -> Mv.of_load_vector (Lv.of_array (Array.make n 0)))
       ~times:(times 1 []) ~reps:(Ctx.scale ctx ~quick:800 ~full:2000)

@@ -22,10 +22,9 @@ let run ctx =
     (fun (scenario, scale_name, scale) ->
       let process = Core.Dynamic_process.make scenario (Sr.abku 2) ~n in
       (* Chain over mutable state; Empirical copies the start per run. *)
-      let chain =
-        Markov.Chain.make (fun g v ->
-            Core.Dynamic_process.step_in_place process g v;
-            v)
+      let step g v =
+        Core.Dynamic_process.step_in_place process g v;
+        v
       in
       let rng = Ctx.rng ctx ~experiment:13_000 in
       let limit = 2 * int_of_float scale in
@@ -35,7 +34,7 @@ let run ctx =
         List.sort_uniq compare (int_of_float scale :: geometric_times limit)
       in
       let profile =
-        Markov.Empirical.decay_profile chain ~rng
+        Markov.Empirical.decay_profile ~step ~rng
           ~x0:(fun () -> Mv.of_load_vector (Lv.all_in_one ~n ~m))
           ~y0:(fun () -> Mv.of_load_vector (Lv.uniform ~n ~m))
           ~times ~reps ~observable:Mv.max_load

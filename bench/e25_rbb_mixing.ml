@@ -81,7 +81,7 @@ let run ctx =
         List.sort_uniq compare (bound :: geometric_times (2 * bound))
       in
       let profile =
-        Markov.Empirical.decay_profile (Rbb.chain p) ~rng
+        Markov.Empirical.decay_profile ~step:(Rbb.chain p) ~rng
           ~x0:(fun () -> Lv.all_in_one ~n ~m)
           ~y0:(fun () -> Lv.uniform ~n ~m)
           ~times ~reps ~observable:Lv.max_load

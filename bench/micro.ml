@@ -83,14 +83,16 @@ let time_budget_loop ~budget step =
   let steps = float_of_int !count in
   (steps /. dt, (Gc.minor_words () -. w0) /. steps)
 
-(* The refactor's headline number: the historical Markov.Chain stepper
-   rebuilds a sorted load vector per step (of_load_vector /
-   to_load_vector round-trip), while the engine sim mutates one
-   preallocated buffer.  The allocation column makes the difference
-   visible: the chain allocates O(n) words per step, the sim O(1). *)
+(* The refactor's headline number: the functional one-step view
+   (Dynamic_process.chain) rebuilds a sorted load vector per step
+   (of_load_vector / to_load_vector round-trip), while the engine sim
+   mutates one preallocated buffer.  The allocation column makes the
+   difference visible: the chain allocates O(n) words per step, the sim
+   O(1). *)
 let engine_vs_chain ctx =
   Printf.printf
-    "\n#### Micro — engine sim vs Markov.Chain, Id-ABKU[2] (n=10_000)\n%!";
+    "\n#### Micro — engine sim vs Dynamic_process.chain, Id-ABKU[2] \
+     (n=10_000)\n%!";
   let n = 10_000 in
   let process =
     Core.Dynamic_process.make Core.Scenario.A (Core.Scheduling_rule.abku 2) ~n
@@ -98,10 +100,9 @@ let engine_vs_chain ctx =
   let budget = 0.5 in
   let chain_rate, chain_alloc =
     let g = Prng.Rng.create ~seed:11 () in
-    let chain = Core.Dynamic_process.chain process in
+    let step = Core.Dynamic_process.chain process in
     let state = ref (Loadvec.Load_vector.uniform ~n ~m:n) in
-    time_budget_loop ~budget (fun () ->
-        state := chain.Markov.Chain.step g !state)
+    time_budget_loop ~budget (fun () -> state := step g !state)
   in
   let sim_rate, sim_alloc =
     let g = Prng.Rng.create ~seed:11 () in
@@ -119,7 +120,7 @@ let engine_vs_chain ctx =
   Ctx.row table
     ~values:[ ("steps_per_sec", chain_rate); ("minor_words", chain_alloc) ]
     [
-      "Markov.Chain (immutable)";
+      "Dynamic_process.chain (immutable)";
       Printf.sprintf "%.0f" chain_rate;
       Printf.sprintf "%.1f" chain_alloc;
     ];
@@ -386,100 +387,17 @@ let fused_mixing ctx =
        (Markov.Blocked_csr.nnz (Markov.Exact.blocked chain)));
   Ctx.emit ctx table
 
-(* The exact-layer refactor's headline number: dense mixing_time scans
-   t = 0,1,2,... with a full |Omega|^3 matrix product per step and
-   recomputes the stationary distribution on every call, while the
-   sparse path evolves per-start distribution vectors by CSR spmv with
-   a doubling-then-bisect crossing search, pruning starts against the
-   shared crossing bound, and reuses the chain's cached pi.  The n=8
-   cells are the largest of the pre-extension e07 grid; n=12 is the
-   largest extended quick cell.  Results must agree exactly — between
-   the two implementations and across domain counts. *)
-let dense_vs_sparse ctx =
-  Printf.printf "\n#### Micro — dense vs sparse Exact.mixing_time\n%!";
-  let metrics = Engine.Metrics.create () in
-  let budget = 0.3 in
-  let table =
-    Ctx.table ctx ~title:"dense vs sparse exact mixing time"
-      ~columns:[ "cell"; "|Omega|"; "tau"; "dense ms"; "sparse ms"; "speedup" ]
-  in
-  let headline = ref 0. in
-  List.iter
-    (fun (scenario, n, is_headline) ->
-      let name =
-        Printf.sprintf "%s n=%d"
-          (match scenario with Core.Scenario.A -> "Id" | B -> "Ib")
-          n
-      in
-      let process =
-        Core.Dynamic_process.make scenario (Core.Scheduling_rule.abku 2) ~n
-      in
-      let chain =
-        Markov.Exact_builder.build
-          (Markov.Exact_builder.enumerated
-             (Markov.Partition_space.enumerate ~n ~m:n))
-          ~transitions:(Core.Dynamic_process.exact_transitions process)
-      in
-      let tau_dense = Markov.Exact.Dense.mixing_time ~eps:0.25 chain in
-      let tau_sparse = Markov.Exact.mixing_time ~eps:0.25 ~domains:1 chain in
-      let tau_par = Markov.Exact.mixing_time ~eps:0.25 ~domains:2 chain in
-      if tau_sparse <> tau_dense then
-        failwith
-          (Printf.sprintf "micro: sparse tau %d <> dense tau %d (%s)"
-             tau_sparse tau_dense name);
-      if tau_par <> tau_sparse then
-        failwith
-          (Printf.sprintf "micro: tau differs across domains (%s)" name);
-      let dense_s =
-        time_calls ~budget (fun () ->
-            Markov.Exact.Dense.mixing_time ~eps:0.25 chain)
-      in
-      let sparse_s =
-        time_calls ~budget (fun () ->
-            Markov.Exact.mixing_time ~eps:0.25 ~domains:1 chain)
-      in
-      Engine.Metrics.add_phase metrics (name ^ " dense call") dense_s;
-      Engine.Metrics.add_phase metrics (name ^ " sparse call") sparse_s;
-      if is_headline then headline := dense_s /. sparse_s;
-      Ctx.row table
-        ~values:
-          [
-            ("state_count", float_of_int (Markov.Exact.size chain));
-            ("tau", float_of_int tau_sparse);
-            ("dense_ms", dense_s *. 1e3);
-            ("sparse_ms", sparse_s *. 1e3);
-          ]
-        [
-          name;
-          string_of_int (Markov.Exact.size chain);
-          string_of_int tau_sparse;
-          Printf.sprintf "%.4f" (dense_s *. 1e3);
-          Printf.sprintf "%.4f" (sparse_s *. 1e3);
-          Printf.sprintf "%.1fx" (dense_s /. sparse_s);
-        ])
-    [
-      (Core.Scenario.A, 8, false);
-      (Core.Scenario.B, 8, true);
-      (Core.Scenario.B, 12, false);
-    ];
-  Ctx.note table
-    (Printf.sprintf
-       "speedup on the largest pre-extension e07 cell (Ib n=8): %.1fx; taus \
-        identical dense/sparse and for domains=1 vs 2"
-       !headline);
-  Ctx.emit ctx table;
-  Engine.Metrics.dump ~label:"micro dense vs sparse"
-    (Engine.Metrics.snapshot metrics)
-
-(* The blocked-CSR kernel against the flat sparse product, across block
-   sizes and pool sizes, plus the streaming-build story: with [~spill]
-   the builder's working set is one block, so the peak heap of a build
-   stays flat while the in-memory build holds the whole matrix.  All
-   kernel variants must agree bitwise — the column-owner-computes split
-   makes the pooled product deterministic — so the table doubles as a
-   parity check.  Note: wall-clock speedup from the pool needs real
-   cores; on a single-CPU host the domains>1 rows mostly measure
-   barrier overhead. *)
+(* The blocked-CSR kernel across block sizes and pool sizes against the
+   one-block sequential kernel (a flat CSR matrix), plus the
+   streaming-build story: with [~spill] the builder's working set is one
+   block, so the peak heap of a build stays flat while the in-memory
+   build holds the whole matrix.  All kernel variants must agree bitwise
+   — every column accumulates over rows in index order whatever the
+   block size, and the column-owner-computes split makes the pooled
+   product deterministic — so the table doubles as a parity check.
+   Note: wall-clock speedup from the pool needs real cores; on a
+   single-CPU host the domains>1 rows mostly measure barrier
+   overhead. *)
 let blocked_spmv ctx =
   Printf.printf "\n#### Micro — blocked vs flat spmv, streaming build peak\n%!";
   let n = 30 in
@@ -537,21 +455,32 @@ let blocked_spmv ctx =
       Ctx.emit ctx build_table;
       Markov.Blocked_csr.close (Markov.Exact.blocked spilled);
       (* spmv parity + cost across layouts and pool sizes. *)
-      let flat = Markov.Exact.sparse chain in
       let size = Array.length states in
+      let one_block =
+        Markov.Exact.blocked
+          (Markov.Exact_builder.build ~block_rows:size
+             (Markov.Exact_builder.enumerated states)
+             ~transitions)
+      in
       let src = Array.make size (1. /. float_of_int size) in
+      let expect = Array.make size 0. in
+      Markov.Blocked_csr.spmv (Markov.Blocked_csr.kernel one_block) ~src
+        ~dst:expect;
       let budget = 0.2 in
-      let expect = Markov.Sparse.spmv src flat in
+      let time_spmv kernel =
+        let dst = Array.make size 0. in
+        Markov.Blocked_csr.spmv kernel ~src ~dst;
+        if not (Array.for_all2 Float.equal dst expect) then
+          failwith "micro: blocked spmv disagrees with the one-block kernel";
+        time_calls ~budget (fun () -> Markov.Blocked_csr.spmv kernel ~src ~dst)
+      in
       let table =
         Ctx.table ctx ~title:"blocked vs flat spmv"
-          ~columns:[ "kernel"; "blocks"; "domains"; "us/spmv"; "vs flat" ]
+          ~columns:[ "kernel"; "blocks"; "domains"; "us/spmv"; "vs 1 block" ]
       in
-      let flat_s =
-        let dst = Array.make size 0. in
-        time_calls ~budget (fun () ->
-            Markov.Sparse.spmv_into flat ~src ~dst)
-      in
-      let emit_row name ~blocks ~domains seconds =
+      let reference_s = time_spmv (Markov.Blocked_csr.kernel one_block) in
+      let emit_row name b ~domains seconds =
+        let blocks = Markov.Blocked_csr.block_count b in
         Ctx.row table
           ~values:
             [
@@ -564,40 +493,24 @@ let blocked_spmv ctx =
             string_of_int blocks;
             string_of_int domains;
             Printf.sprintf "%.1f" (seconds *. 1e6);
-            Printf.sprintf "%.2fx" (flat_s /. seconds);
+            Printf.sprintf "%.2fx" (reference_s /. seconds);
           ]
       in
-      emit_row "flat CSR" ~blocks:1 ~domains:1 flat_s;
-      let check dst =
-        if not (Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-12) dst expect)
-        then failwith "micro: blocked spmv disagrees with flat spmv"
-      in
+      emit_row "one block (reference)" one_block ~domains:1 reference_s;
       List.iter
-        (fun block_rows ->
-          let b = Markov.Blocked_csr.of_sparse ~block_rows flat in
-          List.iter
-            (fun domains ->
-              let run_with kernel =
-                let dst = Array.make size 0. in
-                Markov.Blocked_csr.spmv kernel ~src ~dst;
-                check dst;
-                time_calls ~budget (fun () ->
-                    Markov.Blocked_csr.spmv kernel ~src ~dst)
-              in
-              let seconds =
-                if domains = 1 then run_with (Markov.Blocked_csr.kernel b)
-                else
-                  Parallel.Pool.with_pool ~domains (fun pool ->
-                      run_with (Markov.Blocked_csr.kernel ~pool b))
-              in
-              emit_row "blocked CSR"
-                ~blocks:(Markov.Blocked_csr.block_count b)
-                ~domains seconds)
-            (if block_rows >= size then [ 1 ] else [ 1; 2; 4 ]))
-        [ size; 512 ];
+        (fun domains ->
+          let seconds =
+            if domains = 1 then time_spmv (Markov.Blocked_csr.kernel bcsr)
+            else
+              Parallel.Pool.with_pool ~domains (fun pool ->
+                  time_spmv (Markov.Blocked_csr.kernel ~pool bcsr))
+          in
+          emit_row "blocked CSR" bcsr ~domains seconds)
+        [ 1; 2; 4 ];
       Ctx.note table
-        "all kernels verified bitwise against the flat product; pooled rows \
-         need >1 physical core to show wall-clock speedup";
+        "all kernels verified bitwise against the one-block sequential \
+         kernel; pooled rows need >1 physical core to show wall-clock \
+         speedup";
       Ctx.emit ctx table)
 
 (* Evidence for the Obs overhead contract: while tracing is disabled,
@@ -739,7 +652,6 @@ let run ctx =
   repr_comparison ctx;
   rbb_round_comparison ctx;
   fused_mixing ctx;
-  dense_vs_sparse ctx;
   blocked_spmv ctx;
   engine_vs_chain ctx;
   serve_throughput ctx;

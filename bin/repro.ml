@@ -422,10 +422,9 @@ let tv seed n m scenario rule reps =
   let m = resolve_m n m in
   let rng = Prng.Rng.create ~seed () in
   let process = Core.Dynamic_process.make scenario rule ~n in
-  let chain =
-    Markov.Chain.make (fun g v ->
-        Core.Dynamic_process.step_in_place process g v;
-        v)
+  let step g v =
+    Core.Dynamic_process.step_in_place process g v;
+    v
   in
   let scale =
     match scenario with
@@ -435,7 +434,7 @@ let tv seed n m scenario rule reps =
   let limit = 2 * int_of_float scale in
   let rec times t acc = if t > limit then List.rev acc else times (4 * t) (t :: acc) in
   let profile =
-    Markov.Empirical.decay_profile chain ~rng
+    Markov.Empirical.decay_profile ~step ~rng
       ~x0:(fun () ->
         Loadvec.Mutable_vector.of_load_vector
           (Loadvec.Load_vector.all_in_one ~n ~m))
@@ -959,8 +958,8 @@ let load_cmd =
 
 let parse_query_op s =
   match String.split_on_char ':' s with
-  | [ ("probe" | "watermark" | "occupancy" | "metrics" | "ping" | "step"
-      | "round" | "remove") as op ] ->
+  | [ ("probe" | "watermark" | "occupancy" | "ping" | "step" | "round"
+      | "remove") as op ] ->
       Ok (Printf.sprintf "{\"op\":%S}" op)
   | [ "insert"; key ] -> (
       match int_of_string_opt key with
@@ -991,7 +990,7 @@ let query_cmd =
     Arg.(value & pos_all string []
          & info [] ~docv:"OP"
              ~doc:"Ops to send in order: probe, watermark, occupancy, \
-                   metrics, ping, step, remove, insert:<key> (default: probe \
+                   ping, step, round, remove, insert:<key> (default: probe \
                    watermark).")
   in
   Cmd.v

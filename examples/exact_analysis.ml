@@ -25,7 +25,8 @@ let () =
   let states = Markov.Partition_space.enumerate ~n ~m:n in
   Printf.printf "State space: %d normalized load vectors\n" (Array.length states);
   let chain =
-    Markov.Exact.build ~states
+    Markov.Exact_builder.build
+      (Markov.Exact_builder.enumerated states)
       ~transitions:(Core.Dynamic_process.exact_transitions process)
   in
 

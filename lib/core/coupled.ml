@@ -111,10 +111,10 @@ let remove_pair_b g v u ~lambda ~delta =
 let paper_step process g v u =
   if Lv.equal v u then begin
     (* Identity coupling keeps equal copies together. *)
-    let c = Dynamic_process.chain process in
+    let step = Dynamic_process.chain process in
     let g' = Prng.Rng.copy g in
-    let v' = c.Markov.Chain.step g v in
-    let u' = c.Markov.Chain.step g' u in
+    let v' = step g v in
+    let u' = step g' u in
     (v', u')
   end
   else begin

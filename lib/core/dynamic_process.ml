@@ -90,11 +90,10 @@ let step_counts_probes t g cv =
 
 let step_counts_in_place t g cv = ignore (step_counts_probes t g cv)
 
-let chain t =
-  Markov.Chain.make (fun g lv ->
-      let v = Mv.of_load_vector lv in
-      step_in_place t g v;
-      Mv.to_load_vector v)
+let chain t g lv =
+  let v = Mv.of_load_vector lv in
+  step_in_place t g v;
+  Mv.to_load_vector v
 
 (* One removal variate plus one draw per insertion probe. *)
 let sim ?metrics t v =

@@ -9,7 +9,7 @@
     - [Ib-ADAP(x)]  = scenario B + ADAP(x)
 
     The module exposes a fast in-place step on mutable normalized vectors,
-    a functional {!Markov.Chain.t} view, and the exact transition law used
+    a functional one-step view ({!chain}), and the exact transition law used
     for small-state-space ground truth. *)
 
 type t
@@ -45,7 +45,7 @@ val step_counts_probes :
   t -> Prng.Rng.t -> Loadvec.Count_vector.t -> int
 (** Like {!step_counts_in_place} but returns the probe count. *)
 
-val chain : t -> Loadvec.Load_vector.t Markov.Chain.t
+val chain : t -> Prng.Rng.t -> Loadvec.Load_vector.t -> Loadvec.Load_vector.t
 (** Functional one-step view on immutable vectors (each step copies the
     state through {!Loadvec.Mutable_vector.of_load_vector}, so this is
     for exact-analysis-style functional composition — e.g. feeding

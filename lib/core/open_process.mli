@@ -53,8 +53,8 @@ val exact_transitions :
     with probability [insert_probability] an insertion (a no-op at
     capacity), otherwise a scenario-A removal (a no-op on the empty
     state).  Probabilities sum to 1; duplicate successors may appear and
-    are merged by {!Markov.Exact.build}.  With a capacity the state
-    space — all vectors with at most [capacity] balls — is finite, so the
-    open system becomes exactly analysable (paper, Section 7).
+    are merged by {!Markov.Exact_builder.build}.  With a capacity the
+    state space — all vectors with at most [capacity] balls — is finite,
+    so the open system becomes exactly analysable (paper, Section 7).
     @raise Invalid_argument on a dimension mismatch or a state above
     capacity. *)

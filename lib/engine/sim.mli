@@ -18,8 +18,8 @@
     {!Edgeorient.Orientation.sim}, …).  The rep-loop drivers below are
     [Step]-event streams over {!apply} — bit-identical to the historical
     step loops.  They are the only driver loops in the repository:
-    {!Markov.Chain} is now just the functional one-step view for
-    exact-analysis-style immutable states.  The serve
+    a process's [chain] function is just the functional one-step view
+    for exact-analysis-style immutable states.  The serve
     layer ({!Serve}) drives the same machines with the full vocabulary
     behind a socket front end. *)
 

@@ -197,9 +197,8 @@ let ensure_entry_room b need =
     b.cur_val <- val'
   end
 
-(* Per row: sort by column, merge duplicates, drop exact zeros — the
-   same normalization {!Sparse.of_rows} applies, so conversions between
-   the two stores preserve nnz. *)
+(* Per row: sort by column, merge duplicates, drop exact zeros, so
+   [nnz] counts structural non-zeros only. *)
 let add_row b entries =
   let a = Array.of_list entries in
   Array.iter
@@ -329,32 +328,7 @@ let open_file path =
   { rows; cols; block_rows; blocks; channel = Some ch; path = Some path;
     nnz = total_nnz }
 
-(* {2 Conversions} *)
-
-let of_sparse ?block_rows ?spill (s : Sparse.t) =
-  let b = builder ?block_rows ?spill () in
-  let row = ref [] in
-  for i = 0 to Sparse.rows s - 1 do
-    row := [];
-    Sparse.row_iter s i ~f:(fun j v -> row := (j, v) :: !row);
-    add_row b (List.rev !row)
-  done;
-  finish b ~cols:(Sparse.cols s)
-
-let to_sparse t =
-  let entries = Array.make t.rows [] in
-  for b = 0 to block_count t - 1 do
-    with_shard t b (fun ~row0 s ->
-        let nrows = Array.length s.row_ptr - 1 in
-        for r = 0 to nrows - 1 do
-          let acc = ref [] in
-          for k = s.row_ptr.(r + 1) - 1 downto s.row_ptr.(r) do
-            acc := (s.col_idx.(k), s.values.(k)) :: !acc
-          done;
-          entries.(row0 + r) <- !acc
-        done)
-  done;
-  Sparse.of_rows ~rows:t.rows ~cols:t.cols (fun i -> entries.(i))
+(* {2 Queries} *)
 
 let row_sums t =
   let sums = Array.make t.rows 0. in

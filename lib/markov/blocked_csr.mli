@@ -52,9 +52,9 @@ val builder : ?block_rows:int -> ?spill:string -> unit -> builder
 
 val add_row : builder -> (int * float) list -> unit
 (** Append the next row.  Entries are sorted by column, duplicate
-    columns merged, exact zeros dropped (the {!Sparse.of_rows}
-    normalization, so conversions preserve nnz).  Column bounds are
-    checked at {!finish}, when the final column count is known.
+    columns merged, exact zeros dropped, so {!nnz} counts structural
+    non-zeros only.  Column bounds are checked at {!finish}, when the
+    final column count is known.
     @raise Invalid_argument on a negative column index. *)
 
 val finish : builder -> cols:int -> t
@@ -68,10 +68,7 @@ val open_file : string -> t
     @raise Failure on a truncated or corrupt file.
     @raise Sys_error if the file cannot be read. *)
 
-(** {1 Conversions and queries} *)
-
-val of_sparse : ?block_rows:int -> ?spill:string -> Sparse.t -> t
-val to_sparse : t -> Sparse.t
+(** {1 Queries} *)
 
 val row_sums : t -> float array
 val is_stochastic : ?tol:float -> t -> bool

@@ -18,24 +18,24 @@ let tv_between_samples a b =
   and cb = counts_of "tv_between_samples" b in
   Stats.Freq.tv ca cb
 
-let iterate chain g s t =
+let iterate step g s t =
   let state = ref s in
   for _ = 1 to t do
-    state := chain.Chain.step g !state
+    state := step g !state
   done;
   !state
 
-let observable_tv chain ~rng ~x0 ~y0 ~t ~reps ~observable =
+let observable_tv ~step ~rng ~x0 ~y0 ~t ~reps ~observable =
   if reps <= 0 then invalid_arg "Empirical.observable_tv: reps must be positive";
   if t < 0 then invalid_arg "Empirical.observable_tv: negative t";
   let sample start =
     Array.init reps (fun _ ->
         let g = Prng.Rng.split rng in
-        observable (iterate chain g (start ()) t))
+        observable (iterate step g (start ()) t))
   in
   tv_between_samples (sample x0) (sample y0)
 
-let decay_profile chain ~rng ~x0 ~y0 ~times ~reps ~observable =
+let decay_profile ~step ~rng ~x0 ~y0 ~times ~reps ~observable =
   List.map
-    (fun t -> (t, observable_tv chain ~rng ~x0 ~y0 ~t ~reps ~observable))
+    (fun t -> (t, observable_tv ~step ~rng ~x0 ~y0 ~t ~reps ~observable))
     times

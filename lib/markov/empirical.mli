@@ -14,7 +14,7 @@ val tv_between_samples : int array -> int array -> float
     entry. *)
 
 val observable_tv :
-  'state Chain.t ->
+  step:(Prng.Rng.t -> 'state -> 'state) ->
   rng:Prng.Rng.t ->
   x0:(unit -> 'state) ->
   y0:(unit -> 'state) ->
@@ -22,14 +22,15 @@ val observable_tv :
   reps:int ->
   observable:('state -> int) ->
   float
-(** [observable_tv chain ~rng ~x0 ~y0 ~t ~reps ~observable] estimates
+(** [observable_tv ~step ~rng ~x0 ~y0 ~t ~reps ~observable] estimates
     [‖L(f(X_t) | X_0 = x0 ()) − L(f(Y_t) | Y_0 = y0 ())‖] from [reps]
-    independent runs of each chain.  The initial states are thunks so
-    that chains over mutable state get a fresh copy per run.
+    independent runs of the chain whose one transition is [step] (a
+    process's [chain] function).  The initial states are thunks so that
+    chains over mutable state get a fresh copy per run.
     @raise Invalid_argument if [reps <= 0] or [t < 0]. *)
 
 val decay_profile :
-  'state Chain.t ->
+  step:(Prng.Rng.t -> 'state -> 'state) ->
   rng:Prng.Rng.t ->
   x0:(unit -> 'state) ->
   y0:(unit -> 'state) ->

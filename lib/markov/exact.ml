@@ -3,82 +3,18 @@ type 'state t = {
   find : 'state -> int option;
   bcsr : Blocked_csr.t;
   kernel : Blocked_csr.kernel; (* sequential kernel, shared (read-only in use) *)
-  mutable sparse : Sparse.t option; (* lazy flat-CSR compat view *)
-  mutable dense : Matrix.t option; (* lazy dense view *)
   mutable pi : (float array * float) option; (* cached stationary, with its tol *)
 }
 
-(* Normalize and validate one transition row against the state index.
-   Shared with {!Exact_builder}'s streaming build so both construction
-   paths enforce (and report) the same invariants. *)
-let validate_row ~find row =
-  let total = ref 0. in
-  let entries =
-    List.map
-      (fun (s', p) ->
-        if p < 0. then invalid_arg "Exact.build: negative probability";
-        match find s' with
-        | None -> invalid_arg "Exact.build: successor outside state space"
-        | Some j ->
-            total := !total +. p;
-            (j, p))
-      row
-  in
-  if Float.abs (!total -. 1.) > 1e-9 then
-    invalid_arg "Exact.build: row does not sum to 1";
-  entries
-
 let of_blocked ~states ~find bcsr =
   let n = Array.length states in
-  if n = 0 then invalid_arg "Exact.build: empty state space";
   if Blocked_csr.rows bcsr <> n || Blocked_csr.cols bcsr <> n then
     invalid_arg "Exact.of_blocked: matrix shape does not match the states";
-  {
-    states;
-    find;
-    bcsr;
-    kernel = Blocked_csr.kernel bcsr;
-    sparse = None;
-    dense = None;
-    pi = None;
-  }
-
-let build ~states ~transitions =
-  let n = Array.length states in
-  if n = 0 then invalid_arg "Exact.build: empty state space";
-  let lookup = Hashtbl.create n in
-  Array.iteri
-    (fun i s ->
-      if Hashtbl.mem lookup s then invalid_arg "Exact.build: duplicate state";
-      Hashtbl.add lookup s i)
-    states;
-  let find s = Hashtbl.find_opt lookup s in
-  let b = Blocked_csr.builder () in
-  Array.iter
-    (fun s -> Blocked_csr.add_row b (validate_row ~find (transitions s)))
-    states;
-  of_blocked ~states ~find (Blocked_csr.finish b ~cols:n)
+  { states; find; bcsr; kernel = Blocked_csr.kernel bcsr; pi = None }
 
 let size c = Array.length c.states
 let blocked c = c.bcsr
-
-let sparse c =
-  match c.sparse with
-  | Some s -> s
-  | None ->
-      let s = Blocked_csr.to_sparse c.bcsr in
-      c.sparse <- Some s;
-      s
-
 let states c = Array.copy c.states
-
-let matrix c =
-  match c.dense with
-  | Some m -> m
-  | None ->
-      let m = Sparse.to_dense (sparse c) in
-      c.dense <- Some m;
-      m
 
 let index c s = match c.find s with Some i -> i | None -> raise Not_found
 let state c i = c.states.(i)
@@ -821,42 +757,3 @@ let mixing_time ?(eps = 0.25) ?(max_t = 100_000) ?domains ?starts ?checkpoint c
   | exception e ->
       Obs.end_span sp;
       raise e
-
-(* Historical dense implementations, kept as the reference the sparse
-   paths are benchmarked and property-tested against. *)
-module Dense = struct
-  let stationary ?(tol = 1e-12) ?(max_iter = 1_000_000) c =
-    let m = matrix c in
-    let n = size c in
-    let dist = ref (Array.make n (1. /. float_of_int n)) in
-    let rec go iter =
-      if iter > max_iter then failwith "Exact.stationary: did not converge";
-      let next = Matrix.vec_mul !dist m in
-      let d = tv_distance !dist next in
-      dist := next;
-      if d > tol then go (iter + 1)
-    in
-    go 0;
-    !dist
-
-  let mixing_time ?(eps = 0.25) ?(max_t = 100_000) c =
-    let m = matrix c in
-    let pi = stationary c in
-    let n = size c in
-    (* Evolve all n start distributions together: rows of P^t. *)
-    let current = ref (Matrix.identity n) in
-    let rec go t =
-      if t > max_t then failwith "Exact.mixing_time: not mixed within max_t";
-      let worst = ref 0. in
-      for start = 0 to n - 1 do
-        let d = tv_distance (Matrix.row !current start) pi in
-        if d > !worst then worst := d
-      done;
-      if !worst <= eps then t
-      else begin
-        current := Matrix.mul !current m;
-        go (t + 1)
-      end
-    in
-    go 0
-end

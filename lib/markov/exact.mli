@@ -1,10 +1,9 @@
 (** Exact analysis of finite Markov chains.
 
-    Builds the transition matrix — stored as blocked CSR, see
-    {!Blocked_csr} — from a state enumeration and a
-    transition-distribution function, then computes the stationary
-    distribution, total-variation distances and the {e exact} mixing
-    time
+    Given a chain built by {!Exact_builder.build}, whose transition
+    matrix is stored as blocked CSR (see {!Blocked_csr}), computes the
+    stationary distribution, total-variation distances and the {e exact}
+    mixing time
 
     {v τ(ε) = min { T : ∀t ≥ T, max_x ‖L(M_t | M_0 = x) − π‖ ≤ ε } v}
 
@@ -17,61 +16,17 @@
     products themselves can run block-parallel over a {!Parallel.Pool}
     (used automatically by {!mixing_time} when few starts are searched).
     Long solves checkpoint through {!Exact_checkpoint} sinks and resume
-    to bit-identical answers.  Practical well beyond the dense
-    implementation (kept in {!Dense} as the benchmark and testing
-    reference), though still only for enumerable state spaces.
+    to bit-identical answers.  Still only for enumerable state spaces.
 
-    A chain value carries internal caches (flat CSR and dense views,
-    stationary distribution) and must not be shared across domains while
-    these functions run on it. *)
+    A chain value caches its stationary distribution and must not be
+    shared across domains while these functions run on it. *)
 
 type 'state t
-
-val build :
-  states:'state array ->
-  transitions:('state -> ('state * float) list) ->
-  'state t
-(** [build ~states ~transitions] constructs the chain.  [states] must
-    enumerate each state exactly once; [transitions s] must list
-    successor states (all members of [states], compared structurally)
-    with probabilities summing to 1; duplicate successors are merged.
-    Rows stream into a {!Blocked_csr} store with the default shard
-    shape; {!Exact_builder.build} exposes the block size and disk-spill
-    controls.
-    @raise Invalid_argument if a state appears twice in [states], if a
-    successor is unknown, or if a row's total deviates from 1 by more
-    than 1e-9. *)
-
-val of_blocked :
-  states:'state array ->
-  find:('state -> int option) ->
-  Blocked_csr.t ->
-  'state t
-(** Wrap an already-validated transition matrix — the entry point
-    {!Exact_builder} uses after streaming a BFS discovery straight into
-    a {!Blocked_csr.builder}.  [find] must map exactly the members of
-    [states] to their indices.
-    @raise Invalid_argument if the matrix is not |states| × |states|. *)
-
-val validate_row :
-  find:('state -> int option) -> ('state * float) list -> (int * float) list
-(** Resolve and check one transition row (the {!build} invariants:
-    known successors, no negative mass, total within 1e-9 of 1),
-    returning index/probability pairs.  Exposed for streaming builders.
-    @raise Invalid_argument as {!build}. *)
 
 val size : _ t -> int
 
 val blocked : _ t -> Blocked_csr.t
-(** The transition matrix in its native blocked-CSR representation. *)
-
-val sparse : _ t -> Sparse.t
-(** Flat-CSR view of the transition matrix, converted on first use and
-    cached. *)
-
-val matrix : _ t -> Matrix.t
-(** Dense view of the transition matrix, converted on first use and
-    cached.  Callers must not mutate it. *)
+(** The transition matrix. *)
 
 val states : 'state t -> 'state array
 (** The state enumeration, in index order (a copy). *)
@@ -185,17 +140,16 @@ val mixing_time :
     @raise Invalid_argument if [domains < 1], or [starts] is empty or
     out of range. *)
 
-(** Historical dense implementations — quadratic storage, full dense
-    [P^t] per time step, stationary distribution recomputed per call.
-    Kept as the reference that the sparse paths are property-tested for
-    agreement with and benchmarked against (see [bench/micro.ml]). *)
-module Dense : sig
-  val stationary : ?tol:float -> ?max_iter:int -> 'state t -> float array
-  (** Power iteration on the dense view with the historical
-      successive-iterate stopping rule.
-      @raise Failure if the iteration does not converge. *)
+(**/**)
 
-  val mixing_time : ?eps:float -> ?max_t:int -> 'state t -> int
-  (** Step-by-step scan over dense powers [P^t].
-      @raise Failure if not mixed within [max_t]. *)
-end
+val of_blocked :
+  states:'state array ->
+  find:('state -> int option) ->
+  Blocked_csr.t ->
+  'state t
+(** {!Exact_builder.build}'s hook: wrap a transition matrix it has
+    already validated.  Checks only that the matrix is |states| ×
+    |states| — no row, stochasticity or duplicate-state check — so build
+    chains with {!Exact_builder.build}.  [find] must map exactly the
+    members of [states] to their indices.
+    @raise Invalid_argument if the matrix is not |states| × |states|. *)

@@ -5,15 +5,17 @@ type 'state source =
 let enumerated states = Enumerated states
 let reachable ~root = Reachable root
 
+(* One [hash]/[equal] default for every index this module builds:
+   structural unless the caller supplies either half. *)
+let new_index ?hash ?equal () =
+  let s_hash, s_equal = State_index.structural () in
+  State_index.create
+    ~hash:(Option.value hash ~default:s_hash)
+    ~equal:(Option.value equal ~default:s_equal)
+    64
+
 let reachable_states ?hash ?equal ~root ~transitions () =
-  let hash, equal =
-    match (hash, equal) with
-    | Some h, Some e -> (h, e)
-    | None, None -> State_index.structural ()
-    | Some h, None -> (h, snd (State_index.structural ()))
-    | None, Some e -> (fst (State_index.structural ()), e)
-  in
-  let index = State_index.create ~hash ~equal 64 in
+  let index = new_index ?hash ?equal () in
   ignore (State_index.add index root);
   (* BFS without an explicit queue: ids are assigned in discovery order,
      so the frontier is exactly the ids not yet processed. *)
@@ -31,6 +33,27 @@ let states_of ?hash ?equal source ~transitions =
   | Enumerated states -> states
   | Reachable root -> reachable_states ?hash ?equal ~root ~transitions ()
 
+(* The one row check: every successor resolved through [find], no
+   negative mass, total within 1e-9 of 1.  Returns index/probability
+   pairs for {!Blocked_csr.add_row}, which merges duplicates. *)
+let validate_row ~find row =
+  let total = ref 0. in
+  let entries =
+    List.map
+      (fun (s', p) ->
+        if p < 0. then invalid_arg "Exact_builder.build: negative probability";
+        match find s' with
+        | None ->
+            invalid_arg "Exact_builder.build: successor outside state space"
+        | Some j ->
+            total := !total +. p;
+            (j, p))
+      row
+  in
+  if Float.abs (!total -. 1.) > 1e-9 then
+    invalid_arg "Exact_builder.build: row does not sum to 1";
+  entries
+
 (* Streaming build: the state index grows as rows are emitted.
 
    For an enumerated space the index is fully populated up front (also
@@ -43,48 +66,31 @@ let states_of ?hash ?equal source ~transitions =
    inside the {!Blocked_csr} store — with [~spill], never all at once in
    memory. *)
 let build ?block_rows ?spill ?hash ?equal source ~transitions =
-  let hash, equal =
-    match (hash, equal) with
-    | Some h, Some e -> (h, e)
-    | None, None -> State_index.structural ()
-    | Some h, None -> (h, snd (State_index.structural ()))
-    | None, Some e -> (fst (State_index.structural ()), e)
-  in
-  let index = State_index.create ~hash ~equal 64 in
+  let index = new_index ?hash ?equal () in
   let b = Blocked_csr.builder ?block_rows ?spill () in
   (match source with
   | Enumerated states ->
       if Array.length states = 0 then
-        invalid_arg "Exact.build: empty state space";
+        invalid_arg "Exact_builder.build: empty state space";
       Array.iter
         (fun s ->
           let before = State_index.size index in
           if State_index.add index s < before then
-            invalid_arg "Exact.build: duplicate state")
+            invalid_arg "Exact_builder.build: duplicate state")
         states;
       let find s = State_index.find index s in
       Array.iter
-        (fun s -> Blocked_csr.add_row b (Exact.validate_row ~find (transitions s)))
+        (fun s -> Blocked_csr.add_row b (validate_row ~find (transitions s)))
         states
   | Reachable root ->
       ignore (State_index.add index root);
       (* The row for state [i] may intern new successors; interning and
          row emission advance together. *)
+      let find s = Some (State_index.add index s) in
       let cursor = ref 0 in
       while !cursor < State_index.size index do
         let s = State_index.get index !cursor in
-        let row = transitions s in
-        let entries =
-          List.map
-            (fun (s', p) ->
-              if p < 0. then invalid_arg "Exact.build: negative probability";
-              (State_index.add index s', p))
-            row
-        in
-        let total = List.fold_left (fun acc (_, p) -> acc +. p) 0. entries in
-        if Float.abs (total -. 1.) > 1e-9 then
-          invalid_arg "Exact.build: row does not sum to 1";
-        Blocked_csr.add_row b entries;
+        Blocked_csr.add_row b (validate_row ~find (transitions s));
         incr cursor
       done);
   let n = State_index.size index in

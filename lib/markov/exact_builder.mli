@@ -55,8 +55,14 @@ val build :
   'state Exact.t
 (** Resolve the source and build the chain, streaming rows into a
     {!Blocked_csr} store ([block_rows] rows per shard, default 4096;
-    [spill] pages completed shards to a disk block file).
-    @raise Invalid_argument as {!Exact.build}. *)
+    [spill] pages completed shards to a disk block file).  This is the
+    only validating constructor of an {!Exact.t}.  An enumerated source
+    must list each state exactly once; [transitions s] must list
+    successor states (members of the space) with probabilities summing
+    to 1; duplicate successors are merged.
+    @raise Invalid_argument if the enumeration is empty or repeats a
+    state, if a successor is outside the space, if a probability is
+    negative, or if a row's total deviates from 1 by more than 1e-9. *)
 
 type 'state analysis = {
   chain : 'state Exact.t;
@@ -84,6 +90,6 @@ val build_mix :
     {!Exact.mixing_time}).  [starts] restricts the mixing search to the
     given states (members of the space); [checkpoint] makes the mixing
     phase resumable through the sink, as {!Exact.mixing_time}.
-    @raise Invalid_argument as {!Exact.build}, or if a designated start
-    is outside the space.
+    @raise Invalid_argument as {!build}, or if a designated start is
+    outside the space.
     @raise Failure as {!Exact.mixing_time}. *)

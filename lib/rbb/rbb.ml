@@ -92,11 +92,10 @@ let round_counts_probes t g cv =
   done;
   q * d
 
-let chain t =
-  Markov.Chain.make (fun g lv ->
-      let v = Mv.of_load_vector lv in
-      round_in_place t g v;
-      Mv.to_load_vector v)
+let chain t g lv =
+  let v = Mv.of_load_vector lv in
+  round_in_place t g v;
+  Mv.to_load_vector v
 
 (* The sims answer [Round] exactly as [Step]: the round IS the unit
    transition of this family, so every Step-driven rep loop (iterate,

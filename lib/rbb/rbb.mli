@@ -89,7 +89,7 @@ val round_counts_probes : t -> Prng.Rng.t -> Loadvec.Count_vector.t -> int
     so on equal multisets the two steppers stay in lockstep forever.
     O(q(d + L)) per round instead of O(n + q(d + log n)). *)
 
-val chain : t -> Loadvec.Load_vector.t Markov.Chain.t
+val chain : t -> Prng.Rng.t -> Loadvec.Load_vector.t -> Loadvec.Load_vector.t
 (** One round per step, on immutable vectors — the adapter the
     empirical TV machinery consumes. *)
 

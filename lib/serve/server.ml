@@ -5,9 +5,9 @@
    lines into one batch (arrival order), applies the batch — in chunks
    of at most [max_batch]; chunking cannot change the outcome because
    cluster application is batch-invariant — and appends the replies to
-   each client's output buffer in request order.  Ping, metrics and
-   stats are answered by the server itself, after the batch, so a
-   client that interleaves them with events still sees ordered replies.
+   each client's output buffer in request order.  Ping and stats are
+   answered by the server itself, after the batch, so a client that
+   interleaves them with events still sees ordered replies.
 
    Telemetry is always on: every request is timed through its
    lifecycle stages (decode here, route/apply in the cluster, reply
@@ -67,7 +67,6 @@ type client = {
 type slot =
   | Reply of int  (* index into the round's event array *)
   | Immediate of string  (* preformatted line(s) *)
-  | Metrics_slot
   | Stats_slot of Wire.stats_format
 
 (* A parsed request of the current round, tagged for telemetry: its op
@@ -84,7 +83,6 @@ type pending = {
 }
 
 type stats = {
-  started : float;
   mutable connections : int;
   mutable live : int;
   mutable requests : int;
@@ -113,45 +111,6 @@ let listen_socket addr =
       Unix.listen fd 64;
       fd
 
-let metrics_fields backend stats =
-  let cluster = backend_cluster backend in
-  let agg =
-    let acc = ref Engine.Metrics.zero in
-    for s = 0 to Cluster.shard_count cluster - 1 do
-      acc :=
-        Engine.Metrics.merge !acc
-          (Engine.Metrics.snapshot (Shard.metrics (Cluster.shard cluster s)))
-    done;
-    !acc
-  in
-  let obs =
-    if Obs.enabled () then
-      [ ("obs_counters",
-         Experiment.Json.Obj
-           (List.map
-              (fun (k, v) -> (k, Experiment.Json.Int v))
-              (Obs.counters ()))) ]
-    else []
-  in
-  [
-    ("uptime_s", Experiment.Json.Float (Unix.gettimeofday () -. stats.started));
-    ("seq", Experiment.Json.Int (Cluster.seq cluster));
-    ("shards", Experiment.Json.Int (Cluster.shard_count cluster));
-    ("balls", Experiment.Json.Int (Cluster.total_balls cluster));
-    ("max_load", Experiment.Json.Int (Cluster.max_load cluster));
-    ("watermark", Experiment.Json.Int (Cluster.watermark cluster));
-    ("connections", Experiment.Json.Int stats.connections);
-    ("clients", Experiment.Json.Int stats.live);
-    ("requests", Experiment.Json.Int stats.requests);
-    ("events", Experiment.Json.Int stats.events);
-    ("errors", Experiment.Json.Int stats.errors);
-    ("rounds", Experiment.Json.Int stats.rounds);
-    ("engine_steps", Experiment.Json.Int agg.Engine.Metrics.steps);
-    ("engine_probes", Experiment.Json.Int agg.Engine.Metrics.probes);
-    ("engine_rng_draws", Experiment.Json.Int agg.Engine.Metrics.rng_draws);
-  ]
-  @ obs
-
 let run ?on_ready config =
   if config.max_batch <= 0 then
     invalid_arg "Serve.Server.run: max_batch must be positive";
@@ -176,8 +135,8 @@ let run ?on_ready config =
   in
   let lsock = listen_socket config.listen in
   let stats =
-    { started = Unix.gettimeofday (); connections = 0; live = 0; requests = 0;
-      events = 0; errors = 0; rounds = 0 }
+    { connections = 0; live = 0; requests = 0; events = 0; errors = 0;
+      rounds = 0 }
   in
   let tel = Telemetry.create ~shards:config.cluster.Cluster.shards in
   Cluster.set_telemetry (backend_cluster backend) tel;
@@ -344,7 +303,6 @@ let run ?on_ready config =
                      Buffer.clear line_buf;
                      Wire.add_pong line_buf ~id;
                      (Telemetry.op_ping, id, Immediate (Buffer.contents line_buf))
-                 | Ok (id, Wire.Metrics) -> (Telemetry.op_metrics, id, Metrics_slot)
                  | Ok (id, Wire.Stats fmt) ->
                      (Telemetry.op_stats, id, Stats_slot fmt)
                  | Ok (id, Wire.Event ev) ->
@@ -385,9 +343,6 @@ let run ?on_ready config =
                 | Engine.Event.Rejected _ -> stats.errors <- stats.errors + 1
                 | _ -> ());
                 Wire.add_reply p.pc.out ~id:p.pid replies.(ix)
-            | Metrics_slot ->
-                Wire.add_metrics p.pc.out ~id:p.pid
-                  (metrics_fields backend stats)
             | Stats_slot fmt -> (
                 let totals, cg, shards, durability = telemetry_inputs () in
                 match fmt with

@@ -56,8 +56,6 @@ let applied t = t.applied
 let watermark t =
   Engine.Metrics.watermark_level (Engine.Sim.metrics t.machine)
 
-let metrics t = Engine.Sim.metrics t.machine
-
 (* The [Step] guard mirrors the machine's [Remove] guard: a composite
    transition against an empty shard is rejected (consuming no
    randomness) instead of raising out of the batch.  [Round] needs no

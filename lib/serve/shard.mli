@@ -42,8 +42,6 @@ val loads : t -> int array
 val applied : t -> int
 (** Accepted mutations applied since creation (restored by snapshots). *)
 
-val metrics : t -> Engine.Metrics.t
-
 val apply : t -> Engine.Event.t -> Engine.Event.reply
 (** Apply one event with the shard's own generator.  [Step] against an
     empty shard is [Rejected "empty"] (consuming no randomness), like

@@ -38,7 +38,7 @@ module Json = Experiment.Json
    stage histograms are keyed by these indices. *)
 let op_names =
   [| "step"; "round"; "insert"; "remove"; "probe"; "occupancy"; "watermark";
-     "ping"; "metrics"; "stats"; "error" |]
+     "ping"; "stats"; "error" |]
 
 let op_count = Array.length op_names
 let op_step = 0
@@ -49,9 +49,8 @@ let op_probe = 4
 let op_occupancy = 5
 let op_watermark = 6
 let op_ping = 7
-let op_metrics = 8
-let op_stats = 9
-let op_error = 10
+let op_stats = 8
+let op_error = 9
 
 let op_of_event = function
   | Engine.Event.Step -> op_step

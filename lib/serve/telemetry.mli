@@ -32,13 +32,12 @@ val uptime_s : t -> float
 (** {2 Op taxonomy}
 
     Stage and latency histograms are keyed by a small op index covering
-    the wire vocabulary (events, [ping], [metrics], [stats]) plus a
-    pseudo-op for unparseable requests. *)
+    the wire vocabulary (events, [ping], [stats]) plus a pseudo-op for
+    unparseable requests. *)
 
 val op_count : int
 val op_of_event : Engine.Event.t -> int
 val op_ping : int
-val op_metrics : int
 val op_stats : int
 val op_error : int
 val op_name : int -> string

@@ -10,15 +10,13 @@
      {"op":"watermark"}                 -> {"ok":true,"reply":"level","value":5}
      {"op":"occupancy"}                 -> {"ok":true,"reply":"loads","loads":[...]}
      {"op":"ping"}                      -> {"ok":true,"reply":"pong"}
-     {"op":"metrics"}                   -> {"ok":true,"reply":"metrics",...}
      {"op":"stats"}                     -> {"ok":true,"reply":"stats",...}
      {"op":"stats","format":"prom"}     -> {"ok":true,"reply":"stats","format":"prom","text":"..."}
 
-   "metrics" is the legacy coarse counter dump; "stats" is the full
-   telemetry report (per-op stage histograms, latency quantiles,
-   per-shard gauges, durability state), as structured JSON fields by
-   default or, with "format":"prom", a Prometheus text exposition
-   carried in the "text" field.
+   "stats" is the telemetry report (per-op stage histograms, latency
+   quantiles, per-shard gauges, durability state), as structured JSON
+   fields by default or, with "format":"prom", a Prometheus text
+   exposition carried in the "text" field.
 
    "id" is optional and echoed back verbatim when present; replies are
    written in request order, so correlation works without ids too.
@@ -59,7 +57,6 @@ type stats_format = Stats_json | Stats_prom
 type request =
   | Event of Engine.Event.t
   | Ping
-  | Metrics
   | Stats of stats_format
 
 let parse line =
@@ -86,7 +83,6 @@ let parse line =
           | "occupancy" -> Ok (id, Event Engine.Event.Occupancy)
           | "watermark" -> Ok (id, Event Engine.Event.Watermark)
           | "ping" -> Ok (id, Ping)
-          | "metrics" -> Ok (id, Metrics)
           | "stats" -> (
               match Experiment.Json.member "format" json with
               | None | Some (Experiment.Json.String "json") ->
@@ -183,11 +179,6 @@ let add_fields buf fields =
       Buffer.add_string buf "\":";
       Buffer.add_string buf (Experiment.Json.to_string ~indent:0 v))
     fields
-
-let add_metrics buf ~id fields =
-  open_reply buf ~id ~ok:true ~reply:"metrics";
-  add_fields buf fields;
-  close_reply buf
 
 let add_stats buf ~id fields =
   open_reply buf ~id ~ok:true ~reply:"stats";

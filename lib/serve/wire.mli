@@ -4,10 +4,9 @@
     request order, with an optional client-chosen ["id"] echoed.  See
     the implementation header for the full vocabulary — the event ops
     mirror {!Engine.Event} ([step], [insert], [remove], [probe],
-    [occupancy], [watermark]) plus [ping], [metrics] (the legacy
-    coarse counter dump) and [stats] (the full telemetry report,
-    structured JSON or, with ["format":"prom"], a Prometheus text
-    exposition). *)
+    [occupancy], [watermark]) plus [ping] and [stats] (the telemetry
+    report, structured JSON or, with ["format":"prom"], a Prometheus
+    text exposition). *)
 
 (** Where a service listens (or a client connects). *)
 type address = Unix_sock of string | Tcp of string * int
@@ -23,7 +22,6 @@ type stats_format = Stats_json | Stats_prom
 type request =
   | Event of Engine.Event.t
   | Ping
-  | Metrics  (** The [metrics] op — answered by the server, not the cluster. *)
   | Stats of stats_format
       (** The [stats] op: the telemetry report, structured JSON by
           default or Prometheus text with ["format":"prom"]. *)
@@ -39,9 +37,6 @@ val parse : string -> (int option * request, string) result
 val add_reply : Buffer.t -> id:int option -> Engine.Event.reply -> unit
 val add_pong : Buffer.t -> id:int option -> unit
 val add_error : Buffer.t -> id:int option -> string -> unit
-
-val add_metrics :
-  Buffer.t -> id:int option -> (string * Experiment.Json.t) list -> unit
 
 val add_stats :
   Buffer.t -> id:int option -> (string * Experiment.Json.t) list -> unit

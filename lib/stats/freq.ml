@@ -48,21 +48,21 @@ let freqs t =
   let n = float_of_int t.total in
   Array.map (fun c -> float_of_int c /. n) t.counts
 
+(* Exact in integers:
+   ½ Σ |ca/na − cb/nb| = Σ |ca·nb − cb·na| / (2·na·nb).
+   Summing per-cell float quotients instead can round above 1 on
+   disjoint supports; here the numerator never exceeds the denominator,
+   so one final division keeps the result in [0, 1]. *)
 let tv a b =
   if a.total = 0 || b.total = 0 then invalid_arg "Freq.tv: empty sample";
-  let na = float_of_int a.total and nb = float_of_int b.total in
+  let na = a.total and nb = b.total in
+  let cell c i = if i < Array.length c then c.(i) else 0 in
   let cells = Stdlib.max (Array.length a.counts) (Array.length b.counts) in
-  let acc = ref 0. in
+  let num = ref 0 in
   for i = 0 to cells - 1 do
-    let pa =
-      if i < Array.length a.counts then float_of_int a.counts.(i) /. na else 0.
-    in
-    let pb =
-      if i < Array.length b.counts then float_of_int b.counts.(i) /. nb else 0.
-    in
-    acc := !acc +. Float.abs (pa -. pb)
+    num := !num + abs ((cell a.counts i * nb) - (cell b.counts i * na))
   done;
-  !acc /. 2.
+  float_of_int !num /. float_of_int (2 * na * nb)
 
 let tv_against t q =
   if Array.length q <> Array.length t.counts then

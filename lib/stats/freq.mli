@@ -45,7 +45,8 @@ val freqs : t -> float array
 val tv : t -> t -> float
 (** Plug-in total-variation distance [½ Σ |p̂ᵢ − q̂ᵢ|] between two
     empirical distributions; the shorter count vector is padded with
-    zeros.
+    zeros.  Summed exactly over the integer counts and divided once, so
+    the result is always in [\[0, 1\]].
     @raise Invalid_argument if either side is empty. *)
 
 val tv_against : t -> float array -> float

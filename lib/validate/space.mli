@@ -4,9 +4,9 @@
     counts over a finite state space — against {e exact} laws given as
     dense probability vectors in the same indexing.  This module holds
     the shared indexing (states are compared and hashed structurally,
-    like {!Markov.Exact.build}) and the batched trajectory collection
-    over {!Engine.Runner}, so counts are deterministic for any domain
-    count.
+    like {!Markov.Exact_builder.build} by default) and the batched
+    trajectory collection over {!Engine.Runner}, so counts are
+    deterministic for any domain count.
 
     A simulator under test may step {e outside} the enumerated space —
     that is precisely the kind of bug the subsystem exists to catch — so

@@ -52,7 +52,7 @@ let test_chain_agrees_with_in_place () =
     (fun p ->
       let v0 = Lv.of_array [| 5; 3; 1; 0 |] in
       let g1 = rng ~seed:9 () and g2 = rng ~seed:9 () in
-      let step = (Dp.chain p).Markov.Chain.step in
+      let step = Dp.chain p in
       let via_chain = ref v0 in
       for _ = 1 to 50 do
         via_chain := step g1 !via_chain
@@ -205,9 +205,9 @@ let test_exact_matches_simulation () =
         ts;
       let counts = Hashtbl.create 16 in
       let reps = 30_000 in
-      let chain = Dp.chain p in
+      let step = Dp.chain p in
       for _ = 1 to reps do
-        let s = chain.Markov.Chain.step g v in
+        let s = step g v in
         Hashtbl.replace counts s
           (1 + Option.value ~default:0 (Hashtbl.find_opt counts s))
       done;
@@ -229,9 +229,13 @@ let test_exact_matches_simulation () =
 let test_exact_chain_is_stochastic () =
   let p = Dp.make Core.Scenario.A (Sr.abku 2) ~n:3 in
   let states = Markov.Partition_space.enumerate ~n:3 ~m:4 in
-  let chain = Markov.Exact.build ~states ~transitions:(Dp.exact_transitions p) in
+  let chain =
+    Markov.Exact_builder.build
+      (Markov.Exact_builder.enumerated states)
+      ~transitions:(Dp.exact_transitions p)
+  in
   Alcotest.(check bool) "stochastic" true
-    (Markov.Matrix.is_stochastic (Markov.Exact.matrix chain))
+    (Markov.Blocked_csr.is_stochastic (Markov.Exact.blocked chain))
 
 (* Lemma 3.3: shared-probe insertion never increases the L1 distance. *)
 let qcheck_lemma_3_3 =

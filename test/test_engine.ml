@@ -117,16 +117,16 @@ let test_adapter_probe_counter () =
   Alcotest.(check int) "draws = steps + probes" (steps + !manual)
     snap.rng_draws
 
-(* Markov.Chain is only the one-step view; drive it locally. *)
-let chain_iterate c g s t =
+(* A process's chain is only the one-step view; drive it locally. *)
+let chain_iterate step g s t =
   let state = ref s in
   for _ = 1 to t do
-    state := c.Markov.Chain.step g !state
+    state := step g !state
   done;
   !state
 
 (* Same seed, same stream: the in-place sim must land on the exact state
-   the immutable Markov.Chain stepper produces. *)
+   the immutable Dynamic_process.chain stepper produces. *)
 let test_sim_matches_chain_bitwise () =
   let n = 6 in
   List.iter

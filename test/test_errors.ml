@@ -56,45 +56,29 @@ let test_loadvec_errors () =
       ignore (Mv.get (Mv.of_load_vector (Lv.of_array [| 1 |])) (-1)))
 
 let test_markov_errors () =
-  inv "Matrix: index out of bounds" (fun () ->
-      ignore (Markov.Matrix.get (Markov.Matrix.identity 2) 2 0));
-  inv "Matrix.vec_mul: dimension mismatch" (fun () ->
-      ignore (Markov.Matrix.vec_mul [| 1. |] (Markov.Matrix.identity 2)));
   inv "Partition_space.enumerate" (fun () ->
       ignore (Markov.Partition_space.enumerate ~n:0 ~m:1));
   inv "Partition_space.count" (fun () ->
       ignore (Markov.Partition_space.count ~n:1 ~m:(-1)));
-  inv "Exact.build: empty state space" (fun () ->
-      ignore (Markov.Exact.build ~states:[||] ~transitions:(fun _ -> [])));
+  inv "Exact_builder.build: empty state space" (fun () ->
+      ignore
+        (Markov.Exact_builder.build
+           (Markov.Exact_builder.enumerated [||])
+           ~transitions:(fun _ -> [])));
   (* Regression: duplicate states used to be silently accepted
      (Hashtbl.replace overwrote the first index, leaving an orphan row
      and a corrupt lookup). *)
-  inv "Exact.build: duplicate state" (fun () ->
+  inv "Exact_builder.build: duplicate state" (fun () ->
       ignore
-        (Markov.Exact.build
-           ~states:[| "a"; "b"; "a" |]
+        (Markov.Exact_builder.build
+           (Markov.Exact_builder.enumerated [| "a"; "b"; "a" |])
            ~transitions:(fun _ -> [ ("a", 0.5); ("b", 0.5) ])));
   inv "Exact.tv_distance: length mismatch" (fun () ->
       ignore (Markov.Exact.tv_distance [| 1. |] [| 0.5; 0.5 |]));
-  inv "Sparse.of_rows: non-positive size" (fun () ->
-      ignore (Markov.Sparse.of_rows ~rows:0 ~cols:1 (fun _ -> [])));
-  inv "Sparse.of_rows: column index out of bounds" (fun () ->
-      ignore (Markov.Sparse.of_rows ~rows:1 ~cols:1 (fun _ -> [ (1, 1.) ])));
-  inv "Sparse.of_triplets: row index out of bounds" (fun () ->
-      ignore (Markov.Sparse.of_triplets ~rows:1 ~cols:1 [ (1, 0, 1.) ]));
-  inv "Sparse.row_iter: row out of bounds" (fun () ->
-      Markov.Sparse.row_iter
-        (Markov.Sparse.of_rows ~rows:1 ~cols:1 (fun _ -> [ (0, 1.) ]))
-        1
-        ~f:(fun _ _ -> ()));
-  inv "Sparse.spmv: dimension mismatch" (fun () ->
-      ignore
-        (Markov.Sparse.spmv [| 1.; 0. |]
-           (Markov.Sparse.of_rows ~rows:1 ~cols:1 (fun _ -> [ (0, 1.) ]))));
   inv "Empirical.observable_tv: negative t" (fun () ->
       ignore
         (Markov.Empirical.observable_tv
-           (Markov.Chain.make (fun _ s -> s))
+           ~step:(fun _ s -> s)
            ~rng:(g ())
            ~x0:(fun () -> 0)
            ~y0:(fun () -> 0)
@@ -102,7 +86,7 @@ let test_markov_errors () =
   inv "Empirical.observable_tv: reps must be positive" (fun () ->
       ignore
         (Markov.Empirical.observable_tv
-           (Markov.Chain.make (fun _ s -> s))
+           ~step:(fun _ s -> s)
            ~rng:(g ())
            ~x0:(fun () -> 0)
            ~y0:(fun () -> 0)

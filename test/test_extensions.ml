@@ -85,7 +85,12 @@ let test_tv_between_samples_basic () =
   Alcotest.(check (float 1e-9)) "disjoint" 1.
     (Markov.Empirical.tv_between_samples [| 0; 0 |] [| 3; 3 |]);
   Alcotest.(check (float 1e-9)) "half" 0.5
-    (Markov.Empirical.tv_between_samples [| 0; 0 |] [| 0; 1 |])
+    (Markov.Empirical.tv_between_samples [| 0; 0 |] [| 0; 1 |]);
+  (* Exactly 1, although the per-cell quotients 1/13 and 6/13 do not
+     sum to 1 in floating point. *)
+  Alcotest.(check (float 0.)) "disjoint, uneven sizes" 1.
+    (Markov.Empirical.tv_between_samples [| 0 |]
+       [| 1; 1; 1; 1; 1; 1; 2; 2; 2; 2; 2; 2; 3 |])
 
 let test_tv_between_samples_invalid () =
   Alcotest.check_raises "empty"
@@ -98,14 +103,13 @@ let test_tv_between_samples_invalid () =
 let test_observable_tv_decays () =
   let n = 16 in
   let process = Core.Dynamic_process.make Core.Scenario.A (Sr.abku 2) ~n in
-  let chain =
-    Markov.Chain.make (fun g v ->
-        Core.Dynamic_process.step_in_place process g v;
-        v)
+  let step g v =
+    Core.Dynamic_process.step_in_place process g v;
+    v
   in
   let rngm = rng ~seed:9 () in
   let tv t =
-    Markov.Empirical.observable_tv chain ~rng:rngm
+    Markov.Empirical.observable_tv ~step ~rng:rngm
       ~x0:(fun () -> Mv.of_load_vector (Lv.all_in_one ~n ~m:n))
       ~y0:(fun () -> Mv.of_load_vector (Lv.uniform ~n ~m:n))
       ~t ~reps:400 ~observable:Mv.max_load
@@ -117,10 +121,11 @@ let test_observable_tv_decays () =
     (early > 0.8 && late < 0.2)
 
 let test_decay_profile_shape () =
-  let chain = Markov.Chain.make (fun g s -> s + Prng.Rng.int g 2) in
   let rngm = rng () in
   let profile =
-    Markov.Empirical.decay_profile chain ~rng:rngm
+    Markov.Empirical.decay_profile
+      ~step:(fun g s -> s + Prng.Rng.int g 2)
+      ~rng:rngm
       ~x0:(fun () -> 0)
       ~y0:(fun () -> 0)
       ~times:[ 0; 1; 2 ] ~reps:50 ~observable:(fun s -> s)
@@ -134,9 +139,11 @@ let test_decay_profile_shape () =
 (* ---- Exact decay profile and relaxation ---- *)
 
 let two_state p q =
-  Markov.Exact.build ~states:[| "x"; "y" |] ~transitions:(function
-    | "x" -> [ ("x", 1. -. p); ("y", p) ]
-    | _ -> [ ("x", q); ("y", 1. -. q) ])
+  Markov.Exact_builder.build
+    (Markov.Exact_builder.enumerated [| "x"; "y" |])
+    ~transitions:(function
+      | "x" -> [ ("x", 1. -. p); ("y", p) ]
+      | _ -> [ ("x", q); ("y", 1. -. q) ])
 
 let test_worst_tv_profile_monotone () =
   let c = two_state 0.2 0.3 in
@@ -165,7 +172,7 @@ let test_relaxation_consistent_with_mixing () =
   let process = Core.Dynamic_process.make Core.Scenario.A (Sr.abku 2) ~n:5 in
   let states = Markov.Partition_space.enumerate ~n:5 ~m:5 in
   let chain =
-    Markov.Exact.build ~states
+    Markov.Exact_builder.build (Markov.Exact_builder.enumerated states)
       ~transitions:(Core.Dynamic_process.exact_transitions process)
   in
   let tau = Markov.Exact.mixing_time ~eps:0.25 chain in
@@ -179,7 +186,7 @@ let test_profile_crossing_equals_mixing_time () =
   let process = Core.Dynamic_process.make Core.Scenario.B (Sr.abku 2) ~n:5 in
   let states = Markov.Partition_space.enumerate ~n:5 ~m:5 in
   let chain =
-    Markov.Exact.build ~states
+    Markov.Exact_builder.build (Markov.Exact_builder.enumerated states)
       ~transitions:(Core.Dynamic_process.exact_transitions process)
   in
   List.iter
@@ -221,7 +228,7 @@ let test_exact_stationary_max_load_close_to_fluid () =
   let process = Core.Dynamic_process.make Core.Scenario.A (Sr.abku 2) ~n in
   let states = Markov.Partition_space.enumerate ~n ~m:n in
   let chain =
-    Markov.Exact.build ~states
+    Markov.Exact_builder.build (Markov.Exact_builder.enumerated states)
       ~transitions:(Core.Dynamic_process.exact_transitions process)
   in
   let exact =

@@ -198,14 +198,13 @@ let test_mini_e10 () =
 let test_mini_e13 () =
   let n = 32 in
   let process = Core.Dynamic_process.make Core.Scenario.A (Sr.abku 2) ~n in
-  let chain =
-    Markov.Chain.make (fun g v ->
-        Core.Dynamic_process.step_in_place process g v;
-        v)
+  let step g v =
+    Core.Dynamic_process.step_in_place process g v;
+    v
   in
   let rngm = rng ~seed:13 () in
   let tv t =
-    Markov.Empirical.observable_tv chain ~rng:rngm
+    Markov.Empirical.observable_tv ~step ~rng:rngm
       ~x0:(fun () -> Mv.of_load_vector (Lv.all_in_one ~n ~m:n))
       ~y0:(fun () -> Mv.of_load_vector (Lv.uniform ~n ~m:n))
       ~t ~reps:300 ~observable:Mv.max_load

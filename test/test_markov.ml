@@ -1,87 +1,10 @@
-(* Tests for matrices, chains, partition spaces and exact analysis. *)
+(* Tests for partition spaces, the blocked-CSR store and exact analysis. *)
 
-module M = Markov.Matrix
+module M = Dense.Matrix
 module Lv = Loadvec.Load_vector
+module B = Markov.Blocked_csr
 
 let feq ?(tol = 1e-9) a b = Float.abs (a -. b) <= tol
-
-let test_matrix_identity_mul () =
-  let a = M.create ~rows:2 ~cols:2 in
-  M.set a 0 0 1.;
-  M.set a 0 1 2.;
-  M.set a 1 0 3.;
-  M.set a 1 1 4.;
-  let i = M.identity 2 in
-  Alcotest.(check (float 1e-12)) "left id" 0. (M.max_abs_diff (M.mul i a) a);
-  Alcotest.(check (float 1e-12)) "right id" 0. (M.max_abs_diff (M.mul a i) a)
-
-let test_matrix_mul_known () =
-  let a = M.create ~rows:2 ~cols:3 in
-  let b = M.create ~rows:3 ~cols:2 in
-  (* a = [1 2 3; 4 5 6], b = [7 8; 9 10; 11 12] *)
-  List.iteri (fun k x -> M.set a (k / 3) (k mod 3) x) [ 1.; 2.; 3.; 4.; 5.; 6. ];
-  List.iteri (fun k x -> M.set b (k / 2) (k mod 2) x) [ 7.; 8.; 9.; 10.; 11.; 12. ];
-  let c = M.mul a b in
-  Alcotest.(check (float 1e-12)) "c00" 58. (M.get c 0 0);
-  Alcotest.(check (float 1e-12)) "c01" 64. (M.get c 0 1);
-  Alcotest.(check (float 1e-12)) "c10" 139. (M.get c 1 0);
-  Alcotest.(check (float 1e-12)) "c11" 154. (M.get c 1 1)
-
-let test_matrix_vec_mul () =
-  let m = M.create ~rows:2 ~cols:2 in
-  M.set m 0 0 0.5;
-  M.set m 0 1 0.5;
-  M.set m 1 0 1.;
-  let v = M.vec_mul [| 0.4; 0.6 |] m in
-  Alcotest.(check (float 1e-12)) "v0" 0.8 v.(0);
-  Alcotest.(check (float 1e-12)) "v1" 0.2 v.(1)
-
-let test_matrix_stochastic () =
-  let m = M.create ~rows:2 ~cols:2 in
-  M.set m 0 0 0.3;
-  M.set m 0 1 0.7;
-  M.set m 1 0 1.0;
-  Alcotest.(check bool) "stochastic" true (M.is_stochastic m);
-  M.set m 1 0 0.9;
-  Alcotest.(check bool) "not stochastic" false (M.is_stochastic m)
-
-let test_matrix_invalid () =
-  Alcotest.check_raises "bad size" (Invalid_argument "Matrix.create: non-positive size")
-    (fun () -> ignore (M.create ~rows:0 ~cols:2));
-  let a = M.create ~rows:2 ~cols:2 and b = M.create ~rows:3 ~cols:2 in
-  Alcotest.check_raises "mul mismatch"
-    (Invalid_argument "Matrix.mul: dimension mismatch") (fun () ->
-      ignore (M.mul a b))
-
-(* Chain is now only the functional one-step view; driving loops live
-   in Engine.Sim.  The step field composes like any function. *)
-let test_chain_step_view () =
-  let c = Markov.Chain.make (fun _g s -> s + 1) in
-  let g = Prng.Rng.create () in
-  let s = ref 0 in
-  for _ = 1 to 10 do
-    s := c.Markov.Chain.step g !s
-  done;
-  Alcotest.(check int) "10 steps" 10 !s;
-  let doubler = Markov.Chain.make (fun _g s -> s * 2) in
-  Alcotest.(check int) "composes" 22
-    (doubler.Markov.Chain.step g (c.Markov.Chain.step g 10))
-
-(* The randomness really flows through: a coin-flip walk driven by two
-   identically-seeded generators replays; a different seed diverges. *)
-let test_chain_step_uses_rng () =
-  let c = Markov.Chain.make (fun g s -> s + if Prng.Rng.bool g then 1 else -1) in
-  let run seed =
-    let g = Prng.Rng.create ~seed () in
-    let s = ref 0 in
-    for _ = 1 to 100 do
-      s := c.Markov.Chain.step g !s
-    done;
-    !s
-  in
-  Alcotest.(check int) "same seed replays" (run 5) (run 5);
-  Alcotest.(check bool) "walk moved or cancelled, parity even" true
-    ((run 5 + 100) mod 2 = 0)
 
 let test_partition_count_small () =
   (* Partitions of 4 into at most 2 parts: 4, 3+1, 2+2. *)
@@ -130,9 +53,11 @@ let test_partition_index () =
 (* A two-state chain with known stationary distribution and mixing rate:
    P = [[1-p, p], [q, 1-q]], pi = (q, p)/(p+q). *)
 let two_state p q =
-  Markov.Exact.build ~states:[| "x"; "y" |] ~transitions:(function
-    | "x" -> [ ("x", 1. -. p); ("y", p) ]
-    | _ -> [ ("x", q); ("y", 1. -. q) ])
+  Markov.Exact_builder.build
+    (Markov.Exact_builder.enumerated [| "x"; "y" |])
+    ~transitions:(function
+      | "x" -> [ ("x", 1. -. p); ("y", p) ]
+      | _ -> [ ("x", q); ("y", 1. -. q) ])
 
 let test_exact_stationary_two_state () =
   let c = two_state 0.3 0.1 in
@@ -170,72 +95,82 @@ let test_exact_mixing_monotone_eps () =
   Alcotest.(check bool) "smaller eps, larger tau" true (t2 >= t1)
 
 let test_exact_build_invalid () =
-  Alcotest.check_raises "bad row" (Invalid_argument "Exact.build: row does not sum to 1")
-    (fun () ->
-      ignore
-        (Markov.Exact.build ~states:[| 0 |] ~transitions:(fun _ -> [ (0, 0.5) ])));
+  let build source transitions =
+    ignore (Markov.Exact_builder.build source ~transitions)
+  in
+  let enumerated = Markov.Exact_builder.enumerated [| 0 |]
+  and reachable = Markov.Exact_builder.reachable ~root:0 in
+  Alcotest.check_raises "bad row"
+    (Invalid_argument "Exact_builder.build: row does not sum to 1") (fun () ->
+      build enumerated (fun _ -> [ (0, 0.5) ]));
   Alcotest.check_raises "unknown successor"
-    (Invalid_argument "Exact.build: successor outside state space") (fun () ->
-      ignore
-        (Markov.Exact.build ~states:[| 0 |] ~transitions:(fun _ -> [ (1, 1.) ])))
+    (Invalid_argument "Exact_builder.build: successor outside state space")
+    (fun () -> build enumerated (fun _ -> [ (1, 1.) ]));
+  (* A reachable space goes through the same row check. *)
+  Alcotest.check_raises "bad row, reachable"
+    (Invalid_argument "Exact_builder.build: row does not sum to 1") (fun () ->
+      build reachable (fun i -> [ (i, 0.5) ]));
+  Alcotest.check_raises "negative probability, reachable"
+    (Invalid_argument "Exact_builder.build: negative probability") (fun () ->
+      build reachable (fun i -> [ (i, 1.5); (i + 1, -0.5) ]))
 
 let test_exact_build_merges_duplicates () =
   let c =
-    Markov.Exact.build ~states:[| 0; 1 |] ~transitions:(function
-      | 0 -> [ (1, 0.5); (1, 0.5) ]
-      | _ -> [ (0, 1.) ])
+    Markov.Exact_builder.build
+      (Markov.Exact_builder.enumerated [| 0; 1 |])
+      ~transitions:(function 0 -> [ (1, 0.5); (1, 0.5) ] | _ -> [ (0, 1.) ])
   in
-  Alcotest.(check (float 1e-12)) "merged" 1. (M.get (Markov.Exact.matrix c) 0 1)
+  Alcotest.(check int) "nnz" 2 (B.nnz (Markov.Exact.blocked c));
+  Alcotest.(check (float 1e-12)) "merged" 1. (M.get (Dense.matrix c) 0 1)
 
-module S = Markov.Sparse
+(* A blocked store holding [rows], in the given shard shape. *)
+let blocked_of_rows ?block_rows ?spill rows =
+  let bld = B.builder ?block_rows ?spill () in
+  Array.iter (B.add_row bld) rows;
+  B.finish bld ~cols:(Array.length rows)
 
 let test_sparse_construction () =
   (* Rows given out of order with duplicate coordinates and an explicit
-     zero: construction sorts, merges and drops. *)
-  let s =
-    S.of_rows ~rows:3 ~cols:3 (function
-      | 0 -> [ (2, 0.25); (0, 0.5); (2, 0.25); (1, 0.) ]
-      | _ -> [ (1, 1.) ])
+     zero: the builder sorts, merges and drops. *)
+  let b =
+    blocked_of_rows
+      [|
+        [ (2, 0.25); (0, 0.5); (2, 0.25); (1, 0.) ]; [ (1, 1.) ]; [ (1, 1.) ];
+      |]
   in
-  Alcotest.(check int) "nnz" 4 (S.nnz s);
-  Alcotest.(check int) "rows" 3 (S.rows s);
-  Alcotest.(check int) "cols" 3 (S.cols s);
-  let seen = ref [] in
-  S.row_iter s 0 ~f:(fun j v -> seen := (j, v) :: !seen);
-  Alcotest.(check bool) "row 0 sorted and merged" true
-    (List.rev !seen = [ (0, 0.5); (2, 0.5) ]);
+  Alcotest.(check int) "nnz" 4 (B.nnz b);
+  Alcotest.(check int) "rows" 3 (B.rows b);
+  Alcotest.(check int) "cols" 3 (B.cols b);
+  Alcotest.(check (array (float 0.)))
+    "row 0 merged" [| 0.5; 0.; 0.5 |]
+    (M.row (Dense.of_blocked b) 0);
   Alcotest.(check bool) "row sums" true
-    (Array.for_all (fun x -> feq x 1.) (S.row_sums s));
-  Alcotest.(check bool) "stochastic" true (S.is_stochastic s);
-  let t =
-    S.of_triplets ~rows:2 ~cols:3 [ (0, 0, 0.25); (1, 1, 1.); (0, 0, 0.25); (0, 2, 0.5) ]
-  in
-  Alcotest.(check int) "triplets merge duplicates" 3 (S.nnz t);
+    (Array.for_all (fun x -> feq x 1.) (B.row_sums b));
+  Alcotest.(check bool) "stochastic" true (B.is_stochastic b);
+  let bld = B.builder () in
+  B.add_row bld [ (0, 0.25); (2, 0.5); (0, 0.25) ];
+  B.add_row bld [ (1, 1.) ];
+  let t = B.finish bld ~cols:3 in
+  Alcotest.(check int) "duplicates merged" 3 (B.nnz t);
   Alcotest.(check bool) "rectangular is not stochastic" true
-    (not (S.is_stochastic t))
+    (not (B.is_stochastic t))
 
 let test_sparse_dense_roundtrip () =
-  let m = M.create ~rows:3 ~cols:3 in
-  M.set m 0 0 0.5;
-  M.set m 0 2 0.5;
-  M.set m 1 1 1.;
-  M.set m 2 0 0.25;
-  M.set m 2 1 0.75;
-  let s = S.of_dense m in
-  Alcotest.(check int) "nnz of dense" 5 (S.nnz s);
+  let rows =
+    [| [ (0, 0.5); (2, 0.5) ]; [ (1, 1.) ]; [ (0, 0.25); (1, 0.75) ] |]
+  in
+  let m = M.of_rows ~cols:3 rows in
+  let b = blocked_of_rows rows in
+  Alcotest.(check int) "nnz of dense" 5 (B.nnz b);
   Alcotest.(check (float 1e-15)) "roundtrip exact" 0.
-    (M.max_abs_diff (S.to_dense s) m);
+    (M.max_abs_diff (Dense.of_blocked b) m);
   (* spmv agrees with the dense product, including a zero input entry
-     (whose row is skipped). *)
+     (whose row is skipped), and overwrites its destination. *)
   let v = [| 0.2; 0.; 0.8 |] in
-  let sparse_out = S.spmv v s in
-  let dense_out = M.vec_mul v m in
-  Alcotest.(check bool) "spmv = vec_mul" true
-    (Array.for_all2 (fun a b -> feq ~tol:1e-15 a b) sparse_out dense_out);
   let dst = Array.make 3 9. in
-  S.spmv_into s ~src:v ~dst;
-  Alcotest.(check bool) "spmv_into overwrites" true
-    (Array.for_all2 (fun a b -> a = b) dst sparse_out)
+  B.spmv (B.kernel b) ~src:v ~dst;
+  Alcotest.(check bool) "spmv = vec_mul" true
+    (Array.for_all2 (fun a b -> feq ~tol:1e-15 a b) dst (M.vec_mul v m))
 
 (* Satellite regression: the historical stopping rule "successive
    iterates are close" stops far from pi on a slowly-mixing chain.  For
@@ -252,10 +187,10 @@ let test_exact_stationary_near_reducible () =
     true
     (Float.abs (pi.(0) -. 0.2) <= 1e-2);
   (* The true residual is below tol as well. *)
-  let pi_step = Markov.Sparse.spmv pi (Markov.Exact.sparse c) in
+  let pi_step = M.vec_mul pi (Dense.matrix c) in
   Alcotest.(check bool) "residual |piP - pi| <= tol" true
     (Markov.Exact.tv_distance pi pi_step *. 2. <= 1e-3);
-  let old = Markov.Exact.Dense.stationary ~tol:1e-3 c in
+  let old = Dense.stationary ~tol:1e-3 c in
   Alcotest.(check bool)
     (Printf.sprintf "historical rule stops early (pi0 %.4f)" old.(0))
     true
@@ -276,9 +211,11 @@ let test_exact_accessors () =
   let c = two_state 0.3 0.1 in
   let sts = Markov.Exact.states c in
   Alcotest.(check (array string)) "states in index order" [| "x"; "y" |] sts;
-  Alcotest.(check int) "sparse nnz" 4 (S.nnz (Markov.Exact.sparse c));
-  Alcotest.(check (float 1e-15)) "dense view = to_dense sparse" 0.
-    (M.max_abs_diff (Markov.Exact.matrix c) (S.to_dense (Markov.Exact.sparse c)))
+  Alcotest.(check int) "nnz" 4 (B.nnz (Markov.Exact.blocked c));
+  Alcotest.(check (float 0.)) "matrix in index order" 0.
+    (M.max_abs_diff (Dense.matrix c)
+       (M.of_rows ~cols:2
+          [| [ (0, 1. -. 0.3); (1, 0.3) ]; [ (0, 0.1); (1, 1. -. 0.1) ] |]))
 
 let test_builder_reachable_and_mix () =
   (* A 4-cycle plus an unreachable island: BFS from 0 finds the cycle in
@@ -296,7 +233,9 @@ let test_builder_reachable_and_mix () =
   Alcotest.(check int) "state count" 4 a.Markov.Exact_builder.state_count;
   let direct =
     Markov.Exact.mixing_time ~eps:0.25
-      (Markov.Exact.build ~states ~transitions)
+      (Markov.Exact_builder.build
+         (Markov.Exact_builder.enumerated states)
+         ~transitions)
   in
   Alcotest.(check int) "tau agrees with direct build" direct
     a.Markov.Exact_builder.tau;
@@ -312,7 +251,6 @@ let test_worst_tv_profile_drop_below () =
     (Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-9) exact dropped)
 
 module Si = Markov.State_index
-module B = Markov.Blocked_csr
 module Ck = Markov.Exact_checkpoint
 
 let test_state_index_basics () =
@@ -334,27 +272,24 @@ let test_state_index_basics () =
   Alcotest.(check bool) "to_array in id order" true
     (Array.for_all2 (fun a b -> a = b) arr (Array.init 100 (fun i -> i * 7)))
 
-(* A deterministic pseudo-random stochastic matrix with irregular row
-   fill, for roundtrip checks. *)
-let stochastic_sparse n =
-  S.of_rows ~rows:n ~cols:n (fun i ->
+(* The rows of a deterministic pseudo-random stochastic matrix with
+   irregular row fill, for roundtrip checks. *)
+let stochastic_rows n =
+  Array.init n (fun i ->
       let k = 1 + (i mod 4) in
       let cols = List.init k (fun j -> ((i * 13) + (j * 7) + 1) mod n) in
       let cols = List.sort_uniq compare cols in
       let w = 1. /. float_of_int (List.length cols) in
       List.map (fun j -> (j, w)) cols)
 
-let check_same_sparse msg a b =
-  Alcotest.(check int) (msg ^ ": nnz") (S.nnz a) (S.nnz b);
-  Alcotest.(check (float 1e-15)) (msg ^ ": entries") 0.
-    (M.max_abs_diff (S.to_dense a) (S.to_dense b))
-
 let test_blocked_roundtrip () =
   let n = 17 in
-  let s = stochastic_sparse n in
+  let rows = stochastic_rows n in
+  let m = M.of_rows ~cols:n rows in
+  let nnz = Array.fold_left (fun acc r -> acc + List.length r) 0 rows in
   List.iter
     (fun block_rows ->
-      let b = B.of_sparse ~block_rows s in
+      let b = blocked_of_rows ~block_rows rows in
       Alcotest.(check int) "rows" n (B.rows b);
       Alcotest.(check int) "cols" n (B.cols b);
       Alcotest.(check int)
@@ -363,47 +298,79 @@ let test_blocked_roundtrip () =
         (B.block_count b);
       Alcotest.(check bool) "in memory" true (B.in_memory b);
       Alcotest.(check bool) "stochastic" true (B.is_stochastic b);
-      check_same_sparse
+      Alcotest.(check int)
+        (Printf.sprintf "nnz br=%d" block_rows)
+        nnz (B.nnz b);
+      Alcotest.(check (float 1e-15))
         (Printf.sprintf "roundtrip br=%d" block_rows)
-        s (B.to_sparse b);
-      (* Kernel product agrees with the flat sparse product. *)
+        0.
+        (M.max_abs_diff (Dense.of_blocked b) m);
+      (* Kernel product agrees with the dense product. *)
       let src = Array.init n (fun i -> float_of_int ((i * 5) mod 7) /. 21.) in
       let dst = Array.make n nan in
       B.spmv (B.kernel b) ~src ~dst;
-      let expect = S.spmv src s in
+      let expect = M.vec_mul src m in
       Alcotest.(check bool)
         (Printf.sprintf "spmv br=%d" block_rows)
         true
         (Array.for_all2 (fun a b -> feq ~tol:1e-15 a b) dst expect))
     [ 1; 3; n; 2 * n ]
 
+let bits_equal a b =
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    a b
+
 let test_blocked_spill_roundtrip () =
   let n = 11 in
-  let s = stochastic_sparse n in
+  let rows = stochastic_rows n in
+  let m = M.of_rows ~cols:n rows in
+  let in_memory = blocked_of_rows ~block_rows:4 rows in
+  Alcotest.(check (float 0.)) "in-memory matrix" 0.
+    (M.max_abs_diff (Dense.of_blocked in_memory) m);
+  (* One fused step from a point mass, which reads row 0 only, and one
+     from a vector with no zero entry, which reads every row of every
+     block: the products and their TVs to a uniform pi. *)
+  let pi = Array.make n (1. /. float_of_int n) in
+  let point = Array.init n (fun i -> if i = 0 then 1. else 0.) in
+  let full = Array.init n (fun i -> float_of_int (i + 1)) in
+  let step b src =
+    let dst = Array.make n nan in
+    let tv = B.step_tv (B.kernel b) ~pi ~src ~dst in
+    (dst, tv)
+  in
+  let expect = List.map (step in_memory) [ point; full ] in
+  Alcotest.(check (float 1e-15)) "fused tv = dense tv"
+    (Markov.Exact.tv_distance (M.vec_mul point m) pi)
+    (snd (List.hd expect));
+  (* Every entry of [b] equals the source, and both fused steps match
+     the in-memory store's bit for bit. *)
+  let check_same what b =
+    Alcotest.(check int) (what ^ " nnz") (B.nnz in_memory) (B.nnz b);
+    Alcotest.(check (float 0.)) (what ^ " matrix") 0.
+      (M.max_abs_diff (Dense.of_blocked b) m);
+    List.iter2
+      (fun src (dst_expect, tv_expect) ->
+        let dst, tv = step b src in
+        Alcotest.(check bool) (what ^ " product bits") true
+          (bits_equal dst dst_expect);
+        Alcotest.(check bool) (what ^ " tv bits") true
+          (Float.equal tv tv_expect))
+      [ point; full ] expect
+  in
   let path = Filename.temp_file "bcsr" ".blk" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let b = B.of_sparse ~block_rows:4 ~spill:path s in
+      let b = blocked_of_rows ~block_rows:4 ~spill:path rows in
       Alcotest.(check bool) "spilled, not in memory" false (B.in_memory b);
       Alcotest.(check (option string)) "path recorded" (Some path) (B.path b);
-      check_same_sparse "spilled roundtrip" s (B.to_sparse b);
-      (* Fused statistic on the streaming (disk) path. *)
-      let pi = Array.make n (1. /. float_of_int n) in
-      let src = Array.init n (fun i -> if i = 0 then 1. else 0.) in
-      let dst = Array.make n nan in
-      let tv = B.step_tv (B.kernel b) ~pi ~src ~dst in
-      let expect = S.spmv src s in
-      let tv_expect =
-        0.5 *. Array.fold_left ( +. ) 0.
-          (Array.mapi (fun i x -> Float.abs (x -. pi.(i))) expect)
-      in
-      Alcotest.(check (float 1e-15)) "fused tv on disk path" tv_expect tv;
+      (* The streaming (disk) path. *)
+      check_same "spilled" b;
       B.close b;
       (* Reopening the finalized file restores the matrix. *)
       let reopened = B.open_file path in
-      Alcotest.(check int) "reopened nnz" (S.nnz s) (B.nnz reopened);
-      check_same_sparse "reopened roundtrip" s (B.to_sparse reopened);
+      check_same "reopened" reopened;
       B.close reopened)
 
 let test_blocked_multi_bitwise () =
@@ -413,8 +380,7 @@ let test_blocked_multi_bitwise () =
      widths.  This is the contract the batched sweeps in Exact (TV
      profiles, mixing pruning) rely on for their exactness claims. *)
   let n = 37 in
-  let s = stochastic_sparse n in
-  let b = B.of_sparse ~block_rows:5 s in
+  let b = blocked_of_rows ~block_rows:5 (stochastic_rows n) in
   let kern = B.kernel b in
   let pi = Array.init n (fun i -> float_of_int (1 + (i mod 3)) /. 74.) in
   (* Not a distribution; irrelevant — only summation order matters. *)
@@ -487,23 +453,26 @@ let test_blocked_builder_invalid () =
       ignore (B.finish bld ~cols:2))
 
 let test_builder_streaming_equals_direct () =
-  (* The streaming Exact_builder path and the classic Exact.build must
-     produce the same chain: same analysis results, same index. *)
+  (* The shard shape is invisible to the analysis: a one-block build and
+     a build streamed in five-row blocks give the same chain — same
+     matrix, same stationary bits, same tau. *)
   let states = Array.init 23 (fun i -> i) in
   let transitions i =
     let n = Array.length states in
     [ ((i + 1) mod n, 0.5); ((i * 2) mod n, 0.25); (i, 0.25) ]
   in
-  let direct = Markov.Exact.build ~states ~transitions in
-  let streamed =
-    Markov.Exact_builder.build ~block_rows:5
+  let build ?block_rows () =
+    Markov.Exact_builder.build ?block_rows
       (Markov.Exact_builder.enumerated states)
       ~transitions
   in
+  let direct = build () and streamed = build ~block_rows:5 () in
+  Alcotest.(check int) "blocks" 5
+    (B.block_count (Markov.Exact.blocked streamed));
   Alcotest.(check int) "size" (Markov.Exact.size direct)
     (Markov.Exact.size streamed);
-  Alcotest.(check (float 1e-15)) "same matrix" 0.
-    (M.max_abs_diff (Markov.Exact.matrix direct) (Markov.Exact.matrix streamed));
+  Alcotest.(check (float 0.)) "same matrix" 0.
+    (M.max_abs_diff (Dense.matrix direct) (Dense.matrix streamed));
   let pi_d = Markov.Exact.stationary direct in
   let pi_s = Markov.Exact.stationary streamed in
   Alcotest.(check bool) "same stationary bits" true
@@ -613,14 +582,8 @@ let test_mixing_checkpoint_resume_file () =
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
-    [
-      ("matrix identity mul", test_matrix_identity_mul);
-      ("matrix mul known", test_matrix_mul_known);
-      ("matrix vec_mul", test_matrix_vec_mul);
-      ("matrix stochastic", test_matrix_stochastic);
-      ("matrix invalid", test_matrix_invalid);
-      ("chain step view", test_chain_step_view);
-      ("chain step uses rng", test_chain_step_uses_rng);
+    (Dense.matrix_tests
+    @ [
       ("partition count small", test_partition_count_small);
       ("partition enumerate", test_partition_enumerate);
       ("partition count sweep", test_partition_count_matches_enumerate_sweep);
@@ -650,4 +613,4 @@ let suite =
       ("checkpoint file roundtrip", test_checkpoint_file_roundtrip);
       ("checkpoint sink throttle", test_checkpoint_sink_throttle);
       ("mixing checkpoint resume via file", test_mixing_checkpoint_resume_file);
-    ]
+    ])

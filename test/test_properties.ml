@@ -108,27 +108,28 @@ let random_chain g ~n ~a =
         let total = Array.fold_left ( +. ) 0. w in
         Array.map (fun x -> x /. total *. (1. -. a)) w)
   in
-  Markov.Exact.build ~states ~transitions:(fun i ->
+  Markov.Exact_builder.build (Markov.Exact_builder.enumerated states)
+    ~transitions:(fun i ->
       (i, a) :: Array.to_list (Array.mapi (fun j p -> (j, p)) rows.(i)))
 
 let qcheck_sparse_dense_agree =
-  (* The sparse rewrite against the historical dense reference: the
-     stationary distributions agree to 1e-9 entrywise and the mixing
-     times are identical — also across domain counts. *)
+  (* The blocked-CSR analysis against the dense reference in the test
+     tree: the stationary distributions agree to 1e-9 entrywise and the
+     mixing times are identical — also across domain counts. *)
   QCheck.Test.make ~name:"sparse and dense stationary/mixing agree" ~count:60
     QCheck.(triple small_int (int_range 2 8) (int_range 0 9))
     (fun (seed, n, tenths) ->
       let a = float_of_int tenths /. 10. in
       let chain = random_chain (rng_of seed) ~n ~a in
       let pi_sparse = Markov.Exact.stationary chain in
-      let pi_dense = Markov.Exact.Dense.stationary chain in
+      let pi_dense = Dense.stationary chain in
       let close =
         Array.for_all2
           (fun x y -> Float.abs (x -. y) <= 1e-9)
           pi_sparse pi_dense
       in
       let eps = 0.25 in
-      let tau_dense = Markov.Exact.Dense.mixing_time ~eps chain in
+      let tau_dense = Dense.mixing_time ~eps chain in
       let tau_seq = Markov.Exact.mixing_time ~eps ~domains:1 chain in
       let tau_par = Markov.Exact.mixing_time ~eps ~domains:2 chain in
       close && tau_seq = tau_dense && tau_par = tau_seq)
@@ -262,13 +263,12 @@ let qcheck_go_left_places_everything =
       Core.Bins.num_balls bins = m)
 
 let qcheck_blocked_spmv_agrees =
-  (* The blocked store against the flat sparse product on random
-     stochastic matrices with irregular row fill, across degenerate and
-     generic block sizes — including one size past the column-chunk
-     width so the pooled split actually partitions work.  The pooled
-     kernel must be bit-identical to the sequential one (the
-     column-owner-computes guarantee), and both within float noise of
-     the flat product. *)
+  (* The blocked store against the dense product on random stochastic
+     matrices with irregular row fill, across degenerate and generic
+     block sizes — including one size past the column-chunk width so the
+     pooled split actually partitions work.  The pooled kernel must be
+     bit-identical to the sequential one (the column-owner-computes
+     guarantee), and both within float noise of the dense product. *)
   QCheck.Test.make ~name:"blocked spmv = flat spmv (blocks 1/7/n, pooled)"
     ~count:40
     QCheck.(pair small_int (oneofl [ 2; 3; 7; 19; 1500 ]))
@@ -284,12 +284,15 @@ let qcheck_blocked_spmv_agrees =
             let total = List.fold_left (fun a (_, x) -> a +. x) 0. w in
             List.map (fun (j, x) -> (j, x /. total)) w)
       in
-      let s = Markov.Sparse.of_rows ~rows:n ~cols:n (fun i -> rows.(i)) in
       let src = Array.init n (fun _ -> Prng.Rng.float g) in
-      let expect = Markov.Sparse.spmv src s in
+      let expect =
+        Dense.Matrix.vec_mul src (Dense.Matrix.of_rows ~cols:n rows)
+      in
       List.for_all
         (fun block_rows ->
-          let b = Markov.Blocked_csr.of_sparse ~block_rows s in
+          let bld = Markov.Blocked_csr.builder ~block_rows () in
+          Array.iter (Markov.Blocked_csr.add_row bld) rows;
+          let b = Markov.Blocked_csr.finish bld ~cols:n in
           let dst = Array.make n nan in
           let k_seq = Markov.Blocked_csr.kernel b in
           let r_seq = Markov.Blocked_csr.step_l1 k_seq ~src ~dst in

@@ -113,13 +113,13 @@ let qcheck_chain_matches_sim =
     (fun (seed, n, m) ->
       let p = Rbb.make (Rbb.dchoice 2) ~n in
       let start = random_vector (rng_of seed) ~n ~m in
-      let chain = Rbb.chain p in
+      let step = Rbb.chain p in
       let gc = rng_of (seed + 13) and gs = rng_of (seed + 13) in
       let s = Rbb.sim_repr p start in
       let v = ref start in
       let ok = ref true in
       for _ = 1 to 6 do
-        v := chain.Markov.Chain.step gc !v;
+        v := step gc !v;
         Engine.Sim.step s gs;
         ok := !ok && Lv.equal !v (Engine.Sim.observe s)
       done;

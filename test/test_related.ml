@@ -269,7 +269,11 @@ let test_edge_exact_mixing_below_bounds () =
   List.iter
     (fun n ->
       let states = C.reachable ~from:(C.start ~n) in
-      let chain = Markov.Exact.build ~states ~transitions:C.exact_transitions in
+      let chain =
+        Markov.Exact_builder.build
+          (Markov.Exact_builder.enumerated states)
+          ~transitions:C.exact_transitions
+      in
       let tau = Markov.Exact.mixing_time ~eps:0.25 ~max_t:100_000 chain in
       Alcotest.(check bool)
         (Printf.sprintf "n=%d: tau %d below bounds" n tau)
@@ -281,7 +285,11 @@ let test_edge_exact_mixing_below_bounds () =
 let test_edge_exact_stationary_favours_balance () =
   let n = 6 in
   let states = C.reachable ~from:(C.start ~n) in
-  let chain = Markov.Exact.build ~states ~transitions:C.exact_transitions in
+  let chain =
+    Markov.Exact_builder.build
+      (Markov.Exact_builder.enumerated states)
+      ~transitions:C.exact_transitions
+  in
   let pi = Markov.Exact.stationary chain in
   (* The most likely states should have small unfairness. *)
   let best = ref 0 in

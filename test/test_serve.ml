@@ -409,7 +409,6 @@ let test_wire_parse () =
   ok {|{"op":"occupancy"}|} None (Serve.Wire.Event Engine.Event.Occupancy);
   ok {|{"op":"watermark"}|} None (Serve.Wire.Event Engine.Event.Watermark);
   ok {|{"op":"ping"}|} None Serve.Wire.Ping;
-  ok {|{"op":"metrics","id":9}|} (Some 9) Serve.Wire.Metrics;
   ok {|{"op":"stats"}|} None (Serve.Wire.Stats Serve.Wire.Stats_json);
   ok {|{"op":"stats","format":"json","id":4}|} (Some 4)
     (Serve.Wire.Stats Serve.Wire.Stats_json);
@@ -423,6 +422,7 @@ let test_wire_parse () =
     [
       {|{"op":"insert"}|};  (* key required *)
       {|{"op":"fly"}|};
+      {|{"op":"metrics"}|};
       {|{"op":"stats","format":"xml"}|};
       {|{"op":"stats","format":7}|};
       {|{"key":5}|};

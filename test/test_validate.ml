@@ -59,7 +59,7 @@ let test_relocation_exact_transitions () =
   check_float "ball moved to bin 1" 0.5 (mass_on [| 0; 1 |]);
   (* A configuration with a real relocation stage still sums to 1, and
      its reachable space builds into a valid chain (row normalization is
-     checked by Exact.build to 1e-9). *)
+     checked by Exact_builder.build to 1e-9). *)
   let t1 =
     Core.Relocation.make Core.Scenario.B (Core.Scheduling_rule.abku 2)
       ~relocations:1 ~n:3
