@@ -6,15 +6,9 @@
 
 module Ctx = Experiment.Ctx
 
-(* Config.repr is validated at load time, so the parse cannot fail. *)
-let repr_of ctx =
-  match Core.Repr.of_string (Ctx.repr ctx) with
-  | Ok r -> r
-  | Error msg -> invalid_arg msg
-
 let run ctx =
   let reps = Ctx.reps ctx in
-  let repr = repr_of ctx in
+  let repr = Ctx.repr ctx in
   let d = 2 in
   let table =
     Ctx.table ctx ~title:"E4: recovery of Ib-ABKU[2] to fluid max load + 1"

@@ -10,15 +10,9 @@
 module Lv = Loadvec.Load_vector
 module Ctx = Experiment.Ctx
 
-(* Config.repr is validated at load time, so the parse cannot fail. *)
-let repr_of ctx =
-  match Core.Repr.of_string (Ctx.repr ctx) with
-  | Ok r -> r
-  | Error msg -> invalid_arg msg
-
 let run ctx =
   let reps = Ctx.reps ctx in
-  let repr = repr_of ctx in
+  let repr = Ctx.repr ctx in
   List.iter
     (fun (rule, key) ->
       let table =

@@ -54,7 +54,11 @@ let split_tags s = String.split_on_char ',' s |> List.filter (( <> ) "")
 
 let () =
   let specs = Experiments.Registry.all in
-  let cfg = ref (Experiment.Config.load ()) in
+  let cfg =
+    ref
+      (try Experiment.Config.load ()
+       with Invalid_argument msg -> fail "%s" msg)
+  in
   let ids = ref [] in
   let tags = ref [] in
   let list_only = ref false in
@@ -112,11 +116,9 @@ let () =
         cfg := { !cfg with resume = true };
         parse rest
     | "--repr" :: v :: rest ->
-        if not (Experiment.Config.valid_repr v) then
-          fail "--repr expects one of %s, got %S"
-            (String.concat " | " Experiment.Config.repr_names)
-            v;
-        cfg := { !cfg with repr = v };
+        (match Core.Repr.of_string v with
+        | Ok repr -> cfg := { !cfg with repr }
+        | Error msg -> fail "--repr: %s" msg);
         parse rest
     | "--tags" :: v :: rest ->
         tags := !tags @ split_tags v;

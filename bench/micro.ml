@@ -134,143 +134,90 @@ let engine_vs_chain ctx =
   Ctx.note table (Printf.sprintf "speedup: %.1fx" (sim_rate /. chain_rate));
   Ctx.emit ctx table
 
-(* The representation tentpole's headline number: the array oracle keeps
-   the full n-slot sorted load vector hot (removal locates the hit bin
-   inside it), while the count-vector stepper walks the O(max_load)
-   level counts — a handful of words at n=10^4.  The count backend
-   consumes the generator in exactly the oracle's draw order, so its
-   max-load trajectory is checked bitwise here before any timing; the
-   sampled backend redistributes draws (2 per step via the ABKU cutoff
-   table) and is held to equality in law by `repro validate` instead. *)
-let repr_comparison ctx =
-  Printf.printf
-    "\n#### Micro — stepper state backends, Id-ABKU[2] (n=10_000)\n%!";
+(* The representation layer's headline tables, one per process family.
+   The array oracle keeps the full n-slot sorted load vector hot, while
+   the count backends walk the O(max_load) level counts — a handful of
+   words at n = 10^4.  The count twin consumes the generator in exactly
+   the oracle's draw order, so its max-load trajectory is checked
+   bitwise here before any timing; the sampled backend redistributes
+   draws through the ABKU cutoff table and is held to equality in law
+   by `repro validate` instead.  [unit] is the transition: a sequential
+   step, or an RBB round, whose q placements amortise the per-step
+   gap. *)
+let backend_table ctx ~heading ~title ~unit ~trace_len ~note sim =
+  Printf.printf "\n#### Micro — %s (n=10_000)\n%!" heading;
+  let run repr f =
+    let g = Prng.Rng.create ~seed:0xAB5 () in
+    f (sim repr) g
+  in
+  let trace repr =
+    run repr (fun s g ->
+        Array.init trace_len (fun _ ->
+            Engine.Sim.step s g;
+            Engine.Sim.probe s))
+  in
+  if trace Core.Repr.Count_backed <> trace Core.Repr.Array_backed then
+    failwith
+      ("micro: " ^ heading
+     ^ ": count-vector trajectory diverges from the array oracle");
+  let rows =
+    List.map
+      (fun repr ->
+        ( repr,
+          run repr (fun s g ->
+              time_budget_loop ~budget:0.3 (fun () -> Engine.Sim.step s g)) ))
+      Core.Repr.all
+  in
+  let speedup repr =
+    fst (List.assoc repr rows) /. fst (List.assoc Core.Repr.Array_backed rows)
+  in
+  let table =
+    Ctx.table ctx ~title
+      ~columns:[ "backend"; unit ^ "s/sec"; "minor words/" ^ unit; "vs array" ]
+  in
+  List.iter
+    (fun (repr, (rate, alloc)) ->
+      Ctx.row table
+        ~values:
+          [
+            (unit ^ "s_per_sec", rate);
+            ("minor_words", alloc);
+            ("speedup_vs_array", speedup repr);
+          ]
+        [
+          Core.Repr.name repr;
+          Printf.sprintf "%.0f" rate;
+          Printf.sprintf "%.2f" alloc;
+          Printf.sprintf "%.1fx" (speedup repr);
+        ])
+    rows;
+  Ctx.note table
+    (note (speedup Core.Repr.Count_backed) (speedup Core.Repr.Count_sampled));
+  Ctx.emit ctx table
+
+let backend_tables ctx =
   let n = 10_000 in
+  let start = Loadvec.Load_vector.uniform ~n ~m:n in
   let process =
     Core.Dynamic_process.make Core.Scenario.A (Core.Scheduling_rule.abku 2) ~n
   in
-  let start = Loadvec.Load_vector.uniform ~n ~m:n in
-  let trace repr =
-    let g = Prng.Rng.create ~seed:0xAB5 () in
-    let s = Core.Dynamic_process.sim_repr ~repr process start in
-    Array.init 2_000 (fun _ ->
-        Engine.Sim.step s g;
-        Engine.Sim.probe s)
-  in
-  if trace Core.Repr.Count_backed <> trace Core.Repr.Array_backed then
-    failwith "micro: count-vector trajectory diverges from the array oracle";
-  let budget = 0.3 in
-  let measure repr =
-    let g = Prng.Rng.create ~seed:0xAB5 () in
-    let s = Core.Dynamic_process.sim_repr ~repr process start in
-    time_budget_loop ~budget (fun () -> Engine.Sim.step s g)
-  in
-  let rows = List.map (fun repr -> (repr, measure repr)) Core.Repr.all in
-  let array_rate =
-    match List.assoc_opt Core.Repr.Array_backed rows with
-    | Some (rate, _) -> rate
-    | None -> assert false
-  in
-  let table =
-    Ctx.table ctx ~title:"stepper state backends"
-      ~columns:[ "backend"; "steps/sec"; "minor words/step"; "vs array" ]
-  in
-  List.iter
-    (fun (repr, (rate, alloc)) ->
-      Ctx.row table
-        ~values:
-          [
-            ("steps_per_sec", rate);
-            ("minor_words", alloc);
-            ("speedup_vs_array", rate /. array_rate);
-          ]
-        [
-          Core.Repr.name repr;
-          Printf.sprintf "%.0f" rate;
-          Printf.sprintf "%.2f" alloc;
-          Printf.sprintf "%.1fx" (rate /. array_rate);
-        ])
-    rows;
-  let speedup_of repr =
-    match List.assoc_opt repr rows with
-    | Some (rate, _) -> rate /. array_rate
-    | None -> 0.
-  in
-  Ctx.note table
-    (Printf.sprintf
-       "count-vector speedup over the array oracle: %.1fx (counts, trajectory \
-        verified bitwise), %.1fx (counts-sampled, equal in law)"
-       (speedup_of Core.Repr.Count_backed)
-       (speedup_of Core.Repr.Count_sampled));
-  Ctx.emit ctx table
-
-(* The RBB subsystem's backend story, per round rather than per step:
-   the array round costs O(n + q(d + log n)), the count-vector round
-   O(q(d + L)) on the identical draw sequence (the max-load trajectory
-   is checked bitwise here first), and the sampled round rebuilds the
-   ABKU cutoff table once per round after the ejection and then spends
-   one float draw per ball — equal in law, held to it by
-   `repro validate`. *)
-let rbb_round_comparison ctx =
-  Printf.printf "\n#### Micro — RBB round backends, RBB-d2 (n=10_000)\n%!";
-  let n = 10_000 in
-  let p = Rbb.make (Rbb.dchoice 2) ~n in
-  let start = Loadvec.Load_vector.uniform ~n ~m:n in
-  let trace repr =
-    let g = Prng.Rng.create ~seed:0xAB5 () in
-    let s = Rbb.sim_repr ~repr p start in
-    Array.init 500 (fun _ ->
-        Engine.Sim.step s g;
-        Engine.Sim.probe s)
-  in
-  if trace Core.Repr.Count_backed <> trace Core.Repr.Array_backed then
-    failwith "micro: RBB count-vector trajectory diverges from the array oracle";
-  let budget = 0.3 in
-  let measure repr =
-    let g = Prng.Rng.create ~seed:0xAB5 () in
-    let s = Rbb.sim_repr ~repr p start in
-    time_budget_loop ~budget (fun () -> Engine.Sim.step s g)
-  in
-  let rows = List.map (fun repr -> (repr, measure repr)) Core.Repr.all in
-  let array_rate =
-    match List.assoc_opt Core.Repr.Array_backed rows with
-    | Some (rate, _) -> rate
-    | None -> assert false
-  in
-  let table =
-    Ctx.table ctx ~title:"rbb round backends"
-      ~columns:[ "backend"; "rounds/sec"; "minor words/round"; "vs array" ]
-  in
-  List.iter
-    (fun (repr, (rate, alloc)) ->
-      Ctx.row table
-        ~values:
-          [
-            ("rounds_per_sec", rate);
-            ("minor_words", alloc);
-            ("speedup_vs_array", rate /. array_rate);
-          ]
-        [
-          Core.Repr.name repr;
-          Printf.sprintf "%.0f" rate;
-          Printf.sprintf "%.2f" alloc;
-          Printf.sprintf "%.1fx" (rate /. array_rate);
-        ])
-    rows;
-  let speedup_of repr =
-    match List.assoc_opt repr rows with
-    | Some (rate, _) -> rate /. array_rate
-    | None -> 0.
-  in
-  Ctx.note table
-    (Printf.sprintf
-       "count-vector round speedup over the array oracle: %.1fx (counts, \
-        trajectory verified bitwise), %.1fx (counts-sampled, equal in law); \
-        a round moves every non-empty bin, so the per-round gap is the \
-        per-step gap amortised over q placements"
-       (speedup_of Core.Repr.Count_backed)
-       (speedup_of Core.Repr.Count_sampled));
-  Ctx.emit ctx table
+  backend_table ctx ~heading:"stepper state backends, Id-ABKU[2]"
+    ~title:"stepper state backends" ~unit:"step" ~trace_len:2_000
+    ~note:
+      (Printf.sprintf
+         "count-vector speedup over the array oracle: %.1fx (counts, \
+          trajectory verified bitwise), %.1fx (counts-sampled, equal in law)")
+    (fun repr -> Core.Dynamic_process.sim_repr ~repr process start);
+  let rbb = Rbb.make (Rbb.dchoice 2) ~n in
+  backend_table ctx ~heading:"RBB round backends, RBB-d2"
+    ~title:"rbb round backends" ~unit:"round" ~trace_len:500
+    ~note:
+      (Printf.sprintf
+         "count-vector round speedup over the array oracle: %.1fx (counts, \
+          trajectory verified bitwise), %.1fx (counts-sampled, equal in law); \
+          a round moves every non-empty bin, so the per-round gap is the \
+          per-step gap amortised over q placements")
+    (fun repr -> Rbb.sim_repr ~repr rbb start)
 
 (* Mean seconds per call of [f] under a wall-clock budget.  Calls here
    are ms-scale, so no batching: one warm call, then count whole
@@ -649,8 +596,7 @@ let serve_throughput ctx =
   Ctx.emit ctx table
 
 let run ctx =
-  repr_comparison ctx;
-  rbb_round_comparison ctx;
+  backend_tables ctx;
   fused_mixing ctx;
   blocked_spmv ctx;
   engine_vs_chain ctx;

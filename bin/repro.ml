@@ -58,15 +58,11 @@ let rule_arg =
   Arg.(value & opt conv_rule (Core.Scheduling_rule.abku 2)
        & info [ "rule" ] ~docv:"RULE" ~doc)
 
+let conv_repr =
+  let parse s = Result.map_error (fun m -> `Msg m) (Core.Repr.of_string s) in
+  Arg.conv (parse, fun fmt r -> Format.fprintf fmt "%s" (Core.Repr.name r))
+
 let repr_arg =
-  let conv_repr =
-    let parse s =
-      match Core.Repr.of_string s with
-      | Ok r -> Ok r
-      | Error m -> Error (`Msg m)
-    in
-    Arg.conv (parse, fun fmt r -> Format.fprintf fmt "%s" (Core.Repr.name r))
-  in
   let doc =
     "Representation backend for the hot path: " ^ Core.Repr.help
     ^ ".  counts-sampled switches ABKU insertion to the cutoff table \
@@ -561,14 +557,16 @@ let removal_cmd =
 let bench ids list_only verbose full seed domains csv json trace checkpoint
     resume tags repr =
   let specs = Experiments.Registry.all in
-  (match repr with
-  | Some r when not (Experiment.Config.valid_repr r) ->
-      Printf.eprintf "repro bench: --repr expects one of %s, got %S\n%!"
-        (String.concat " | " Experiment.Config.repr_names)
-        r;
-      exit 2
+  let fail msg =
+    prerr_endline ("repro bench: " ^ msg);
+    exit 2
+  in
+  (match domains with
+  | Some d when d < 1 -> fail "--domains expects a value >= 1"
   | _ -> ());
-  let base = Experiment.Config.load () in
+  let base =
+    try Experiment.Config.load () with Invalid_argument msg -> fail msg
+  in
   let cfg =
     {
       Experiment.Config.full = base.full || full;
@@ -684,7 +682,7 @@ let bench_cmd =
                    tags.")
   in
   let repr =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some conv_repr) None
          & info [ "repr" ] ~docv:"NAME"
              ~doc:"Stepper state backend (BENCH_REPR): array (the default \
                    oracle), counts, or counts-sampled. Only experiments \

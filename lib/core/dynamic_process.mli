@@ -8,9 +8,10 @@
     - [Ib-ABKU[d]]  = scenario B + ABKU[d]   (protocol 1_B)
     - [Ib-ADAP(x)]  = scenario B + ADAP(x)
 
-    The module exposes a fast in-place step on mutable normalized vectors,
-    a functional one-step view ({!chain}), and the exact transition law used
-    for small-state-space ground truth. *)
+    Each step is written once over {!Load_state.S}, so it runs on every
+    {!Repr} backend: {!step} on any load state, {!sim_repr} as an
+    engine adapter.  A functional one-step view ({!chain}) and the exact
+    transition law serve small-state-space ground truth. *)
 
 type t
 
@@ -24,26 +25,17 @@ val n : t -> int
 val name : t -> string
 (** E.g. ["Id-ABKU[2]"] (scenario A) or ["Ib-ADAP(linear)"]. *)
 
-val step_in_place : t -> Prng.Rng.t -> Loadvec.Mutable_vector.t -> unit
-(** One step (remove, then insert), mutating the state.
+val step : (module Load_state.S with type t = 's) -> t -> Prng.Rng.t -> 's -> int
+(** One step (remove, then insert) on a load state of the given
+    instance, mutating it; returns the probes the insertion used (of
+    interest for the ADAP ablation).  Consumes one removal float, then
+    the rule's draws: the {!Load_state.Array} oracle and the
+    {!Load_state.Counts} twin stay bit-identical on equal multisets.
     @raise Invalid_argument if the state has no balls or wrong
     dimension. *)
 
-val step_probes : t -> Prng.Rng.t -> Loadvec.Mutable_vector.t -> int
-(** Like {!step_in_place} but returns the number of probes the insertion
-    used (of interest for the ADAP ablation). *)
-
-val step_counts_in_place :
-  t -> Prng.Rng.t -> Loadvec.Count_vector.t -> unit
-(** One step on the count-vector (multiset) state.  Consumes the
-    generator in exactly the order of {!step_in_place}: on states with
-    equal multisets the two backends produce bit-identical
-    trajectories.  O(max_load) per step instead of O(n).
-    @raise Invalid_argument on a dimension mismatch or empty state. *)
-
-val step_counts_probes :
-  t -> Prng.Rng.t -> Loadvec.Count_vector.t -> int
-(** Like {!step_counts_in_place} but returns the probe count. *)
+val step_in_place : t -> Prng.Rng.t -> Loadvec.Mutable_vector.t -> unit
+(** {!step} on the sorted-array oracle, discarding the probe count. *)
 
 val chain : t -> Prng.Rng.t -> Loadvec.Load_vector.t -> Loadvec.Load_vector.t
 (** Functional one-step view on immutable vectors (each step copies the
@@ -68,7 +60,8 @@ val sim_repr :
   t ->
   Loadvec.Load_vector.t ->
   Loadvec.Load_vector.t Engine.Sim.t
-(** Representation-selectable stepper, started from the given state.
+(** Representation-selectable stepper, started from the given state, on
+    the {!Load_state.of_repr} instance.
 
     - {!Repr.Array_backed} (default): {!sim} on a fresh
       {!Loadvec.Mutable_vector} — the oracle.

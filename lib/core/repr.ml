@@ -26,10 +26,3 @@ let of_string = function
            (String.concat ", " (List.map name all)))
 
 let help = "array | counts | counts-sampled"
-
-(* Whether a stepper under this representation consumes the RNG in the
-   same order as the array oracle (and is therefore held to the
-   bit-identical-trace contract rather than equality in law). *)
-let draw_order_preserved = function
-  | Array_backed | Count_backed -> true
-  | Count_sampled -> false

@@ -32,7 +32,3 @@ val name : t -> string
 
 val of_string : string -> (t, string) result
 val help : string
-
-val draw_order_preserved : t -> bool
-(** Whether the backend is held to the bit-identical-trace contract
-    (true) or to equality in law (false). *)

@@ -17,19 +17,8 @@ type t = {
   metrics_dump : bool;
       (** Print the engine counter tables (steps, probes, draws,
           phases) after instrumented measurements. *)
-  repr : string;
-      (** State-representation backend for the stepper hot paths.  Kept
-          as a validated {e name} — the experiment layer sits below
-          [Core] in the dependency order, so the harnesses parse it with
-          [Core.Repr.of_string] at the point of use. *)
+  repr : Core.Repr.t;  (** State-representation backend for the stepper hot paths. *)
 }
-
-(* Must match the [Core.Repr.name] spellings; validated here so a typo
-   in BENCH_REPR/--repr fails loudly instead of silently running the
-   default backend. *)
-let repr_names = [ "array"; "counts"; "counts-sampled" ]
-
-let valid_repr name = List.mem name repr_names
 
 let default =
   {
@@ -42,7 +31,7 @@ let default =
     checkpoint_dir = None;
     resume = false;
     metrics_dump = false;
-    repr = "array";
+    repr = Core.Repr.Array_backed;
   }
 
 (* The single source of truth for the harness environment.  [load]
@@ -71,38 +60,46 @@ let env_help () =
     env_table;
   Buffer.contents buf
 
+(* An empty value counts as unset. *)
+let env name =
+  match Sys.getenv_opt name with Some "" -> None | v -> v
+
 let env_flag name =
-  match Sys.getenv_opt name with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
+  match env name with Some ("1" | "true" | "yes") -> true | _ -> false
 
+(* A set but malformed value fails loudly instead of silently running
+   the default. *)
 let env_int name ~min ~default =
-  match Sys.getenv_opt name with
+  match env name with
+  | None -> default
   | Some s -> (
-      match int_of_string_opt s with Some v when v >= min -> v | _ -> default)
-  | None -> default
+      match int_of_string_opt s with
+      | Some v when v >= min -> v
+      | _ ->
+          let bound = if min = min_int then "" else Printf.sprintf " >= %d" min in
+          invalid_arg
+            (Printf.sprintf "%s: expected an integer%s, got %S" name bound s))
 
-let env_repr name ~default =
-  match Sys.getenv_opt name with
-  | Some s when valid_repr s -> s
-  | Some s ->
-      invalid_arg
-        (Printf.sprintf "%s: unknown representation %S (expected %s)" name s
-           (String.concat " | " repr_names))
-  | None -> default
+let env_repr name =
+  match env name with
+  | None -> Core.Repr.Array_backed
+  | Some s -> (
+      match Core.Repr.of_string s with
+      | Ok r -> r
+      | Error msg -> invalid_arg (name ^ ": " ^ msg))
 
 let load () =
   {
     full = env_flag "BENCH_FULL";
     seed = env_int "BENCH_SEED" ~min:min_int ~default:0xB0B;
     domains = env_int "BENCH_DOMAINS" ~min:1 ~default:1;
-    csv_dir = Sys.getenv_opt "BENCH_CSV";
-    json_dir = Sys.getenv_opt "BENCH_JSON";
-    trace = Sys.getenv_opt "REPRO_TRACE";
-    checkpoint_dir = Sys.getenv_opt "BENCH_CHECKPOINT";
+    csv_dir = env "BENCH_CSV";
+    json_dir = env "BENCH_JSON";
+    trace = env "REPRO_TRACE";
+    checkpoint_dir = env "BENCH_CHECKPOINT";
     resume = env_flag "BENCH_RESUME";
     metrics_dump = env_flag "BENCH_METRICS";
-    repr = env_repr "BENCH_REPR" ~default:"array";
+    repr = env_repr "BENCH_REPR";
   }
 
 let mode_name cfg = if cfg.full then "FULL" else "quick"

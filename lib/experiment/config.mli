@@ -17,21 +17,12 @@ type t = {
       (** Print engine counter tables after instrumented measurements
           ([BENCH_METRICS]); {!Driver.run} forwards this to
           {!Engine.Metrics.set_dump}. *)
-  repr : string;
+  repr : Core.Repr.t;
       (** State-representation backend for the stepper hot paths
-          ([BENCH_REPR] / [--repr]): one of {!repr_names}.  The
-          experiment layer sits below [Core] in the dependency order, so
-          the value is kept as a validated name and parsed with
-          [Core.Repr.of_string] by the harness at the point of use.
-          Specs that honour it are flagged {!Spec.t.uses_repr}; all
-          others run the array oracle regardless. *)
+          ([BENCH_REPR] / [--repr]).  Specs that honour it are flagged
+          {!Spec.t.uses_repr}; all others run the array oracle
+          regardless. *)
 }
-
-val repr_names : string list
-(** The accepted {!t.repr} spellings, matching [Core.Repr.name]:
-    ["array"], ["counts"], ["counts-sampled"]. *)
-
-val valid_repr : string -> bool
 
 val default : t
 (** Quick mode, seed [0xB0B], one domain, no file sinks, no trace. *)
@@ -45,8 +36,11 @@ val env_help : unit -> string
 (** {!env_table} rendered for [--help] output. *)
 
 val load : unit -> t
-(** [default] overridden by the environment per {!env_table}.
-    @raise Invalid_argument if [BENCH_REPR] names an unknown backend. *)
+(** [default] overridden by the environment per {!env_table}; an empty
+    value counts as unset.
+    @raise Invalid_argument naming the variable if [BENCH_SEED] is not
+    an integer, [BENCH_DOMAINS] is not an integer [>= 1], or
+    [BENCH_REPR] names an unknown backend. *)
 
 val mode_name : t -> string
 (** ["quick"] or ["FULL"] — for result provenance. *)

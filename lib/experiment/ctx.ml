@@ -70,9 +70,8 @@ let reps t =
 let scale t ~quick ~full:f = if full t then f else quick
 
 (* Checkpoint file for one unit of work.  The experiment layer only
-   hands out paths (constructing the sink needs the markov library,
-   which this one deliberately does not depend on); a fresh run deletes
-   any stale snapshot so only [--resume] picks one up. *)
+   hands out paths (the experiment builds its sink); a fresh run
+   deletes any stale snapshot so only [--resume] picks one up. *)
 let checkpoint_path t ~name =
   match t.config.Config.checkpoint_dir with
   | None -> None

@@ -31,10 +31,9 @@ val full : t -> bool
 val domains : t -> int
 val seed : t -> int
 
-val repr : t -> string
-(** The configured state-backend name ({!Config.t.repr}); specs flagged
-    [uses_repr] parse it with [Core.Repr.of_string] and thread the
-    result into their steppers. *)
+val repr : t -> Core.Repr.t
+(** The configured state backend ({!Config.t.repr}); specs flagged
+    [uses_repr] thread it into their steppers. *)
 
 val rng : t -> experiment:int -> Prng.Rng.t
 (** An independent stream per sub-experiment key (see

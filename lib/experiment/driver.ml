@@ -67,7 +67,7 @@ let select specs ~ids ~tags =
     in
     if selected = [] then Error Empty_selection else Ok selected
 
-let print_list ?(verbose = false) ?(repr = "array") specs =
+let print_list ?(verbose = false) ?(repr = Core.Repr.Array_backed) specs =
   List.iter
     (fun (s : Spec.t) ->
       Printf.printf "%-6s %s%s\n" s.id s.claim
@@ -76,7 +76,7 @@ let print_list ?(verbose = false) ?(repr = "array") specs =
         | tags -> Printf.sprintf "  [%s]" (String.concat " " tags));
       if verbose then begin
         Printf.printf "       repr: %s\n"
-          (if s.uses_repr then repr else "array (fixed)");
+          (if s.uses_repr then Core.Repr.name repr else "array (fixed)");
         match s.grid with
         | None -> Printf.printf "       grid: none\n"
         | Some g ->
@@ -148,7 +148,7 @@ let results_json ~config outcomes =
           [
             ("mode", Json.String (Config.mode_name config));
             ("seed", Json.Int config.Config.seed);
-            ("repr", Json.String config.Config.repr);
+            ("repr", Json.String (Core.Repr.name config.Config.repr));
             ("domains", Json.Int config.Config.domains);
           ] );
       ( "experiments",

@@ -30,10 +30,10 @@ val select :
     [Unknown_tags] error; valid tags that merely match nothing in the
     id-selected base are [Empty_selection]. *)
 
-val print_list : ?verbose:bool -> ?repr:string -> Spec.t list -> unit
+val print_list : ?verbose:bool -> ?repr:Core.Repr.t -> Spec.t list -> unit
 (** One line per spec: id, claim, tags.  With [~verbose:true], extra
     lines per spec show which representation backend the grid will use —
-    [repr] (default ["array"]) for specs with {!Spec.t.uses_repr},
+    [repr] (default [Array_backed]) for specs with {!Spec.t.uses_repr},
     ["array (fixed)"] otherwise — and the grid axis with the quick and
     full cell counts, sizes and replication counts. *)
 

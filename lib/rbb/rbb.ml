@@ -1,6 +1,5 @@
 module Mv = Loadvec.Mutable_vector
 module Lv = Loadvec.Load_vector
-module Cv = Loadvec.Count_vector
 module Rule = Core.Scheduling_rule
 
 type rule = Uniform | Dchoice of int
@@ -32,8 +31,6 @@ let rule_of_string = function
         | _ -> fail ()
       else fail ()
 
-let placement r = Rule.abku (d_of r)
-
 let of_scheduling_rule = function
   | Rule.Abku 1 -> Ok Uniform
   | Rule.Abku d -> Ok (Dchoice d)
@@ -42,145 +39,60 @@ let of_scheduling_rule = function
         "ADAP has no round-synchronous form (adaptive probe counts break \
          the fixed-draws-per-ball round structure)"
 
-type t = { rule : rule; n : int }
+type t = { rule : rule; n : int; place : Rule.t }
 
 let make rule ~n =
   if n <= 0 then invalid_arg "Rbb.make: n must be positive";
-  { rule; n }
-
-let rule t = t.rule
-let n t = t.n
+  { rule; n; place = Rule.abku (d_of rule) }
 
 let name t =
   match t.rule with
   | Uniform -> "RBB-u"
   | Dchoice d -> Printf.sprintf "RBB-d%d" d
 
-(* The placement of one ejected ball on a normalized vector: the
-   maximum of d uniform ranks is the least loaded of d uniform bins
-   (ABKU's law, Dynamic_process.choose_rank_direct with the loads read
-   elided — ABKU never inspects them). *)
-let draw_rank g ~n ~d =
-  let best = ref (Prng.Rng.int g n) in
-  for _ = 2 to d do
-    let b = Prng.Rng.int g n in
-    if b > !best then best := b
-  done;
-  !best
-
-let round_probes t g v =
-  if Mv.dim v <> t.n then invalid_arg "Rbb.round: dimension mismatch";
-  let q = Mv.eject_all v in
-  let d = d_of t.rule in
+(* One round on any load state: the deterministic ejection, then the q
+   ejected balls placed one after another by the ABKU[d] law.  Returns
+   q. *)
+let round (type s) (module S : Core.Load_state.S with type t = s) t g (v : s) =
+  if S.dim v <> t.n then invalid_arg "Rbb.round: dimension mismatch";
+  let q = S.eject_all v in
   for _ = 1 to q do
-    ignore (Mv.incr_at v (draw_rank g ~n:t.n ~d))
+    ignore (S.insert v t.place g)
   done;
-  q * d
-
-let round_in_place t g v = ignore (round_probes t g v)
-
-(* Count-vector twin: the same int draws in the same order, with the
-   rank-to-level lookup done by a level scan — lockstep with the array
-   stepper on equal multisets, forever. *)
-let round_counts_probes t g cv =
-  if Cv.dim cv <> t.n then invalid_arg "Rbb.round_counts: dimension mismatch";
-  let q = Cv.eject_all cv in
-  let d = d_of t.rule in
-  for _ = 1 to q do
-    let level = Cv.level_of_rank cv (draw_rank g ~n:t.n ~d) in
-    Cv.shift_up cv level
-  done;
-  q * d
+  q
 
 let chain t g lv =
   let v = Mv.of_load_vector lv in
-  round_in_place t g v;
+  ignore (round (module Core.Load_state.Array) t g v);
   Mv.to_load_vector v
-
-(* The sims answer [Round] exactly as [Step]: the round IS the unit
-   transition of this family, so every Step-driven rep loop (iterate,
-   first_hit, conformance) advances it one round at a time. *)
-let round_extend do_round g = function
-  | Engine.Event.Round ->
-      do_round g;
-      Engine.Event.Ack
-  | ev -> Engine.Event.Rejected (Engine.Event.name ev ^ " unsupported")
-
-let sim ?metrics t v =
-  if Mv.dim v <> t.n then invalid_arg "Rbb.sim: dimension mismatch";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  let do_round g =
-    let probes = round_probes t g v in
-    Engine.Metrics.add_probes metrics probes;
-    Engine.Metrics.add_draws metrics probes
-  in
-  Engine.Sim.make ~metrics
-    ~extend:(round_extend do_round)
-    ~step:do_round
-    ~observe:(fun () -> Mv.to_load_vector v)
-    ~reset:(fun lv -> Mv.set_from_load_vector v lv)
-    ~probe:(fun () -> Mv.max_load v)
-    ()
-
-let sim_counts ?metrics t cv =
-  if Cv.dim cv <> t.n then invalid_arg "Rbb.sim: dimension mismatch";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  let do_round g =
-    let probes = round_counts_probes t g cv in
-    Engine.Metrics.add_probes metrics probes;
-    Engine.Metrics.add_draws metrics probes
-  in
-  Engine.Sim.make ~metrics
-    ~extend:(round_extend do_round)
-    ~step:do_round
-    ~observe:(fun () -> Cv.to_load_vector cv)
-    ~reset:(fun lv -> Cv.set_from_load_vector cv lv)
-    ~probe:(fun () -> Cv.max_load cv)
-    ()
-
-(* Cutoff-table backend: the ejection invalidates the whole CDF table
-   (every non-empty level count moves), so it is rebuilt once per round
-   — O(max load) — and then maintained through the round's placements
-   with on_gain.  Each ball costs one float instead of d ints. *)
-let sim_counts_sampled ?metrics t cv =
-  if Cv.dim cv <> t.n then invalid_arg "Rbb.sim: dimension mismatch";
-  let d = d_of t.rule in
-  let module Tbl = Rule.Abku_table in
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  let do_round g =
-    let q = Cv.eject_all cv in
-    let table =
-      Tbl.create ~d ~n:t.n ~max_level:(Cv.max_load cv) ~count:(Cv.count cv)
-    in
-    for _ = 1 to q do
-      let dest = Tbl.draw_level table g in
-      Cv.shift_up cv dest;
-      Tbl.on_gain table (dest + 1)
-    done;
-    Engine.Metrics.add_probes metrics (q * d);
-    Engine.Metrics.add_draws metrics q
-  in
-  Engine.Sim.make ~metrics
-    ~extend:(round_extend do_round)
-    ~step:do_round
-    ~observe:(fun () -> Cv.to_load_vector cv)
-    ~reset:(fun lv -> Cv.set_from_load_vector cv lv)
-    ~probe:(fun () -> Cv.max_load cv)
-    ()
 
 let sim_repr ?metrics ?(repr = Core.Repr.Array_backed) t start =
   if Lv.dim start <> t.n then invalid_arg "Rbb.sim_repr: dimension mismatch";
-  match repr with
-  | Core.Repr.Array_backed -> sim ?metrics t (Mv.of_load_vector start)
-  | Core.Repr.Count_backed -> sim_counts ?metrics t (Cv.of_load_vector start)
-  | Core.Repr.Count_sampled ->
-      sim_counts_sampled ?metrics t (Cv.of_load_vector start)
+  let (module S) = Core.Load_state.of_repr repr t.place in
+  let v = S.of_load_vector start in
+  let metrics =
+    match metrics with Some m -> m | None -> Engine.Metrics.create ()
+  in
+  let d = d_of t.rule in
+  let do_round g =
+    let q = round (module S) t g v in
+    Engine.Metrics.add_probes metrics (q * d);
+    Engine.Metrics.add_draws metrics (q * S.insert_draws ~probes:d)
+  in
+  (* [Round] is answered exactly as [Step]: the round IS the unit
+     transition of this family, so every Step-driven rep loop (iterate,
+     first_hit, conformance) advances it one round at a time. *)
+  Engine.Sim.make ~metrics
+    ~extend:(fun g -> function
+      | Engine.Event.Round ->
+          do_round g;
+          Engine.Event.Ack
+      | ev -> Engine.Event.Rejected (Engine.Event.name ev ^ " unsupported"))
+    ~step:do_round
+    ~observe:(fun () -> S.to_load_vector v)
+    ~reset:(fun lv -> S.set_from_load_vector v lv)
+    ~probe:(fun () -> S.max_load v)
+    ()
 
 (* {2 Exact one-round law} *)
 
@@ -203,13 +115,12 @@ let eject lv =
    intermediate distributions is sound. *)
 let exact_transitions t lv =
   let w, q = eject lv in
-  let place = placement t.rule in
   let dist = ref [ (w, 1.0) ] in
   for _ = 1 to q do
     let acc = Hashtbl.create 64 in
     List.iter
       (fun (v, p) ->
-        let ins = Rule.rank_distribution place ~loads:(Lv.to_array v) in
+        let ins = Rule.rank_distribution t.place ~loads:(Lv.to_array v) in
         Array.iteri
           (fun r p_ins ->
             if p_ins > 0. then begin
@@ -229,7 +140,7 @@ let exact_transitions t lv =
    sequentially against a working copy of the loads with all ejections
    already applied — the identity lift of the normalized two-phase
    round, so the load-vector projection has exactly the law of
-   [round_probes].  The moves are then realised src by src; every src
+   [round].  The moves are then realised src by src; every src
    was non-empty at round start and loses exactly one ball, so each
    move finds its ball. *)
 let service_round t g bins =
@@ -265,7 +176,6 @@ let service_round t g bins =
 let service_sim ?metrics t bins =
   if Core.Bins.n bins <> t.n then
     invalid_arg "Rbb.service_sim: dimension mismatch";
-  let place = placement t.rule in
   let metrics =
     match metrics with Some m -> m | None -> Engine.Metrics.create ()
   in
@@ -280,7 +190,7 @@ let service_sim ?metrics t bins =
         Engine.Metrics.watermark metrics (Core.Bins.max_load bins);
         Engine.Event.Ack
     | Engine.Event.Insert _ ->
-        let bin, probes = Core.Bins.insert_with_rule place g bins in
+        let bin, probes = Core.Bins.insert_with_rule t.place g bins in
         Engine.Metrics.add_probes metrics probes;
         Engine.Metrics.add_draws metrics probes;
         Engine.Metrics.watermark metrics (Core.Bins.max_load bins);

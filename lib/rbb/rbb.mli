@@ -26,10 +26,11 @@
       ranks ([d = 1] for the uniform rule), exactly the ABKU\[d\]
       placement law of {!Core.Scheduling_rule}.
 
-    Like the sequential processes, the round stepper exists in three
-    representations ({!Core.Repr}): the sorted-array oracle, a
-    draw-order-preserving count-vector twin (bit-identical traces), and
-    a cutoff-table sampler (equal in law, one float per ball). *)
+    Like the sequential step, the round is written once over
+    {!Core.Load_state.S} and runs on every {!Core.Repr} backend: the
+    sorted-array oracle, the draw-order-preserving count twin
+    (bit-identical traces), and the cutoff-table sampler (equal in law,
+    one float per ball). *)
 
 type rule =
   | Uniform  (** Each ejected ball lands in a bin chosen i.u.r. *)
@@ -48,10 +49,6 @@ val rule_name : rule -> string
 val rule_of_string : string -> (rule, string) result
 (** Inverse of {!rule_name}; also accepts ["u"]. *)
 
-val placement : rule -> Core.Scheduling_rule.t
-(** The per-ball placement law as a scheduling rule: [Abku 1] for
-    {!Uniform}, [Abku d] for [Dchoice d]. *)
-
 val of_scheduling_rule : Core.Scheduling_rule.t -> (rule, string) result
 (** The RBB rule whose placement is the given scheduling rule —
     [Abku 1 -> Uniform], [Abku d -> Dchoice d].  ADAP has no
@@ -65,60 +62,15 @@ type t
 val make : rule -> n:int -> t
 (** @raise Invalid_argument if [n <= 0]. *)
 
-val rule : t -> rule
-val n : t -> int
-
 val name : t -> string
 (** ["RBB-u"] or ["RBB-d2"], ... — the subsystem tag every derived
     artifact (validate subjects, serve fingerprints) embeds. *)
-
-(** {2 Round steppers}
-
-    In-place rounds over each backing representation.  All return the
-    number of placement probes issued ([q * d] with [q] the number of
-    non-empty bins at round start). *)
-
-val round_probes : t -> Prng.Rng.t -> Loadvec.Mutable_vector.t -> int
-(** One round on the sorted-array oracle.  Consumes [q * d] int draws.
-    @raise Invalid_argument on a dimension mismatch. *)
-
-val round_in_place : t -> Prng.Rng.t -> Loadvec.Mutable_vector.t -> unit
-
-val round_counts_probes : t -> Prng.Rng.t -> Loadvec.Count_vector.t -> int
-(** The count-vector twin: identical draw sequence to {!round_probes},
-    so on equal multisets the two steppers stay in lockstep forever.
-    O(q(d + L)) per round instead of O(n + q(d + log n)). *)
 
 val chain : t -> Prng.Rng.t -> Loadvec.Load_vector.t -> Loadvec.Load_vector.t
 (** One round per step, on immutable vectors — the adapter the
     empirical TV machinery consumes. *)
 
-(** {2 Simulation engine adapters}
-
-    Probes are accounted as [q * d] per round; draws record the real
-    RNG consumption ([q * d] ints for the draw-order-preserving
-    backends, [q] floats for the sampled one). *)
-
-val sim :
-  ?metrics:Engine.Metrics.t ->
-  t ->
-  Loadvec.Mutable_vector.t ->
-  Loadvec.Load_vector.t Engine.Sim.t
-
-val sim_counts :
-  ?metrics:Engine.Metrics.t ->
-  t ->
-  Loadvec.Count_vector.t ->
-  Loadvec.Load_vector.t Engine.Sim.t
-
-val sim_counts_sampled :
-  ?metrics:Engine.Metrics.t ->
-  t ->
-  Loadvec.Count_vector.t ->
-  Loadvec.Load_vector.t Engine.Sim.t
-(** Cutoff-table backend: the placement table is rebuilt once per round
-    after the ejection (O(max load)), then each ball costs one float
-    draw.  Equal in law to {!sim}, not in trace. *)
+(** {2 Simulation engine adapter} *)
 
 val sim_repr :
   ?metrics:Engine.Metrics.t ->
@@ -127,7 +79,12 @@ val sim_repr :
   Loadvec.Load_vector.t ->
   Loadvec.Load_vector.t Engine.Sim.t
 (** Start a round sim from a snapshot under the chosen representation
-    (default [Array_backed]).
+    (default [Array_backed]), on the {!Core.Load_state.of_repr} instance.
+    Probes are accounted as [q * d] per round, with [q] the number of
+    non-empty bins at round start; draws record the real RNG
+    consumption: [q * d] ints for the draw-order-preserving backends,
+    [q] floats for the sampler, whose cutoff table is rebuilt from the
+    counts after each ejection.
     @raise Invalid_argument on a dimension mismatch. *)
 
 (** {2 Exact one-round law}

@@ -42,11 +42,7 @@ let balls ?block_rows ?(repr = Core.Repr.Array_backed) scenario rule ~n ~m =
       family = "balls";
       states = Markov.Partition_space.enumerate ~n ~m;
       transitions = Core.Dynamic_process.exact_transitions p;
-      fresh_sim =
-        (match repr with
-        | Core.Repr.Array_backed ->
-            fun () -> Core.Dynamic_process.sim p (Mv.of_load_vector start)
-        | r -> fun () -> Core.Dynamic_process.sim_repr ~repr:r p start);
+      fresh_sim = (fun () -> Core.Dynamic_process.sim_repr ~repr p start);
       start;
       bound;
       block_rows;

@@ -82,8 +82,8 @@ let qcheck_counts_trace_bit_identical =
           let cv = Loadvec.Count_vector.of_load_vector v0 in
           let ok = ref true in
           for _ = 1 to 60 do
-            let pa = Dp.step_probes p g1 mv in
-            let pc = Dp.step_counts_probes p g2 cv in
+            let pa = Dp.step (module Core.Load_state.Array) p g1 mv in
+            let pc = Dp.step (module Core.Load_state.Counts) p g2 cv in
             if pa <> pc then ok := false;
             if
               not
@@ -117,6 +117,30 @@ let test_sim_repr_counts_trace () =
       Alcotest.(check bool) "reset state equal" true
         (Lv.equal (Engine.Sim.observe sim_a) (Engine.Sim.observe sim_c)))
     (all_processes ~n:6)
+
+(* The sampler builds its cutoff table lazily, so a reset must drop it:
+   a stale table would draw from the old state's cutoffs.  From the same
+   seed, a sampled sim stepped and then reset to v0 replays a fresh
+   sampled sim started at v0. *)
+let test_sampled_reset_replays_fresh () =
+  List.iter
+    (fun scenario ->
+      let p = Dp.make scenario (Sr.abku 2) ~n:6 in
+      let v0 = Lv.of_array [| 4; 3; 2; 1; 0; 0 |] in
+      let sampled () = Dp.sim_repr ~repr:Core.Repr.Count_sampled p v0 in
+      let trace s =
+        let g = rng ~seed:77 () in
+        List.init 40 (fun _ ->
+            Engine.Sim.step s g;
+            Engine.Sim.observe s)
+      in
+      let reused = sampled () in
+      Engine.Sim.iterate reused (rng ~seed:5 ()) 25;
+      Engine.Sim.reset reused v0;
+      if not (List.equal Lv.equal (trace (sampled ())) (trace reused)) then
+        Alcotest.failf "%s: a reset sampled sim diverges from a fresh one"
+          (Dp.name p))
+    [ Core.Scenario.A; Core.Scenario.B ]
 
 (* The cutoff table's insertion law equals the closed-form ABKU rank law
    grouped by load class — exactly, not statistically — and stays exact
@@ -497,3 +521,7 @@ let suite =
         qcheck_lemma_4_1;
         qcheck_scenario_b_delta_support;
       ]
+  @ [
+      Alcotest.test_case "sampled reset replays a fresh sim" `Quick
+        test_sampled_reset_replays_fresh;
+    ]

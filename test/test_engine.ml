@@ -110,10 +110,12 @@ let test_adapter_probe_counter () =
   let g = rng () in
   let manual = ref 0 in
   for _ = 1 to steps do
-    manual := !manual + Core.Dynamic_process.step_probes process g v'
+    manual :=
+      !manual
+      + Core.Dynamic_process.step (module Core.Load_state.Array) process g v'
   done;
   Alcotest.(check int) "steps counted" steps snap.steps;
-  Alcotest.(check int) "probes = sum of step_probes" !manual snap.probes;
+  Alcotest.(check int) "probes = sum of step's probes" !manual snap.probes;
   Alcotest.(check int) "draws = steps + probes" (steps + !manual)
     snap.rng_draws
 

@@ -316,6 +316,28 @@ let test_determinism_across_domains () =
     "domains=1 and domains=4 agree on the deterministic view"
     (run 1) (run 4)
 
+(* --- Config.load -------------------------------------------------- *)
+
+(* Unix cannot unset a variable, so an unset one is restored as empty,
+   which Config.load reads as unset. *)
+let with_env name value f =
+  let saved = Option.value (Sys.getenv_opt name) ~default:"" in
+  Unix.putenv name value;
+  Fun.protect ~finally:(fun () -> Unix.putenv name saved) f
+
+(* A malformed value fails loudly, naming the variable, instead of
+   silently running the default. *)
+let rejects name value () =
+  with_env name value (fun () ->
+      match Experiment.Config.load () with
+      | _ -> Alcotest.failf "%s=%S should be rejected" name value
+      | exception Invalid_argument msg ->
+          if not (String.starts_with ~prefix:(name ^ ": ") msg) then
+            Alcotest.failf "%s=%S: message %S does not name the variable"
+              name value msg);
+  (* Restored: the environment loads again. *)
+  ignore (Experiment.Config.load ())
+
 let suite =
   [
     ("mkdir_p nested", test_mkdir_p_nested);
@@ -333,5 +355,9 @@ let suite =
     ("registry complete", test_registry_complete);
     ("tags filter reaches json sink", test_tags_filter_reaches_json_sink);
     ("determinism across domains", test_determinism_across_domains);
+    ("config rejects non-integer BENCH_SEED", rejects "BENCH_SEED" "abc");
+    ("config rejects non-integer BENCH_DOMAINS", rejects "BENCH_DOMAINS" "abc");
+    ("config rejects BENCH_DOMAINS < 1", rejects "BENCH_DOMAINS" "0");
+    ("config rejects unknown BENCH_REPR", rejects "BENCH_REPR" "abc");
   ]
   |> List.map (fun (name, f) -> (name, `Quick, f))

@@ -165,6 +165,26 @@ let test_sampled_matches_law () =
   if tv > 0.05 then
     Alcotest.failf "sampled one-round TV %.4f exceeds the 0.05 tolerance" tv
 
+(* A reset must leave no trace of the sampler's old cutoff table: from
+   the same seed, a sampled sim run and then reset to v0 replays a fresh
+   sampled sim started at v0. *)
+let test_sampled_reset_replays_fresh () =
+  let n = 8 and m = 12 in
+  let p = Rbb.make (Rbb.dchoice 2) ~n in
+  let v0 = Lv.all_in_one ~n ~m in
+  let sampled () = Rbb.sim_repr ~repr:Core.Repr.Count_sampled p v0 in
+  let trace s =
+    let g = rng_of 77 in
+    List.init 20 (fun _ ->
+        Engine.Sim.step s g;
+        Engine.Sim.observe s)
+  in
+  let reused = sampled () in
+  Engine.Sim.iterate reused (rng_of 5) 10;
+  Engine.Sim.reset reused v0;
+  if not (List.equal Lv.equal (trace (sampled ())) (trace reused)) then
+    Alcotest.fail "a reset sampled round sim diverges from a fresh one"
+
 (* {2 Event vocabulary} *)
 
 let test_round_event_vocabulary () =
@@ -245,6 +265,8 @@ let suite =
     Alcotest.test_case "uniform rule is ABKU[1]" `Quick test_uniform_is_abku1;
     Alcotest.test_case "sampled backend matches the one-round law" `Slow
       test_sampled_matches_law;
+    Alcotest.test_case "sampled reset replays a fresh sim" `Quick
+      test_sampled_reset_replays_fresh;
     Alcotest.test_case "round event vocabulary" `Quick
       test_round_event_vocabulary;
     Alcotest.test_case "identity service machine" `Quick test_service_machine;
