@@ -107,10 +107,9 @@ let simulate seed n m scenario rule steps adversarial =
     (Stats.Summary.mean max_summary)
     (int_of_float (Stats.Summary.max max_summary));
   Printf.printf "probes per insertion: %.3f\n" (Stats.Summary.mean probes);
-  let hist = Stats.Histogram.create () in
-  Array.iter (Stats.Histogram.add hist) (Core.Bins.loads (Core.System.bins system));
+  let hist = Stats.Freq.of_values (Core.Bins.loads (Core.System.bins system)) in
   Printf.printf "final load histogram:\n%s"
-    (Format.asprintf "%a" Stats.Histogram.pp hist)
+    (Format.asprintf "%a" Stats.Freq.pp hist)
 
 let simulate_cmd =
   let adversarial =
@@ -1024,71 +1023,83 @@ let jfloat ?(default = 0.) name j =
   | Some (Experiment.Json.Int i) -> float_of_int i
   | _ -> default
 
+(* A labelled family of the stats reply as (label value, series). *)
+let family ~label name j =
+  match Experiment.Json.member name j with
+  | Some (Experiment.Json.List series) ->
+      List.filter_map
+        (fun s ->
+          match Experiment.Json.member label s with
+          | Some (Experiment.Json.String v) -> Some (v, s)
+          | _ -> None)
+        series
+  | _ -> []
+
 let render_dashboard j =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "uptime %.1fs  seq %d  balls %d  max_load %d  watermark %d\n"
-    (jfloat "uptime_s" j) (jint "seq" j) (jint "balls" j) (jint "max_load" j)
-    (jint "watermark" j);
+    (jfloat "uptime_seconds" j) (jint "seq" j) (jint "balls" j)
+    (jint "max_load" j) (jint "watermark" j);
   add
     "clients %d (of %d connections)  requests %d  events %d  errors %d  \
      rounds %d\n"
     (jint "clients" j) (jint "connections" j) (jint "requests" j)
     (jint "events" j) (jint "errors" j) (jint "rounds" j);
   (match Experiment.Json.member "round_ns" j with
-  | Some r when jint "count" r > 0 ->
+  | Some r ->
       add "rounds: mean %.1f us, p99 %.1f us; mean batch %.1f events\n"
         (jfloat "mean" r /. 1e3)
         (jfloat "p99" r /. 1e3)
         (match Experiment.Json.member "batch_events" j with
         | Some be -> jfloat "mean" be
         | None -> 0.)
-  | _ -> ());
-  (match Experiment.Json.member "ops" j with
-  | Some (Experiment.Json.Obj ops) when ops <> [] ->
+  | None -> ());
+  (match family ~label:"op" "latency_ns" j with
+  | [] -> ()
+  | ops ->
       add "\n%-10s %10s %11s %11s %11s %11s\n" "op" "count" "p50(us)"
         "p90(us)" "p99(us)" "p999(us)";
       List.iter
-        (fun (name, o) ->
-          match Experiment.Json.member "latency_ns" o with
-          | Some lat when jint "count" lat > 0 ->
-              add "%-10s %10d %11.1f %11.1f %11.1f %11.1f\n" name
-                (jint "count" lat)
-                (jfloat "p50" lat /. 1e3)
-                (jfloat "p90" lat /. 1e3)
-                (jfloat "p99" lat /. 1e3)
-                (jfloat "p999" lat /. 1e3)
-          | _ -> ())
-        ops
-  | _ -> ());
-  (match Experiment.Json.member "shards" j with
-  | Some (Experiment.Json.List shards) when shards <> [] ->
+        (fun (op, lat) ->
+          add "%-10s %10d %11.1f %11.1f %11.1f %11.1f\n" op (jint "count" lat)
+            (jfloat "p50" lat /. 1e3)
+            (jfloat "p90" lat /. 1e3)
+            (jfloat "p99" lat /. 1e3)
+            (jfloat "p999" lat /. 1e3))
+        ops);
+  (match family ~label:"shard" "shard_balls" j with
+  | [] -> ()
+  | shards ->
+      let gauge name shard =
+        match List.assoc_opt shard (family ~label:"shard" name j) with
+        | Some s -> jint "value" s
+        | None -> 0
+      and drains = family ~label:"shard" "shard_drain_ns" j in
       add "\n%-6s %10s %9s %10s %8s %10s %12s\n" "shard" "balls" "max_load"
         "applied" "queue" "drains" "drain p99us";
       List.iter
-        (fun s ->
-          let drain = Experiment.Json.member "drain_ns" s in
-          add "%-6d %10d %9d %10d %8d %10d %12.1f\n" (jint "shard" s)
-            (jint "balls" s) (jint "max_load" s) (jint "applied" s)
-            (jint "queue_depth" s)
+        (fun (shard, balls) ->
+          let drain = List.assoc_opt shard drains in
+          add "%-6s %10d %9d %10d %8d %10d %12.1f\n" shard (jint "value" balls)
+            (gauge "shard_max_load" shard)
+            (gauge "shard_applied" shard)
+            (gauge "shard_queue_depth" shard)
             (match drain with Some d -> jint "count" d | None -> 0)
             (match drain with Some d -> jfloat "p99" d /. 1e3 | None -> 0.))
-        shards
-  | _ -> ());
-  (match Experiment.Json.member "durability" j with
-  | Some d ->
-      add
-        "\ndurability: journal %d bytes (flushed %.1fs ago%s), snapshot seq \
-         %d (%.1fs ago), %d mutations since\n"
-        (jint "journal_bytes" d)
-        (jfloat "flush_age_s" d)
-        (match Experiment.Json.member "sync_age_s" d with
-        | Some (Experiment.Json.Float s) -> Printf.sprintf ", fsynced %.1fs ago" s
-        | _ -> "")
-        (jint "snapshot_seq" d)
-        (jfloat "snapshot_age_s" d)
-        (jint "since_snapshot" d)
-  | None -> ());
+        shards);
+  if Experiment.Json.member "journal_bytes" j <> None then
+    add
+      "\ndurability: journal %d bytes (flushed %.1fs ago%s), snapshot seq %d \
+       (%.1fs ago), %d mutations since\n"
+      (jint "journal_bytes" j)
+      (jfloat "journal_flush_age_seconds" j)
+      (match Experiment.Json.member "journal_sync_age_seconds" j with
+      | Some (Experiment.Json.Float s) -> Printf.sprintf ", fsynced %.1fs ago" s
+      | _ -> "")
+      (jint "snapshot_seq" j)
+      (jfloat "snapshot_age_seconds" j)
+      (jint "since_snapshot" j);
   Buffer.contents b
 
 let stat connect json prom interval count =

@@ -53,16 +53,16 @@ let () =
   in
   let sys = Core.System.create Core.Scenario.B (Core.Scheduling_rule.abku 2) bins in
   Core.System.run g sys ~steps:(100 * n);
-  let hist = Stats.Histogram.create () in
+  let hist = Stats.Freq.create ~size:(n + 1) in
   for _ = 1 to 200 do
     Core.System.run g sys ~steps:n;
-    Array.iter (Stats.Histogram.add hist) (Core.Bins.loads (Core.System.bins sys))
+    Array.iter (Stats.Freq.observe hist) (Core.Bins.loads (Core.System.bins sys))
   done;
   let fluid = Fluid.Mean_field.fixed_point_b ~d:2 ~m_over_n:1. ~levels:10 in
   Printf.printf "\nStationary bucket depth (scenario B) vs fluid limit:\n";
   Printf.printf "  %5s  %10s  %10s\n" "depth" "P(>=depth)" "fluid s_i";
   for i = 1 to 5 do
     Printf.printf "  %5d  %10.5f  %10.5f\n" i
-      (Stats.Histogram.fraction_at_least hist i)
+      (Stats.Freq.fraction_at_least hist i)
       fluid.(i - 1)
   done

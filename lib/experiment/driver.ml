@@ -100,49 +100,20 @@ let print_banner config =
     (Config.mode_description config)
     config.Config.seed
 
-(* Aggregate telemetry for the results document: every counter and
-   histogram that recorded something during the run.  Populated only
-   while tracing is enabled (the [tracing] field says which), and
-   influenced by probe scheduling — the deterministic view strips the
-   whole section. *)
+(* Telemetry for the results document: the global registry's JSON view,
+   i.e. every gated counter and histogram that recorded something
+   during the run.  Populated only while tracing is enabled (the
+   [tracing] field says which), and influenced by probe scheduling: the
+   deterministic view strips the whole section. *)
 let telemetry_json () =
-  let hist_json (s : Obs.Hist.snapshot) =
-    Json.Obj
-      ([
-         ("count", Json.Int s.count);
-         ("sum", Json.Int s.sum);
-         ("max", Json.Int s.max);
-       ]
-      @ List.map (fun (k, v) -> (k, Json.Float v)) (Obs.Hist.percentiles s)
-      @ [
-        ( "buckets",
-          Json.List
-            (List.map
-               (fun (lo, hi, c) ->
-                 Json.Obj
-                   [
-                     ("lo", Json.Int lo);
-                     ("hi", Json.Int hi);
-                     ("count", Json.Int c);
-                   ])
-               s.buckets) );
-      ])
-  in
   Json.Obj
-    [
-      ("tracing", Json.Bool (Obs.enabled ()));
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (Obs.counters ()))
-      );
-      ( "histograms",
-        Json.Obj (List.map (fun (k, s) -> (k, hist_json s)) (Obs.histograms ()))
-      );
-    ]
+    (("tracing", Json.Bool (Obs.enabled ()))
+    :: Obs.Registry.to_json Obs.Registry.global)
 
 let results_json ~config outcomes =
   Json.Obj
     [
-      ("schema", Json.String "repro.bench-results/3");
+      ("schema", Json.String "repro.bench-results/4");
       ( "config",
         Json.Obj
           [

@@ -156,13 +156,12 @@ module Hist = struct
       go (q *. float_of_int s.count) s.buckets
     end
 
+  let points = [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99); ("p999", 0.999) ]
   let percentiles (s : snapshot) =
-    List.map
-      (fun (name, q) -> (name, quantile s q))
-      [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99); ("p999", 0.999) ]
+    List.map (fun (name, q) -> (name, quantile s q)) points
 end
 
-(* ---- named-instrument registries ---- *)
+(* ---- the instrument registry ---- *)
 
 let registry_lock = Mutex.create ()
 
@@ -170,63 +169,248 @@ let with_lock f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
 
-module Counter = struct
-  type t = { name : string; cell : int Atomic.t }
+module Registry = struct
+  module Json = Common.Json
 
-  let registry : t list ref = ref []
+  type kind = Counter | Gauge | Histogram
+  type value = Int of int | Float of float | Hist of Hist.snapshot
+
+  (* What a scrape reads.  The gated globals keep their cell or bank
+     here, so [Counter.make] can hand back the instrument registered
+     under a name and [reset] can zero it. *)
+  type source =
+    | Cell of int Atomic.t
+    | Bank of Hist.t
+    | Read of (unit -> value option)
+
+  type series = {
+    name : string;
+    labels : (string * string) list;
+    help : string;
+    kind : kind;
+    source : source;
+  }
+
+  type t = { mutable series : series list (* newest first *) }
+
+  let create () = { series = [] }
+  let global = create ()
+
+  let add t ?(labels = []) ~help kind name source =
+    with_lock (fun () ->
+        if
+          List.exists
+            (fun s -> s.name = name && (s.labels = labels || s.kind <> kind))
+            t.series
+        then invalid_arg ("Obs.Registry: series registered twice: " ^ name);
+        t.series <- { name; labels; help; kind; source } :: t.series)
+
+  let int_series kind t ?labels ~help name read =
+    add t ?labels ~help kind name (Read (fun () -> Some (Int (read ()))))
+
+  let counter t = int_series Counter t
+  let gauge t = int_series Gauge t
+
+  let gauge_float t ?labels ~help name read =
+    add t ?labels ~help Gauge name
+      (Read (fun () -> Option.map (fun f -> Float f) (read ())))
+
+  let histogram t ?labels ~help name h = add t ?labels ~help Histogram name (Bank h)
+
+  (* The gated globals: the source registered under [name], or a fresh
+     one registered now. *)
+  let find_or_add t kind name fresh =
+    with_lock (fun () ->
+        match List.find_opt (fun s -> s.name = name) t.series with
+        | Some s -> s.source
+        | None ->
+            let source = fresh () in
+            t.series <- { name; labels = []; help = name; kind; source } :: t.series;
+            source)
+
+  let reset t =
+    with_lock (fun () ->
+        List.iter
+          (fun s ->
+            match s.source with
+            | Cell c -> Atomic.set c 0
+            | Bank h -> Hist.reset h
+            | Read _ -> ())
+          t.series)
+
+  (* A series with nothing to show reads [None]: an empty histogram, a
+     gated counter that never fired, a gauge with no value yet. *)
+  let read s =
+    match s.source with
+    | Cell c -> ( match Atomic.get c with 0 -> None | v -> Some (Int v))
+    | Bank h ->
+        let snap = Hist.snapshot h in
+        if snap.Hist.count = 0 then None else Some (Hist snap)
+    | Read f -> f ()
+
+  (* One scrape, grouped into families in registration order; each
+     family is its non-empty list of present series. *)
+  let families t =
+    let present =
+      List.filter_map
+        (fun s -> Option.map (fun v -> (s, v)) (read s))
+        (with_lock (fun () -> List.rev t.series))
+    in
+    List.fold_left
+      (fun names (s, _) -> if List.mem s.name names then names else s.name :: names)
+      [] present
+    |> List.rev_map (fun name -> List.filter (fun (s, _) -> s.name = name) present)
+
+  let snapshot_fields (h : Hist.snapshot) =
+    [ ("count", Json.Int h.count); ("sum", Json.Int h.sum);
+      ("max", Json.Int h.max); ("mean", Json.Float (Hist.mean h)) ]
+    @ List.map (fun (k, q) -> (k, Json.Float q)) (Hist.percentiles h)
+    @ [
+        ( "buckets",
+          Json.List
+            (List.map
+               (fun (lo, hi, c) ->
+                 Json.Obj
+                   [ ("lo", Json.Int lo); ("hi", Json.Int hi); ("count", Json.Int c) ])
+               h.buckets) );
+      ]
+
+  let value_json = function
+    | Int i -> Json.Int i
+    | Float f -> Json.Float f
+    | Hist h -> Json.Obj (snapshot_fields h)
+
+  (* An unlabelled series is one field; a labelled family is a list of
+     objects, each its labels as strings plus [value] or the histogram
+     fields. *)
+  let to_json t =
+    List.map
+      (fun family ->
+        match family with
+        | [ (s, v) ] when s.labels = [] -> (s.name, value_json v)
+        | _ ->
+            let series_json (s, v) =
+              let fields =
+                match v with
+                | Hist h -> snapshot_fields h
+                | v -> [ ("value", value_json v) ]
+              in
+              Json.Obj (List.map (fun (k, l) -> (k, Json.String l)) s.labels @ fields)
+            in
+            ((fst (List.hd family)).name, Json.List (List.map series_json family)))
+      (families t)
+
+  let prom_number f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else Printf.sprintf "%.6g" f
+
+  (* The Prometheus metrics of one series, as (name suffix, type, help
+     suffix, samples): histograms become quantile gauges with [_count]
+     and [_sum] companions.  Series of one family share a kind, so they
+     list the same metrics in the same order. *)
+  let prom_metrics kind labels = function
+    | Int i when kind = Counter ->
+        [ ("_total", "counter", "", [ (labels, string_of_int i) ]) ]
+    | Int i -> [ ("", "gauge", "", [ (labels, string_of_int i) ]) ]
+    | Float f -> [ ("", "gauge", "", [ (labels, prom_number f) ]) ]
+    | Hist h ->
+        [
+          ( "", "gauge", "",
+            List.map
+              (fun (_, q) ->
+                ( labels @ [ ("quantile", Printf.sprintf "%g" q) ],
+                  prom_number (Hist.quantile h q) ))
+              Hist.points );
+          ("_count", "counter", " (observations)", [ (labels, string_of_int h.count) ]);
+          ("_sum", "counter", " (total)", [ (labels, string_of_int h.sum) ]);
+        ]
+
+  let rec transpose = function
+    | [] | [] :: _ -> []
+    | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
+
+  (* Label values are escaped once, as the text format specifies; every
+     other byte (UTF-8 included) passes through. *)
+  let label_value v =
+    String.to_seq v
+    |> Seq.map (function
+         | '\\' -> "\\\\"
+         | '"' -> "\\\""
+         | '\n' -> "\\n"
+         | c -> String.make 1 c)
+    |> List.of_seq |> String.concat ""
+
+  let add_sample buf name (labels, sample) =
+    let labels =
+      List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (label_value v)) labels
+    in
+    Printf.bprintf buf "%s%s %s\n" name
+      (if labels = [] then "" else "{" ^ String.concat "," labels ^ "}")
+      sample
+
+  (* Each metric's HELP and TYPE once, then the samples of every series
+     of its family. *)
+  let to_prom ~prefix t =
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun family ->
+        let help = (fst (List.hd family)).help in
+        let family_name = prefix ^ (fst (List.hd family)).name in
+        List.iter
+          (fun metric ->
+            let suffix, typ, help_suffix, _ = List.hd metric in
+            let name = family_name ^ suffix in
+            Printf.bprintf buf "# HELP %s %s%s\n# TYPE %s %s\n" name help
+              help_suffix name typ;
+            List.iter
+              (fun (_, _, _, samples) -> List.iter (add_sample buf name) samples)
+              metric)
+          (transpose
+             (List.map (fun (s, v) -> prom_metrics s.kind s.labels v) family)))
+      (families t);
+    Buffer.contents buf
+end
+
+module Counter = struct
+  type t = int Atomic.t
 
   let make name =
-    with_lock (fun () ->
-        match List.find_opt (fun c -> c.name = name) !registry with
-        | Some c -> c
-        | None ->
-            let c = { name; cell = Atomic.make 0 } in
-            registry := c :: !registry;
-            c)
+    match
+      Registry.(find_or_add global Counter name (fun () -> Cell (Atomic.make 0)))
+    with
+    | Registry.Cell c -> c
+    | _ -> invalid_arg ("Obs.Counter.make: not a counter: " ^ name)
 
-  let add t k = if !on then ignore (Atomic.fetch_and_add t.cell k)
+  let add t k = if !on then ignore (Atomic.fetch_and_add t k)
   let incr t = add t 1
-  let value t = Atomic.get t.cell
+  let value t = Atomic.get t
 end
 
 module Histogram = struct
-  type t = { name : string; hist : Hist.t }
-
-  let registry : t list ref = ref []
+  type t = Hist.t
 
   let make name =
-    with_lock (fun () ->
-        match List.find_opt (fun h -> h.name = name) !registry with
-        | Some h -> h
-        | None ->
-            let h = { name; hist = Hist.create () } in
-            registry := h :: !registry;
-            h)
+    match
+      Registry.(find_or_add global Histogram name (fun () -> Bank (Hist.create ())))
+    with
+    | Registry.Bank h -> h
+    | _ -> invalid_arg ("Obs.Histogram.make: not a histogram: " ^ name)
 
-  let observe t v = if !on then Hist.observe t.hist v
-  let observe_ns t ns = if !on then Hist.observe t.hist (Int64.to_int ns)
-  let snapshot t = Hist.snapshot t.hist
+  let observe t v = if !on then Hist.observe t v
+  let observe_ns t ns = if !on then Hist.observe t (Int64.to_int ns)
+  let snapshot = Hist.snapshot
 end
 
-(* Aggregate views for the telemetry sink: only instruments that have
-   recorded something, sorted by name so the output is stable. *)
+(* The global counters that fired, sorted by name: a flat view for
+   callers that look one counter up by name. *)
 let counters () =
-  with_lock (fun () ->
-      List.filter_map
-        (fun (c : Counter.t) ->
-          let v = Atomic.get c.cell in
-          if v = 0 then None else Some (c.name, v))
-        !Counter.registry)
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let histograms () =
-  with_lock (fun () ->
-      List.filter_map
-        (fun (h : Histogram.t) ->
-          let s = Hist.snapshot h.hist in
-          if s.Hist.count = 0 then None else Some (h.name, s))
-        !Histogram.registry)
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  List.concat_map
+    (List.filter_map (fun ((s : Registry.series), v) ->
+         match (s.kind, v) with
+         | Registry.Counter, Registry.Int v -> Some (s.name, v)
+         | _ -> None))
+    (Registry.families Registry.global)
+  |> List.sort compare
 
 (* ---- trace events ---- *)
 
@@ -367,27 +551,15 @@ let reset () =
         (fun b ->
           b.events <- [];
           b.seq <- 0)
-        !buffers;
-      List.iter (fun (c : Counter.t) -> Atomic.set c.cell 0) !Counter.registry;
-      List.iter (fun (h : Histogram.t) -> Hist.reset h.hist) !Histogram.registry);
+        !buffers);
+  Registry.reset Registry.global;
   Atomic.set task_counter 1
 
 (* ---- Chrome/Perfetto trace-event JSON ---- *)
 
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  Common.Json.add_escaped buf s;
   Buffer.add_char buf '"'
 
 let add_arg buf (k, v) =

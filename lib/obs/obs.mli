@@ -1,9 +1,10 @@
 (** Tracing and telemetry.
 
-    One subsystem for all three execution layers (engine, exact
-    analysis, experiment framework): nestable {e spans} on a monotonic
-    clock, named {e counters} and log-bucketed {e histograms}, and a
-    Chrome/Perfetto trace-event JSON export.
+    One subsystem for every layer (engine, exact analysis, experiment
+    framework, serve daemon): nestable {e spans} on a monotonic clock,
+    a {e registry} of named counters, gauges and log-bucketed
+    histograms with a JSON and a Prometheus view, and a Chrome/Perfetto
+    trace-event JSON export.
 
     {b Overhead contract.}  Everything is gated on one static flag set
     by {!enable}: while disabled (the default), every recording entry
@@ -30,8 +31,8 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Drop all buffered events and zero every counter and histogram (they
-    stay registered).  Also resets the task-track allocator. *)
+(** Drop all buffered events and zero every {!Counter} and {!Histogram}
+    (they stay registered).  Also resets the task-track allocator. *)
 
 (** Monotonic wall-clock (CLOCK_MONOTONIC): immune to NTP adjustments,
     which can make [Unix.gettimeofday] deltas negative or inflated. *)
@@ -97,8 +98,65 @@ module Hist : sig
       {!quantile} — the latency summary the serve layer exports. *)
 end
 
-(** Named global counters (e.g. spmv calls).  [make] registers by name
-    (idempotent); increments are atomic and no-ops while disabled. *)
+(** Named instruments and their two derived views.
+
+    A series is a name, a label set, a help string, a kind (counter,
+    gauge or histogram) and a read that runs on every scrape.  Series
+    sharing a name form a {e family} of one kind.  Both views leave out
+    a series with nothing to show (an empty histogram, a gauge whose
+    read returns [None], a gated {!Counter} that never fired) and a
+    family with no series left.
+
+    {!Registry.global} holds the gated {!Counter} and {!Histogram}
+    instruments; any other owner (the serve daemon) makes its own with
+    {!Registry.create}. *)
+module Registry : sig
+  type t
+
+  val create : unit -> t
+  val global : t
+
+  val counter :
+    t -> ?labels:(string * string) list -> help:string -> string ->
+    (unit -> int) -> unit
+  (** Register a monotone count.
+      @raise Invalid_argument if the name and labels are already
+      registered, or the name has another kind (likewise below). *)
+
+  val gauge :
+    t -> ?labels:(string * string) list -> help:string -> string ->
+    (unit -> int) -> unit
+
+  val gauge_float :
+    t -> ?labels:(string * string) list -> help:string -> string ->
+    (unit -> float option) -> unit
+
+  val histogram :
+    t -> ?labels:(string * string) list -> help:string -> string ->
+    Hist.t -> unit
+  (** Register a histogram the owner observes directly: recording
+      never goes through the registry. *)
+
+  val to_json : t -> (string * Common.Json.t) list
+  (** One field per family, named like the series.  An unlabelled
+      series is its value: an int, a float, or a histogram object with
+      [count], [sum], [max], [mean], [p50]/[p90]/[p99]/[p999] and its
+      non-empty [buckets] ([lo], [hi], [count]).  A labelled family is
+      a list of objects, each its labels as string fields plus [value]
+      or the histogram fields. *)
+
+  val to_prom : prefix:string -> t -> string
+  (** The Prometheus text exposition: per metric one [# HELP] and one
+      [# TYPE] line, then its samples.  A family's metric is
+      [prefix ^ name]; counters add [_total]; histograms become
+      quantile gauges with [_count] and [_sum] counter companions.
+      Label values are escaped once: backslash, double quote and
+      newline. *)
+end
+
+(** Named gated counters (e.g. spmv calls), registered in
+    {!Registry.global}.  [make] finds or registers by name (idempotent);
+    increments are atomic and no-ops while disabled. *)
 module Counter : sig
   type t
 
@@ -108,9 +166,10 @@ module Counter : sig
   val value : t -> int
 end
 
-(** Named global histograms (probes per insertion, coalescence times,
-    spmv row cost, load watermarks).  [make] registers by name
-    (idempotent); observation is a no-op while disabled. *)
+(** Named gated histograms (probes per insertion, coalescence times,
+    spmv row cost, load watermarks), registered in {!Registry.global}.
+    [make] finds or registers by name (idempotent); observation is a
+    no-op while disabled. *)
 module Histogram : sig
   type t
 
@@ -121,10 +180,8 @@ module Histogram : sig
 end
 
 val counters : unit -> (string * int) list
-(** Counters that recorded something, sorted by name. *)
-
-val histograms : unit -> (string * Hist.snapshot) list
-(** Histograms that recorded something, sorted by name. *)
+(** Global counters that recorded something, sorted by name: a flat
+    view of {!Registry.global} for looking one counter up by name. *)
 
 (** {1 Spans} *)
 

@@ -47,10 +47,7 @@ type t = {
 
 let config t = t.config
 let seq t = t.seq
-let shard_count t = Array.length t.shards
 let total_balls t = t.total
-let shard t i = t.shards.(i)
-let set_telemetry t tel = t.tel <- Some tel
 let queue_depths t = Array.map (fun q -> q.len) t.queues
 
 let validate_config c =
@@ -245,6 +242,29 @@ let watermark t =
 
 let loads t =
   Array.concat (Array.to_list (Array.map Shard.loads t.shards))
+
+let set_telemetry t tel =
+  t.tel <- Some tel;
+  let gauge ?labels name help read =
+    Obs.Registry.gauge (Telemetry.registry tel) ?labels name ~help read
+  in
+  gauge "seq" "Mutations routed over the service history" (fun () -> t.seq);
+  gauge "balls" "Balls currently in the system" (fun () -> t.total);
+  gauge "max_load" "Current maximum bin load" (fun () -> max_load t);
+  gauge "watermark" "Highest load seen since boot" (fun () -> watermark t);
+  Array.iteri
+    (fun s sh ->
+      let gauge = gauge ~labels:[ ("shard", string_of_int s) ] in
+      gauge "shard_bins" "Bins owned by the shard" (fun () -> Shard.bin_count sh);
+      gauge "shard_balls" "Balls in the shard" (fun () -> Shard.balls sh);
+      gauge "shard_max_load" "Shard maximum bin load" (fun () -> Shard.max_load sh);
+      gauge "shard_watermark" "Highest shard load seen since boot" (fun () ->
+          Shard.watermark sh);
+      gauge "shard_applied" "Mutations applied by the shard" (fun () ->
+          Shard.applied sh);
+      gauge "shard_queue_depth" "Pending events queued for the shard" (fun () ->
+          t.queues.(s).len))
+    t.shards
 
 let answer_query t ev =
   match ev with

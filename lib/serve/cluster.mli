@@ -56,14 +56,15 @@ val seq : t -> int
 (** Mutation events routed since creation (counting rejected ones —
     this is the journal sequence number). *)
 
-val shard_count : t -> int
 val total_balls : t -> int
-val shard : t -> int -> Shard.t
 
 val set_telemetry : t -> Telemetry.t -> unit
 (** Attach a telemetry bank: route and shard-apply stages (and drain
-    depth/duration per shard) are timed into it from then on.  Without
-    one the hot path performs no clock reads. *)
+    depth/duration per shard) are timed into it from then on, and the
+    cluster's gauges ([seq], [balls], [max_load], [watermark] and the
+    per-shard [shard_*] family) are registered in its registry.
+    Without one the hot path performs no clock reads.  Attach at most
+    once. *)
 
 val queue_depths : t -> int array
 (** Pending (queued, unflushed) events per shard — zero at batch

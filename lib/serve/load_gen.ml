@@ -89,7 +89,7 @@ let run ~connect:addr ?(ops = 200_000) ?(batch = 512) ?(mix = default_mix)
          batch's write: the honest closed-loop number — it includes
          queueing behind the pipeline, not just server service time. *)
       let lat = Obs.Hist.create () in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now_ns () in
       (try
          while !sent < ops do
            let k = min batch (ops - !sent) in
@@ -107,7 +107,7 @@ let run ~connect:addr ?(ops = 200_000) ?(batch = 512) ?(mix = default_mix)
            done;
            sent := !sent + k
          done;
-         let seconds = Unix.gettimeofday () -. t0 in
+         let seconds = Obs.Clock.seconds_since t0 in
          Ok
            { ops = !sent; errors = !errors; seconds;
              ops_per_sec = (if seconds > 0. then float_of_int !sent /. seconds else 0.);

@@ -11,7 +11,9 @@
 
    Telemetry is always on: every request is timed through its
    lifecycle stages (decode here, route/apply in the cluster, reply
-   here) into a {!Telemetry} bank the [stats] op reports from.  When
+   here) into a {!Telemetry} bank.  The [stats] op renders the bank's
+   registry, where the server, the cluster and the store also register
+   their counters and gauges.  When
    [trace] is set, the daemon additionally records Obs spans for a
    sampled 1-in-[trace_sample] request per round — a full
    request/decode/apply/reply span tree per sample — and writes the
@@ -41,10 +43,6 @@ let default_config ~listen ~cluster =
     trace_sample = 64 }
 
 type backend = Durable of Store.t | Ephemeral of Cluster.t
-
-let backend_cluster = function
-  | Durable s -> Store.cluster s
-  | Ephemeral c -> c
 
 let backend_apply b events =
   match b with
@@ -139,41 +137,23 @@ let run ?on_ready config =
       rounds = 0 }
   in
   let tel = Telemetry.create ~shards:config.cluster.Cluster.shards in
-  Cluster.set_telemetry (backend_cluster backend) tel;
+  (match backend with
+  | Durable s -> Store.set_telemetry s tel
+  | Ephemeral c -> Cluster.set_telemetry c tel);
+  let registry = Telemetry.registry tel in
+  let counter name help read = Obs.Registry.counter registry name ~help read in
+  counter "connections" "Connections accepted" (fun () -> stats.connections);
+  Obs.Registry.gauge registry "clients" ~help:"Currently connected clients"
+    (fun () -> stats.live);
+  counter "requests" "Requests parsed" (fun () -> stats.requests);
+  counter "events" "Events applied" (fun () -> stats.events);
+  counter "errors" "Error replies" (fun () -> stats.errors);
+  counter "rounds" "Select rounds with traffic" (fun () -> stats.rounds);
   (match config.trace with Some _ -> Obs.enable () | None -> ());
   let trace_on = config.trace <> None && config.trace_sample > 0 in
   (* Next request count at which to sample a trace; starts at 1 so even
      a short run records at least one request tree. *)
   let next_trace = ref 1 in
-  let telemetry_inputs () =
-    let cluster = backend_cluster backend in
-    let totals =
-      { Telemetry.connections = stats.connections; live = stats.live;
-        requests = stats.requests; events = stats.events;
-        errors = stats.errors; rounds = stats.rounds }
-    in
-    let cg =
-      { Telemetry.seq = Cluster.seq cluster;
-        balls_total = Cluster.total_balls cluster;
-        max_load = Cluster.max_load cluster;
-        watermark = Cluster.watermark cluster }
-    in
-    let depths = Cluster.queue_depths cluster in
-    let shards =
-      List.init (Cluster.shard_count cluster) (fun s ->
-          let sh = Cluster.shard cluster s in
-          { Telemetry.shard = s; bins = Shard.bin_count sh;
-            balls = Shard.balls sh; shard_max_load = Shard.max_load sh;
-            shard_watermark = Shard.watermark sh; applied = Shard.applied sh;
-            queue_depth = depths.(s) })
-    in
-    let durability =
-      match backend with
-      | Durable s -> Some (Store.durability s)
-      | Ephemeral _ -> None
-    in
-    (totals, cg, shards, durability)
-  in
   if not config.quiet then begin
     Printf.printf
       "repro serve: listening on %s (n=%d m=%d shards=%d process=%s rule=%s \
@@ -343,17 +323,12 @@ let run ?on_ready config =
                 | Engine.Event.Rejected _ -> stats.errors <- stats.errors + 1
                 | _ -> ());
                 Wire.add_reply p.pc.out ~id:p.pid replies.(ix)
-            | Stats_slot fmt -> (
-                let totals, cg, shards, durability = telemetry_inputs () in
-                match fmt with
-                | Wire.Stats_json ->
-                    Wire.add_stats p.pc.out ~id:p.pid
-                      (Telemetry.report_json tel ~totals ~cluster:cg ~shards
-                         ~durability)
-                | Wire.Stats_prom ->
-                    Wire.add_stats_text p.pc.out ~id:p.pid
-                      (Telemetry.report_prom tel ~totals ~cluster:cg ~shards
-                         ~durability)));
+            | Stats_slot Wire.Stats_json ->
+                Wire.add_stats p.pc.out ~id:p.pid
+                  (Obs.Registry.to_json registry)
+            | Stats_slot Wire.Stats_prom ->
+                Wire.add_stats_text p.pc.out ~id:p.pid
+                  (Obs.Registry.to_prom ~prefix:"repro_serve_" registry));
             Obs.end_span rspan;
             let t_end = Obs.Clock.now_ns () in
             Telemetry.observe_stage tel Telemetry.Reply ~op:p.pop

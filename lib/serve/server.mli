@@ -12,8 +12,8 @@
     load plus journal replay.
 
     Every request is timed through its lifecycle stages into an
-    always-on {!Telemetry} bank, reported by the [stats] wire op (JSON
-    or Prometheus text).  With [trace] set, a sampled
+    always-on {!Telemetry} bank; the [stats] wire op renders the bank's
+    registry (JSON or Prometheus text).  With [trace] set, a sampled
     1-in-[trace_sample] request (at most one per round) additionally
     records a [serve.request]/[serve.decode]/[serve.apply]/[serve.reply]
     span tree, exported as a Perfetto trace on graceful shutdown. *)

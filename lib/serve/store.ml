@@ -75,7 +75,7 @@ let restore_cluster ?pool ~snapshot_path ~journal_path config fp =
 let open_ ?pool ?(snapshot_every = 1_000_000) ?(sync = false) ~dir config =
   if snapshot_every <= 0 then
     invalid_arg "Serve.Store.open_: snapshot_every must be positive";
-  Experiment.Util.mkdir_p dir;
+  Common.Util.mkdir_p dir;
   let snapshot_path = Filename.concat dir snapshot_file in
   let journal_path = Filename.concat dir journal_file in
   let fp = Journal.fingerprint_of_config config in
@@ -96,15 +96,23 @@ let cluster t = t.cluster
 let config t = t.config
 let seq t = Cluster.seq t.cluster
 
-let durability t : Telemetry.durability =
-  {
-    Telemetry.journal_bytes = Journal.Writer.bytes t.writer;
-    flush_age_s = Journal.Writer.flush_age_s t.writer;
-    sync_age_s = Journal.Writer.sync_age_s t.writer;
-    snapshot_seq = t.last_snapshot_seq;
-    snapshot_age_s = Obs.Clock.seconds_since t.last_snapshot_ns;
-    since_snapshot = Cluster.seq t.cluster - t.last_snapshot_seq;
-  }
+let set_telemetry t tel =
+  Cluster.set_telemetry t.cluster tel;
+  let r = Telemetry.registry tel in
+  let gauge name help read = Obs.Registry.gauge r name ~help read
+  and age name help read = Obs.Registry.gauge_float r name ~help read in
+  gauge "journal_bytes" "Journal file size in bytes" (fun () ->
+      Journal.Writer.bytes t.writer);
+  age "journal_flush_age_seconds" "Seconds since the journal last flushed"
+    (fun () -> Some (Journal.Writer.flush_age_s t.writer));
+  age "journal_sync_age_seconds" "Seconds since the journal last fsynced"
+    (fun () -> Journal.Writer.sync_age_s t.writer);
+  gauge "snapshot_seq" "Sequence of the last snapshot" (fun () ->
+      t.last_snapshot_seq);
+  age "snapshot_age_seconds" "Seconds since the last snapshot" (fun () ->
+      Some (Obs.Clock.seconds_since t.last_snapshot_ns));
+  gauge "since_snapshot" "Mutations not yet covered by a snapshot" (fun () ->
+      Cluster.seq t.cluster - t.last_snapshot_seq)
 
 let snapshot_now t =
   Journal.save_snapshot ~path:t.snapshot_path t.fp (Cluster.state t.cluster);

@@ -31,10 +31,13 @@ val config : t -> Cluster.config
 val seq : t -> int
 (** Mutations routed over the service's whole history. *)
 
-val durability : t -> Telemetry.durability
-(** Point-in-time durability gauges for the stats report: journal size,
-    flush/fsync ages, last snapshot sequence and age, and mutations not
-    yet covered by a snapshot. *)
+val set_telemetry : t -> Telemetry.t -> unit
+(** {!Cluster.set_telemetry} on the store's cluster, plus the
+    durability gauges: journal size ([journal_bytes]), flush and fsync
+    ages ([journal_flush_age_seconds]; [journal_sync_age_seconds],
+    absent before the first fsync), the last snapshot's sequence and
+    age ([snapshot_seq], [snapshot_age_seconds]) and the mutations not
+    yet covered by a snapshot ([since_snapshot]). *)
 
 val apply_batch : t -> Engine.Event.t array -> Engine.Event.reply array
 (** Journal the batch's mutations, then {!Cluster.apply_batch}. *)

@@ -1,33 +1,22 @@
 (** Always-on telemetry for the serve daemon.
 
-    A bank of raw {!Obs.Hist} instruments — atomic, domain-safe, and
+    A bank of raw {!Obs.Hist} instruments, atomic, domain-safe and
     deliberately {e not} gated on [Obs.enabled ()]: the daemon measures
-    its own latency whether or not a trace is being recorded, while the
-    global Obs flag keeps governing spans and the named registries (the
-    zero-overhead disabled-path contract of the step loops is
-    untouched).
+    its own latency whether or not a trace is being recorded.  Each
+    timed {!stage} costs two monotonic-clock reads.
 
-    Request lifecycle stages are timed per op type
-    ([decode -> route -> shard-apply -> reply], see {!stage}); the
-    server also records end-to-end service latency per request, events
-    per round, and per-shard drain cost and queue depth.  Stage timing
-    costs two monotonic-clock reads (~20-25ns each) per stage, ~5-10%
-    of the request budget at the ~500k ops/sec mark — documented in
-    DESIGN.md ("Serving observability").
-
-    The report builders take plain data for the gauges the bank cannot
-    see itself (cluster totals, durability state, connections) and
-    render the [stats] wire reply: structured JSON fields
-    ({!report_json}) or a Prometheus text exposition
-    ({!report_prom}). *)
+    {!create} also makes the daemon's own {!Obs.Registry} and registers
+    the bank in it; the cluster, the store and the server register
+    their gauges and counters next to the values they read.  The
+    [stats] op renders the registry. *)
 
 type t
 
 val create : shards:int -> t
-(** A fresh bank for a cluster of [shards] shards (the per-shard
-    histograms are indexed by shard id). *)
+(** A fresh bank and registry for a cluster of [shards] shards (the
+    per-shard histograms are indexed by shard id). *)
 
-val uptime_s : t -> float
+val registry : t -> Obs.Registry.t
 
 (** {2 Op taxonomy}
 
@@ -35,7 +24,6 @@ val uptime_s : t -> float
     the wire vocabulary (events, [ping], [stats]) plus a pseudo-op for
     unparseable requests. *)
 
-val op_count : int
 val op_of_event : Engine.Event.t -> int
 val op_ping : int
 val op_stats : int
@@ -65,68 +53,3 @@ val observe_round : t -> int64 -> unit
 
 val observe_drain : t -> shard:int -> depth:int -> int64 -> unit
 (** One drain pass over a shard's queue: its depth and duration. *)
-
-(** {2 Report inputs} *)
-
-type totals = {
-  connections : int;
-  live : int;
-  requests : int;
-  events : int;
-  errors : int;
-  rounds : int;
-}
-
-type shard_gauges = {
-  shard : int;
-  bins : int;
-  balls : int;
-  shard_max_load : int;
-  shard_watermark : int;
-  applied : int;
-  queue_depth : int;  (** Pending (unflushed) events right now. *)
-}
-
-type durability = {
-  journal_bytes : int;
-  flush_age_s : float;
-  sync_age_s : float option;  (** [None] = never fsynced. *)
-  snapshot_seq : int;
-  snapshot_age_s : float;
-  since_snapshot : int;
-}
-
-type cluster_gauges = {
-  seq : int;
-  balls_total : int;
-  max_load : int;
-  watermark : int;
-}
-
-(** {2 Exposition} *)
-
-val hist_fields : Obs.Hist.snapshot -> (string * Experiment.Json.t) list
-(** count / sum / max / mean / p50 / p90 / p99 / p999 of one
-    histogram, the JSON shape every latency field of the report uses. *)
-
-val report_json :
-  t ->
-  totals:totals ->
-  cluster:cluster_gauges ->
-  shards:shard_gauges list ->
-  durability:durability option ->
-  (string * Experiment.Json.t) list
-(** The [stats] reply fields: top-level gauges, [ops] (per-op latency
-    and stage histograms, empty ops omitted), [shards] (gauges plus
-    drain histograms), and [durability] when the service has a store. *)
-
-val report_prom :
-  t ->
-  totals:totals ->
-  cluster:cluster_gauges ->
-  shards:shard_gauges list ->
-  durability:durability option ->
-  string
-(** The same report as a Prometheus text exposition ([# HELP] /
-    [# TYPE] preambles; histograms as pre-computed quantile samples
-    with [_count] / [_sum] companions). *)

@@ -13,18 +13,20 @@
      {"op":"stats"}                     -> {"ok":true,"reply":"stats",...}
      {"op":"stats","format":"prom"}     -> {"ok":true,"reply":"stats","format":"prom","text":"..."}
 
-   "stats" is the telemetry report (per-op stage histograms, latency
-   quantiles, per-shard gauges, durability state), as structured JSON
-   fields by default or, with "format":"prom", a Prometheus text
-   exposition carried in the "text" field.
+   "stats" renders the daemon's instrument registry (per-op stage and
+   latency histograms, per-shard gauges, durability state): its JSON
+   view as top-level fields by default or, with "format":"prom", its
+   Prometheus text view carried in the "text" field.
 
    "id" is optional and echoed back verbatim when present; replies are
    written in request order, so correlation works without ids too.
    Rejected mutations and malformed requests answer with "ok":false.
 
-   Parsing goes through [Experiment.Json] (the repo's dependency-free
-   parser); responses are hand-formatted into a caller-owned [Buffer]
-   so the server's hot path allocates no intermediate strings. *)
+   Parsing and escaping go through [Common.Json], the repo's one
+   codec; responses are hand-formatted into a caller-owned [Buffer] so
+   the server's hot path allocates no intermediate strings. *)
+
+module Json = Common.Json
 
 type address = Unix_sock of string | Tcp of string * int
 
@@ -60,22 +62,22 @@ type request =
   | Stats of stats_format
 
 let parse line =
-  match Experiment.Json.of_string line with
+  match Json.of_string line with
   | Error e -> Error ("bad json: " ^ e)
   | Ok json -> (
       let id =
-        match Experiment.Json.member "id" json with
-        | Some (Experiment.Json.Int i) -> Some i
+        match Json.member "id" json with
+        | Some (Json.Int i) -> Some i
         | _ -> None
       in
-      match Experiment.Json.member "op" json with
-      | Some (Experiment.Json.String op) -> (
+      match Json.member "op" json with
+      | Some (Json.String op) -> (
           match op with
           | "step" -> Ok (id, Event Engine.Event.Step)
           | "round" -> Ok (id, Event Engine.Event.Round)
           | "insert" -> (
-              match Experiment.Json.member "key" json with
-              | Some (Experiment.Json.Int key) ->
+              match Json.member "key" json with
+              | Some (Json.Int key) ->
                   Ok (id, Event (Engine.Event.Insert key))
               | _ -> Error "insert needs an integer \"key\"")
           | "remove" -> Ok (id, Event Engine.Event.Remove)
@@ -84,12 +86,12 @@ let parse line =
           | "watermark" -> Ok (id, Event Engine.Event.Watermark)
           | "ping" -> Ok (id, Ping)
           | "stats" -> (
-              match Experiment.Json.member "format" json with
-              | None | Some (Experiment.Json.String "json") ->
+              match Json.member "format" json with
+              | None | Some (Json.String "json") ->
                   Ok (id, Stats Stats_json)
-              | Some (Experiment.Json.String "prom") ->
+              | Some (Json.String "prom") ->
                   Ok (id, Stats Stats_prom)
-              | Some (Experiment.Json.String f) ->
+              | Some (Json.String f) ->
                   Error
                     (Printf.sprintf "unknown stats format %S (json | prom)" f)
               | Some _ -> Error "stats \"format\" must be a string")
@@ -97,20 +99,6 @@ let parse line =
       | _ -> Error "missing \"op\"")
 
 (* {2 Response formatting} *)
-
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
 
 let open_reply buf ~id ~ok ~reply =
   Buffer.add_char buf '{';
@@ -156,7 +144,7 @@ let add_reply buf ~id reply =
   | Engine.Event.Rejected msg ->
       open_reply buf ~id ~ok:false ~reply:"rejected";
       Buffer.add_string buf ",\"error\":\"";
-      add_escaped buf msg;
+      Json.add_escaped buf msg;
       Buffer.add_char buf '"');
   close_reply buf
 
@@ -167,27 +155,24 @@ let add_pong buf ~id =
 let add_error buf ~id msg =
   open_reply buf ~id ~ok:false ~reply:"error";
   Buffer.add_string buf ",\"error\":\"";
-  add_escaped buf msg;
+  Json.add_escaped buf msg;
   Buffer.add_char buf '"';
   close_reply buf
 
-let add_fields buf fields =
+let add_stats buf ~id fields =
+  open_reply buf ~id ~ok:true ~reply:"stats";
   List.iter
     (fun (k, v) ->
       Buffer.add_string buf ",\"";
-      add_escaped buf k;
+      Json.add_escaped buf k;
       Buffer.add_string buf "\":";
-      Buffer.add_string buf (Experiment.Json.to_string ~indent:0 v))
-    fields
-
-let add_stats buf ~id fields =
-  open_reply buf ~id ~ok:true ~reply:"stats";
-  add_fields buf fields;
+      Buffer.add_string buf (Json.to_string ~indent:0 v))
+    fields;
   close_reply buf
 
 let add_stats_text buf ~id text =
   open_reply buf ~id ~ok:true ~reply:"stats";
   Buffer.add_string buf ",\"format\":\"prom\",\"text\":\"";
-  add_escaped buf text;
+  Json.add_escaped buf text;
   Buffer.add_char buf '"';
   close_reply buf

@@ -39,7 +39,7 @@ val add_pong : Buffer.t -> id:int option -> unit
 val add_error : Buffer.t -> id:int option -> string -> unit
 
 val add_stats :
-  Buffer.t -> id:int option -> (string * Experiment.Json.t) list -> unit
+  Buffer.t -> id:int option -> (string * Common.Json.t) list -> unit
 (** The [stats] reply with the report spliced in as top-level fields. *)
 
 val add_stats_text : Buffer.t -> id:int option -> string -> unit

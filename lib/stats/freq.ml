@@ -43,6 +43,36 @@ let of_values sample =
   Array.iter (fun v -> observe t v) sample;
   t
 
+let mean t =
+  if t.total = 0 then nan
+  else begin
+    let acc = ref 0 in
+    Array.iteri (fun v c -> acc := !acc + (v * c)) t.counts;
+    float_of_int !acc /. float_of_int t.total
+  end
+
+let fraction_at_least t v =
+  if t.total = 0 then nan
+  else begin
+    let acc = ref 0 in
+    for i = Stdlib.max 0 v to Array.length t.counts - 1 do
+      acc := !acc + t.counts.(i)
+    done;
+    float_of_int !acc /. float_of_int t.total
+  end
+
+let pp fmt t =
+  if t.total = 0 then Format.fprintf fmt "(empty histogram)"
+  else begin
+    let peak = Array.fold_left Stdlib.max 1 t.counts in
+    let last = ref 0 in
+    Array.iteri (fun v c -> if c > 0 then last := v) t.counts;
+    for v = 0 to !last do
+      let c = t.counts.(v) in
+      Format.fprintf fmt "%4d: %8d %s@." v c (String.make (c * 40 / peak) '#')
+    done
+  end
+
 let freqs t =
   if t.total = 0 then invalid_arg "Freq.freqs: no observations";
   let n = float_of_int t.total in

@@ -1,11 +1,12 @@
 (** Frequency counts of a non-negative integer variable.
 
     The count layer shared by {!Markov.Empirical}'s observable-law
-    estimates and the [Validate] conformance subsystem's state-occupancy
-    collection: a mutable vector of counts over [0 .. size-1] with an
-    incrementally-maintained total, plus the plug-in total-variation
-    distances computed from such counts.  Deliberately free of any
-    state-space or simulation dependency so both layers can share it. *)
+    estimates, the [Validate] conformance subsystem's state-occupancy
+    collection and the load histograms of [repro simulate]: a mutable
+    vector of counts over [0 .. size-1] with an incrementally-maintained
+    total, summaries of it, and the plug-in total-variation distances
+    computed from such counts.  Deliberately free of any state-space or
+    simulation dependency so every layer can share it. *)
 
 type t
 
@@ -37,6 +38,17 @@ val of_values : int array -> t
     [max value + 1].
     @raise Invalid_argument if the sample is empty or has a negative
     entry. *)
+
+val mean : t -> float
+(** Mean observed value; [nan] when empty. *)
+
+val fraction_at_least : t -> int -> float
+(** [fraction_at_least t v] is the empirical probability of an
+    observation [>= v]; [nan] when empty. *)
+
+val pp : Format.formatter -> t -> unit
+(** Render as [value: count] lines with a proportional bar, from 0 up
+    to the largest observed value. *)
 
 val freqs : t -> float array
 (** The empirical distribution [count / total].

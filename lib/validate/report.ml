@@ -1,4 +1,4 @@
-module Json = Experiment.Json
+module Json = Common.Json
 
 let schema = "repro.validate-report/1"
 

@@ -7,7 +7,7 @@
 val schema : string
 (** ["repro.validate-report/1"]. *)
 
-val to_json : Conformance.report -> Experiment.Json.t
+val to_json : Conformance.report -> Common.Json.t
 
 val print : Conformance.report -> unit
 (** Human-readable report on stdout: a verdict line per check, a

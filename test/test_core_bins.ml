@@ -200,23 +200,23 @@ let test_system_matches_normalized_chain_law () =
   let reps = 4000 and steps = 50 in
   List.iter
     (fun sc ->
-      let h_sys = Stats.Histogram.create () in
-      let h_chain = Stats.Histogram.create () in
+      let h_sys = Stats.Freq.create ~size:7 in
+      let h_chain = Stats.Freq.create ~size:7 in
       let g = rng ~seed:5 () in
       for _ = 1 to reps do
         let sys = Core.System.create sc (Sr.abku 2) (Core.Bins.of_loads [| 6; 0; 0 |]) in
         Core.System.run g sys ~steps;
-        Stats.Histogram.add h_sys (Core.System.max_load sys);
+        Stats.Freq.observe h_sys (Core.System.max_load sys);
         let p = Core.Dynamic_process.make sc (Sr.abku 2) ~n:3 in
         let v = Mv.of_load_vector (Lv.all_in_one ~n:3 ~m:6) in
         for _ = 1 to steps do
           Core.Dynamic_process.step_in_place p g v
         done;
-        Stats.Histogram.add h_chain (Mv.max_load v)
+        Stats.Freq.observe h_chain (Mv.max_load v)
       done;
       for load = 0 to 6 do
-        let a = Stats.Histogram.fraction_at_least h_sys load in
-        let b = Stats.Histogram.fraction_at_least h_chain load in
+        let a = Stats.Freq.fraction_at_least h_sys load in
+        let b = Stats.Freq.fraction_at_least h_chain load in
         if Float.abs (a -. b) > 0.04 then
           Alcotest.failf "scenario %s: load %d tail %f vs %f"
             (Core.Scenario.name sc) load a b

@@ -124,21 +124,21 @@ let test_class_chain_matches_identity_protocol_in_law () =
      after k steps (expected numbers of real orientations match). *)
   let n = 8 and reps = 3000 and k = 40 in
   let g = rng ~seed:15 () in
-  let h_chain = Stats.Histogram.create () in
-  let h_greedy = Stats.Histogram.create () in
+  let h_chain = Stats.Freq.create ~size:(n + 1) in
+  let h_greedy = Stats.Freq.create ~size:(n + 1) in
   for _ = 1 to reps do
     let x = ref (C.adversarial ~n) in
     for _ = 1 to 2 * k do
       x := C.step g !x
     done;
-    Stats.Histogram.add h_chain (C.unfairness !x);
+    Stats.Freq.observe h_chain (C.unfairness !x);
     let t = O.adversarial ~n in
     O.run g t ~steps:k;
-    Stats.Histogram.add h_greedy (O.unfairness t)
+    Stats.Freq.observe h_greedy (O.unfairness t)
   done;
   (* Means within statistical tolerance (the slowdown is ~2 +- O(1/n),
      so allow a generous margin). *)
-  let mc = Stats.Histogram.mean h_chain and mg = Stats.Histogram.mean h_greedy in
+  let mc = Stats.Freq.mean h_chain and mg = Stats.Freq.mean h_greedy in
   Alcotest.(check bool)
     (Printf.sprintf "means close: chain %f greedy %f" mc mg)
     true
@@ -192,23 +192,23 @@ let test_coupled_marginal_law () =
   let reps = 4000 and steps = 30 and n = 6 in
   let g = rng ~seed:30 () in
   let c = C.coupled () in
-  let h_plain = Stats.Histogram.create () in
-  let h_coupled = Stats.Histogram.create () in
+  let h_plain = Stats.Freq.create ~size:(n + 1) in
+  let h_coupled = Stats.Freq.create ~size:(n + 1) in
   for _ = 1 to reps do
     let x = ref (C.adversarial ~n) in
     for _ = 1 to steps do
       x := C.step g !x
     done;
-    Stats.Histogram.add h_plain (C.unfairness !x);
+    Stats.Freq.observe h_plain (C.unfairness !x);
     let x = ref (C.adversarial ~n) and y = ref (C.start ~n) in
     for _ = 1 to steps do
       let x', y' = c.Coupling.Coupled_chain.step g !x !y in
       x := x';
       y := y'
     done;
-    Stats.Histogram.add h_coupled (C.unfairness !x)
+    Stats.Freq.observe h_coupled (C.unfairness !x)
   done;
-  let a = Stats.Histogram.mean h_plain and b = Stats.Histogram.mean h_coupled in
+  let a = Stats.Freq.mean h_plain and b = Stats.Freq.mean h_coupled in
   Alcotest.(check bool)
     (Printf.sprintf "marginal means: %f vs %f" a b)
     true

@@ -30,8 +30,8 @@ let test_prng_errors () =
 let test_stats_errors () =
   inv "Quantile.quantile: empty sample" (fun () ->
       ignore (Stats.Quantile.quantile [||] 0.5));
-  inv "Histogram.add: negative value" (fun () ->
-      Stats.Histogram.add (Stats.Histogram.create ()) (-1));
+  inv "Freq.observe: bad cell" (fun () ->
+      Stats.Freq.observe (Stats.Freq.create ~size:1) (-1));
   inv "Regression.ols: need at least two points" (fun () ->
       ignore (Stats.Regression.ols [||]));
   inv "Regression.log_corrected_power_law: need x > 1" (fun () ->

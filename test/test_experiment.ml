@@ -211,7 +211,7 @@ let test_json_sink_writes_file () =
   in
   Alcotest.(check bool)
     "schema marker present" true
-    (contains contents "repro.bench-results/3");
+    (contains contents "repro.bench-results/4");
   Alcotest.(check string)
     "file matches the returned document"
     (Experiment.Json.to_string doc ^ "\n")

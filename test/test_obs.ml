@@ -181,7 +181,8 @@ let test_counters_and_histograms_view () =
     (List.mem_assoc "test.view_silent" (Obs.counters ()));
   Alcotest.(check bool)
     "view lists the active histogram" true
-    (List.mem_assoc "test.view_hist" (Obs.histograms ()));
+    (List.mem_assoc "test.view_hist"
+       (Obs.Registry.to_json Obs.Registry.global));
   Obs.reset ();
   Alcotest.(check int) "reset zeroes counters" 0 (Obs.Counter.value c);
   Alcotest.(check bool)
@@ -356,6 +357,78 @@ let test_task_tracks () =
   Alcotest.(check int) "untasked event back on track 0" 0
     (track_of "untasked")
 
+(* Both registry views come from one scrape: they name the same
+   families, leave out the same empty series, and escape a label value
+   exactly once. *)
+let test_registry_views_agree () =
+  let r = Obs.Registry.create () in
+  Obs.Registry.counter r "requests" ~help:"Requests" (fun () -> 7);
+  Obs.Registry.gauge r "depth" ~help:"Depth" (fun () -> 3);
+  Obs.Registry.gauge_float r "age_seconds" ~help:"Age" (fun () -> Some 1.5);
+  Obs.Registry.gauge_float r "sync_age_seconds" ~help:"Never synced"
+    (fun () -> None);
+  let round = Obs.Hist.create () and latency = Obs.Hist.create () in
+  List.iter (Obs.Hist.observe round) [ 1; 5; 9 ];
+  Obs.Hist.observe latency 42;
+  let odd = "a\"b\\c\nd" in
+  Obs.Registry.histogram r "round_ns" ~help:"Round" round;
+  Obs.Registry.histogram r "latency_ns" ~labels:[ ("op", odd) ] ~help:"Latency"
+    latency;
+  Obs.Registry.histogram r "latency_ns" ~labels:[ ("op", "quiet") ]
+    ~help:"Latency" (Obs.Hist.create ());
+  Obs.Registry.histogram r "empty_ns" ~help:"Never observed" (Obs.Hist.create ());
+  let json = Obs.Registry.to_json r in
+  let prom = Obs.Registry.to_prom ~prefix:"test_" r in
+  let chop_suffix name =
+    List.fold_left
+      (fun name suffix ->
+        if String.ends_with ~suffix name then
+          String.sub name 0 (String.length name - String.length suffix)
+        else name)
+      name [ "_total"; "_count"; "_sum" ]
+  in
+  let prom_families =
+    String.split_on_char '\n' prom
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "#"; "TYPE"; name; _ ] ->
+               Some (chop_suffix (String.sub name 5 (String.length name - 5)))
+           | _ -> None)
+    |> List.sort_uniq String.compare
+  in
+  Alcotest.(check (list string))
+    "both views name the same families, empty ones left out"
+    [ "age_seconds"; "depth"; "latency_ns"; "requests"; "round_ns" ]
+    (List.sort String.compare (List.map fst json));
+  Alcotest.(check (list string)) "the Prometheus view agrees"
+    (List.sort String.compare (List.map fst json))
+    prom_families;
+  Alcotest.(check bool) "counters render as JSON integers" true
+    (List.assoc "requests" json = Json.Int 7);
+  (match List.assoc "latency_ns" json with
+  | Json.List [ series ] ->
+      Alcotest.(check bool) "label value kept as is" true
+        (Json.member "op" series = Some (Json.String odd))
+  | _ -> Alcotest.fail "the empty labelled series is left out");
+  let contains needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length prom && (String.sub prom i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "label escaped once" true
+    (contains {|test_latency_ns_count{op="a\"b\\c\nd"} 1|});
+  Alcotest.(check bool) "quiet series absent" false (contains "quiet");
+  Alcotest.(check bool) "JSON text round-trips the label" true
+    (match Json.of_string (Json.to_string (Json.Obj json)) with
+    | Ok doc -> (
+        match Json.member "latency_ns" doc with
+        | Some (Json.List [ series ]) ->
+            Json.member "op" series = Some (Json.String odd)
+        | _ -> false)
+    | Error _ -> false)
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick (isolated f))
@@ -378,3 +451,7 @@ let suite =
         qcheck_quantile_monotone;
         qcheck_quantile_bucket_exact;
       ]
+  @ [
+      Alcotest.test_case "registry views agree" `Quick
+        (isolated test_registry_views_agree);
+    ]

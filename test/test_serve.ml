@@ -447,16 +447,21 @@ let jfloat doc k =
   | Experiment.Json.Int i -> float_of_int i
   | _ -> Alcotest.failf "field %S is not a number" k
 
-let mk_totals =
-  { Serve.Telemetry.connections = 4; live = 2; requests = 51; events = 40;
-    errors = 1; rounds = 9 }
+(* The stats document of a telemetry bank: its registry's JSON view. *)
+let registry_json tel =
+  Experiment.Json.Obj (Obs.Registry.to_json (Serve.Telemetry.registry tel))
 
-let mk_cluster_gauges =
-  { Serve.Telemetry.seq = 40; balls_total = 11; max_load = 3; watermark = 4 }
-
-let mk_shard_gauges s =
-  { Serve.Telemetry.shard = s; bins = 8; balls = 5; shard_max_load = 2;
-    shard_watermark = 3; applied = 20; queue_depth = s }
+(* The series of a labelled family whose labels include [labels]. *)
+let series doc name labels =
+  match jget doc name with
+  | Experiment.Json.List xs ->
+      List.filter
+        (fun x ->
+          List.for_all
+            (fun (k, v) -> Experiment.Json.member k x = Some (Experiment.Json.String v))
+            labels)
+        xs
+  | _ -> Alcotest.failf "family %S is not a list" name
 
 let populated_telemetry () =
   let tel = Serve.Telemetry.create ~shards:2 in
@@ -473,38 +478,6 @@ let populated_telemetry () =
   Serve.Telemetry.observe_drain tel ~shard:1 ~depth:3 700L;
   tel
 
-let test_telemetry_report_json () =
-  let tel = populated_telemetry () in
-  let doc =
-    Experiment.Json.Obj
-      (Serve.Telemetry.report_json tel ~totals:mk_totals
-         ~cluster:mk_cluster_gauges
-         ~shards:[ mk_shard_gauges 0; mk_shard_gauges 1 ]
-         ~durability:None)
-  in
-  Alcotest.(check int) "requests" 51 (jint doc "requests");
-  Alcotest.(check int) "seq" 40 (jint doc "seq");
-  Alcotest.(check bool) "uptime present" true (jfloat doc "uptime_s" >= 0.);
-  let ops = jget doc "ops" in
-  let ping = jget ops "ping" in
-  let lat = jget ping "latency_ns" in
-  Alcotest.(check int) "ping latency count" 50 (jint lat "count");
-  Alcotest.(check bool) "percentiles are monotone" true
-    (jfloat lat "p50" <= jfloat lat "p99"
-    && jfloat lat "p99" <= jfloat lat "p999");
-  Alcotest.(check bool) "decode stage recorded" true
-    (Experiment.Json.member "stage_ns_decode" ping <> None);
-  Alcotest.(check bool) "silent ops omitted" true
-    (Experiment.Json.member "step" ops = None);
-  (match jget doc "shards" with
-  | Experiment.Json.List [ _; s1 ] ->
-      Alcotest.(check int) "shard 1 drain count" 1
-        (jint (jget s1 "drain_ns") "count");
-      Alcotest.(check int) "shard 1 queue depth" 1 (jint s1 "queue_depth")
-  | _ -> Alcotest.fail "shards is not a 2-list");
-  Alcotest.(check bool) "no durability section for ephemeral" true
-    (Experiment.Json.member "durability" doc = None)
-
 let count_substring ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let k = ref 0 in
@@ -513,39 +486,174 @@ let count_substring ~needle hay =
   done;
   !k
 
-let test_telemetry_report_prom () =
+(* Run the daemon ephemeral on a Unix socket in its own domain, send
+   [lines] one at a time (so each is its own select round) and return
+   the reply lines; SIGTERM then stops it.  The test holds its own
+   SIGTERM handler around the run, so the signal can never fall through
+   to the default action and end the test process. *)
+let serve_script lines =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o700;
+      let path = Filename.concat dir "serve.sock" in
+      let config =
+        {
+          (Serve.Server.default_config ~listen:(Serve.Wire.Unix_sock path)
+             ~cluster:(mk_config ~n:16 ~shards:2 ()))
+          with
+          Serve.Server.quiet = true;
+        }
+      in
+      let ready = Atomic.make false in
+      let previous = Sys.signal Sys.sigterm (Sys.Signal_handle ignore) in
+      let server =
+        Domain.spawn (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.set ready true)
+              (fun () ->
+                Serve.Server.run
+                  ~on_ready:(fun () -> Atomic.set ready true)
+                  config))
+      in
+      while not (Atomic.get ready) do
+        Domain.cpu_relax ()
+      done;
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.kill (Unix.getpid ()) Sys.sigterm;
+          Domain.join server;
+          Sys.set_signal Sys.sigterm previous)
+        (fun () ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX path);
+              let ic = Unix.in_channel_of_descr fd
+              and oc = Unix.out_channel_of_descr fd in
+              List.map
+                (fun line ->
+                  output_string oc (line ^ "\n");
+                  flush oc;
+                  input_line ic)
+                lines)))
+
+let parse_reply line =
+  match Experiment.Json.of_string line with
+  | Ok doc -> doc
+  | Error msg -> Alcotest.failf "reply %S: %s" line msg
+
+let test_telemetry_json () =
+  (* The daemon's own counters, through the [stats] op. *)
+  (match
+     serve_script
+       [
+         {|{"op":"insert","key":1}|}; {|{"op":"insert","key":2}|};
+         {|{"op":"ping"}|}; "not json"; {|{"op":"stats"}|};
+         {|{"op":"stats","format":"prom"}|};
+       ]
+   with
+  | [ _; _; _; _; stats; prom ] ->
+      let doc = parse_reply stats in
+      Alcotest.(check int) "connections" 1 (jint doc "connections");
+      Alcotest.(check int) "clients" 1 (jint doc "clients");
+      Alcotest.(check int) "requests" 5 (jint doc "requests");
+      Alcotest.(check int) "events" 2 (jint doc "events");
+      Alcotest.(check int) "errors" 1 (jint doc "errors");
+      Alcotest.(check int) "rounds" 5 (jint doc "rounds");
+      Alcotest.(check int) "seq" 2 (jint doc "seq");
+      let text =
+        match jget (parse_reply prom) "text" with
+        | Experiment.Json.String t -> t
+        | _ -> Alcotest.fail "prom reply carries text"
+      in
+      Alcotest.(check bool) "prom counter agrees" true
+        (count_substring ~needle:"\nrepro_serve_requests_total 6\n" text = 1)
+  | _ -> Alcotest.fail "one reply per request");
+  let cluster = Serve.Cluster.create (mk_config ~n:16 ~shards:2 ()) in
+  ignore (Serve.Cluster.apply_batch cluster (gen_events (rng_of 3) 40));
   let tel = populated_telemetry () in
-  let durability =
-    Some
-      { Serve.Telemetry.journal_bytes = 1234; flush_age_s = 0.5;
-        sync_age_s = None; snapshot_seq = 30; snapshot_age_s = 2.0;
-        since_snapshot = 10 }
+  Serve.Cluster.set_telemetry cluster tel;
+  let doc = registry_json tel in
+  Alcotest.(check int) "seq" (Serve.Cluster.seq cluster) (jint doc "seq");
+  Alcotest.(check int) "balls" (Serve.Cluster.total_balls cluster)
+    (jint doc "balls");
+  Alcotest.(check bool) "uptime present" true
+    (jfloat doc "uptime_seconds" >= 0.);
+  let lat =
+    match series doc "latency_ns" [ ("op", "ping") ] with
+    | [ lat ] -> lat
+    | _ -> Alcotest.fail "one ping latency series"
   in
-  let text =
-    Serve.Telemetry.report_prom tel ~totals:mk_totals
-      ~cluster:mk_cluster_gauges
-      ~shards:[ mk_shard_gauges 0; mk_shard_gauges 1 ]
-      ~durability
-  in
-  let contains needle = count_substring ~needle text > 0 in
-  Alcotest.(check bool) "uptime help line" true
-    (contains "# HELP repro_serve_uptime_seconds");
-  Alcotest.(check bool) "quantile sample" true
-    (contains "repro_serve_latency_ns{op=\"ping\",quantile=\"0.99\"}");
-  Alcotest.(check bool) "count companion" true
-    (contains "repro_serve_latency_ns_count{op=\"ping\"} 50");
-  Alcotest.(check bool) "journal gauge" true
-    (contains "repro_serve_journal_bytes 1234");
-  Alcotest.(check bool) "never-synced gauge omitted" false
-    (contains "repro_serve_journal_sync_age_seconds");
-  (* Two ops and two shards share metric families: HELP/TYPE must not
-     repeat. *)
-  Alcotest.(check int) "latency family declared once" 1
-    (count_substring ~needle:"# TYPE repro_serve_latency_ns gauge" text);
-  Alcotest.(check int) "drain family declared once" 1
-    (count_substring ~needle:"# TYPE repro_serve_shard_drain_ns gauge" text);
-  Alcotest.(check bool) "ends with a newline" true
-    (String.length text > 0 && text.[String.length text - 1] = '\n')
+  Alcotest.(check int) "ping latency count" 50 (jint lat "count");
+  Alcotest.(check bool) "percentiles are monotone" true
+    (jfloat lat "p50" <= jfloat lat "p99"
+    && jfloat lat "p99" <= jfloat lat "p999");
+  Alcotest.(check bool) "buckets carried" true
+    (match jget lat "buckets" with
+    | Experiment.Json.List (_ :: _) -> true
+    | _ -> false);
+  Alcotest.(check int) "decode stage recorded" 1
+    (List.length (series doc "stage_ns" [ ("op", "ping"); ("stage", "decode") ]));
+  Alcotest.(check int) "silent ops omitted" 0
+    (List.length (series doc "latency_ns" [ ("op", "step") ]));
+  (match series doc "shard_drain_ns" [] with
+  | [ s1 ] ->
+      Alcotest.(check int) "only shard 1 drained" 1 (jint s1 "count");
+      Alcotest.(check bool) "labelled shard 1" true
+        (Experiment.Json.member "shard" s1 = Some (Experiment.Json.String "1"))
+  | _ -> Alcotest.fail "one drained shard");
+  (match series doc "shard_queue_depth" [ ("shard", "1") ] with
+  | [ q ] -> Alcotest.(check int) "shard 1 queue depth" 0 (jint q "value")
+  | _ -> Alcotest.fail "one queue-depth series per shard");
+  Alcotest.(check int) "shard bins" 8
+    (List.fold_left
+       (fun acc s -> acc + jint s "value")
+       0
+       (series doc "shard_bins" [ ("shard", "0") ]));
+  Alcotest.(check bool) "no durability gauges for ephemeral" true
+    (Experiment.Json.member "journal_bytes" doc = None)
+
+let test_telemetry_prom () =
+  with_dir (fun dir ->
+      let store = store_exn ~dir (mk_config ~n:16 ~shards:2 ()) in
+      ignore
+        (Serve.Store.apply_batch store
+           (Array.init 10 (fun i -> Engine.Event.Insert i)));
+      let tel = populated_telemetry () in
+      Serve.Telemetry.observe_drain tel ~shard:0 ~depth:2 400L;
+      Serve.Store.set_telemetry store tel;
+      let text =
+        Obs.Registry.to_prom ~prefix:"repro_serve_" (Serve.Telemetry.registry tel)
+      in
+      (* The batch was flushed, so the file holds every journalled byte. *)
+      let journal_size =
+        (Unix.stat (Filename.concat dir "journal.bin")).Unix.st_size
+      in
+      Serve.Store.close store;
+      let contains needle = count_substring ~needle text > 0 in
+      Alcotest.(check bool) "uptime help line" true
+        (contains "# HELP repro_serve_uptime_seconds");
+      Alcotest.(check bool) "quantile sample" true
+        (contains "repro_serve_latency_ns{op=\"ping\",quantile=\"0.99\"}");
+      Alcotest.(check bool) "count companion" true
+        (contains "repro_serve_latency_ns_count{op=\"ping\"} 50");
+      Alcotest.(check bool) "journal gauge" true
+        (contains
+           (Printf.sprintf "\nrepro_serve_journal_bytes %d\n" journal_size));
+      Alcotest.(check bool) "never-synced gauge omitted" false
+        (contains "repro_serve_journal_sync_age_seconds");
+      Alcotest.(check bool) "shard bins exposed" true
+        (contains "repro_serve_shard_bins{shard=\"1\"} 8");
+      Alcotest.(check bool) "shard watermark exposed" true
+        (contains "# TYPE repro_serve_shard_watermark gauge");
+      (* Two ops and two shards share metric families: HELP/TYPE must not
+         repeat. *)
+      Alcotest.(check int) "latency family declared once" 1
+        (count_substring ~needle:"# TYPE repro_serve_latency_ns gauge" text);
+      Alcotest.(check int) "drain family declared once" 1
+        (count_substring ~needle:"# TYPE repro_serve_shard_drain_ns gauge" text);
+      Alcotest.(check bool) "ends with a newline" true
+        (String.length text > 0 && text.[String.length text - 1] = '\n'))
 
 let test_cluster_stage_telemetry () =
   let config = mk_config ~n:32 ~shards:2 () in
@@ -568,25 +676,12 @@ let test_cluster_stage_telemetry () =
       (fun k ev -> if Engine.Event.is_mutation ev then k + 1 else k)
       0 events
   in
-  let doc =
-    Experiment.Json.Obj
-      (Serve.Telemetry.report_json tel ~totals:mk_totals
-         ~cluster:mk_cluster_gauges
-         ~shards:[ mk_shard_gauges 0; mk_shard_gauges 1 ]
-         ~durability:None)
-  in
-  let ops =
-    match jget doc "ops" with
-    | Experiment.Json.Obj kvs -> kvs
-    | _ -> Alcotest.fail "ops is not an object"
-  in
+  let doc = registry_json tel in
   let stage_count stage =
     List.fold_left
-      (fun acc (_, op) ->
-        match Experiment.Json.member ("stage_ns_" ^ stage) op with
-        | Some h -> acc + jint h "count"
-        | None -> acc)
-      0 ops
+      (fun acc h -> acc + jint h "count")
+      0
+      (series doc "stage_ns" [ ("stage", stage) ])
   in
   Alcotest.(check int) "every mutation routed through the Route stage" muts
     (stage_count "route");
@@ -597,27 +692,28 @@ let test_store_durability_gauges () =
   with_dir (fun dir ->
       let config = mk_config ~n:16 ~shards:2 () in
       let store = store_exn ~dir config in
-      let d0 = Serve.Store.durability store in
+      let tel = Serve.Telemetry.create ~shards:2 in
+      Serve.Store.set_telemetry store tel;
+      let d0 = registry_json tel in
       Alcotest.(check int) "fresh store has nothing pending" 0
-        d0.Serve.Telemetry.since_snapshot;
+        (jint d0 "since_snapshot");
       Alcotest.(check bool) "never fsynced without --sync" true
-        (d0.Serve.Telemetry.sync_age_s = None);
+        (Experiment.Json.member "journal_sync_age_seconds" d0 = None);
       let muts = Array.init 10 (fun i -> Engine.Event.Insert i) in
       ignore (Serve.Store.apply_batch store muts);
-      let d1 = Serve.Store.durability store in
+      let d1 = registry_json tel in
       Alcotest.(check int) "mutations pending a snapshot" 10
-        d1.Serve.Telemetry.since_snapshot;
+        (jint d1 "since_snapshot");
       Alcotest.(check bool) "journal grew" true
-        (d1.Serve.Telemetry.journal_bytes > d0.Serve.Telemetry.journal_bytes);
+        (jint d1 "journal_bytes" > jint d0 "journal_bytes");
       Alcotest.(check bool) "flush age is sane" true
-        (d1.Serve.Telemetry.flush_age_s >= 0.
-        && d1.Serve.Telemetry.snapshot_age_s >= 0.);
+        (jfloat d1 "journal_flush_age_seconds" >= 0.
+        && jfloat d1 "snapshot_age_seconds" >= 0.);
       Serve.Store.snapshot_now store;
-      let d2 = Serve.Store.durability store in
+      let d2 = registry_json tel in
       Alcotest.(check int) "snapshot covers everything" 0
-        d2.Serve.Telemetry.since_snapshot;
-      Alcotest.(check int) "snapshot seq advanced" 10
-        d2.Serve.Telemetry.snapshot_seq;
+        (jint d2 "since_snapshot");
+      Alcotest.(check int) "snapshot seq advanced" 10 (jint d2 "snapshot_seq");
       Serve.Store.close store)
 
 let test_wire_format () =
@@ -686,9 +782,9 @@ let suite =
     Alcotest.test_case "wire format" `Quick test_wire_format;
     Alcotest.test_case "wire addresses" `Quick test_wire_address;
     Alcotest.test_case "telemetry json report" `Quick
-      test_telemetry_report_json;
+      test_telemetry_json;
     Alcotest.test_case "telemetry prometheus exposition" `Quick
-      test_telemetry_report_prom;
+      test_telemetry_prom;
     Alcotest.test_case "cluster stage telemetry" `Quick
       test_cluster_stage_telemetry;
     Alcotest.test_case "store durability gauges" `Quick

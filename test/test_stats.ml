@@ -71,34 +71,36 @@ let test_quantile_invalid () =
       ignore (Stats.Quantile.quantile [| 1. |] 1.5))
 
 let test_histogram () =
-  let h = Stats.Histogram.create () in
-  List.iter (Stats.Histogram.add h) [ 0; 1; 1; 3; 3; 3 ];
-  Alcotest.(check int) "count 1" 2 (Stats.Histogram.count h 1);
-  Alcotest.(check int) "count 2" 0 (Stats.Histogram.count h 2);
-  Alcotest.(check int) "count 3" 3 (Stats.Histogram.count h 3);
-  Alcotest.(check int) "total" 6 (Stats.Histogram.total h);
-  Alcotest.(check int) "max value" 3 (Stats.Histogram.max_value h);
-  check_float "mean" (11. /. 6.) (Stats.Histogram.mean h);
-  check_float "frac >= 3" 0.5 (Stats.Histogram.fraction_at_least h 3);
-  check_float "frac >= 0" 1. (Stats.Histogram.fraction_at_least h 0);
-  Alcotest.(check (array int)) "to_array" [| 1; 2; 0; 3 |]
-    (Stats.Histogram.to_array h)
+  let h = Stats.Freq.create ~size:5 in
+  List.iter (Stats.Freq.observe h) [ 0; 1; 1; 3; 3; 3 ];
+  Alcotest.(check int) "count 1" 2 (Stats.Freq.get h 1);
+  Alcotest.(check int) "count 2" 0 (Stats.Freq.get h 2);
+  Alcotest.(check int) "count 3" 3 (Stats.Freq.get h 3);
+  Alcotest.(check int) "total" 6 (Stats.Freq.total h);
+  check_float "mean" (11. /. 6.) (Stats.Freq.mean h);
+  check_float "frac >= 3" 0.5 (Stats.Freq.fraction_at_least h 3);
+  check_float "frac >= 0" 1. (Stats.Freq.fraction_at_least h 0);
+  check_float "frac beyond the size" 0. (Stats.Freq.fraction_at_least h 9);
+  Alcotest.(check (array int)) "counts" [| 1; 2; 0; 3; 0 |]
+    (Stats.Freq.counts h)
 
 let test_histogram_growth () =
-  let h = Stats.Histogram.create () in
-  Stats.Histogram.add h 1000;
-  Alcotest.(check int) "large value" 1 (Stats.Histogram.count h 1000);
-  Alcotest.check_raises "negative" (Invalid_argument "Histogram.add: negative value")
-    (fun () -> Stats.Histogram.add h (-1))
+  let h = Stats.Freq.create ~size:1001 in
+  Stats.Freq.observe h 1000;
+  Alcotest.(check int) "large value" 1 (Stats.Freq.get h 1000);
+  Alcotest.check_raises "negative" (Invalid_argument "Freq.observe: bad cell")
+    (fun () -> Stats.Freq.observe h (-1));
+  Alcotest.check_raises "beyond the bound" (Invalid_argument "Freq.observe: bad cell")
+    (fun () -> Stats.Freq.observe h 1001)
 
 let test_histogram_pp () =
-  let h = Stats.Histogram.create () in
-  List.iter (Stats.Histogram.add h) [ 0; 1; 1 ];
-  let rendered = Format.asprintf "%a" Stats.Histogram.pp h in
-  Alcotest.(check bool) "mentions both values" true
-    (String.length rendered > 0
-    && String.split_on_char '\n' rendered |> List.length >= 2);
-  let empty = Format.asprintf "%a" Stats.Histogram.pp (Stats.Histogram.create ()) in
+  let h = Stats.Freq.create ~size:8 in
+  List.iter (Stats.Freq.observe h) [ 0; 1; 1 ];
+  let rendered = Format.asprintf "%a" Stats.Freq.pp h in
+  Alcotest.(check string) "rows up to the largest value"
+    "   0:        1 ####################\n   1:        2 ########################################\n"
+    rendered;
+  let empty = Format.asprintf "%a" Stats.Freq.pp (Stats.Freq.create ~size:3) in
   Alcotest.(check string) "empty marker" "(empty histogram)" empty
 
 let test_ols_exact_line () =

@@ -269,7 +269,7 @@ let test_corrupted_stepper_fails_true_passes () =
 
 (* --- report ---------------------------------------------------------- *)
 
-let test_report_json_and_exit_code () =
+let test_report_and_exit_code () =
   let rng = Prng.Rng.create ~seed:7 () in
   let subject =
     Validate.Conformance.run_subject ~quick:true ~alpha:0.01 ~rng
@@ -310,5 +310,5 @@ let suite =
     ( "corrupted stepper fails, true passes",
       `Slow,
       test_corrupted_stepper_fails_true_passes );
-    ("report json and exit code", `Quick, test_report_json_and_exit_code);
+    ("report json and exit code", `Quick, test_report_and_exit_code);
   ]
