@@ -32,36 +32,45 @@ let make_tests () =
   let orientation = Edgeorient.Orientation.create ~n in
   let class_state = ref (Edgeorient.Class_chain.start ~n:128) in
   [
-    Test.make ~name:"system step Id-ABKU[2] (n=1024)"
-      (Staged.stage (fun () -> Core.System.step g sys_a));
-    Test.make ~name:"system step Ib-ABKU[2] (n=1024)"
-      (Staged.stage (fun () -> Core.System.step g sys_b));
-    Test.make ~name:"normalized step Id-ABKU[2] (n=1024)"
-      (Staged.stage (fun () -> Core.Dynamic_process.step_in_place process g mv));
-    Test.make ~name:"coupled step Id-ABKU[2] (n=1024)"
-      (Staged.stage (fun () ->
-           ignore (coupled.Coupling.Coupled_chain.step g cx cy)));
-    Test.make ~name:"greedy edge step (n=1024)"
-      (Staged.stage (fun () -> Edgeorient.Orientation.greedy_step g orientation));
-    Test.make ~name:"class-chain step (n=128)"
-      (Staged.stage (fun () ->
-           class_state := Edgeorient.Class_chain.step g !class_state));
+    ("system step Id-ABKU[2] (n=1024)", fun () -> Core.System.step g sys_a);
+    ("system step Ib-ABKU[2] (n=1024)", fun () -> Core.System.step g sys_b);
+    ( "normalized step Id-ABKU[2] (n=1024)",
+      fun () -> Core.Dynamic_process.step_in_place process g mv );
+    ( "coupled step Id-ABKU[2] (n=1024)",
+      fun () -> ignore (coupled.Coupling.Coupled_chain.step g cx cy) );
+    ( "greedy edge step (n=1024)",
+      fun () -> Edgeorient.Orientation.greedy_step g orientation );
+    ( "class-chain step (n=128)",
+      fun () -> class_state := Edgeorient.Class_chain.step g !class_state );
     (let w =
        Core.Weighted.static_run g ~n ~m:n ~d:2 ~dist:(Core.Weighted.Exponential 1.)
      in
-     Test.make ~name:"weighted dynamic step (n=1024)"
-       (Staged.stage (fun () ->
-            Core.Weighted.dynamic_step w g ~d:2
-              ~dist:(Core.Weighted.Exponential 1.))));
+     ( "weighted dynamic step (n=1024)",
+       fun () ->
+         Core.Weighted.dynamic_step w g ~d:2
+           ~dist:(Core.Weighted.Exponential 1.) ));
     (let rule = Core.Go_left.make ~d:2 ~n in
      let bins =
        Core.Bins.of_loads
          (Loadvec.Load_vector.to_array (Loadvec.Load_vector.uniform ~n ~m:n))
      in
-     Test.make ~name:"go-left dynamic step (n=1024)"
-       (Staged.stage (fun () ->
-            Core.Go_left.dynamic_step rule Core.Scenario.A g bins)));
+     ( "go-left dynamic step (n=1024)",
+       fun () -> Core.Go_left.dynamic_step rule Core.Scenario.A g bins ));
   ]
+
+(* Minor words per call of [f] over a fixed count.  Allocation does not
+   depend on the host's speed, so unlike the time columns this number
+   can be gated tightly. *)
+let minor_words_per_call f =
+  let calls = 10_000 in
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
 
 (* Run [step] under a wall-clock budget in batches; report throughput
    and minor-heap allocation per step. *)
@@ -607,34 +616,46 @@ let run ctx =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
   in
   let instances = [ Instance.monotonic_clock ] in
-  let tests = make_tests () in
   let table =
-    Ctx.table ctx ~title:"per-step cost" ~columns:[ "operation"; "ns/step"; "R^2" ]
+    Ctx.table ctx ~title:"per-step cost"
+      ~columns:[ "operation"; "ns/step"; "R^2"; "minor words/step" ]
   in
   List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
+    (fun (name, f) ->
+      let results =
+        Benchmark.all cfg instances (Test.make ~name (Staged.stage f))
+      in
       let ols =
         Analyze.all
           (Analyze.ols ~bootstrap:0 ~r_square:true
              ~predictors:[| Measure.run |])
           Instance.monotonic_clock results
       in
+      let words = minor_words_per_call f in
       Hashtbl.iter
         (fun name ols ->
-          let estimate =
+          let ns =
             match Analyze.OLS.estimates ols with
-            | Some (x :: _) -> Printf.sprintf "%.1f" x
-            | _ -> "-"
+            | Some (x :: _) -> Some x
+            | _ -> None
           in
           let r2 =
             match Analyze.OLS.r_square ols with
             | Some r -> Printf.sprintf "%.3f" r
             | None -> "-"
           in
-          Ctx.row table [ name; estimate; r2 ])
+          Ctx.row table
+            ~values:
+              (("minor_words", words)
+              :: Option.to_list (Option.map (fun x -> ("ns_per_step", x)) ns))
+            [
+              name;
+              (match ns with Some x -> Printf.sprintf "%.1f" x | None -> "-");
+              r2;
+              Printf.sprintf "%.2f" words;
+            ])
         ols)
-    tests;
+    (make_tests ());
   Ctx.emit ctx table
 
 let spec =

@@ -1,24 +1,22 @@
 module Mv = Loadvec.Mutable_vector
 module Lv = Loadvec.Load_vector
 
-let insert_shared process probe v =
-  let rank, _probes =
-    Scheduling_rule.choose_rank
-      (Dynamic_process.rule process)
-      ~loads:(Mv.unsafe_loads v) ~probe
-  in
-  ignore (Mv.incr_at v rank)
-
+(* Both copies remove by one variate, then read one probe stream: x
+   inserts from [g], y from a duplicate of it, and [g] continues from
+   whichever copy probed further.  The copies draw the same ranks up to
+   the shorter probe count, and more probes always means more raw draws
+   (even through [Rng.int]'s rejection loop), so this is exactly the
+   draw order of one lazily extended probe sequence shared by both. *)
 let monotone process =
   let sc = Dynamic_process.scenario process in
-  let n = Dynamic_process.n process in
+  let rule = Dynamic_process.rule process in
   let step g x y =
     let u = Prng.Rng.float g in
-    ignore (Mv.decr_at x (Scenario.remove_rank sc x ~u));
-    ignore (Mv.decr_at y (Scenario.remove_rank sc y ~u));
-    let probe = Probe.create g ~n in
-    insert_shared process probe x;
-    insert_shared process probe y;
+    Load_state.Array.remove x sc ~u;
+    Load_state.Array.remove y sc ~u;
+    let g' = Prng.Rng.duplicate g in
+    let px = Load_state.Array.insert x rule g in
+    if Load_state.Array.insert y rule g' > px then Prng.Rng.catch_up g ~from:g';
     (x, y)
   in
   Coupling.Coupled_chain.make ~step ~equal:Mv.equal

@@ -77,9 +77,9 @@ module Counts = struct
 end
 
 (* ABKU[d] insertion by one float through the cutoff table.  The table
-   is built from the counts on the first insertion after creation, reset
-   or ejection (building draws nothing), then kept current with
-   on_loss/on_gain. *)
+   is built from the counts on the first insertion after creation, then
+   kept current with on_loss/on_gain, and refilled in place after a
+   reset or ejection (neither building nor refilling draws anything). *)
 module Sampled = struct
   module Tbl = Scheduling_rule.Abku_table
 
@@ -88,16 +88,23 @@ module Sampled = struct
   let of_load_vector lv = { cv = Cv.of_load_vector lv; table = None }
   let to_load_vector s = Cv.to_load_vector s.cv
 
+  let refill s =
+    match s.table with
+    | Some table ->
+        Tbl.refill table ~max_level:(Cv.max_load s.cv) ~count:(Cv.count s.cv)
+    | None -> ()
+
   let set_from_load_vector s lv =
     Cv.set_from_load_vector s.cv lv;
-    s.table <- None
+    refill s
 
   let dim s = Cv.dim s.cv
   let max_load s = Cv.max_load s.cv
 
   let eject_all s =
-    s.table <- None;
-    Cv.eject_all s.cv
+    let q = Cv.eject_all s.cv in
+    refill s;
+    q
 
   let remove s sc ~u =
     let l = Scenario.remove_level sc s.cv ~u in

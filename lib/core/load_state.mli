@@ -47,6 +47,7 @@ val of_repr : Repr.t -> Scheduling_rule.t -> (module S)
 (** The instance for a backend: {!Array}, {!Counts}, or for
     [Count_sampled] the cutoff-table sampler
     ({!Scheduling_rule.Abku_table}), which builds its table from the
-    counts on the first insertion after creation, reset or ejection.
+    counts on the first insertion after creation and refills it in
+    place after a reset or ejection.
     An ADAP rule has no cutoff table, so [Count_sampled] runs
     {!Counts} for it. *)

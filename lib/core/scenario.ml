@@ -9,18 +9,18 @@ let remove_rank sc v ~u =
   match sc with
   | A ->
       (* Inverse CDF of A(v): rank i with probability v_i / m.  The
-         partial sums are ints (exact as floats up to 2^53), so the
-         accumulator stays unboxed and the scan never allocates. *)
+         partial sums are ints (exact as floats up to 2^53), and the
+         scan is a loop, so it allocates neither a closure nor a boxed
+         target. *)
       let loads = Mv.unsafe_loads v in
       let target = u *. float_of_int m in
-      let n = Array.length loads in
-      let rec scan i acc =
-        if i = n - 1 then i
-        else
-          let acc = acc + loads.(i) in
-          if target < float_of_int acc then i else scan (i + 1) acc
-      in
-      scan 0 0
+      let last = Array.length loads - 1 in
+      let i = ref 0 and acc = ref loads.(0) in
+      while !i < last && not (target < float_of_int !acc) do
+        incr i;
+        acc := !acc + loads.(!i)
+      done;
+      !i
   | B ->
       let s = Mv.support v in
       Stdlib.min (int_of_float (u *. float_of_int s)) (s - 1)

@@ -44,38 +44,48 @@ let choose_rank rule ~loads ~probe =
    boundaries is B(l) = (g(l)/n)^d with g(l) the number of bins of load
    >= l.  The table keeps g and B per level; an elementary shift of one
    bin between adjacent levels changes a single g entry, so maintenance
-   is O(1) per move, and a draw is one float plus an ascending scan of
-   the occupied levels (no per-probe branching or memory chasing). *)
+   is O(1) per move (B is looked up among the n + 1 powers (k/n)^d,
+   computed once per table), and a draw is one float plus an ascending
+   scan of the occupied levels (no per-probe branching or memory
+   chasing). *)
 module Abku_table = struct
+  (* Above [max_level], geq and b are 0: [on_gain] past the top and
+     [refill] rely on a clean tail. *)
   type table = {
     d : int;
     n : int;
+    pow : float array;  (* pow.(k) = (k / n)^d, k = 0..n, computed once *)
     mutable geq : int array;  (* geq.(l) = #bins with load >= l *)
-    mutable b : float array;  (* b.(l) = (geq.(l) / n)^d *)
+    mutable b : float array;  (* b.(l) = pow.(geq.(l)) *)
     mutable max_level : int;  (* highest l with geq.(l) > 0 *)
   }
 
-  let cdf t l = (float_of_int t.geq.(l) /. float_of_int t.n) ** float_of_int t.d
+  let[@inline] cdf t l = t.pow.(t.geq.(l))
+
+  (* Suffix sums of the level counts up to [t.max_level]. *)
+  let fill t ~count =
+    let acc = ref 0 in
+    for l = t.max_level downto 1 do
+      acc := !acc + count l;
+      t.geq.(l) <- !acc;
+      t.b.(l) <- cdf t l
+    done;
+    t.geq.(0) <- t.n;
+    t.b.(0) <- 1.;
+    while t.max_level > 0 && t.geq.(t.max_level) = 0 do
+      t.max_level <- t.max_level - 1
+    done
 
   let create ~d ~n ~max_level ~count =
     if d < 1 then invalid_arg "Abku_table.create: d must be >= 1";
     if n <= 0 then invalid_arg "Abku_table.create: n must be positive";
     let cap = max_level + 2 in
+    let fn = float_of_int n and fd = float_of_int d in
+    let pow = Array.init (n + 1) (fun k -> (float_of_int k /. fn) ** fd) in
     let t =
-      { d; n; geq = Array.make cap 0; b = Array.make cap 0.; max_level }
+      { d; n; pow; geq = Array.make cap 0; b = Array.make cap 0.; max_level }
     in
-    (* Suffix sums of the level counts. *)
-    let acc = ref 0 in
-    for l = max_level downto 1 do
-      acc := !acc + count l;
-      t.geq.(l) <- !acc;
-      t.b.(l) <- cdf t l
-    done;
-    t.geq.(0) <- n;
-    t.b.(0) <- 1.;
-    while t.max_level > 0 && t.geq.(t.max_level) = 0 do
-      t.max_level <- t.max_level - 1
-    done;
+    fill t ~count;
     t
 
   let grow t l =
@@ -87,6 +97,15 @@ module Abku_table = struct
       t.geq <- geq;
       t.b <- b
     end
+
+  let refill t ~max_level ~count =
+    grow t (max_level + 1);
+    for l = max_level + 1 to t.max_level do
+      t.geq.(l) <- 0;
+      t.b.(l) <- 0.
+    done;
+    t.max_level <- max_level;
+    fill t ~count
 
   (* A bin rose from level [l - 1] to [l]: only g(l) changes. *)
   let on_gain t l =

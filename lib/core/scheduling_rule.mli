@@ -58,6 +58,11 @@ module Abku_table : sig
       carrying exactly [l] balls, for [0 <= l <= max_level].
       @raise Invalid_argument if [d < 1] or [n <= 0]. *)
 
+  val refill : table -> max_level:int -> count:(int -> int) -> unit
+  (** [refill t ~max_level ~count] rebuilds [t] in place from new level
+      counts, as {!create} would with the same [d] and [n], reusing its
+      buffers. *)
+
   val on_gain : table -> int -> unit
   (** [on_gain t l]: a bin rose from level [l - 1] to [l]. *)
 

@@ -20,9 +20,10 @@ let of_identity ~chain_step ~equal ~distance =
   in
   { step; equal; distance }
 
-(* Watermarking is off by default: the probe recomputes the coupling
-   metric (typically O(n)), which the engine would otherwise evaluate
-   after every step even when nobody reads it. *)
+(* The probe is the coalescence indicator: [equal] exits at the first
+   difference, while the coupling metric would cost a full O(n) pass on
+   every step for a value the coalescence drivers only test against 0.
+   Callers that trace the distance call [distance] themselves. *)
 let sim ?metrics ?(copy = fun s -> s) c ~x ~y =
   let metrics =
     match metrics with Some m -> m | None -> Engine.Metrics.create ()
@@ -37,6 +38,5 @@ let sim ?metrics ?(copy = fun s -> s) c ~x ~y =
     ~reset:(fun (a, b) ->
       x := copy a;
       y := copy b)
-    ~probe:(fun () ->
-      if c.equal !x !y then 0 else Stdlib.max 1 (c.distance !x !y))
+    ~probe:(fun () -> if c.equal !x !y then 0 else 1)
     ()

@@ -38,10 +38,12 @@ val sim :
   x:'state ->
   y:'state ->
   ('state * 'state) Engine.Sim.t
-(** The coupling as an engine stepper over the pair.  The probe reports
-    [0] exactly when the copies have met ([equal]) and otherwise the
-    coupling distance clamped to at least 1, so
+(** The coupling as an engine stepper over the pair.  The probe is the
+    coalescence indicator: [0] exactly when the copies have met
+    ([equal]), [1] otherwise, so
     [Engine.Sim.first_hit ~pred:(fun d -> d = 0)] is the coalescence
-    time.  [copy] (default identity) deep-copies a state; supply it when
-    states are mutable buffers so [observe]/[reset] detach from the live
-    pair.  Watermarking is disabled: the probe is O(n), not a max-load. *)
+    time.  It never evaluates [distance], which is O(n) on load vectors;
+    {!Coalescence.trace_distance} reads the metric instead.  [copy]
+    (default identity) deep-copies a state; supply it when states are
+    mutable buffers so [observe]/[reset] detach from the live pair.
+    Watermarking is disabled: the probe is not a load level. *)

@@ -13,7 +13,7 @@ type t =
   | Round  (* one synchronous round of a round-parallel process *)
   | Insert of int  (* place one new ball; the payload is a routing key *)
   | Remove  (* remove one ball per the machine's scenario *)
-  | Probe  (* cheap scalar observable (max load, distance, ...) *)
+  | Probe  (* cheap scalar observable (max load, unfairness, ...) *)
   | Occupancy  (* full per-bin load snapshot *)
   | Watermark  (* highest probe level ever seen *)
 

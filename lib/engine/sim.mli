@@ -5,8 +5,8 @@
     state machine consuming the typed vocabulary of {!Event} — [Step]
     mutates that state without allocating, [Probe] reads a cheap scalar
     observable of it (the maximum load for allocation processes, the
-    coupling distance for coupled pairs, the unfairness for edge
-    orientations), [Watermark] reads the highest probe level seen, and
+    coalescence indicator for coupled pairs — 0 once the copies meet, 1
+    before — the unfairness for edge orientations), [Watermark] reads the highest probe level seen, and
     machines built with an [extend] handler (allocation systems) also
     answer [Insert]/[Remove]/[Occupancy].  {!observe} snapshots the full
     state as an immutable value and {!reset} restores a snapshot — so

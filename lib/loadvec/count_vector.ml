@@ -89,13 +89,12 @@ let equal a b =
    r < g(l), so the ranks of level l occupy [g(l+1), g(l)). *)
 let level_of_rank t r =
   if r < 0 || r >= t.n then invalid_arg "Count_vector.level_of_rank";
-  let rec scan l acc =
-    if l < 0 then 0
-    else
-      let acc = acc + t.counts.(l) in
-      if r < acc then l else scan (l - 1) acc
-  in
-  scan t.max_level 0
+  let l = ref t.max_level and acc = ref 0 and found = ref false in
+  while (not !found) && !l >= 0 do
+    acc := !acc + t.counts.(!l);
+    if r < !acc then found := true else decr l
+  done;
+  if !found then !l else 0
 
 (* The level the scenario-A inverse-CDF scan stops at.  The array scan
    (Scenario.remove_rank) walks ranks accumulating integer loads and
@@ -104,16 +103,16 @@ let level_of_rank t r =
    leaves the block iff [target >= A + c*l].  Comparing float [target]
    against exact integer partial sums reproduces the array scan's
    branch decisions bit-for-bit, so the level returned here is exactly
-   the level of the rank the array scan picks. *)
+   the level of the rank the array scan picks.  Both scans here are
+   loops, so a call allocates no closure. *)
 let level_of_ball t ~target =
   if t.total <= 0 then invalid_arg "Count_vector.level_of_ball: no balls";
-  let rec scan l acc =
-    if l < 1 then min_load t |> Stdlib.max 1
-    else
-      let acc = acc + (l * t.counts.(l)) in
-      if target < float_of_int acc then l else scan (l - 1) acc
-  in
-  scan t.max_level 0
+  let l = ref t.max_level and acc = ref 0 and found = ref false in
+  while (not !found) && !l >= 1 do
+    acc := !acc + (!l * t.counts.(!l));
+    if target < float_of_int !acc then found := true else decr l
+  done;
+  if !found then !l else Stdlib.max 1 (min_load t)
 
 let grow t l =
   if l >= Array.length t.counts then begin

@@ -31,26 +31,25 @@ let max_load v = v.loads.(0)
 let min_load v = v.loads.(Array.length v.loads - 1)
 let support v = v.support
 
-let leftmost loads x =
-  let rec bisect lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if loads.(mid) > x then bisect (mid + 1) hi else bisect lo mid
-  in
-  bisect 0 (Array.length loads)
+(* Bisections over the descending loads, at top level and on [int
+   array]: a local [bisect] would allocate a closure per call, and an
+   unannotated one compares through the polymorphic [caml_greaterequal]. *)
+let rec leftmost (loads : int array) x lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if loads.(mid) > x then leftmost loads x (mid + 1) hi
+    else leftmost loads x lo mid
 
-let rightmost loads x =
-  let rec bisect lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi + 1) / 2 in
-      if loads.(mid) >= x then bisect mid hi else bisect lo (mid - 1)
-  in
-  bisect 0 (Array.length loads - 1)
+let rec rightmost (loads : int array) x lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi + 1) / 2 in
+    if loads.(mid) >= x then rightmost loads x mid hi
+    else rightmost loads x lo (mid - 1)
 
-let first_equal v i = leftmost v.loads (get v i)
-let last_equal v i = rightmost v.loads (get v i)
+let first_equal v i = leftmost v.loads (get v i) 0 (Array.length v.loads)
+let last_equal v i = rightmost v.loads (get v i) 0 (Array.length v.loads - 1)
 
 let incr_at v i =
   let j = first_equal v i in

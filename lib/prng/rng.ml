@@ -6,39 +6,44 @@ let create ?(seed = 0x5EED) () =
 
 let copy g = { gen = Xoshiro.copy g.gen; sm = Splitmix64.split g.sm }
 
+let duplicate g =
+  { gen = Xoshiro.copy g.gen; sm = Splitmix64.create (Splitmix64.state g.sm) }
+
+let catch_up g ~from = Xoshiro.blit ~src:from.gen ~dst:g.gen
+
 let split g =
   let sm = Splitmix64.split g.sm in
   { gen = Xoshiro.of_splitmix sm; sm }
 
 let bits64 g = Xoshiro.next g.gen
 
-(* Lemire-style unbiased bounded sampling via rejection on the top bits. *)
+(* Unbiased bounded sampling: mask a power of two, otherwise reject on
+   the low 62 bits (avoiding sign issues).  Both read
+   [Xoshiro.next_int], the low 63 bits of one output as a tagged int, so
+   a draw boxes no [int64]; [reject] is top level, so it allocates no
+   closure. *)
+let mask62 = (1 lsl 62) - 1
+
+let rec reject gen bound limit =
+  let r = Xoshiro.next_int gen land mask62 in
+  if r >= limit then reject gen bound limit else r mod bound
+
 let int g bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound land (bound - 1) = 0 then
     (* power of two: mask *)
-    Int64.to_int (Int64.logand (bits64 g) (Int64.of_int (bound - 1)))
-  else begin
-    (* Rejection sampling on 62 bits to avoid sign issues. *)
-    let mask = (1 lsl 62) - 1 in
-    let limit = mask - (mask mod bound) in
-    let rec draw () =
-      let r = Int64.to_int (bits64 g) land mask in
-      if r >= limit then draw () else r mod bound
-    in
-    draw ()
-  end
+    Xoshiro.next_int g.gen land (bound - 1)
+  else reject g.gen bound (mask62 - (mask62 mod bound))
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
 let float g =
-  (* 53 uniform bits scaled to [0,1). *)
-  let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 11) in
-  float_of_int r *. 0x1.0p-53
+  (* The top 53 bits scaled to [0,1). *)
+  float_of_int (Xoshiro.next_top53 g.gen) *. 0x1.0p-53
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
+let bool g = Xoshiro.next_int g.gen land 1 = 1
 
 let bernoulli g p =
   if not (p >= 0. && p <= 1.) then invalid_arg "Rng.bernoulli: p not in [0,1]";

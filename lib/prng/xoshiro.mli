@@ -5,7 +5,8 @@
     pseudorandom number generators", ACM TOMS 2021. *)
 
 type t
-(** Mutable generator state (256 bits). *)
+(** Mutable generator state (256 bits), stored unboxed, so that
+    {!next_int} and {!next_top53} allocate nothing. *)
 
 val of_seed : int64 -> t
 (** [of_seed seed] initialises the state from [seed] via SplitMix64, as
@@ -19,8 +20,20 @@ val copy : t -> t
     copies subsequently produce the same stream.  Used to implement shared
     randomness in couplings. *)
 
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] overwrites [dst]'s state with [src]'s, so [dst]
+    continues [src]'s stream. *)
+
 val next : t -> int64
 (** [next g] advances [g] and returns the next 64 pseudo-random bits. *)
+
+val next_int : t -> int
+(** [next_int g] advances [g] like {!next} and returns the low 63 bits of
+    the same output, [Int64.to_int (next g)], without boxing it. *)
+
+val next_top53 : t -> int
+(** [next_top53 g] advances [g] like {!next} and returns the top 53 bits
+    of the same output, a value below [2^53]. *)
 
 val jump : t -> unit
 (** [jump g] advances [g] by 2^128 steps, for independent substreams. *)

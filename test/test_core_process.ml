@@ -491,6 +491,85 @@ let test_monotone_coupling_distance_never_negative () =
   let trace = Coupling.Coalescence.trace_distance c g x y ~every:1 ~limit:500 in
   List.iter (fun (_, d) -> if d < 0 then Alcotest.fail "negative distance") trace
 
+(* Refilling a cutoff table in place from new counts gives the table a
+   fresh [create] builds from them: the same level law, and the same
+   draws while both are maintained through the same moves. *)
+let qcheck_abku_table_refill_equals_create =
+  QCheck.Test.make ~name:"Abku_table refill = create" ~count:200
+    QCheck.(
+      quad small_int (int_range 2 9) (pair (int_range 2 25) (int_range 2 25))
+        (int_range 1 4))
+    (fun (seed, n, (m0, m1), d) ->
+      let module Cv = Loadvec.Count_vector in
+      let g = rng ~seed () in
+      let table_of cv =
+        Sr.Abku_table.create ~d ~n ~max_level:(Cv.max_load cv)
+          ~count:(Cv.count cv)
+      in
+      let cv = Cv.of_load_vector (random_vector g ~n ~m:m0) in
+      let refilled = table_of cv in
+      Cv.set_from_load_vector cv (random_vector g ~n ~m:m1);
+      Sr.Abku_table.refill refilled ~max_level:(Cv.max_load cv)
+        ~count:(Cv.count cv);
+      let fresh = table_of cv in
+      let same () =
+        Sr.Abku_table.level_distribution refilled
+        = Sr.Abku_table.level_distribution fresh
+      in
+      let ok = ref (same ()) in
+      let p = Dp.make Core.Scenario.A (Sr.abku d) ~n in
+      let g' = Prng.Rng.duplicate g in
+      for _ = 1 to 15 do
+        let level =
+          Core.Scenario.remove_level (Dp.scenario p) cv ~u:(Prng.Rng.float g)
+        in
+        ignore (Prng.Rng.float g');
+        Cv.shift_down cv level;
+        Sr.Abku_table.on_loss refilled level;
+        Sr.Abku_table.on_loss fresh level;
+        let dest = Sr.Abku_table.draw_level refilled g in
+        if Sr.Abku_table.draw_level fresh g' <> dest then ok := false;
+        Cv.shift_up cv dest;
+        Sr.Abku_table.on_gain refilled (dest + 1);
+        Sr.Abku_table.on_gain fresh (dest + 1);
+        if not (same ()) then ok := false
+      done;
+      !ok)
+
+(* Draw-order parity of the monotone coupling with the shared-Probe
+   step it replaced (test/probe_coupling.ml): from a random start pair,
+   50 joint steps leave both implementations in the same pair, and their
+   generators at the same point of the stream.  Under ADAP the copies
+   probe different counts, so the generator's catch-up to the longer
+   prober is what keeps the streams together. *)
+let qcheck_monotone_matches_probe_reference =
+  let rules =
+    [| Sr.abku 1; Sr.abku 2; Sr.abku 3;
+       Sr.adap (Core.Adaptive.of_list [ 1; 2; 2; 3 ]) |]
+  in
+  QCheck.Test.make ~name:"monotone coupling = shared-Probe reference"
+    ~count:300
+    QCheck.(
+      quad (int_range 1 12) (int_range 1 30)
+        (pair bool (int_range 0 (Array.length rules - 1)))
+        (pair small_int small_int))
+    (fun (n, m, (scenario_b, r), (start_seed, seed)) ->
+      let sc = if scenario_b then Core.Scenario.B else Core.Scenario.A in
+      let p = Dp.make sc rules.(r) ~n in
+      let g0 = rng ~seed:start_seed () in
+      let v = random_vector g0 ~n ~m and u = random_vector g0 ~n ~m in
+      let x = Mv.of_load_vector v and y = Mv.of_load_vector u in
+      let x' = Mv.of_load_vector v and y' = Mv.of_load_vector u in
+      let c = Core.Coupled.monotone p in
+      let g = rng ~seed () and g' = rng ~seed () in
+      let ok = ref true in
+      for _ = 1 to 50 do
+        ignore (c.Coupling.Coupled_chain.step g x y);
+        Probe_coupling.step p g' x' y';
+        if not (Mv.equal x x' && Mv.equal y y') then ok := false
+      done;
+      !ok && Prng.Rng.bits64 g = Prng.Rng.bits64 g')
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -524,4 +603,6 @@ let suite =
   @ [
       Alcotest.test_case "sampled reset replays a fresh sim" `Quick
         test_sampled_reset_replays_fresh;
+      QCheck_alcotest.to_alcotest qcheck_monotone_matches_probe_reference;
+      QCheck_alcotest.to_alcotest qcheck_abku_table_refill_equals_create;
     ]

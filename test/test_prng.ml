@@ -241,6 +241,101 @@ let qcheck_inverse_cdf_valid =
       let i = Prng.Dist.inverse_cdf w u in
       0 <= i && i < Array.length w)
 
+(* xoshiro256++ known answers: the reference implementation's first six
+   outputs from the state words 1, 2, 3, 4. *)
+let test_xoshiro_known_answers () =
+  let g = Prng.Xoshiro.of_state [| 1L; 2L; 3L; 4L |] in
+  List.iter
+    (fun expected ->
+      Alcotest.(check int64) "reference output" expected (Prng.Xoshiro.next g))
+    [ 41943041L; 58720359L; 3588806011781223L; 3591011842654386L;
+      -9218127359498767411L; -8473074601504656454L ]
+
+(* A short stream of the default seed, pinned: every [Rng] draw kind
+   (mask and rejection paths of [int], [float], [bool], [split]) and the
+   saved state after it.  A change to how draws read the generator's
+   bits shows up here before it reaches any experiment table. *)
+let test_pinned_stream () =
+  let ints g bound k = List.init k (fun _ -> Prng.Rng.int g bound) in
+  let g = Prng.Rng.create ~seed:0x5EED () in
+  Alcotest.(check (list int))
+    "int 256" [ 0; 87; 51; 15; 242; 164 ] (ints g 256 6);
+  Alcotest.(check (list int))
+    "int 1000" [ 389; 223; 372; 244; 278; 587 ] (ints g 1000 6);
+  Alcotest.(check (list (float 0.)))
+    "float"
+    [ 0x1.e7d3fbabaa785p-1; 0x1.24790c6c6aa9ep-1; 0x1.9b298d84f3bdp-4;
+      0x1.033bc660fe4dp-5 ]
+    (List.init 4 (fun _ -> Prng.Rng.float g));
+  Alcotest.(check (list bool))
+    "bool"
+    [ true; true; true; false; true; true; true; true ]
+    (List.init 8 (fun _ -> Prng.Rng.bool g));
+  let s = Prng.Rng.split g in
+  Alcotest.(check (list int64))
+    "split"
+    [ 280777298040109809L; -2739733491430279003L; -1202142217815868315L ]
+    (List.init 3 (fun _ -> Prng.Rng.bits64 s));
+  Alcotest.(check (list int64))
+    "source after split"
+    [ -7178858407834158653L; -2014741398033523085L ]
+    (List.init 2 (fun _ -> Prng.Rng.bits64 g));
+  Alcotest.(check (array int64))
+    "saved state"
+    [| -4458470377966650001L; -5716898546633868682L; 2959945625433441044L;
+       6479210636764736730L; 1663341875487361878L |]
+    (Prng.Rng.save g);
+  (* A bound just above 2^61 rejects about half of all draws. *)
+  let g = Prng.Rng.create ~seed:0x5EED () in
+  Alcotest.(check (list int))
+    "int 2^61 + 1"
+    [ 1059057413034740736; 1677040964159157043; 471105996538898389;
+      1992388056607089372; 1141352963801122244; 695422361343745587 ]
+    (ints g ((1 lsl 61) + 1) 6);
+  Alcotest.(check (array int64))
+    "saved state after rejections"
+    [| -2903769987509840530L; 1273148356819279327L; 8564841679910629303L;
+       -8180877080738042710L; 8709371129873715009L |]
+    (Prng.Rng.save g)
+
+(* [duplicate] leaves its source untouched (unlike [copy], which
+   advances the source's splitter), and [catch_up] moves the source's
+   stream to where the duplicate stands. *)
+let test_duplicate_catch_up () =
+  let a = rng () and b = rng () in
+  let d = Prng.Rng.duplicate a in
+  Alcotest.(check (array int64)) "duplicate saves like its source"
+    (Prng.Rng.save a) (Prng.Rng.save d);
+  Alcotest.(check (array int64)) "source untouched" (Prng.Rng.save b)
+    (Prng.Rng.save a);
+  for _ = 1 to 5 do
+    ignore (Prng.Rng.int d 1000)
+  done;
+  Prng.Rng.catch_up a ~from:d;
+  for _ = 1 to 5 do
+    ignore (Prng.Rng.int b 1000)
+  done;
+  for _ = 1 to 20 do
+    Alcotest.(check int64) "caught up" (Prng.Rng.bits64 b) (Prng.Rng.bits64 a)
+  done;
+  Alcotest.(check int64) "splitter untouched"
+    (Prng.Rng.bits64 (Prng.Rng.split b))
+    (Prng.Rng.bits64 (Prng.Rng.split a))
+
+(* The bounded draws read the generator's bits as tagged ints, and the
+   state is unboxed, so they allocate nothing. *)
+let test_draws_do_not_allocate () =
+  let g = rng () in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    acc := !acc + Prng.Rng.int g 256 + Prng.Rng.int g 1000;
+    if Prng.Rng.bool g then incr acc
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -270,4 +365,11 @@ let suite =
         qcheck_int_in_range;
         qcheck_inverse_cdf_valid;
         qcheck_alias_law_equals_weights;
+      ]
+  @ List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
+      [
+        ("xoshiro256++ known answers", test_xoshiro_known_answers);
+        ("pinned stream of the default seed", test_pinned_stream);
+        ("duplicate and catch_up", test_duplicate_catch_up);
+        ("bounded draws do not allocate", test_draws_do_not_allocate);
       ]
