@@ -7,10 +7,11 @@
    value from a fixed extremal pair.
 
    The sparse exact layer (CSR matrix, cached stationary distribution,
-   doubling-then-bisect crossing search) makes state spaces several
-   times larger than the historical dense ceiling affordable; the
-   blocked streaming build plus designated extremal starts push the
-   full-mode grid to n = m = 46 (|Omega| = 105558) for scenario A.
+   batched per-start sweeps that retire each start at its first TV <=
+   eps) makes state spaces several times larger than the historical
+   dense ceiling affordable; the blocked streaming build plus
+   designated extremal starts push the full-mode grid to n = m = 46
+   (|Omega| = 105558) for scenario A.
    Each cell reports |Omega| in the table and its build/mix wall-clock
    through Engine.Metrics phases (dump with BENCH_METRICS=1), keeping
    the default table byte-identical across runs and domain counts.

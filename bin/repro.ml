@@ -258,11 +258,13 @@ let exact n m scenario rule eps domains block_rows spill checkpoint resume
     max_states starts_mode =
   let m = resolve_m n m in
   let count = Markov.Partition_space.count ~n ~m in
-  if count > max_states then
+  if count > max_states then begin
     Printf.eprintf
       "state space too large for exact analysis (%d > %d states; raise \
        --max-states)\n"
-      count max_states
+      count max_states;
+    exit 2
+  end
   else begin
     let process = Core.Dynamic_process.make scenario rule ~n in
     let states = Markov.Partition_space.enumerate ~n ~m in
@@ -278,8 +280,12 @@ let exact n m scenario rule eps domains block_rows spill checkpoint resume
     (* Above a few thousand states the all-starts search is the
        dominant cost; monotone-coupling domination makes the extremal
        starts (one full bin, balanced) the interesting ones. *)
-    let extremal = starts_mode = "extremal"
-                   || (starts_mode = "auto" && count > 5000) in
+    let extremal =
+      match starts_mode with
+      | `Extremal -> true
+      | `All -> false
+      | `Auto -> count > 5000
+    in
     let starts =
       if not extremal then None
       else
@@ -368,7 +374,10 @@ let exact_cmd =
              ~doc:"Refuse state spaces larger than this.")
   in
   let starts =
-    Arg.(value & opt string "auto"
+    Arg.(value
+         & opt
+             (enum [ ("auto", `Auto); ("all", `All); ("extremal", `Extremal) ])
+             `Auto
          & info [ "starts" ] ~docv:"auto|all|extremal"
              ~doc:"Start states for the mixing search: every state, only the \
                    extremal pair (all-in-one, uniform), or extremal \
@@ -459,18 +468,10 @@ let tv_cmd =
 let weighted seed n m d tail =
   let m = resolve_m n m in
   let g = Prng.Rng.create ~seed () in
-  let dist =
-    match tail with
-    | "const" -> Core.Weighted.Constant 1.
-    | "uniform" -> Core.Weighted.Uniform_unit
-    | "exp" -> Core.Weighted.Exponential 1.
-    | "pareto" -> Core.Weighted.Pareto { alpha = 1.5; xmin = 1. }
-    | other -> failwith (Printf.sprintf "unknown tail %S" other)
-  in
-  let t = Core.Weighted.static_run g ~n ~m ~d ~dist in
+  let t = Core.Weighted.static_run g ~n ~m ~d ~dist:tail in
   Printf.printf "weighted allocation: n = %d, m = %d, d = %d, weights %s\n" n m
     d
-    (Core.Weighted.dist_name dist);
+    (Core.Weighted.dist_name tail);
   Printf.printf "max load %.3f, total weight %.1f, mean load %.3f\n"
     (Core.Weighted.max_load t)
     (Core.Weighted.total_weight t)
@@ -479,7 +480,16 @@ let weighted seed n m d tail =
 let weighted_cmd =
   let d = Arg.(value & opt int 2 & info [ "d" ] ~docv:"D" ~doc:"Choices.") in
   let tail =
-    Arg.(value & opt string "exp"
+    Arg.(value
+         & opt
+             (enum
+                [
+                  ("const", Core.Weighted.Constant 1.);
+                  ("uniform", Core.Weighted.Uniform_unit);
+                  ("exp", Core.Weighted.Exponential 1.);
+                  ("pareto", Core.Weighted.Pareto { alpha = 1.5; xmin = 1. });
+                ])
+             (Core.Weighted.Exponential 1.)
          & info [ "tail" ] ~docv:"const|uniform|exp|pareto"
              ~doc:"Weight distribution.")
   in
@@ -514,11 +524,10 @@ let removal seed n m rule law =
   let g = Prng.Rng.create ~seed () in
   let removal_rule =
     match law with
-    | "a" | "A" -> Core.Removal.scenario_a
-    | "b" | "B" -> Core.Removal.scenario_b
-    | "squared" -> Core.Removal.load_squared
-    | "heaviest" -> Core.Removal.heaviest
-    | other -> failwith (Printf.sprintf "unknown removal law %S" other)
+    | `A -> Core.Removal.scenario_a
+    | `B -> Core.Removal.scenario_b
+    | `Squared -> Core.Removal.load_squared
+    | `Heaviest -> Core.Removal.heaviest
   in
   let v =
     Loadvec.Mutable_vector.of_load_vector (Loadvec.Load_vector.all_in_one ~n ~m)
@@ -543,7 +552,14 @@ let removal seed n m rule law =
 
 let removal_cmd =
   let law =
-    Arg.(value & opt string "a"
+    Arg.(value
+         & opt
+             (enum
+                [
+                  ("A", `A); ("a", `A); ("B", `B); ("b", `B);
+                  ("squared", `Squared); ("heaviest", `Heaviest);
+                ])
+             `A
          & info [ "law" ] ~docv:"a|b|squared|heaviest"
              ~doc:"Removal distribution (Section 7 generalization).")
   in

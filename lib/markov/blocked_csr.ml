@@ -555,7 +555,6 @@ let run k ~stat ~src ~dst =
 let spmv k ~src ~dst = ignore (run k ~stat:No_stat ~src ~dst)
 let step_l1 k ~src ~dst = run k ~stat:L1_diff ~src ~dst
 let step_tv k ~pi ~src ~dst = run k ~stat:(Tv pi) ~src ~dst /. 2.
-let kernel_parallel k = Option.is_some k.pool
 
 (* {2 Multi-vector fused products}
 
@@ -667,13 +666,13 @@ let slice_spmv_multi mat ~srcs ~dsts ~nb ~j0 ~j1 =
           done)
     mat.blocks
 
-let run_multi k ~stat ~srcs ~dsts =
+let step_tv_multi k ~pi ~srcs ~dsts =
   let mat = k.mat in
   let nb = Array.length srcs in
   if Array.length dsts <> nb then
     invalid_arg "Blocked_csr.step_tv_multi: srcs/dsts length mismatch";
   if nb = 0 then [||]
-  else if nb = 1 then [| run k ~stat ~src:srcs.(0) ~dst:dsts.(0) |]
+  else if nb = 1 then [| step_tv k ~pi ~src:srcs.(0) ~dst:dsts.(0) |]
   else begin
     for b = 0 to nb - 1 do
       if Array.length srcs.(b) <> mat.rows || Array.length dsts.(b) <> mat.cols
@@ -682,22 +681,16 @@ let run_multi k ~stat ~srcs ~dsts =
     Obs.Counter.incr spmv_counter;
     (* Per-chunk, per-vector partials: chunk c of vector b lives at
        [c * nb + b], written by the (unique) worker owning chunk c. *)
-    let chunk_stat =
-      match stat with
-      | No_stat -> [||]
-      | _ -> Array.make (k.nchunks * nb) 0.
-    in
+    let chunk_stat = Array.make (k.nchunks * nb) 0. in
+    let stat = Tv pi in
     let stat_chunks ~c0 ~c1 =
-      match stat with
-      | No_stat -> ()
-      | _ ->
-          for c = c0 to c1 - 1 do
-            let j0, j1 = chunk_bounds mat c in
-            for b = 0 to nb - 1 do
-              chunk_stat.((c * nb) + b) <-
-                chunk_stat_value ~stat ~src:srcs.(b) ~dst:dsts.(b) ~j0 ~j1
-            done
-          done
+      for c = c0 to c1 - 1 do
+        let j0, j1 = chunk_bounds mat c in
+        for b = 0 to nb - 1 do
+          chunk_stat.((c * nb) + b) <-
+            chunk_stat_value ~stat ~src:srcs.(b) ~dst:dsts.(b) ~j0 ~j1
+        done
+      done
     in
     (match k.pool with
     | None ->
@@ -712,19 +705,11 @@ let run_multi k ~stat ~srcs ~dsts =
               slice_spmv_multi mat ~srcs ~dsts ~nb ~j0 ~j1;
               stat_chunks ~c0 ~c1
             end));
-    match stat with
-    | No_stat -> Array.make nb 0.
-    | _ ->
-        let totals = Array.make nb 0. in
-        for c = 0 to k.nchunks - 1 do
-          for b = 0 to nb - 1 do
-            totals.(b) <- totals.(b) +. chunk_stat.((c * nb) + b)
-          done
-        done;
-        totals
+    let totals = Array.make nb 0. in
+    for c = 0 to k.nchunks - 1 do
+      for b = 0 to nb - 1 do
+        totals.(b) <- totals.(b) +. chunk_stat.((c * nb) + b)
+      done
+    done;
+    Array.map (fun s -> s /. 2.) totals
   end
-
-let spmv_multi k ~srcs ~dsts = ignore (run_multi k ~stat:No_stat ~srcs ~dsts)
-
-let step_tv_multi k ~pi ~srcs ~dsts =
-  Array.map (fun s -> s /. 2.) (run_multi k ~stat:(Tv pi) ~srcs ~dsts)

@@ -85,9 +85,6 @@ val kernel : ?pool:Parallel.Pool.t -> t -> kernel
     size exceeds 1 and every shard is in memory; disk-backed matrices
     always stream sequentially (one shard resident at a time). *)
 
-val kernel_parallel : kernel -> bool
-(** Whether products will actually fan out over a pool. *)
-
 val spmv : kernel -> src:float array -> dst:float array -> unit
 (** [dst ← src · P].  Bit-identical for any pool size.
     @raise Invalid_argument on dimension mismatch. *)
@@ -102,12 +99,6 @@ val step_tv :
   kernel -> pi:float array -> src:float array -> dst:float array -> float
 (** Fused evolution step: [dst ← src · P], returning
     [½ ‖dst − pi‖₁] — the TV distance driving mixing searches. *)
-
-val spmv_multi :
-  kernel -> srcs:float array array -> dsts:float array array -> unit
-(** Batched product without a fused statistic: [dsts.(b) ← srcs.(b) · P]
-    for every vector in one traversal of the matrix, each result
-    bit-identical to the corresponding {!spmv} call. *)
 
 val step_tv_multi :
   kernel ->

@@ -26,15 +26,15 @@ let tv_distance p q =
   Array.iteri (fun i x -> acc := !acc +. Float.abs (x -. q.(i))) p;
   !acc /. 2.
 
-let l1_diff a b =
+(* TV between the point mass at [start] and pi, summed term by term in
+   index order without building the vector. *)
+let tv_point pi start =
   let acc = ref 0. in
-  for i = 0 to Array.length a - 1 do
-    acc := !acc +. Float.abs (Array.unsafe_get a i -. Array.unsafe_get b i)
+  for j = 0 to Array.length pi - 1 do
+    acc :=
+      !acc +. Float.abs (Array.unsafe_get pi j -. if j = start then 1. else 0.)
   done;
-  !acc
-
-(* TV between a dense distribution and pi, without allocating. *)
-let tv_to_pi pi d = l1_diff pi d /. 2.
+  !acc /. 2.
 
 (* The kernel products are driven through: the chain's own sequential
    kernel, or a pool-parallel one prepared for the given pool.  Results
@@ -181,12 +181,18 @@ let resolve_starts ~what c = function
         s;
       s
 
-(* {2 Batched per-start sweeps}
+let stationary_expectation c ?pi ~f () =
+  let pi = match pi with Some p -> p | None -> stationary_cached c in
+  let acc = ref 0. in
+  Array.iteri (fun i s -> acc := !acc +. (pi.(i) *. f s)) c.states;
+  !acc
 
-   All-start analyses (TV profiles, mixing searches) evolve one point
-   mass per start through repeated fused products.  The matrix read —
-   nnz indices plus values — dominates each product's memory traffic, so
-   the sweeps below advance starts in {e batches} through
+(* {2 The per-start sweep}
+
+   Every per-start analysis (TV profiles, mixing times) evolves one
+   point mass per start through repeated fused products.  The matrix
+   read — nnz indices plus values — dominates each product's memory
+   traffic, so starts advance in {e batches} through
    {!Blocked_csr.step_tv_multi}: one traversal of the matrix per time
    step serves the whole batch, bit-identically per vector (see
    [DESIGN.md], "The representation layer").  The worthwhile batch width
@@ -204,7 +210,6 @@ let chunk_starts bsz starts =
     ((m + bsz - 1) / bsz)
     (fun g -> Array.sub starts (g * bsz) (Stdlib.min bsz (m - (g * bsz))))
 
-(* One point mass per start of the batch, plus matching scratch. *)
 let point_masses ~n batch =
   Array.map
     (fun start ->
@@ -213,113 +218,107 @@ let point_masses ~n batch =
       a)
     batch
 
-let worst_tv_after ?domains c ~pi t =
-  if t < 0 then invalid_arg "Exact.distribution_after: negative t";
-  let n = size c in
-  let domains = if fan_out_safe c then domains else Some 1 in
-  let batches = chunk_starts (multi_batch c) (Array.init n Fun.id) in
-  let tvs =
-    Parallel.map_array ?domains
-      (fun batch ->
-        let cur = ref (point_masses ~n batch) in
-        if t = 0 then
-          Array.fold_left
-            (fun acc d -> Float.max acc (tv_to_pi pi d))
-            0. !cur
-        else begin
-          let kern = Blocked_csr.kernel c.bcsr in
-          let nxt = ref (Array.map (fun _ -> Array.make n 0.) batch) in
-          for _ = 1 to t do
-            Blocked_csr.spmv_multi kern ~srcs:!cur ~dsts:!nxt;
-            let tmp = !cur in
-            cur := !nxt;
-            nxt := tmp
-          done;
-          (* The final distance is taken flat over the vector — the same
-             summation order the historical per-start scan used. *)
-          Array.fold_left
-            (fun acc d -> Float.max acc (tv_to_pi pi d))
-            0. !cur
-        end)
-      batches
+(* Advance the distributions [cur] (positions of one batch, all at time
+   [t0]) one fused product at a time, up to [max_t].  After the product
+   to time t, [retire i t tv] is told each live position's TV to pi and
+   answers whether that position is done; a retired position stops
+   evolving, so a start costs exactly the products up to its retirement.
+   [on_step t live] then sees the positions still live ([cur] holds
+   their distributions at t).  Returns the positions live at [max_t].
+   A vector's bits at t do not depend on which batch carried it. *)
+let sweep kern ~pi ~max_t ~t0 ~retire ?(on_step = fun _ _ -> ()) cur =
+  let sp =
+    if Obs.enabled () then
+      Obs.begin_span "exact.sweep"
+        ~args:[ ("starts", Obs.Int (Array.length cur)); ("t0", Obs.Int t0) ]
+    else Obs.null_span
   in
-  Array.fold_left Float.max 0. tvs
+  let nxt = Array.map (fun d -> Array.make (Array.length d) 0.) cur in
+  let rec go t live =
+    if Array.length live = 0 || t >= max_t then (t, live)
+    else begin
+      let t = t + 1 in
+      let tvs =
+        Blocked_csr.step_tv_multi kern ~pi
+          ~srcs:(Array.map (Array.get cur) live)
+          ~dsts:(Array.map (Array.get nxt) live)
+      in
+      Array.iter
+        (fun i ->
+          let d = cur.(i) in
+          cur.(i) <- nxt.(i);
+          nxt.(i) <- d)
+        live;
+      let live =
+        Array.of_list
+          (List.filteri
+             (fun p i -> not (retire i t tvs.(p)))
+             (Array.to_list live))
+      in
+      on_step t live;
+      go t live
+    end
+  in
+  let t, live = go t0 (Array.init (Array.length cur) Fun.id) in
+  Obs.end_span
+    ~args:[ ("t", Obs.Int t); ("live", Obs.Int (Array.length live)) ]
+    sp;
+  live
 
-let stationary_expectation c ?pi ~f () =
-  let pi = match pi with Some p -> p | None -> stationary_cached c in
-  let acc = ref 0. in
-  Array.iteri (fun i s -> acc := !acc +. (pi.(i) *. f s)) c.states;
-  !acc
+(* [f] over the batches, fanned out over [domains].  Each batch records
+   on its own trace track, reserved before the fan-out, so the merged
+   trace groups a batch's events together whichever domain ran it. *)
+let map_batches ?domains f batches =
+  let track0 =
+    if Obs.enabled () then Obs.task_base ~count:(Array.length batches) else 0
+  in
+  Parallel.map_array ?domains
+    (fun (g, batch) -> Obs.in_task (track0 + g) (fun () -> f batch))
+    (Array.mapi (fun g batch -> (g, batch)) batches)
 
-(* Per-start TV decay curves, swept in fused batches.  Work is
-   independent per start, so the batches fan out over domains; within a
-   batch every still-active start advances through one shared matrix
-   traversal per time step, with per-vector results bit-identical to the
-   historical one-start-at-a-time sweep (so the curves — and hence their
-   pointwise max — are identical for any domain count and batch shape).
-   A start whose TV has fallen to ≤ drop_below stops evolving (it drops
-   out of the batch) and keeps its last value: per-start TV to π is
-   non-increasing, so the profile error is at most drop_below (exact for
-   the default drop_below = 0). *)
+(* The pointwise max of per-start TV curves.  A start whose TV has
+   fallen to ≤ drop_below retires and holds its last value through
+   max_t: per-start TV to π is non-increasing, so the profile error is
+   at most drop_below (exact for the default drop_below = 0). *)
 let worst_tv_profile ?domains ?(drop_below = 0.) ?starts c ~max_t =
   if max_t < 0 then invalid_arg "Exact.worst_tv_profile: negative max_t";
   let starts = resolve_starts ~what:"worst_tv_profile" c starts in
   let pi = stationary_cached c in
-  let n = size c in
-  let domains = if fan_out_safe c then domains else Some 1 in
-  let batches = chunk_starts (multi_batch c) starts in
-  let per_batch =
-    Parallel.map_array ?domains
-      (fun batch ->
-        let kern = Blocked_csr.kernel c.bcsr in
-        let m = Array.length batch in
-        let tvs = Array.init m (fun _ -> Array.make (max_t + 1) 0.) in
-        let cur = point_masses ~n batch in
-        let nxt = Array.map (fun _ -> Array.make n 0.) batch in
-        (* [act.(0 .. nact-1)] are the batch positions still evolving;
-           a retired start holds its last value through max_t. *)
-        let act = Array.init m Fun.id in
-        let retire i t =
-          for u = t + 1 to max_t do
-            tvs.(i).(u) <- tvs.(i).(t)
-          done
-        in
-        let nact = ref 0 in
-        for i = 0 to m - 1 do
-          tvs.(i).(0) <- tv_to_pi pi cur.(i);
-          if tvs.(i).(0) <= drop_below then retire i 0
-          else begin
-            act.(!nact) <- i;
-            incr nact
-          end
-        done;
-        let t = ref 1 in
-        while !nact > 0 && !t <= max_t do
-          let srcs = Array.init !nact (fun p -> cur.(act.(p))) in
-          let dsts = Array.init !nact (fun p -> nxt.(act.(p))) in
-          let ds = Blocked_csr.step_tv_multi kern ~pi ~srcs ~dsts in
-          let w = ref 0 in
-          for p = 0 to !nact - 1 do
-            let i = act.(p) in
-            let tmp = cur.(i) in
-            cur.(i) <- nxt.(i);
-            nxt.(i) <- tmp;
-            tvs.(i).(!t) <- ds.(p);
-            if ds.(p) <= drop_below then retire i !t
-            else begin
-              act.(!w) <- i;
-              incr w
-            end
-          done;
-          nact := !w;
-          incr t
-        done;
-        tvs)
-      batches
+  let retire worst t tv =
+    if tv <= drop_below then begin
+      for u = t to max_t do
+        worst.(u) <- Float.max worst.(u) tv
+      done;
+      true
+    end
+    else begin
+      worst.(t) <- Float.max worst.(t) tv;
+      false
+    end
   in
-  let per_start = Array.concat (Array.to_list per_batch) in
-  Array.init (max_t + 1) (fun t ->
-      Array.fold_left (fun acc tvs -> Float.max acc tvs.(t)) 0. per_start)
+  let profile = Array.make (max_t + 1) 0. in
+  let live =
+    Array.of_list
+      (List.filter
+         (fun s -> not (retire profile 0 (tv_point pi s)))
+         (Array.to_list starts))
+  in
+  let domains = if fan_out_safe c then domains else Some 1 in
+  let per_batch =
+    map_batches ?domains
+      (fun batch ->
+        let worst = Array.make (max_t + 1) 0. in
+        ignore
+          (sweep (Blocked_csr.kernel c.bcsr) ~pi ~max_t ~t0:0
+             ~retire:(fun _ -> retire worst)
+             (point_masses ~n:(size c) batch));
+        worst)
+      (chunk_starts (multi_batch c) live)
+  in
+  Array.iter
+    (Array.iteri (fun t tv -> profile.(t) <- Float.max profile.(t) tv))
+    per_batch;
+  profile
 
 let relaxation_estimate ?domains ?starts c ?(max_t = 200) () =
   (* Points below 1e-8 are excluded from the fit, so dropping starts
@@ -348,218 +347,23 @@ let relaxation_estimate ?domains ?starts c ?(max_t = 200) () =
     failwith "Exact.relaxation_estimate: no exponential decay detected";
   -.sxx /. sxy
 
-(* Doubling-then-bisect search for one start's ε-crossing time.
-
-   Per-start TV to π is non-increasing in t (P contracts signed measures
-   in L1), so τ_x = min {t : ‖P^t(x,·) − π‖ ≤ ε} is well defined and
-   bisection over the bracket is sound.  [base] holds the distribution
-   at time [t_base] (always a t with TV > ε, so the bracket invariant is
-   maintained); probes evolve a scratch copy forward without touching
-   it, and a probe that becomes the new lower bound is committed by
-   swapping buffers.
-
-   [tau_hat] is a shared lower bound on the answer (the max of the exact
-   τ_x found so far).  Each start first probes there: if its TV is
-   already ≤ ε it cannot raise the max and is abandoned with a single
-   probe.  The final max is independent of the probe schedule — a start
-   attaining the max has TV > ε at every t below its τ_x, so it is never
-   pruned and always contributes its exact crossing — which keeps the
-   result identical for any domain count despite the shared counter, and
-   identical across kill/resume boundaries despite the restarted
-   schedule.
-
-   [save] (when checkpointing) is offered the live bracket after every
-   state change: (t_base, lo, hi, base) is exactly the loop state, so a
-   resumed search continues the same trajectory.  [resume] re-enters the
-   search at such a bracket, skipping the pruning phase. *)
-let search_crossing ~kern c ~pi ~eps ~max_t ~tau_hat ?save ?resume start =
-  let n = size c in
-  let base = ref (Array.make n 0.) in
-  let w1 = ref (Array.make n 0.) in
-  let w2 = ref (Array.make n 0.) in
-  !base.(start) <- 1.;
-  let t_base = ref 0 in
-  let lo = ref 0 in
-  let hi = ref 0 in
-  let step ~src ~dst = Blocked_csr.step_tv kern ~pi ~src ~dst in
-  let probe target =
-    let tv = ref (step ~src:!base ~dst:!w1) in
-    for _ = 2 to target - !t_base do
-      tv := step ~src:!w1 ~dst:!w2;
-      let tmp = !w1 in
-      w1 := !w2;
-      w2 := tmp
-    done;
-    !tv
-  in
-  (* Traced probe: one span per doubling/bisection step carrying the
-     probed time and the resulting TV distance.  [kind] distinguishes the
-     two search phases in the trace view. *)
-  let probe kind target =
-    if not (Obs.enabled ()) then probe target
-    else begin
-      let sp =
-        Obs.begin_span kind
-          ~args:[ ("start", Obs.Int start); ("target", Obs.Int target) ]
-      in
-      let tv = probe target in
-      Obs.end_span ~args:[ ("tv", Obs.Float tv) ] sp;
-      tv
-    end
-  in
-  let commit target =
-    let tmp = !base in
-    base := !w1;
-    w1 := tmp;
-    t_base := target
-  in
-  let offer_bracket () =
-    match save with
-    | None -> ()
-    | Some f -> f ~t_base:!t_base ~lo:!lo ~hi:!hi ~base:!base
-  in
-  let enter_bracket =
-    match resume with
-    | Some (r : Exact_checkpoint.inflight) ->
-        Array.fill !base 0 n 0.;
-        Array.blit r.base 0 !base 0 n;
-        t_base := r.t_base;
-        lo := r.lo;
-        hi := r.hi;
-        true
-    | None -> false
-  in
-  let pruned =
-    if enter_bracket then None
-    else begin
-      let guess = min (Atomic.get tau_hat) max_t in
-      let prune_sp =
-        if Obs.enabled () then
-          Obs.begin_span "exact.prune"
-            ~args:[ ("start", Obs.Int start); ("guess", Obs.Int guess) ]
-        else Obs.null_span
-      in
-      (* Pruning probe, stepping toward [guess] but checking the
-         (monotone) per-start TV after every product: a start that
-         crosses ε at some s ≤ guess is certified under the shared bound
-         after only s steps instead of always paying the full [guess]. *)
-      let t = ref 1 in
-      let last_tv = ref (step ~src:!base ~dst:!w1) in
-      let crossed = ref (!last_tv <= eps) in
-      while (not !crossed) && !t < guess do
-        last_tv := step ~src:!w1 ~dst:!w2;
-        let tmp = !w1 in
-        w1 := !w2;
-        w2 := tmp;
-        incr t;
-        crossed := !last_tv <= eps
-      done;
-      if Obs.enabled () then
-        Obs.end_span
-          ~args:[ ("t", Obs.Int !t); ("tv", Obs.Float !last_tv) ]
-          prune_sp;
-      if !crossed then Some !t (* τ_x = t ≤ guess ≤ answer: cannot raise it *)
-      else if guess >= max_t then
-        failwith "Exact.mixing_time: not mixed within max_t"
-      else begin
-        commit guess;
-        lo := guess;
-        hi := 0;
-        offer_bracket ();
-        None
-      end
-    end
-  in
-  match pruned with
-  | Some t -> t
-  | None ->
-      while !hi = 0 do
-        let target = min (2 * !lo) max_t in
-        if probe "exact.double" target <= eps then begin
-          hi := target;
-          offer_bracket ()
-        end
-        else if target >= max_t then
-          failwith "Exact.mixing_time: not mixed within max_t"
-        else begin
-          commit target;
-          lo := target;
-          offer_bracket ()
-        end
-      done;
-      while !hi - !lo > 1 do
-        let mid = !lo + ((!hi - !lo) / 2) in
-        if probe "exact.bisect" mid <= eps then begin
-          hi := mid;
-          offer_bracket ()
-        end
-        else begin
-          commit mid;
-          lo := mid;
-          offer_bracket ()
-        end
-      done;
-      let rec bump () =
-        let cur = Atomic.get tau_hat in
-        if !hi > cur && not (Atomic.compare_and_set tau_hat cur !hi) then
-          bump ()
-      in
-      bump ();
-      !hi
-
-(* Certify a batch of starts against the shared lower bound in fused
-   steps: all their point masses evolve together — one matrix traversal
-   per time step — and a start drops out of the batch as soon as its
-   (monotone) TV crosses ε at some t ≤ guess ≤ τ-so-far, since it can no
-   longer raise the maximum.  Starts still above ε at the bound are
-   returned for an exact individual {!search_crossing}.  The per-start
-   TVs are bit-identical to the single-vector pruning probe's, so the
-   certification decisions — and through them the final τ — match the
-   unbatched search exactly. *)
-let batch_prune ~kern c ~pi ~eps ~max_t ~tau_hat batch =
-  let n = size c in
-  let m = Array.length batch in
-  let guess = Stdlib.min (Atomic.get tau_hat) max_t in
-  let sp =
-    if Obs.enabled () then
-      Obs.begin_span "exact.prune_batch"
-        ~args:[ ("starts", Obs.Int m); ("guess", Obs.Int guess) ]
-    else Obs.null_span
-  in
-  let cur = point_masses ~n batch in
-  let nxt = Array.map (fun _ -> Array.make n 0.) batch in
-  let act = Array.init m Fun.id in
-  let nact = ref m in
-  let t = ref 0 in
-  while !nact > 0 && !t < guess do
-    incr t;
-    let srcs = Array.init !nact (fun p -> cur.(act.(p))) in
-    let dsts = Array.init !nact (fun p -> nxt.(act.(p))) in
-    let ds = Blocked_csr.step_tv_multi kern ~pi ~srcs ~dsts in
-    let w = ref 0 in
-    for p = 0 to !nact - 1 do
-      let i = act.(p) in
-      let tmp = cur.(i) in
-      cur.(i) <- nxt.(i);
-      nxt.(i) <- tmp;
-      if ds.(p) > eps then begin
-        act.(!w) <- i;
-        incr w
-      end
-    done;
-    nact := !w
-  done;
-  Obs.end_span ~args:[ ("survivors", Obs.Int !nact) ] sp;
-  Array.to_list (Array.init !nact (fun p -> batch.(act.(p))))
-
+(* τ(ε) is the largest per-start crossing τ_x = min {t : ‖P^t(x,·) − π‖
+   ≤ ε}: per-start TV to π is non-increasing in t (P contracts signed
+   measures in L1), so the first t at or below ε is the crossing, and a
+   start retires from its batch there — exactly τ_x products, the fewest
+   that certify it.  τ is a maximum over starts, so it depends neither
+   on the batch shape nor on the order or domain the batches ran on, nor
+   on a kill and resume (a resumed batch holds the bits the killed one
+   had reached). *)
 let mixing_time_impl ~eps ~max_t ~domains ?starts ?checkpoint c =
   let n = size c in
   let starts = resolve_starts ~what:"mixing_time" c starts in
-  let nnz = Blocked_csr.nnz c.bcsr in
-  (* A checkpointed search runs the starts sequentially so the snapshot
-     is a single well-defined cursor; pooled products keep the domains
-     busy instead.  Either way the answer is identical (see above). *)
-  let sequential = Option.is_some checkpoint || Array.length starts <= 2 in
+  let bsz = multi_batch c in
+  (* A checkpointed search runs its batches in order, so a snapshot is a
+     single well-defined cursor; starts that fit in one batch leave
+     nothing to fan out.  Both keep the domains busy inside each product
+     instead. *)
+  let in_order = Option.is_some checkpoint || Array.length starts <= bsz in
   let body pool =
     (* Restore a matching mixing snapshot before π is computed: it
        carries the converged π, so a resumed run skips the solve. *)
@@ -573,165 +377,97 @@ let mixing_time_impl ~eps ~max_t ~domains ?starts ?checkpoint c =
               Some m
           | _ -> None)
     in
-    (match mix0 with
-    | Some m -> c.pi <- Some (m.pi, m.pi_tol)
-    | None -> ());
+    Option.iter
+      (fun (m : Exact_checkpoint.mixing) -> c.pi <- Some (m.pi, m.pi_tol))
+      mix0;
     let pi_tol = 1e-12 in
     let pi = stationary_cached ~tol:pi_tol ?pool ?checkpoint c in
-    (* TV of the point mass at [start] against π. *)
-    let tv0 start =
-      let acc = ref 0. in
-      for j = 0 to n - 1 do
-        acc := !acc +. if j = start then Float.abs (1. -. pi.(j)) else pi.(j)
-      done;
-      !acc /. 2.
+    let completed =
+      ref (match mix0 with Some m -> m.completed | None -> [])
     in
-    let tv0s = Array.map tv0 starts in
-    let worst0 = Array.fold_left Float.max 0. tv0s in
-    if worst0 <= eps then 0
-    else if max_t < 1 then failwith "Exact.mixing_time: not mixed within max_t"
-    else begin
-      (* Only starts still above ε at t = 0 can determine τ; visit the
-         farthest-from-π ones first so the shared lower bound is tight
-         early and most remaining starts are pruned after one probe. *)
-      let order =
-        Array.to_list (Array.mapi (fun k start -> (k, start)) starts)
-        |> List.filter (fun (k, _) -> tv0s.(k) > eps)
-        |> List.sort (fun (ka, a) (kb, b) ->
-               match Float.compare tv0s.(kb) tv0s.(ka) with
-               | 0 -> Int.compare a b
-               | c -> c)
-        |> List.map snd |> Array.of_list
+    let known = Hashtbl.of_seq (List.to_seq !completed) in
+    (* A start within ε of π at t = 0 crosses there; every other one is
+       swept, unless a snapshot already holds its crossing. *)
+    let seen, todo =
+      List.filter (fun s -> tv_point pi s > eps) (Array.to_list starts)
+      |> List.partition (Hashtbl.mem known)
+    in
+    let resumed, todo =
+      match Option.bind mix0 (fun m -> m.inflight) with
+      | Some f when Array.for_all (fun s -> List.mem s todo) f.starts ->
+          ( [| (f.t, f.starts, Some f.dists) |],
+            List.filter (fun s -> not (Array.mem s f.starts)) todo )
+      | _ -> ([||], todo)
+    in
+    let batches =
+      Array.append resumed
+        (Array.map
+           (fun b -> (0, b, None))
+           (chunk_starts bsz (Array.of_list todo)))
+    in
+    let snapshot ?inflight completed =
+      {
+        Exact_checkpoint.states = n;
+        nnz = Blocked_csr.nnz c.bcsr;
+        phase =
+          Mixing { eps; pi_tol; pi = Array.copy pi; completed; inflight };
+      }
+    in
+    (* Mark the phase transition: a kill between π and the first batch
+       then resumes into the mixing phase directly. *)
+    (match (checkpoint, mix0) with
+    | Some sink, None -> Exact_checkpoint.commit sink (snapshot !completed)
+    | _ -> ());
+    let shared = if in_order then Some (kernel_for c pool) else None in
+    (* One batch: the crossings of its starts.  With a sink, a snapshot
+       of the live batch is offered after every product and one is
+       committed after the batch. *)
+    let run_batch (t0, batch, dists) =
+      let kern =
+        match shared with Some k -> k | None -> Blocked_csr.kernel c.bcsr
       in
-      let tau_hat =
-        Atomic.make
-          (match mix0 with Some m -> max 1 m.tau_hat | None -> 1)
+      let cur =
+        match dists with Some d -> d | None -> point_masses ~n batch
       in
-      if sequential then begin
-        let kern = kernel_for c pool in
-        let completed =
-          ref (match mix0 with Some m -> m.completed | None -> [])
-        in
-        let inflight0 = match mix0 with Some m -> m.inflight | None -> None in
-        let snapshot ?inflight () =
-          {
-            Exact_checkpoint.states = n;
-            nnz;
-            phase =
-              Mixing
-                {
-                  eps;
-                  pi_tol;
-                  pi = Array.copy pi;
-                  tau_hat = Atomic.get tau_hat;
-                  completed = !completed;
-                  inflight;
-                };
-          }
-        in
-        (* Mark the phase transition: a kill between π and the first
-           crossing then resumes into the mixing phase directly. *)
-        (match (checkpoint, mix0) with
-        | Some sink, None -> Exact_checkpoint.commit sink (snapshot ())
-        | _ -> ());
-        let best = ref 1 in
-        Array.iter
-          (fun start ->
-            let tau =
-              match List.assoc_opt start !completed with
-              | Some t -> t
-              | None ->
-                  let resume =
-                    match inflight0 with
-                    | Some i when i.Exact_checkpoint.start = start -> Some i
-                    | _ -> None
-                  in
-                  let save =
-                    Option.map
-                      (fun sink ~t_base ~lo ~hi ~base ->
-                        Exact_checkpoint.offer sink (fun () ->
-                            snapshot
-                              ~inflight:
-                                {
-                                  Exact_checkpoint.start;
-                                  t_base;
-                                  lo;
-                                  hi;
-                                  base = Array.copy base;
-                                }
-                              ()))
-                      checkpoint
-                  in
-                  let tau =
-                    search_crossing ~kern c ~pi ~eps ~max_t ~tau_hat ?save
-                      ?resume start
-                  in
-                  completed := (start, tau) :: !completed;
-                  (match checkpoint with
-                  | Some sink ->
-                      Exact_checkpoint.offer sink (fun () -> snapshot ())
-                  | None -> ());
-                  tau
-            in
-            if tau > !best then best := tau)
-          order;
-        (match checkpoint with
-        | Some sink -> Exact_checkpoint.commit sink (snapshot ())
-        | None -> ());
-        !best
-      end
-      else begin
-        (* Fused-batch search: the farthest-from-π start is searched
-           exactly first, so the shared bound is tight from the outset;
-           the remaining starts are then certified against it in fused
-           batches — one matrix traversal per time step serves a whole
-           batch — and the rare survivors (starts that can still raise
-           the maximum) get exact individual searches.  τ is identical
-           to the unbatched per-start fan-out: certified starts provably
-           cannot raise the maximum, and every survivor's exact crossing
-           bumps the shared bound.  (Batches fan out over domains when
-           every shard is resident; the probe *schedule* still depends
-           on the shared bound, so span counts may vary across runs; the
-           final τ does not.) *)
-        let kern = Blocked_csr.kernel c.bcsr in
-        let first = search_crossing ~kern c ~pi ~eps ~max_t ~tau_hat order.(0) in
-        let rest = Array.sub order 1 (Array.length order - 1) in
-        let batches = chunk_starts (multi_batch c) rest in
-        let batch_domains = if fan_out_safe c then domains else 1 in
-        let survivors =
-          if Array.length batches = 0 then [||]
-          else begin
-            (* One trace track per batch, reserved before the fan-out so
-               the merged trace groups each batch's probes together
-               regardless of which domain ran it. *)
-            let track0 =
-              if Obs.enabled () then
-                Obs.task_base ~count:(Array.length batches)
-              else 0
-            in
-            Parallel.map_array ~domains:batch_domains
-              (fun (g, batch) ->
-                Obs.in_task (track0 + g) (fun () ->
-                    let kern = Blocked_csr.kernel c.bcsr in
-                    batch_prune ~kern c ~pi ~eps ~max_t ~tau_hat batch))
-              (Array.mapi (fun g batch -> (g, batch)) batches)
-          end
-        in
-        let best = ref (max 1 first) in
-        Array.iter
-          (List.iter (fun start ->
-               let tau =
-                 search_crossing ~kern c ~pi ~eps ~max_t ~tau_hat start
-               in
-               if tau > !best then best := tau))
-          survivors;
-        max !best (Atomic.get tau_hat)
-      end
-    end
+      let crossed = ref [] in
+      let retire i t tv =
+        tv <= eps
+        && begin
+             crossed := (batch.(i), t) :: !crossed;
+             true
+           end
+      in
+      let on_step =
+        Option.map
+          (fun sink t live ->
+            Exact_checkpoint.offer sink (fun () ->
+                snapshot
+                  ~inflight:
+                    {
+                      Exact_checkpoint.t;
+                      starts = Array.map (Array.get batch) live;
+                      dists = Array.map (fun i -> Array.copy cur.(i)) live;
+                    }
+                  (!crossed @ !completed)))
+          checkpoint
+      in
+      if sweep kern ~pi ~max_t ~t0 ~retire ?on_step cur <> [||] then
+        failwith "Exact.mixing_time: not mixed within max_t";
+      Option.iter
+        (fun sink ->
+          completed := !crossed @ !completed;
+          Exact_checkpoint.commit sink (snapshot !completed))
+        checkpoint;
+      List.map snd !crossed
+    in
+    let domains = if in_order || not (fan_out_safe c) then 1 else domains in
+    List.map (Hashtbl.find known) seen
+    :: Array.to_list (map_batches ~domains run_batch batches)
+    |> List.fold_left (List.fold_left Stdlib.max) 0
   in
   (* Pooled products only pay off once the vectors span several column
      chunks; below that the per-product barrier dominates. *)
-  if sequential && domains > 1 && fan_out_safe c && n > 1024 then
+  if in_order && domains > 1 && fan_out_safe c && n > 1024 then
     Parallel.Pool.with_pool ~domains (fun pool -> body (Some pool))
   else body None
 

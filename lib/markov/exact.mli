@@ -9,14 +9,16 @@
 
     of the paper's Section 3.  All per-start quantities evolve
     distribution {e vectors} by repeated fused sparse products rather
-    than materialising dense powers [P^t]; the stationary distribution
-    is computed once per chain and cached.  Two axes of parallelism are
-    available, both with results identical for any domain count:
-    per-start sweeps fan out over {!Parallel.map_array}, and the
-    products themselves can run block-parallel over a {!Parallel.Pool}
-    (used automatically by {!mixing_time} when few starts are searched).
-    Long solves checkpoint through {!Exact_checkpoint} sinks and resume
-    to bit-identical answers.  Still only for enumerable state spaces.
+    than materialising dense powers [P^t]: one sweep advances a batch of
+    starts one product at a time and retires each start once it is
+    done.  The stationary distribution is computed once per chain and
+    cached.  Two axes of parallelism are available, both with results
+    identical for any domain count: batches fan out over
+    {!Parallel.map_array}, and the products themselves can run
+    block-parallel over a {!Parallel.Pool} (used automatically by
+    {!mixing_time} when its batches run in order).  Long solves
+    checkpoint through {!Exact_checkpoint} sinks and resume to
+    bit-identical answers.  Still only for enumerable state spaces.
 
     A chain value caches its stationary distribution and must not be
     shared across domains while these functions run on it. *)
@@ -66,12 +68,6 @@ val distribution_after : 'state t -> start:int -> int -> float array
     steps from state index [start], by [t] sparse vector·matrix
     products. *)
 
-val worst_tv_after : ?domains:int -> 'state t -> pi:float array -> int -> float
-(** [worst_tv_after c ~pi t] is [max_x ‖P^t(x,·) − pi‖], the distance
-    appearing in the mixing-time definition.  The per-start sweep fans
-    out over [domains]; the result does not depend on the domain
-    count. *)
-
 val stationary_expectation :
   'state t -> ?pi:float array -> f:('state -> float) -> unit -> float
 (** [stationary_expectation c ~f ()] is [Σ_x π(x) f(x)], computing π
@@ -86,8 +82,8 @@ val worst_tv_profile :
   float array
 (** [worst_tv_profile c ~max_t] is the sequence
     [t ↦ max_x ‖P^t(x,·) − π‖] for [t = 0..max_t] — the exact decay curve
-    whose ε-crossing point is τ(ε).  Each start evolves independently
-    (fanned out over [domains]; deterministic for any domain count).  A
+    whose ε-crossing point is τ(ε).  Starts evolve in batches, fanned
+    out over [domains]; the result is the same for any domain count.  A
     start whose TV has decayed to ≤ [drop_below] (default [0.], i.e.
     never) stops evolving and holds its last value: since per-start TV
     is non-increasing, the profile is then exact up to an additive error
@@ -117,25 +113,24 @@ val mixing_time :
   'state t ->
   int
 (** Exact [τ(ε)] (default [eps = 0.25], [max_t = 100_000]).  Uses the
-    cached stationary distribution.  Because per-start TV distance to π
-    is non-increasing in [t], each start's ε-crossing time is found by a
-    doubling-then-bisect search over committed distribution vectors, and
-    τ(ε) is the maximum over starts.  Starts are searched
-    farthest-from-π first and share the largest crossing found so far: a
-    start already within ε there is abandoned after a single probe,
-    since it cannot raise the maximum.
+    cached stationary distribution.  τ(ε) is the maximum over starts of
+    the per-start crossing [τ_x = min {t : ‖P^t(x,·) − π‖ ≤ ε}].  A start
+    within ε at [t = 0] crosses there; the others evolve in batches, one
+    fused product per time step, and each retires at its first TV ≤ ε.
+    Per-start TV to π is non-increasing in [t], so that first time is
+    its crossing, reached in exactly [τ_x] products.
 
     [starts] restricts the maximum to the given state indices (default:
     all states — the definition above).  [domains] parallelises either
-    across starts (many starts) or inside each product over a
-    {!Parallel.Pool} (few starts, or when checkpointing); the result is
-    identical for any value.
+    across batches or, when the batches run in order (a checkpointed
+    search, or starts that fit in one batch), inside each product over
+    a {!Parallel.Pool}; the result is identical for any value.
 
-    With a [checkpoint] sink the search runs its starts sequentially and
-    snapshots the stationary iterate, completed crossings and in-flight
-    bracket; a killed run resumed with the same sink (matching chain
-    fingerprint and ε) skips completed work and returns the bit-identical
-    τ.
+    With a [checkpoint] sink the batches run in order, and the search
+    snapshots the stationary iterate, the completed crossings and the
+    live batch with its distributions; a killed run resumed with the
+    same sink (matching chain fingerprint and ε) skips completed work
+    and returns the bit-identical τ.
     @raise Failure if not mixed within [max_t].
     @raise Invalid_argument if [domains < 1], or [starts] is empty or
     out of range. *)

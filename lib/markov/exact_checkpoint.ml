@@ -1,33 +1,32 @@
 (* Versioned snapshots of long exact-analysis runs.
 
-   Schema "repro.exact-checkpoint/1" (all integers int64 LE, floats
+   Schema "repro.exact-checkpoint/2" (all integers int64 LE, floats
    IEEE-754 binary64 LE):
 
-     magic[24] = "repro.exact-checkpoint/1"
+     magic[24] = "repro.exact-checkpoint/2"
      states, nnz                        — chain fingerprint
      phase tag (u8): 0 = Stationary, 1 = Mixing
      Stationary: tol, iter, prev_r, n, dist[n]
-     Mixing:     eps, pi_tol, n, pi[n], tau_hat,
+     Mixing:     eps, pi_tol, n, pi[n],
                  k, (start, tau)[k]     — completed crossings
-                 inflight flag (u8); if 1: start, t_base, lo, hi, base[n]
+                 inflight flag (u8); if 1: t, b, start[b], (n, dist[n])[b]
 
    Every quantity a resumed run needs is either here or redundant: the
-   search schedule is derived deterministically from (pi, eps) and the
-   completed set, and the final τ is independent of the probe schedule,
-   so a kill at any point resumes to a bit-identical answer.
+   remaining starts follow from (pi, eps) and the completed set, and a
+   live start's distribution at t is the same bits however it got there,
+   so a kill at any point resumes to a bit-identical answer.  A file of
+   an older schema reads as foreign.
 
    Files are written to a temporary sibling and renamed into place, so
    a kill mid-write leaves the previous snapshot intact.  [load_file]
    treats a missing, truncated or foreign file as "no checkpoint". *)
 
-let magic = "repro.exact-checkpoint/1"
+let magic = "repro.exact-checkpoint/2"
 
 type inflight = {
-  start : int;
-  t_base : int; (* [base] is the distribution at this time, TV > eps *)
-  lo : int;
-  hi : int; (* 0 while still doubling *)
-  base : float array;
+  t : int;
+  starts : int array; (* the live starts; each TV > eps at [t] *)
+  dists : float array array; (* their distributions at [t] *)
 }
 
 type stationary = {
@@ -41,7 +40,6 @@ type mixing = {
   eps : float;
   pi_tol : float;
   pi : float array;
-  tau_hat : int;
   completed : (int * int) list; (* (start, tau), completion order *)
   inflight : inflight option;
 }
@@ -69,13 +67,12 @@ let encode s =
       put_f64 buf prev_r;
       put_i64 buf (Array.length dist);
       put_vec buf dist
-  | Mixing { eps; pi_tol; pi; tau_hat; completed; inflight } ->
+  | Mixing { eps; pi_tol; pi; completed; inflight } ->
       Buffer.add_char buf '\001';
       put_f64 buf eps;
       put_f64 buf pi_tol;
       put_i64 buf (Array.length pi);
       put_vec buf pi;
-      put_i64 buf tau_hat;
       put_i64 buf (List.length completed);
       List.iter
         (fun (s, t) ->
@@ -84,14 +81,16 @@ let encode s =
         completed;
       (match inflight with
       | None -> Buffer.add_char buf '\000'
-      | Some { start; t_base; lo; hi; base } ->
+      | Some { t; starts; dists } ->
           Buffer.add_char buf '\001';
-          put_i64 buf start;
-          put_i64 buf t_base;
-          put_i64 buf lo;
-          put_i64 buf hi;
-          put_i64 buf (Array.length base);
-          put_vec buf base));
+          put_i64 buf t;
+          put_i64 buf (Array.length starts);
+          Array.iter (put_i64 buf) starts;
+          Array.iter
+            (fun d ->
+              put_i64 buf (Array.length d);
+              put_vec buf d)
+            dists));
   buf
 
 exception Corrupt
@@ -140,7 +139,6 @@ let decode bytes =
         let eps = get_f64 () in
         let pi_tol = get_f64 () in
         let pi = get_vec () in
-        let tau_hat = get_i64 () in
         let k = get_i64 () in
         if k < 0 || k > (len - !pos) / 16 then raise Corrupt;
         let completed =
@@ -153,15 +151,15 @@ let decode bytes =
           match get_u8 () with
           | 0 -> None
           | 1 ->
-              let start = get_i64 () in
-              let t_base = get_i64 () in
-              let lo = get_i64 () in
-              let hi = get_i64 () in
-              let base = get_vec () in
-              Some { start; t_base; lo; hi; base }
+              let t = get_i64 () in
+              let b = get_i64 () in
+              if b < 0 || b > (len - !pos) / 16 then raise Corrupt;
+              let starts = Array.init b (fun _ -> get_i64 ()) in
+              let dists = Array.init b (fun _ -> get_vec ()) in
+              Some { t; starts; dists }
           | _ -> raise Corrupt
         in
-        Mixing { eps; pi_tol; pi; tau_hat; completed; inflight }
+        Mixing { eps; pi_tol; pi; completed; inflight }
     | _ -> raise Corrupt
   in
   if !pos <> len then raise Corrupt;

@@ -1,25 +1,23 @@
 (** Versioned snapshots of long exact-analysis runs (schema
-    ["repro.exact-checkpoint/1"]).
+    ["repro.exact-checkpoint/2"]).
 
     A snapshot captures everything a killed power iteration or mixing
     search needs to resume: the in-progress iteration vector, the
     stationary distribution once found, the completed per-start
-    crossings, the shared pruning bound, and the in-flight bracket with
-    its committed base vector.  No RNG state is involved — the search
-    schedule is a deterministic function of the snapshot — and the final
-    τ is independent of the probe schedule, so a resumed run reproduces
-    the uninterrupted answer bit-for-bit (see the qcheck property in
-    [test/test_properties.ml]).
+    crossings, and the live batch of starts with their distributions at
+    the time reached.  No RNG state is involved, and a start's
+    distribution at time [t] is the same bits whichever batch evolved
+    it, so a resumed run reproduces the uninterrupted answer bit-for-bit
+    (see the qcheck property in [test/test_properties.ml]).
 
     Files are written atomically (temporary sibling + rename); loading
-    treats a missing, truncated or foreign file as "no checkpoint". *)
+    treats a missing, truncated or foreign file — including one of the
+    older schema ["/1"] — as "no checkpoint". *)
 
 type inflight = {
-  start : int;  (** State index whose crossing is being bracketed. *)
-  t_base : int;  (** Time of [base]; its TV to π exceeds ε. *)
-  lo : int;  (** Largest time known to be above ε. *)
-  hi : int;  (** Smallest time known to be ≤ ε; [0] while doubling. *)
-  base : float array;  (** Distribution at [t_base]. *)
+  t : int;  (** Time the live batch has reached. *)
+  starts : int array;  (** State indices still above ε at [t]. *)
+  dists : float array array;  (** Their distributions at [t], in order. *)
 }
 
 type stationary = {
@@ -34,11 +32,10 @@ type mixing = {
   eps : float;
   pi_tol : float;  (** Tolerance [pi] was solved to. *)
   pi : float array;
-  tau_hat : int;  (** Shared pruning bound: the largest crossing found. *)
   completed : (int * int) list;  (** Finished [(start, τ_start)] pairs. *)
   inflight : inflight option;
 }
-(** π found; per-start crossing searches in progress. *)
+(** π found; per-start sweeps in progress. *)
 
 type phase = Stationary of stationary | Mixing of mixing
 

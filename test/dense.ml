@@ -119,20 +119,23 @@ let stationary ?(tol = 1e-12) ?(max_iter = 1_000_000) c =
   go 0;
   !dist
 
-(* Step-by-step scan over the rows of P^t, all starts at once. *)
-let mixing_time ?(eps = 0.25) ?(max_t = 100_000) c =
+(* Step-by-step scan over the rows of P^t: the worst of the [starts]
+   (default: all states) at once. *)
+let mixing_time ?(eps = 0.25) ?(max_t = 100_000) ?starts c =
   let m = matrix c in
   let pi = stationary c in
   let n = Markov.Exact.size c in
+  let starts = match starts with Some s -> s | None -> Array.init n Fun.id in
   let rec go t current =
     if t > max_t then failwith "Dense.mixing_time: not mixed within max_t";
-    let worst = ref 0. in
-    for start = 0 to n - 1 do
-      worst :=
-        Float.max !worst
-          (Markov.Exact.tv_distance (Matrix.row current start) pi)
-    done;
-    if !worst <= eps then t else go (t + 1) (Matrix.mul current m)
+    let worst =
+      Array.fold_left
+        (fun acc start ->
+          Float.max acc
+            (Markov.Exact.tv_distance (Matrix.row current start) pi))
+        0. starts
+    in
+    if worst <= eps then t else go (t + 1) (Matrix.mul current m)
   in
   go 0 (Matrix.identity n)
 

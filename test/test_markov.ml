@@ -378,7 +378,7 @@ let test_blocked_multi_bitwise () =
      bit for bit, vector by vector — dst contents and TV statistics —
      across several chained steps, for both in-memory and mixed batch
      widths.  This is the contract the batched sweeps in Exact (TV
-     profiles, mixing pruning) rely on for their exactness claims. *)
+     profiles, mixing times) rely on for their exactness claims. *)
   let n = 37 in
   let b = blocked_of_rows ~block_rows:5 (stochastic_rows n) in
   let kern = B.kernel b in
@@ -496,6 +496,41 @@ let test_mixing_starts_subset () =
     (Invalid_argument "Exact.mixing_time: start out of range") (fun () ->
       ignore (Markov.Exact.mixing_time ~starts:[| 2 |] c))
 
+let test_mixing_one_product_per_step () =
+  (* A start retires at its first TV <= eps, so a search costs exactly
+     its largest crossing in products: Id-ABKU[2] at n = m = 8 has
+     tau(1/4) = 11 from the all-in-one state. *)
+  let n = 8 in
+  let process =
+    Core.Dynamic_process.make Core.Scenario.A (Core.Scheduling_rule.abku 2) ~n
+  in
+  let c =
+    Markov.Exact_builder.build
+      (Markov.Exact_builder.enumerated
+         (Markov.Partition_space.enumerate ~n ~m:n))
+      ~transitions:(Core.Dynamic_process.exact_transitions process)
+  in
+  ignore (Markov.Exact.stationary c);
+  let x = Markov.Exact.index c (Lv.all_in_one ~n ~m:n) in
+  let y = Markov.Exact.index c (Lv.uniform ~n ~m:n) in
+  let calls = Obs.Counter.make "bcsr.spmv_calls" in
+  let products starts =
+    let before = Obs.Counter.value calls in
+    let tau = Markov.Exact.mixing_time ~starts c in
+    (tau, Obs.Counter.value calls - before)
+  in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      Alcotest.(check (pair int int)) "one start: tau products" (11, 11)
+        (products [| x |]);
+      Alcotest.(check (pair int int)) "two starts: the larger crossing"
+        (11, 11) (products [| y; x |]))
+
 let sample_snapshot () =
   {
     Ck.states = 7;
@@ -506,11 +541,10 @@ let sample_snapshot () =
           eps = 0.25;
           pi_tol = 1e-12;
           pi = [| 0.25; 0.75 |];
-          tau_hat = 9;
           completed = [ (1, 9); (0, 4) ];
           inflight =
-            Some { Ck.start = 3; t_base = 8; lo = 8; hi = 16;
-                   base = [| 0.5; 0.5 |] };
+            Some { Ck.t = 8; starts = [| 3; 5 |];
+                   dists = [| [| 0.5; 0.5 |]; [| 0.125; 0.875 |] |] };
         };
   }
 
@@ -534,6 +568,16 @@ let test_checkpoint_file_roundtrip () =
       Ck.save_file path snap2;
       Alcotest.(check bool) "stationary roundtrip" true
         (Ck.load_file path = Some snap2);
+      (* A file of the older schema restarts fresh.  The stationary
+         layout is the same under /1, so this is a /1 file. *)
+      let raw = In_channel.with_open_bin path In_channel.input_all in
+      let magic = "repro.exact-checkpoint/1" in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc magic;
+          output_string oc
+            (String.sub raw (String.length magic)
+               (String.length raw - String.length magic)));
+      Alcotest.(check bool) "schema /1 file" true (Ck.load_file path = None);
       (* Corruption and foreign files read as "no checkpoint". *)
       let oc = open_out_bin path in
       output_string oc "definitely not a checkpoint";
@@ -613,4 +657,5 @@ let suite =
       ("checkpoint file roundtrip", test_checkpoint_file_roundtrip);
       ("checkpoint sink throttle", test_checkpoint_sink_throttle);
       ("mixing checkpoint resume via file", test_mixing_checkpoint_resume_file);
+      ("mixing: one product per time step", test_mixing_one_product_per_step);
     ])

@@ -98,8 +98,8 @@ let qcheck_partition_count_matches_enumerate =
 
 (* A random lazy stochastic chain: strictly positive off-diagonal mass
    (irreducible and aperiodic, so everything is well defined) with a
-   self-loop weight [a] that slows mixing down enough to exercise the
-   doubling-then-bisect search away from the t <= 1 corner. *)
+   self-loop weight [a] that slows mixing down enough that starts cross
+   ε at different times away from the t <= 1 corner. *)
 let random_chain g ~n ~a =
   let states = Array.init n Fun.id in
   let rows =
@@ -115,7 +115,9 @@ let random_chain g ~n ~a =
 let qcheck_sparse_dense_agree =
   (* The blocked-CSR analysis against the dense reference in the test
      tree: the stationary distributions agree to 1e-9 entrywise and the
-     mixing times are identical — also across domain counts. *)
+     mixing times are identical — over all starts, over a random
+     non-empty subset of them, and through a checkpointed search, each
+     at one and two domains. *)
   QCheck.Test.make ~name:"sparse and dense stationary/mixing agree" ~count:60
     QCheck.(triple small_int (int_range 2 8) (int_range 0 9))
     (fun (seed, n, tenths) ->
@@ -129,10 +131,25 @@ let qcheck_sparse_dense_agree =
           pi_sparse pi_dense
       in
       let eps = 0.25 in
-      let tau_dense = Dense.mixing_time ~eps chain in
-      let tau_seq = Markov.Exact.mixing_time ~eps ~domains:1 chain in
-      let tau_par = Markov.Exact.mixing_time ~eps ~domains:2 chain in
-      close && tau_seq = tau_dense && tau_par = tau_seq)
+      let subset =
+        let g = rng_of (seed + 7) in
+        let pick =
+          List.filter (fun _ -> Prng.Rng.bool g) (List.init n Fun.id)
+        in
+        Array.of_list (if pick = [] then [ Prng.Rng.int g n ] else pick)
+      in
+      let agree ?starts () =
+        let tau_dense = Dense.mixing_time ~eps ?starts chain in
+        List.for_all
+          (fun domains ->
+            let sink, _ = Markov.Exact_checkpoint.memory_sink () in
+            Markov.Exact.mixing_time ~eps ~domains ?starts chain = tau_dense
+            && Markov.Exact.mixing_time ~eps ~domains ?starts ~checkpoint:sink
+                 chain
+               = tau_dense)
+          [ 1; 2 ]
+      in
+      close && agree () && agree ~starts:subset ())
 
 let qcheck_empirical_tv_range =
   QCheck.Test.make ~name:"empirical TV in [0,1]" ~count:200
