@@ -244,28 +244,85 @@ let time_calls ~budget f =
   done;
   !elapsed /. float_of_int !count
 
+(* Run [f] on a fresh domain and return its result with the heap it
+   grew by, in words.  [top_heap_words] is a high-water mark summed over
+   domains, so growth read on the calling domain counts only what rises
+   above the largest earlier peak of the run; a fresh domain starts its
+   own mark at zero.  The major collection first settles the heap that
+   finished domains left behind, which the new domain could otherwise
+   pick up mid-measurement. *)
+let own_peak_words f =
+  Gc.full_major ();
+  Domain.join
+    (Domain.spawn (fun () ->
+         let top () =
+           Gc.minor ();
+           (Gc.quick_stat ()).Gc.top_heap_words
+         in
+         let t0 = top () in
+         let r = f () in
+         (r, top () - t0)))
+
+(* The streaming-build story: with [~spill] the builder's working set is
+   one block, so the peak heap of a build stays flat while the in-memory
+   build holds the whole matrix.  Each build is measured on its own
+   domain; a reading of 0 means the measurement broke, not that the
+   build was free. *)
+let streaming_build ctx ~states ~transitions ~spill_path =
+  Printf.printf "\n#### Micro — streaming build peak\n%!";
+  let build ?spill () =
+    own_peak_words (fun () ->
+        Markov.Exact_builder.build ~block_rows:512 ?spill
+          (Markov.Exact_builder.enumerated states)
+          ~transitions)
+  in
+  let spilled, spill_peak = build ~spill:spill_path () in
+  let chain, mem_peak = build () in
+  let nnz = Markov.Blocked_csr.nnz (Markov.Exact.blocked chain) in
+  let table =
+    Ctx.table ctx ~title:"streaming build peak heap"
+      ~columns:[ "build"; "|Omega|"; "nnz"; "peak heap growth (words)" ]
+  in
+  List.iter
+    (fun (name, peak) ->
+      if peak <= 0 then
+        failwith
+          (Printf.sprintf "micro: %s build peak heap reads %d words" name
+             peak);
+      Ctx.row table
+        ~values:
+          [
+            ("state_count", float_of_int (Array.length states));
+            ("nnz", float_of_int nnz);
+            ("peak_heap_words", float_of_int peak);
+          ]
+        [
+          name;
+          string_of_int (Array.length states);
+          string_of_int nnz;
+          string_of_int peak;
+        ])
+    [ ("spill (one block resident)", spill_peak);
+      ("in-memory (all blocks)", mem_peak) ];
+  Ctx.note table
+    (Printf.sprintf "spilled peak = %.0f%% of the in-memory peak"
+       (100. *. float_of_int spill_peak /. float_of_int mem_peak));
+  Ctx.emit ctx table;
+  (spilled, chain)
+
 (* The fused multi-vector kernel against B separate [step_tv] sweeps
-   over the same blocked CSR: one traversal of the matrix per batch
-   instead of B.  Bit-identity is asserted first — same zero-row skip,
-   same row-order accumulation, same chunk-order statistic reduction —
-   so the table doubles as a parity check; the timing then shows the
-   matrix-traffic amortisation that worst_tv_profile and the batched
-   mixing search ride on. *)
-let fused_mixing ctx =
+   over a spilled store: one stream of the block file per batch instead
+   of B.  Bit-identity is asserted first — same zero-row skip, same
+   row-order accumulation, same chunk-order statistic reduction — so the
+   table doubles as a parity check; the timing then shows the disk
+   traffic the batched per-start sweep saves.  In memory a row's entries
+   stay in L1 for the whole batch either way, and 8 vectors ran at
+   0.72–1.18× the speed of 8 separate products. *)
+let fused_mixing ctx ~pi spilled =
   Printf.printf "\n#### Micro — fused multi-vector mixing kernel\n%!";
-  let n = 40 in
-  let process =
-    Core.Dynamic_process.make Core.Scenario.A (Core.Scheduling_rule.abku 2) ~n
-  in
-  let chain =
-    Markov.Exact_builder.build
-      (Markov.Exact_builder.enumerated
-         (Markov.Partition_space.enumerate ~n ~m:n))
-      ~transitions:(Core.Dynamic_process.exact_transitions process)
-  in
-  let size = Markov.Exact.size chain in
-  let pi = Markov.Exact.stationary chain in
-  let kern = Markov.Blocked_csr.kernel (Markov.Exact.blocked chain) in
+  let bcsr = Markov.Exact.blocked spilled in
+  let size = Markov.Exact.size spilled in
+  let kern = Markov.Blocked_csr.kernel bcsr in
   let budget = 0.2 in
   let table =
     Ctx.table ctx ~title:"fused multi-vector mixing kernel"
@@ -336,138 +393,89 @@ let fused_mixing ctx =
     [ 4; 8; 16 ];
   Ctx.note table
     (Printf.sprintf
-       "all batches verified bitwise against B separate step_tv sweeps \
-        (|Omega| = %d, nnz = %d); one matrix traversal per batch is the \
-        win worst_tv_profile and the batched mixing search inherit"
-       size
-       (Markov.Blocked_csr.nnz (Markov.Exact.blocked chain)));
+       "spilled store (|Omega| = %d, nnz = %d, %d blocks read from disk per \
+        product); all batches verified bitwise against B separate step_tv \
+        sweeps; one stream of the block file per batch is what the batched \
+        per-start sweep saves"
+       size (Markov.Blocked_csr.nnz bcsr)
+       (Markov.Blocked_csr.block_count bcsr));
   Ctx.emit ctx table
 
-(* The blocked-CSR kernel across block sizes and pool sizes against the
-   one-block sequential kernel (a flat CSR matrix), plus the
-   streaming-build story: with [~spill] the builder's working set is one
-   block, so the peak heap of a build stays flat while the in-memory
-   build holds the whole matrix.  All kernel variants must agree bitwise
-   — every column accumulates over rows in index order whatever the
-   block size, and the column-owner-computes split makes the pooled
-   product deterministic — so the table doubles as a parity check.
-   Note: wall-clock speedup from the pool needs real cores; on a
-   single-CPU host the domains>1 rows mostly measure barrier
-   overhead. *)
-let blocked_spmv ctx =
-  Printf.printf "\n#### Micro — blocked vs flat spmv, streaming build peak\n%!";
+(* The blocked-CSR kernel against the one-block kernel (a flat CSR
+   matrix).  Both must agree bitwise — every column accumulates over
+   rows in index order whatever the block size — so the table doubles
+   as a parity check. *)
+let blocked_spmv ctx ~states ~transitions chain =
+  Printf.printf "\n#### Micro — blocked vs flat spmv\n%!";
+  let size = Array.length states in
+  let one_block =
+    Markov.Exact.blocked
+      (Markov.Exact_builder.build ~block_rows:size
+         (Markov.Exact_builder.enumerated states)
+         ~transitions)
+  in
+  let src = Array.make size (1. /. float_of_int size) in
+  let expect = Array.make size 0. in
+  Markov.Blocked_csr.spmv (Markov.Blocked_csr.kernel one_block) ~src
+    ~dst:expect;
+  let budget = 0.2 in
+  let time_spmv b =
+    let kernel = Markov.Blocked_csr.kernel b in
+    let dst = Array.make size 0. in
+    Markov.Blocked_csr.spmv kernel ~src ~dst;
+    if not (Array.for_all2 Float.equal dst expect) then
+      failwith "micro: blocked spmv disagrees with the one-block kernel";
+    time_calls ~budget (fun () -> Markov.Blocked_csr.spmv kernel ~src ~dst)
+  in
+  let table =
+    Ctx.table ctx ~title:"blocked vs flat spmv"
+      ~columns:[ "kernel"; "blocks"; "us/spmv"; "vs 1 block" ]
+  in
+  let reference_s = time_spmv one_block in
+  let emit_row name b seconds =
+    let blocks = Markov.Blocked_csr.block_count b in
+    Ctx.row table
+      ~values:
+        [
+          ("blocks", float_of_int blocks);
+          ("us_per_spmv", seconds *. 1e6);
+        ]
+      [
+        name;
+        string_of_int blocks;
+        Printf.sprintf "%.1f" (seconds *. 1e6);
+        Printf.sprintf "%.2fx" (reference_s /. seconds);
+      ]
+  in
+  emit_row "one block (reference)" one_block reference_s;
+  let bcsr = Markov.Exact.blocked chain in
+  emit_row "blocked CSR" bcsr (time_spmv bcsr);
+  Ctx.note table
+    "the blocked kernel verified bitwise against the one-block kernel";
+  Ctx.emit ctx table
+
+(* The exact layer's tables share the n = 30 Id-ABKU[2] chain, built
+   once spilled and once in memory. *)
+let exact_tables ctx =
   let n = 30 in
   let process =
     Core.Dynamic_process.make Core.Scenario.A (Core.Scheduling_rule.abku 2) ~n
   in
   let states = Markov.Partition_space.enumerate ~n ~m:n in
   let transitions = Core.Dynamic_process.exact_transitions process in
-  let top_heap () = (Gc.quick_stat ()).Gc.top_heap_words in
-  (* Spill-first ordering: the spilled build runs against the lower
-     high-water mark, so its delta reflects its own (flat) peak rather
-     than the in-memory build's. *)
   let spill_path = Filename.temp_file "micro_bcsr" ".blk" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove spill_path with Sys_error _ -> ())
     (fun () ->
-      Gc.compact ();
-      let t0 = top_heap () in
-      let spilled =
-        Markov.Exact_builder.build ~block_rows:512 ~spill:spill_path
-          (Markov.Exact_builder.enumerated states)
-          ~transitions
+      let spilled, chain =
+        streaming_build ctx ~states ~transitions ~spill_path
       in
-      let spill_peak = top_heap () - t0 in
-      let t1 = top_heap () in
-      let chain =
-        Markov.Exact_builder.build ~block_rows:512
-          (Markov.Exact_builder.enumerated states)
-          ~transitions
-      in
-      let mem_peak = top_heap () - t1 in
-      let bcsr = Markov.Exact.blocked chain in
-      let nnz = Markov.Blocked_csr.nnz bcsr in
-      let build_table =
-        Ctx.table ctx ~title:"streaming build peak heap"
-          ~columns:[ "build"; "|Omega|"; "nnz"; "peak heap growth (words)" ]
-      in
-      let build_row name peak =
-        Ctx.row build_table
-          ~values:
-            [
-              ("state_count", float_of_int (Array.length states));
-              ("nnz", float_of_int nnz);
-              ("peak_heap_words", float_of_int peak);
-            ]
-          [
-            name;
-            string_of_int (Array.length states);
-            string_of_int nnz;
-            string_of_int peak;
-          ]
-      in
-      build_row "spill (one block resident)" spill_peak;
-      build_row "in-memory (all blocks)" mem_peak;
-      Ctx.emit ctx build_table;
-      Markov.Blocked_csr.close (Markov.Exact.blocked spilled);
-      (* spmv parity + cost across layouts and pool sizes. *)
-      let size = Array.length states in
-      let one_block =
-        Markov.Exact.blocked
-          (Markov.Exact_builder.build ~block_rows:size
-             (Markov.Exact_builder.enumerated states)
-             ~transitions)
-      in
-      let src = Array.make size (1. /. float_of_int size) in
-      let expect = Array.make size 0. in
-      Markov.Blocked_csr.spmv (Markov.Blocked_csr.kernel one_block) ~src
-        ~dst:expect;
-      let budget = 0.2 in
-      let time_spmv kernel =
-        let dst = Array.make size 0. in
-        Markov.Blocked_csr.spmv kernel ~src ~dst;
-        if not (Array.for_all2 Float.equal dst expect) then
-          failwith "micro: blocked spmv disagrees with the one-block kernel";
-        time_calls ~budget (fun () -> Markov.Blocked_csr.spmv kernel ~src ~dst)
-      in
-      let table =
-        Ctx.table ctx ~title:"blocked vs flat spmv"
-          ~columns:[ "kernel"; "blocks"; "domains"; "us/spmv"; "vs 1 block" ]
-      in
-      let reference_s = time_spmv (Markov.Blocked_csr.kernel one_block) in
-      let emit_row name b ~domains seconds =
-        let blocks = Markov.Blocked_csr.block_count b in
-        Ctx.row table
-          ~values:
-            [
-              ("blocks", float_of_int blocks);
-              ("domains", float_of_int domains);
-              ("us_per_spmv", seconds *. 1e6);
-            ]
-          [
-            name;
-            string_of_int blocks;
-            string_of_int domains;
-            Printf.sprintf "%.1f" (seconds *. 1e6);
-            Printf.sprintf "%.2fx" (reference_s /. seconds);
-          ]
-      in
-      emit_row "one block (reference)" one_block ~domains:1 reference_s;
-      List.iter
-        (fun domains ->
-          let seconds =
-            if domains = 1 then time_spmv (Markov.Blocked_csr.kernel bcsr)
-            else
-              Parallel.Pool.with_pool ~domains (fun pool ->
-                  time_spmv (Markov.Blocked_csr.kernel ~pool bcsr))
-          in
-          emit_row "blocked CSR" bcsr ~domains seconds)
-        [ 1; 2; 4 ];
-      Ctx.note table
-        "all kernels verified bitwise against the one-block sequential \
-         kernel; pooled rows need >1 physical core to show wall-clock \
-         speedup";
-      Ctx.emit ctx table)
+      Fun.protect
+        ~finally:(fun () ->
+          Markov.Blocked_csr.close (Markov.Exact.blocked spilled))
+        (fun () ->
+          fused_mixing ctx ~pi:(Markov.Exact.stationary chain) spilled);
+      blocked_spmv ctx ~states ~transitions chain)
 
 (* Evidence for the Obs overhead contract: while tracing is disabled,
    every recording entry point is one load-and-branch with no
@@ -606,8 +614,7 @@ let serve_throughput ctx =
 
 let run ctx =
   backend_tables ctx;
-  fused_mixing ctx;
-  blocked_spmv ctx;
+  exact_tables ctx;
   engine_vs_chain ctx;
   serve_throughput ctx;
   obs_overhead ctx;

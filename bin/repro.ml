@@ -829,11 +829,6 @@ let serve seed n m scenario rule repr process listen shards dir snapshot_every
   let cluster =
     { Serve.Cluster.n; m; shards; process; scenario; rule; repr; seed }
   in
-  let domains =
-    match domains with
-    | Some d -> d
-    | None -> min shards (Parallel.recommended_domains ())
-  in
   let config =
     { Serve.Server.listen; cluster; dir; snapshot_every; sync; domains;
       max_batch; quiet; trace; trace_sample }
@@ -891,10 +886,11 @@ let serve_cmd =
          & info [ "sync" ] ~doc:"fsync the journal after every batch.")
   in
   let domains =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains applying shard batches (default: \
-                   min(shards, recommended)).")
+             ~doc:"Worker domains applying shard batches.  Above 1, a pool \
+                   flushes the shard queues in parallel; the replies are the \
+                   same for any value.")
   in
   let max_batch =
     Arg.(value & opt int 8192

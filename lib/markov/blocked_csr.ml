@@ -349,86 +349,54 @@ let is_stochastic ?(tol = 1e-9) t =
   t.rows = t.cols
   && Array.for_all (fun s -> Float.abs (s -. 1.) <= tol) (row_sums t)
 
+let in_memory t =
+  Array.for_all (function Mem _ -> true | Disk _ -> false) t.blocks
+
 (* {2 Kernels}
 
-   [dst <- src · P] plus optionally a fused L1 statistic, deterministic
-   for {e any} pool size.  Parallelism is column-owner-computes: the
-   columns are cut into fixed-width chunks (a property of the matrix,
-   not of the pool), each worker owns a contiguous chunk range, writes
-   only the dst entries in it, and accumulates each dst entry over rows
-   in increasing global row order — exactly the order the sequential
-   row-major scatter uses, so every dst value is bit-identical to the
-   sequential result.  Fused statistics are likewise summed per chunk
-   and then across chunks in chunk order on the caller's domain, making
-   residuals and TV values independent of the domain count too. *)
+   [dst <- src · P] plus optionally a fused L1 statistic.  The product is
+   one row-major scatter over the blocks, streaming any disk shard, so
+   each [dst.(j)] accumulates over rows in increasing global row order.
+   The statistic is summed per fixed-width column chunk (ascending index
+   order within the chunk) and each chunk's partial is added to the
+   total in chunk order.  That order is part of the bitwise contract:
+   every residual, TV and τ the exact layer has recorded was summed in
+   it.  A kernel holds no mutable state, so one kernel serves any number
+   of concurrent products on an in-memory store. *)
 
 let chunk_cols = 1024
 
-type stat = No_stat | L1_diff | Tv of float array
+type kernel = t
 
-type kernel = {
-  mat : t;
-  pool : Parallel.Pool.t option;
-  nchunks : int;
-  ranges : int array; (* length workers+1; worker w owns chunks [r.(w), r.(w+1)) *)
-  chunk_stat : float array; (* per-chunk partials of the fused statistic *)
-}
+let kernel t = t
 
-(* Cut the chunks into [workers] contiguous ranges of roughly equal
-   nnz, so a matrix whose mass concentrates in a few column bands still
-   splits evenly. *)
-let balance_ranges ~nchunks ~workers per_chunk_nnz =
-  let total = Array.fold_left ( + ) 0 per_chunk_nnz in
-  let ranges = Array.make (workers + 1) 0 in
-  if total = 0 then
-    for w = 0 to workers do
-      ranges.(w) <- nchunks * w / workers
-    done
-  else begin
-    let c = ref 0 and acc = ref 0 in
-    for w = 1 to workers - 1 do
-      let target = total * w / workers in
-      while !c < nchunks && !acc + per_chunk_nnz.(!c) <= target do
-        acc := !acc + per_chunk_nnz.(!c);
-        incr c
-      done;
-      ranges.(w) <- !c
+let check_dims t ~src ~dst =
+  if Array.length src <> t.rows || Array.length dst <> t.cols then
+    invalid_arg "Blocked_csr.spmv: dimension mismatch"
+
+(* The fused statistics read [src] or [pi] at every column index. *)
+let check_pi t pi =
+  if Array.length pi <> t.cols then
+    invalid_arg "Blocked_csr.step_tv: pi dimension mismatch"
+
+(* [Σ_j |a.(j) − b.(j)|] over the columns, in the chunked order above. *)
+let chunked_l1 t a b =
+  let total = ref 0. in
+  let j0 = ref 0 in
+  while !j0 < t.cols do
+    let j1 = Stdlib.min t.cols (!j0 + chunk_cols) in
+    let acc = ref 0. in
+    for j = !j0 to j1 - 1 do
+      acc := !acc +. Float.abs (Array.unsafe_get a j -. Array.unsafe_get b j)
     done;
-    ranges.(workers) <- nchunks
-  end;
-  ranges
+    total := !total +. !acc;
+    j0 := j1
+  done;
+  !total
 
-let all_mem t = Array.for_all (function Mem _ -> true | Disk _ -> false) t.blocks
-let in_memory = all_mem
-
-let kernel ?pool mat =
-  let nchunks = Stdlib.max 1 ((mat.cols + chunk_cols - 1) / chunk_cols) in
-  (* A pool only helps when every shard is resident: disk shards are
-     streamed through one shared channel and stay on the sequential
-     path. *)
-  let pool =
-    match pool with
-    | Some p when Parallel.Pool.size p > 1 && all_mem mat -> Some p
-    | _ -> None
-  in
-  let workers = match pool with Some p -> Parallel.Pool.size p | None -> 1 in
-  let per_chunk = Array.make nchunks 0 in
-  if workers > 1 then
-    Array.iter
-      (function
-        | Mem s ->
-            Array.iter
-              (fun j ->
-                per_chunk.(j / chunk_cols) <- per_chunk.(j / chunk_cols) + 1)
-              s.col_idx
-        | Disk _ -> ())
-      mat.blocks;
-  let ranges = balance_ranges ~nchunks ~workers per_chunk in
-  { mat; pool; nchunks; ranges; chunk_stat = Array.make nchunks 0. }
-
-(* Sequential row-major scatter over the blocks, streaming any disk
-   shard; the reference order every parallel variant reproduces. *)
-let seq_spmv t ~src ~dst =
+let spmv t ~src ~dst =
+  check_dims t ~src ~dst;
+  Obs.Counter.incr spmv_counter;
   Array.fill dst 0 t.cols 0.;
   for b = 0 to block_count t - 1 do
     with_shard t b (fun ~row0 s ->
@@ -445,271 +413,72 @@ let seq_spmv t ~src ~dst =
         done)
   done
 
-(* Worker slice: fill and accumulate the dst entries in column range
-   [j0, j1), reading every block but touching only the columns it owns.
-   For each row a binary search finds where the range starts in the
-   row's sorted columns; entries are then consumed sequentially.  Each
-   dst entry is owned by exactly one worker and accumulated over rows in
-   increasing global order — the same per-entry summation order as
-   {!seq_spmv}, hence bit-identical results for any pool size. *)
-let slice_spmv mat ~src ~dst ~j0 ~j1 =
-  Array.fill dst j0 (j1 - j0) 0.;
-  Array.iteri
-    (fun b st ->
-      match st with
-      | Disk _ -> assert false
-      | Mem s ->
-          let row0 = b * mat.block_rows in
-          let rp = s.row_ptr and ci = s.col_idx and vs = s.values in
-          let nrows = Array.length rp - 1 in
-          for r = 0 to nrows - 1 do
-            let v = Array.unsafe_get src (row0 + r) in
-            if v <> 0. then begin
-              let kend = Array.unsafe_get rp (r + 1) in
-              let lo = ref (Array.unsafe_get rp r) and hi = ref kend in
-              if j0 > 0 then
-                while !lo < !hi do
-                  let mid = (!lo + !hi) / 2 in
-                  if Array.unsafe_get ci mid < j0 then lo := mid + 1
-                  else hi := mid
-                done;
-              let k = ref !lo in
-              let continue_ = ref (!k < kend) in
-              while !continue_ do
-                let j = Array.unsafe_get ci !k in
-                if j >= j1 then continue_ := false
-                else begin
-                  Array.unsafe_set dst j
-                    (Array.unsafe_get dst j +. (v *. Array.unsafe_get vs !k));
-                  incr k;
-                  if !k >= kend then continue_ := false
-                end
-              done
-            end
-          done)
-    mat.blocks
+let step_l1 t ~src ~dst =
+  if t.rows <> t.cols then
+    invalid_arg "Blocked_csr.step_l1: matrix is not square";
+  spmv t ~src ~dst;
+  chunked_l1 t dst src
 
-let chunk_bounds mat c =
-  (c * chunk_cols, Stdlib.min mat.cols ((c + 1) * chunk_cols))
-
-let chunk_stat_value ~stat ~src ~dst ~j0 ~j1 =
-  match stat with
-  | No_stat -> 0.
-  | L1_diff ->
-      let acc = ref 0. in
-      for j = j0 to j1 - 1 do
-        acc :=
-          !acc +. Float.abs (Array.unsafe_get dst j -. Array.unsafe_get src j)
-      done;
-      !acc
-  | Tv pi ->
-      let acc = ref 0. in
-      for j = j0 to j1 - 1 do
-        acc :=
-          !acc +. Float.abs (Array.unsafe_get dst j -. Array.unsafe_get pi j)
-      done;
-      !acc
-
-(* Fused product: dst <- src · P, returning the requested L1 statistic.
-   The statistic is accumulated per fixed-width chunk (in ascending
-   index order within the chunk) and the chunk partials are summed in
-   chunk order on the caller's domain — both the chunk width and the
-   summation order are properties of the matrix alone, so the value is
-   identical for any pool size, including the sequential path. *)
-let run k ~stat ~src ~dst =
-  let mat = k.mat in
-  if Array.length src <> mat.rows || Array.length dst <> mat.cols then
-    invalid_arg "Blocked_csr.spmv: dimension mismatch";
-  Obs.Counter.incr spmv_counter;
-  let stat_chunks ~c0 ~c1 =
-    match stat with
-    | No_stat -> ()
-    | _ ->
-        for c = c0 to c1 - 1 do
-          let j0, j1 = chunk_bounds mat c in
-          k.chunk_stat.(c) <- chunk_stat_value ~stat ~src ~dst ~j0 ~j1
-        done
-  in
-  (match k.pool with
-  | None ->
-      seq_spmv mat ~src ~dst;
-      stat_chunks ~c0:0 ~c1:k.nchunks
-  | Some pool ->
-      Parallel.Pool.run pool (fun w _ ->
-          let c0 = k.ranges.(w) and c1 = k.ranges.(w + 1) in
-          if c1 > c0 then begin
-            let j0 = c0 * chunk_cols
-            and j1 = Stdlib.min mat.cols (c1 * chunk_cols) in
-            slice_spmv mat ~src ~dst ~j0 ~j1;
-            stat_chunks ~c0 ~c1
-          end));
-  match stat with
-  | No_stat -> 0.
-  | _ ->
-      let total = ref 0. in
-      for c = 0 to k.nchunks - 1 do
-        total := !total +. k.chunk_stat.(c)
-      done;
-      !total
-
-let spmv k ~src ~dst = ignore (run k ~stat:No_stat ~src ~dst)
-let step_l1 k ~src ~dst = run k ~stat:L1_diff ~src ~dst
-let step_tv k ~pi ~src ~dst = run k ~stat:(Tv pi) ~src ~dst /. 2.
+let step_tv t ~pi ~src ~dst =
+  check_pi t pi;
+  spmv t ~src ~dst;
+  chunked_l1 t dst pi /. 2.
 
 (* {2 Multi-vector fused products}
 
    Advance a whole batch of distribution vectors through one traversal
-   of the matrix.  The matrix is the dominant memory traffic of a fused
-   step (nnz column indices + values versus a handful of dense vectors),
-   so amortizing its read over B vectors is close to a Bx reduction in
-   traffic — the win the batched mixing sweeps in {!Exact} are built on.
+   of the matrix.  In memory this buys little, since a row's CSR entries
+   stay in L1 while the vectors replay them either way (0.72–1.18× the
+   speed of separate products for 8 vectors).  On a spilled store it is
+   what keeps per-start sweeps affordable: the blocks stream from disk
+   once per batch instead of once per vector (3.3–7.4× for 4–16).
 
    Bit-identity with the single-vector path is preserved per vector: a
    contribution [src.(row) * v] is added to [dst.(j)] if and only if
-   [src.(row) <> 0.] (the same skip {!seq_spmv} performs), and each
-   [dst.(j)] accumulates over rows in increasing global row order —
-   exactly the single-vector summation order.  The fused statistic is
-   likewise accumulated per column chunk and reduced in chunk order
-   independently for every vector, so
+   [src.(row) <> 0.] (the same skip {!spmv} performs), each [dst.(j)]
+   accumulates over rows in increasing global row order, and each
+   vector's TV is summed in the same chunked order, so
    [step_tv_multi k ~pi ~srcs ~dsts] returns exactly the values the B
-   separate [step_tv] calls would. *)
+   separate [step_tv] calls would.
 
-(* Sequential batched scatter.  The row's entries are the innermost
-   loop, replayed once per vector with the source value and destination
-   array in registers: a row (a few hundred bytes of CSR data) is pulled
-   from the block once and re-read from L1 by the remaining B-1 vectors,
-   which is where the traffic amortization comes from.  Entry-innermost
+   The row's entries are the innermost loop, replayed once per vector
+   with the source value and destination array in registers: a row (a
+   few hundred bytes of CSR data) is pulled from the block once and
+   re-read from L1 by the remaining B-1 vectors.  Entry-innermost
    ordering (one pass over the row updating all B vectors per entry)
    measures slower: it pays an [rv] load, a branch and a [dsts.(b)]
    indirection per (entry, vector) while saving only L1-hot re-reads. *)
-let seq_spmv_multi t ~srcs ~dsts ~nb =
-  for b = 0 to nb - 1 do
-    Array.fill dsts.(b) 0 t.cols 0.
-  done;
-  for blk = 0 to block_count t - 1 do
-    with_shard t blk (fun ~row0 s ->
-        let rp = s.row_ptr and ci = s.col_idx and vs = s.values in
-        let nrows = Array.length rp - 1 in
-        for r = 0 to nrows - 1 do
-          let row = row0 + r in
-          let k0 = Array.unsafe_get rp r in
-          let k1 = Array.unsafe_get rp (r + 1) in
-          for b = 0 to nb - 1 do
-            let sv = Array.unsafe_get (Array.unsafe_get srcs b) row in
-            if sv <> 0. then begin
-              let d = Array.unsafe_get dsts b in
-              for k = k0 to k1 - 1 do
-                let j = Array.unsafe_get ci k in
-                Array.unsafe_set d j
-                  (Array.unsafe_get d j +. (sv *. Array.unsafe_get vs k))
-              done
-            end
-          done
-        done)
-  done
-
-(* Batched worker slice: the column-owner-computes split of
-   {!slice_spmv}, with the same vector-outermost replay of each row's
-   owned entry range as {!seq_spmv_multi}.  [any] gates the binary
-   search to [j0] (one per row, shared by the batch); the per-vector
-   scan then walks the L1-hot entries until it leaves the owned
-   column range. *)
-let slice_spmv_multi mat ~srcs ~dsts ~nb ~j0 ~j1 =
-  for b = 0 to nb - 1 do
-    Array.fill dsts.(b) j0 (j1 - j0) 0.
-  done;
-  Array.iteri
-    (fun blk st ->
-      match st with
-      | Disk _ -> assert false
-      | Mem s ->
-          let row0 = blk * mat.block_rows in
-          let rp = s.row_ptr and ci = s.col_idx and vs = s.values in
-          let nrows = Array.length rp - 1 in
-          for r = 0 to nrows - 1 do
-            let row = row0 + r in
-            let any = ref false in
-            for b = 0 to nb - 1 do
-              if Array.unsafe_get (Array.unsafe_get srcs b) row <> 0. then
-                any := true
-            done;
-            if !any then begin
-              let kend = Array.unsafe_get rp (r + 1) in
-              let lo = ref (Array.unsafe_get rp r) and hi = ref kend in
-              if j0 > 0 then
-                while !lo < !hi do
-                  let mid = (!lo + !hi) / 2 in
-                  if Array.unsafe_get ci mid < j0 then lo := mid + 1
-                  else hi := mid
-                done;
-              let k0 = !lo in
-              for b = 0 to nb - 1 do
-                let sv = Array.unsafe_get (Array.unsafe_get srcs b) row in
-                if sv <> 0. then begin
-                  let d = Array.unsafe_get dsts b in
-                  let k = ref k0 in
-                  let continue_ = ref (k0 < kend) in
-                  while !continue_ do
-                    let j = Array.unsafe_get ci !k in
-                    if j >= j1 then continue_ := false
-                    else begin
-                      Array.unsafe_set d j
-                        (Array.unsafe_get d j
-                        +. (sv *. Array.unsafe_get vs !k));
-                      incr k;
-                      if !k >= kend then continue_ := false
-                    end
-                  done
-                end
-              done
-            end
-          done)
-    mat.blocks
-
-let step_tv_multi k ~pi ~srcs ~dsts =
-  let mat = k.mat in
+let step_tv_multi t ~pi ~srcs ~dsts =
   let nb = Array.length srcs in
   if Array.length dsts <> nb then
     invalid_arg "Blocked_csr.step_tv_multi: srcs/dsts length mismatch";
   if nb = 0 then [||]
-  else if nb = 1 then [| step_tv k ~pi ~src:srcs.(0) ~dst:dsts.(0) |]
+  else if nb = 1 then [| step_tv t ~pi ~src:srcs.(0) ~dst:dsts.(0) |]
   else begin
-    for b = 0 to nb - 1 do
-      if Array.length srcs.(b) <> mat.rows || Array.length dsts.(b) <> mat.cols
-      then invalid_arg "Blocked_csr.spmv: dimension mismatch"
-    done;
+    check_pi t pi;
+    Array.iteri (fun b src -> check_dims t ~src ~dst:dsts.(b)) srcs;
     Obs.Counter.incr spmv_counter;
-    (* Per-chunk, per-vector partials: chunk c of vector b lives at
-       [c * nb + b], written by the (unique) worker owning chunk c. *)
-    let chunk_stat = Array.make (k.nchunks * nb) 0. in
-    let stat = Tv pi in
-    let stat_chunks ~c0 ~c1 =
-      for c = c0 to c1 - 1 do
-        let j0, j1 = chunk_bounds mat c in
-        for b = 0 to nb - 1 do
-          chunk_stat.((c * nb) + b) <-
-            chunk_stat_value ~stat ~src:srcs.(b) ~dst:dsts.(b) ~j0 ~j1
-        done
-      done
-    in
-    (match k.pool with
-    | None ->
-        seq_spmv_multi mat ~srcs ~dsts ~nb;
-        stat_chunks ~c0:0 ~c1:k.nchunks
-    | Some pool ->
-        Parallel.Pool.run pool (fun w _ ->
-            let c0 = k.ranges.(w) and c1 = k.ranges.(w + 1) in
-            if c1 > c0 then begin
-              let j0 = c0 * chunk_cols
-              and j1 = Stdlib.min mat.cols (c1 * chunk_cols) in
-              slice_spmv_multi mat ~srcs ~dsts ~nb ~j0 ~j1;
-              stat_chunks ~c0 ~c1
-            end));
-    let totals = Array.make nb 0. in
-    for c = 0 to k.nchunks - 1 do
-      for b = 0 to nb - 1 do
-        totals.(b) <- totals.(b) +. chunk_stat.((c * nb) + b)
-      done
+    Array.iter (fun d -> Array.fill d 0 t.cols 0.) dsts;
+    for blk = 0 to block_count t - 1 do
+      with_shard t blk (fun ~row0 s ->
+          let rp = s.row_ptr and ci = s.col_idx and vs = s.values in
+          let nrows = Array.length rp - 1 in
+          for r = 0 to nrows - 1 do
+            let row = row0 + r in
+            let k0 = Array.unsafe_get rp r in
+            let k1 = Array.unsafe_get rp (r + 1) in
+            for b = 0 to nb - 1 do
+              let sv = Array.unsafe_get (Array.unsafe_get srcs b) row in
+              if sv <> 0. then begin
+                let d = Array.unsafe_get dsts b in
+                for k = k0 to k1 - 1 do
+                  let j = Array.unsafe_get ci k in
+                  Array.unsafe_set d j
+                    (Array.unsafe_get d j +. (sv *. Array.unsafe_get vs k))
+                done
+              end
+            done
+          done)
     done;
-    Array.map (fun s -> s /. 2.) totals
+    Array.map (fun d -> chunked_l1 t d pi /. 2.) dsts
   end

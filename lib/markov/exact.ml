@@ -2,7 +2,7 @@ type 'state t = {
   states : 'state array;
   find : 'state -> int option;
   bcsr : Blocked_csr.t;
-  kernel : Blocked_csr.kernel; (* sequential kernel, shared (read-only in use) *)
+  kernel : Blocked_csr.kernel; (* stateless: shared by every batch and domain *)
   mutable pi : (float array * float) option; (* cached stationary, with its tol *)
 }
 
@@ -36,16 +36,8 @@ let tv_point pi start =
   done;
   !acc /. 2.
 
-(* The kernel products are driven through: the chain's own sequential
-   kernel, or a pool-parallel one prepared for the given pool.  Results
-   are bit-identical either way (see {!Blocked_csr}). *)
-let kernel_for c = function
-  | None -> c.kernel
-  | Some pool -> Blocked_csr.kernel ~pool c.bcsr
-
-(* Multi-domain access (pooled kernels, per-start fan-outs) is only safe
-   when every shard is resident: disk-backed shards stream through one
-   shared channel. *)
+(* Fanning batches out over domains is only safe when every shard is
+   resident: disk-backed shards stream through one shared channel. *)
 let fan_out_safe c = Blocked_csr.in_memory c.bcsr
 
 let fingerprint_matches c (s : Exact_checkpoint.snapshot) =
@@ -101,8 +93,7 @@ let power_stationary ~tol ~max_iter ~n ?resume ?on_progress step =
 
 (* Shared cached π: reused when it was computed at a tolerance at least
    as tight as the requested one. *)
-let stationary_cached ?(tol = 1e-12) ?(max_iter = 1_000_000) ?pool ?checkpoint c
-    =
+let stationary_cached ?(tol = 1e-12) ?(max_iter = 1_000_000) ?checkpoint c =
   match c.pi with
   | Some (pi, cached_tol) when cached_tol <= tol -> pi
   | _ ->
@@ -129,7 +120,6 @@ let stationary_cached ?(tol = 1e-12) ?(max_iter = 1_000_000) ?pool ?checkpoint c
                 }))
           checkpoint
       in
-      let k = kernel_for c pool in
       let sp =
         if Obs.enabled () then
           Obs.begin_span "exact.stationary"
@@ -138,21 +128,14 @@ let stationary_cached ?(tol = 1e-12) ?(max_iter = 1_000_000) ?pool ?checkpoint c
       in
       let pi, iters =
         power_stationary ~tol ~max_iter ~n:(size c) ?resume ?on_progress
-          (fun ~src ~dst -> Blocked_csr.step_l1 k ~src ~dst)
+          (fun ~src ~dst -> Blocked_csr.step_l1 c.kernel ~src ~dst)
       in
       Obs.end_span ~args:[ ("iterations", Obs.Int iters) ] sp;
       c.pi <- Some (pi, tol);
       pi
 
-let stationary ?tol ?max_iter ?domains ?checkpoint c =
-  let solve pool = stationary_cached ?tol ?max_iter ?pool ?checkpoint c in
-  let pi =
-    match domains with
-    | Some d when d > 1 && fan_out_safe c ->
-        Parallel.Pool.with_pool ~domains:d (fun pool -> solve (Some pool))
-    | _ -> solve None
-  in
-  Array.copy pi
+let stationary ?tol ?max_iter ?domains:_ ?checkpoint c =
+  Array.copy (stationary_cached ?tol ?max_iter ?checkpoint c)
 
 let distribution_after c ~start t =
   if t < 0 then invalid_arg "Exact.distribution_after: negative t";
@@ -190,16 +173,16 @@ let stationary_expectation c ?pi ~f () =
 (* {2 The per-start sweep}
 
    Every per-start analysis (TV profiles, mixing times) evolves one
-   point mass per start through repeated fused products.  The matrix
-   read — nnz indices plus values — dominates each product's memory
-   traffic, so starts advance in {e batches} through
-   {!Blocked_csr.step_tv_multi}: one traversal of the matrix per time
-   step serves the whole batch, bit-identically per vector (see
-   [DESIGN.md], "The representation layer").  The worthwhile batch width
-   grows with the mean row density nnz/n (the same quantity the
-   [bcsr.block_nnz] histogram reports per block): the denser the matrix,
-   the more vector traffic one amortized traversal pays for.  The cap
-   keeps a batch's 2B dense vectors within reach of the outer cache. *)
+   point mass per start through repeated fused products.  Starts advance
+   in {e batches} through {!Blocked_csr.step_tv_multi}: one traversal of
+   the matrix per time step serves the whole batch, bit-identically per
+   vector (see [DESIGN.md], "The representation layer").  On a spilled
+   matrix that is one stream of the block file per batch instead of one
+   per start, 3.3–7.4× faster for 4–16 starts; in memory a batch ran at
+   0.72–1.18× the speed of its separate products.  The width grows with
+   the mean row density nnz/n (the same quantity the [bcsr.block_nnz]
+   histogram reports per block), and the cap keeps a batch's 2B dense
+   vectors within reach of the outer cache. *)
 let multi_batch c =
   Stdlib.max 4
     (Stdlib.min 16 (Blocked_csr.nnz c.bcsr / Stdlib.max 1 (size c)))
@@ -309,7 +292,7 @@ let worst_tv_profile ?domains ?(drop_below = 0.) ?starts c ~max_t =
       (fun batch ->
         let worst = Array.make (max_t + 1) 0. in
         ignore
-          (sweep (Blocked_csr.kernel c.bcsr) ~pi ~max_t ~t0:0
+          (sweep c.kernel ~pi ~max_t ~t0:0
              ~retire:(fun _ -> retire worst)
              (point_masses ~n:(size c) batch));
         worst)
@@ -358,118 +341,100 @@ let relaxation_estimate ?domains ?starts c ?(max_t = 200) () =
 let mixing_time_impl ~eps ~max_t ~domains ?starts ?checkpoint c =
   let n = size c in
   let starts = resolve_starts ~what:"mixing_time" c starts in
-  let bsz = multi_batch c in
-  (* A checkpointed search runs its batches in order, so a snapshot is a
-     single well-defined cursor; starts that fit in one batch leave
-     nothing to fan out.  Both keep the domains busy inside each product
-     instead. *)
-  let in_order = Option.is_some checkpoint || Array.length starts <= bsz in
-  let body pool =
-    (* Restore a matching mixing snapshot before π is computed: it
-       carries the converged π, so a resumed run skips the solve. *)
-    let mix0 =
-      match checkpoint with
-      | None -> None
-      | Some sink -> (
-          match Exact_checkpoint.resume sink with
-          | Some ({ phase = Mixing m; _ } as s)
-            when fingerprint_matches c s && m.eps = eps ->
-              Some m
-          | _ -> None)
-    in
-    Option.iter
-      (fun (m : Exact_checkpoint.mixing) -> c.pi <- Some (m.pi, m.pi_tol))
-      mix0;
-    let pi_tol = 1e-12 in
-    let pi = stationary_cached ~tol:pi_tol ?pool ?checkpoint c in
-    let completed =
-      ref (match mix0 with Some m -> m.completed | None -> [])
-    in
-    let known = Hashtbl.of_seq (List.to_seq !completed) in
-    (* A start within ε of π at t = 0 crosses there; every other one is
-       swept, unless a snapshot already holds its crossing. *)
-    let seen, todo =
-      List.filter (fun s -> tv_point pi s > eps) (Array.to_list starts)
-      |> List.partition (Hashtbl.mem known)
-    in
-    let resumed, todo =
-      match Option.bind mix0 (fun m -> m.inflight) with
-      | Some f when Array.for_all (fun s -> List.mem s todo) f.starts ->
-          ( [| (f.t, f.starts, Some f.dists) |],
-            List.filter (fun s -> not (Array.mem s f.starts)) todo )
-      | _ -> ([||], todo)
-    in
-    let batches =
-      Array.append resumed
-        (Array.map
-           (fun b -> (0, b, None))
-           (chunk_starts bsz (Array.of_list todo)))
-    in
-    let snapshot ?inflight completed =
-      {
-        Exact_checkpoint.states = n;
-        nnz = Blocked_csr.nnz c.bcsr;
-        phase =
-          Mixing { eps; pi_tol; pi = Array.copy pi; completed; inflight };
-      }
-    in
-    (* Mark the phase transition: a kill between π and the first batch
-       then resumes into the mixing phase directly. *)
-    (match (checkpoint, mix0) with
-    | Some sink, None -> Exact_checkpoint.commit sink (snapshot !completed)
-    | _ -> ());
-    let shared = if in_order then Some (kernel_for c pool) else None in
-    (* One batch: the crossings of its starts.  With a sink, a snapshot
-       of the live batch is offered after every product and one is
-       committed after the batch. *)
-    let run_batch (t0, batch, dists) =
-      let kern =
-        match shared with Some k -> k | None -> Blocked_csr.kernel c.bcsr
-      in
-      let cur =
-        match dists with Some d -> d | None -> point_masses ~n batch
-      in
-      let crossed = ref [] in
-      let retire i t tv =
-        tv <= eps
-        && begin
-             crossed := (batch.(i), t) :: !crossed;
-             true
-           end
-      in
-      let on_step =
-        Option.map
-          (fun sink t live ->
-            Exact_checkpoint.offer sink (fun () ->
-                snapshot
-                  ~inflight:
-                    {
-                      Exact_checkpoint.t;
-                      starts = Array.map (Array.get batch) live;
-                      dists = Array.map (fun i -> Array.copy cur.(i)) live;
-                    }
-                  (!crossed @ !completed)))
-          checkpoint
-      in
-      if sweep kern ~pi ~max_t ~t0 ~retire ?on_step cur <> [||] then
-        failwith "Exact.mixing_time: not mixed within max_t";
-      Option.iter
-        (fun sink ->
-          completed := !crossed @ !completed;
-          Exact_checkpoint.commit sink (snapshot !completed))
-        checkpoint;
-      List.map snd !crossed
-    in
-    let domains = if in_order || not (fan_out_safe c) then 1 else domains in
-    List.map (Hashtbl.find known) seen
-    :: Array.to_list (map_batches ~domains run_batch batches)
-    |> List.fold_left (List.fold_left Stdlib.max) 0
+  (* Restore a matching mixing snapshot before π is computed: it carries
+     the converged π, so a resumed run skips the solve. *)
+  let mix0 =
+    match checkpoint with
+    | None -> None
+    | Some sink -> (
+        match Exact_checkpoint.resume sink with
+        | Some ({ phase = Mixing m; _ } as s)
+          when fingerprint_matches c s && m.eps = eps ->
+            Some m
+        | _ -> None)
   in
-  (* Pooled products only pay off once the vectors span several column
-     chunks; below that the per-product barrier dominates. *)
-  if in_order && domains > 1 && fan_out_safe c && n > 1024 then
-    Parallel.Pool.with_pool ~domains (fun pool -> body (Some pool))
-  else body None
+  Option.iter
+    (fun (m : Exact_checkpoint.mixing) -> c.pi <- Some (m.pi, m.pi_tol))
+    mix0;
+  let pi_tol = 1e-12 in
+  let pi = stationary_cached ~tol:pi_tol ?checkpoint c in
+  let completed = ref (match mix0 with Some m -> m.completed | None -> []) in
+  let known = Hashtbl.of_seq (List.to_seq !completed) in
+  (* A start within ε of π at t = 0 crosses there; every other one is
+     swept, unless a snapshot already holds its crossing. *)
+  let seen, todo =
+    List.filter (fun s -> tv_point pi s > eps) (Array.to_list starts)
+    |> List.partition (Hashtbl.mem known)
+  in
+  let resumed, todo =
+    match Option.bind mix0 (fun m -> m.inflight) with
+    | Some f when Array.for_all (fun s -> List.mem s todo) f.starts ->
+        ( [| (f.t, f.starts, Some f.dists) |],
+          List.filter (fun s -> not (Array.mem s f.starts)) todo )
+    | _ -> ([||], todo)
+  in
+  let batches =
+    Array.append resumed
+      (Array.map
+         (fun b -> (0, b, None))
+         (chunk_starts (multi_batch c) (Array.of_list todo)))
+  in
+  let snapshot ?inflight completed =
+    {
+      Exact_checkpoint.states = n;
+      nnz = Blocked_csr.nnz c.bcsr;
+      phase = Mixing { eps; pi_tol; pi = Array.copy pi; completed; inflight };
+    }
+  in
+  (* Mark the phase transition: a kill between π and the first batch
+     then resumes into the mixing phase directly. *)
+  (match (checkpoint, mix0) with
+  | Some sink, None -> Exact_checkpoint.commit sink (snapshot !completed)
+  | _ -> ());
+  (* One batch: the crossings of its starts.  With a sink, a snapshot of
+     the live batch is offered after every product and one is committed
+     after the batch. *)
+  let run_batch (t0, batch, dists) =
+    let cur = match dists with Some d -> d | None -> point_masses ~n batch in
+    let crossed = ref [] in
+    let retire i t tv =
+      tv <= eps
+      && begin
+           crossed := (batch.(i), t) :: !crossed;
+           true
+         end
+    in
+    let on_step =
+      Option.map
+        (fun sink t live ->
+          Exact_checkpoint.offer sink (fun () ->
+              snapshot
+                ~inflight:
+                  {
+                    Exact_checkpoint.t;
+                    starts = Array.map (Array.get batch) live;
+                    dists = Array.map (fun i -> Array.copy cur.(i)) live;
+                  }
+                (!crossed @ !completed)))
+        checkpoint
+    in
+    if sweep c.kernel ~pi ~max_t ~t0 ~retire ?on_step cur <> [||] then
+      failwith "Exact.mixing_time: not mixed within max_t";
+    Option.iter
+      (fun sink ->
+        completed := !crossed @ !completed;
+        Exact_checkpoint.commit sink (snapshot !completed))
+      checkpoint;
+    List.map snd !crossed
+  in
+  (* A checkpointed search runs its batches in order, so a snapshot is a
+     single well-defined cursor. *)
+  let domains =
+    if Option.is_some checkpoint || not (fan_out_safe c) then 1 else domains
+  in
+  List.map (Hashtbl.find known) seen
+  :: Array.to_list (map_batches ~domains run_batch batches)
+  |> List.fold_left (List.fold_left Stdlib.max) 0
 
 let mixing_time ?(eps = 0.25) ?(max_t = 100_000) ?domains ?starts ?checkpoint c
     =

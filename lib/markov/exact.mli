@@ -12,13 +12,11 @@
     than materialising dense powers [P^t]: one sweep advances a batch of
     starts one product at a time and retires each start once it is
     done.  The stationary distribution is computed once per chain and
-    cached.  Two axes of parallelism are available, both with results
-    identical for any domain count: batches fan out over
-    {!Parallel.map_array}, and the products themselves can run
-    block-parallel over a {!Parallel.Pool} (used automatically by
-    {!mixing_time} when its batches run in order).  Long solves
-    checkpoint through {!Exact_checkpoint} sinks and resume to
-    bit-identical answers.  Still only for enumerable state spaces.
+    cached.  The one parallel axis is over batches of starts, which fan
+    out over {!Parallel.map_array} with results identical for any domain
+    count; each product runs on one domain.  Long solves checkpoint
+    through {!Exact_checkpoint} sinks and resume to bit-identical
+    answers.  Still only for enumerable state spaces.
 
     A chain value caches its stationary distribution and must not be
     shared across domains while these functions run on it. *)
@@ -56,10 +54,10 @@ val stationary :
     gap-corrected projection of the true error to fall below [tol], so
     slowly-mixing chains are not declared converged early.  The result
     is cached on the chain and reused whenever the cached tolerance is
-    at least as tight as the requested one.  With [domains > 1] the
-    products run block-parallel (bit-identical result).  With a
-    [checkpoint] sink the in-progress iterate is snapshotted
-    periodically and resumed from on restart.
+    at least as tight as the requested one.  The power iteration is one
+    chain of products, so it runs on the calling domain: [domains] is
+    accepted and ignored.  With a [checkpoint] sink the in-progress
+    iterate is snapshotted periodically and resumed from on restart.
     @raise Failure if the iteration does not converge — e.g. for a
     periodic chain. *)
 
@@ -121,16 +119,15 @@ val mixing_time :
     its crossing, reached in exactly [τ_x] products.
 
     [starts] restricts the maximum to the given state indices (default:
-    all states — the definition above).  [domains] parallelises either
-    across batches or, when the batches run in order (a checkpointed
-    search, or starts that fit in one batch), inside each product over
-    a {!Parallel.Pool}; the result is identical for any value.
+    all states — the definition above).  The batches fan out over
+    [domains] (default {!Parallel.recommended_domains}) when every block
+    of the matrix is in memory; the result is identical for any value.
 
-    With a [checkpoint] sink the batches run in order, and the search
-    snapshots the stationary iterate, the completed crossings and the
-    live batch with its distributions; a killed run resumed with the
-    same sink (matching chain fingerprint and ε) skips completed work
-    and returns the bit-identical τ.
+    With a [checkpoint] sink the batches run in order on the calling
+    domain, and the search snapshots the stationary iterate, the
+    completed crossings and the live batch with its distributions; a
+    killed run resumed with the same sink (matching chain fingerprint
+    and ε) skips completed work and returns the bit-identical τ.
     @raise Failure if not mixed within [max_t].
     @raise Invalid_argument if [domains < 1], or [starts] is empty or
     out of range. *)

@@ -48,12 +48,13 @@ let init_array ?domains k f =
 
    [map_array] spawns fresh domains per call, which is fine for
    coarse-grained fan-outs (one experiment repetition per task) but far
-   too expensive inside an spmv that a power iteration issues thousands
-   of times.  A pool keeps [size - 1] worker domains parked on a
-   condition variable; [run] wakes them for one job, executes slice 0 on
-   the calling domain, and barriers until every slice has finished.  The
-   caller is responsible for making slices race-free (workers in this
-   repository own disjoint output ranges). *)
+   too expensive for a job issued once per request batch (the serve
+   cluster's shard flush).  A pool keeps [size - 1] worker domains
+   parked on a condition variable; [run] wakes them for one job,
+   executes slice 0 on the calling domain, and barriers until every
+   slice has finished.  The caller is responsible for making slices
+   race-free (workers in this repository own disjoint output
+   ranges). *)
 module Pool = struct
   type t = {
     size : int;

@@ -24,10 +24,11 @@ val init_array : ?domains:int -> int -> (int -> 'b) -> 'b array
 (** Persistent worker domains for fine-grained data parallelism.
 
     {!map_array} spawns fresh domains per call — far too expensive for
-    kernels issued thousands of times per solve (one spmv costs tens of
-    microseconds; a domain spawn, hundreds).  A pool parks its workers
-    on a condition variable between jobs so the per-job cost is one
-    broadcast and one barrier. *)
+    jobs issued once per request batch, as the serve cluster's shard
+    flush is (a batch costs tens of microseconds; a domain spawn,
+    hundreds).  A pool parks its workers on a condition variable
+    between jobs so the per-job cost is one broadcast and one
+    barrier. *)
 module Pool : sig
   type t
 

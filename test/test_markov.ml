@@ -450,7 +450,26 @@ let test_blocked_builder_invalid () =
     (fun () ->
       let bld = B.builder () in
       B.add_row bld [ (3, 1.) ];
-      ignore (B.finish bld ~cols:2))
+      ignore (B.finish bld ~cols:2));
+  (* The fused statistics read their reference vector at every column,
+     so a 2 x 3 matrix has no L1 residual and a short pi is refused. *)
+  let bld = B.builder () in
+  B.add_row bld [ (0, 0.5); (2, 0.5) ];
+  B.add_row bld [ (1, 1.) ];
+  let k = B.kernel (B.finish bld ~cols:3) in
+  let src = [| 0.5; 0.5 |] and dst = Array.make 3 0. in
+  Alcotest.check_raises "step_l1 on a non-square matrix"
+    (Invalid_argument "Blocked_csr.step_l1: matrix is not square")
+    (fun () -> ignore (B.step_l1 k ~src ~dst));
+  Alcotest.check_raises "short pi"
+    (Invalid_argument "Blocked_csr.step_tv: pi dimension mismatch")
+    (fun () -> ignore (B.step_tv k ~pi:[| 0.5; 0.5 |] ~src ~dst));
+  Alcotest.check_raises "short pi, batched"
+    (Invalid_argument "Blocked_csr.step_tv: pi dimension mismatch")
+    (fun () ->
+      ignore
+        (B.step_tv_multi k ~pi:[| 0.5; 0.5 |] ~srcs:[| src; src |]
+           ~dsts:[| dst; Array.make 3 0. |]))
 
 let test_builder_streaming_equals_direct () =
   (* The shard shape is invisible to the analysis: a one-block build and

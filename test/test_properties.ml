@@ -283,10 +283,12 @@ let qcheck_blocked_spmv_agrees =
   (* The blocked store against the dense product on random stochastic
      matrices with irregular row fill, across degenerate and generic
      block sizes — including one size past the column-chunk width so the
-     pooled split actually partitions work.  The pooled kernel must be
-     bit-identical to the sequential one (the column-owner-computes
-     guarantee), and both within float noise of the dense product. *)
-  QCheck.Test.make ~name:"blocked spmv = flat spmv (blocks 1/7/n, pooled)"
+     fused L1 sums more than one chunk.  Every layout must be
+     bit-identical to the one-block store (each column accumulates over
+     rows in index order whatever the block size), product and L1 alike,
+     and the one-block store within float noise of the dense product
+     and its L1 distance to the source. *)
+  QCheck.Test.make ~name:"blocked spmv = flat spmv (blocks 1/7/n)"
     ~count:40
     QCheck.(pair small_int (oneofl [ 2; 3; 7; 19; 1500 ]))
     (fun (seed, n) ->
@@ -305,31 +307,28 @@ let qcheck_blocked_spmv_agrees =
       let expect =
         Dense.Matrix.vec_mul src (Dense.Matrix.of_rows ~cols:n rows)
       in
-      List.for_all
-        (fun block_rows ->
-          let bld = Markov.Blocked_csr.builder ~block_rows () in
-          Array.iter (Markov.Blocked_csr.add_row bld) rows;
-          let b = Markov.Blocked_csr.finish bld ~cols:n in
-          let dst = Array.make n nan in
-          let k_seq = Markov.Blocked_csr.kernel b in
-          let r_seq = Markov.Blocked_csr.step_l1 k_seq ~src ~dst in
-          let close =
-            Array.for_all2
-              (fun a b -> Float.abs (a -. b) <= 1e-12)
-              dst expect
-          in
-          let dst_par = Array.make n nan in
-          let bitwise =
-            Parallel.Pool.with_pool ~domains:3 (fun pool ->
-                let k_par = Markov.Blocked_csr.kernel ~pool b in
-                let r_par =
-                  Markov.Blocked_csr.step_l1 k_par ~src ~dst:dst_par
-                in
-                Float.equal r_seq r_par
-                && Array.for_all2 Float.equal dst dst_par)
-          in
-          close && bitwise)
-        [ 1; 7; n ])
+      let step block_rows =
+        let bld = Markov.Blocked_csr.builder ~block_rows () in
+        Array.iter (Markov.Blocked_csr.add_row bld) rows;
+        let k =
+          Markov.Blocked_csr.kernel (Markov.Blocked_csr.finish bld ~cols:n)
+        in
+        let dst = Array.make n nan in
+        let l1 = Markov.Blocked_csr.step_l1 k ~src ~dst in
+        (dst, l1)
+      in
+      let one_dst, one_l1 = step n in
+      let expect_l1 = ref 0. in
+      Array.iteri
+        (fun j x -> expect_l1 := !expect_l1 +. Float.abs (x -. src.(j)))
+        expect;
+      Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-12) one_dst expect
+      && Float.abs (one_l1 -. !expect_l1) <= 1e-9
+      && List.for_all
+           (fun block_rows ->
+             let dst, l1 = step block_rows in
+             Float.equal l1 one_l1 && Array.for_all2 Float.equal dst one_dst)
+           [ 1; 7 ])
 
 exception Killed
 
