@@ -267,24 +267,36 @@ let own_peak_words f =
    one block, so the peak heap of a build stays flat while the in-memory
    build holds the whole matrix.  Each build is measured on its own
    domain; a reading of 0 means the measurement broke, not that the
-   build was free. *)
+   build was free.  The minor words per row (counted on the build's own
+   domain) are the successor enumeration's allocation, which the gate
+   holds: like the coupled step's, it does not drift with host speed. *)
 let streaming_build ctx ~states ~transitions ~spill_path =
   Printf.printf "\n#### Micro — streaming build peak\n%!";
+  let rows = float_of_int (Array.length states) in
   let build ?spill () =
-    own_peak_words (fun () ->
-        Markov.Exact_builder.build ~block_rows:512 ?spill
-          (Markov.Exact_builder.enumerated states)
-          ~transitions)
+    let (chain, words), peak =
+      own_peak_words (fun () ->
+          let w0 = Gc.minor_words () in
+          let chain =
+            Markov.Exact_builder.build ~block_rows:512 ?spill
+              (Markov.Exact_builder.enumerated states)
+              ~transitions
+          in
+          (chain, (Gc.minor_words () -. w0) /. rows))
+    in
+    (chain, peak, words)
   in
-  let spilled, spill_peak = build ~spill:spill_path () in
-  let chain, mem_peak = build () in
+  let spilled, spill_peak, spill_words = build ~spill:spill_path () in
+  let chain, mem_peak, mem_words = build () in
   let nnz = Markov.Blocked_csr.nnz (Markov.Exact.blocked chain) in
   let table =
     Ctx.table ctx ~title:"streaming build peak heap"
-      ~columns:[ "build"; "|Omega|"; "nnz"; "peak heap growth (words)" ]
+      ~columns:
+        [ "build"; "|Omega|"; "nnz"; "peak heap growth (words)";
+          "minor words/row" ]
   in
   List.iter
-    (fun (name, peak) ->
+    (fun (name, peak, words) ->
       if peak <= 0 then
         failwith
           (Printf.sprintf "micro: %s build peak heap reads %d words" name
@@ -292,18 +304,20 @@ let streaming_build ctx ~states ~transitions ~spill_path =
       Ctx.row table
         ~values:
           [
-            ("state_count", float_of_int (Array.length states));
+            ("state_count", rows);
             ("nnz", float_of_int nnz);
             ("peak_heap_words", float_of_int peak);
+            ("minor_words_per_row", words);
           ]
         [
           name;
           string_of_int (Array.length states);
           string_of_int nnz;
           string_of_int peak;
+          Printf.sprintf "%.0f" words;
         ])
-    [ ("spill (one block resident)", spill_peak);
-      ("in-memory (all blocks)", mem_peak) ];
+    [ ("spill (one block resident)", spill_peak, spill_words);
+      ("in-memory (all blocks)", mem_peak, mem_words) ];
   Ctx.note table
     (Printf.sprintf "spilled peak = %.0f%% of the in-memory peak"
        (100. *. float_of_int spill_peak /. float_of_int mem_peak));

@@ -54,32 +54,70 @@ let sim_repr ?metrics ?(repr = Repr.Array_backed) t start =
   let (module S) = Load_state.of_repr repr t.rule in
   sim_of ?metrics (module S) t (S.of_load_vector start)
 
-let exact_transitions t lv =
-  let loads = Lv.to_array lv in
-  let removal = Scenario.removal_distribution t.scenario ~loads in
-  (* Group removal ranks by load value: within a value class every rank
-     yields the same normalized successor (Fact 3.2). *)
-  let out = ref [] in
-  let nranks = Array.length loads in
-  let i = ref 0 in
-  while !i < nranks do
-    let v_i = loads.(!i) in
-    let j = ref !i in
-    let p_class = ref 0. in
-    while !j < nranks && loads.(!j) = v_i do
-      p_class := !p_class +. removal.(!j);
-      incr j
-    done;
-    if !p_class > 0. then begin
-      let after_removal = Lv.ominus lv !i in
-      let loads' = Lv.to_array after_removal in
-      let insertion = Scheduling_rule.rank_distribution t.rule ~loads:loads' in
-      Array.iteri
-        (fun r p_ins ->
-          if p_ins > 0. then
-            out := (Lv.oplus after_removal r, !p_class *. p_ins) :: !out)
-        insertion
-    end;
-    i := !j
+(* The end (exclusive) of the load class starting at rank [i]. *)
+let class_end loads i =
+  let v = loads.(i) and j = ref (i + 1) in
+  while !j < Array.length loads && loads.(!j) = v do
+    incr j
   done;
-  !out
+  !j
+
+(* The mass a per-rank law puts on the ranks [i, j). *)
+let class_mass law i j =
+  let p = ref 0. in
+  for k = i to j - 1 do
+    p := !p +. law.(k)
+  done;
+  !p
+
+(* One successor per (removed class, inserted class): by Fact 3.2 every
+   rank of a load class yields the same normalized successor, so the
+   removal and the insertion mass are each summed over a class's ranks
+   before the successor is built.  Two different class pairs reach
+   different states, except that re-inserting into the class the removal
+   just lowered gives back [lv] itself. *)
+let exact_transitions t =
+  (* The ABKU[d] rank law depends on n and d alone; ADAP's on the loads
+     left by the removal. *)
+  let fixed_law =
+    match t.rule with
+    | Scheduling_rule.Abku _ ->
+        Some
+          (Scheduling_rule.rank_distribution t.rule ~loads:(Array.make t.n 0))
+    | Scheduling_rule.Adap _ -> None
+  in
+  fun lv ->
+    if Lv.dim lv <> t.n then
+      invalid_arg "Dynamic_process.exact_transitions: dimension mismatch";
+    let loads = Lv.to_array lv in
+    let removal = Scenario.removal_distribution t.scenario ~loads in
+    let out = ref [] in
+    let i = ref 0 in
+    while !i < t.n do
+      let j = class_end loads !i in
+      let p_removal = class_mass removal !i j in
+      if p_removal > 0. then begin
+        (* The removal lowers the class's last rank; [loads] holds the
+           vector after it until the rank is restored. *)
+        let after = Lv.ominus lv !i in
+        loads.(j - 1) <- loads.(j - 1) - 1;
+        let insertion =
+          match fixed_law with
+          | Some law -> law
+          | None -> Scheduling_rule.rank_distribution t.rule ~loads
+        in
+        let a = ref 0 in
+        while !a < t.n do
+          let b = class_end loads !a in
+          let p_insertion = class_mass insertion !a b in
+          if p_insertion > 0. then begin
+            let s' = if !a = j - 1 then lv else Lv.oplus after !a in
+            out := (s', p_removal *. p_insertion) :: !out
+          end;
+          a := b
+        done;
+        loads.(j - 1) <- loads.(j - 1) + 1
+      end;
+      i := j
+    done;
+    !out

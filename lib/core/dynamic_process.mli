@@ -80,5 +80,11 @@ val sim_repr :
 
 val exact_transitions :
   t -> Loadvec.Load_vector.t -> (Loadvec.Load_vector.t * float) list
-(** Exact one-step law from a state, enumerating (removal rank class ×
-    insertion rank) outcomes.  Probabilities sum to 1. *)
+(** Exact one-step law from a state, one outcome per (removal load
+    class × insertion load class) pair: by Fact 3.2 every rank of a class
+    gives the same normalized successor, so each class's mass is summed
+    over its ranks first.  Only the state itself can be listed more than
+    once (once per removal class); probabilities sum to 1.  Apply it to
+    the process once and reuse the result: the ABKU\[d\] rank law is
+    computed at that application.
+    @raise Invalid_argument if the state's dimension is not [n t]. *)

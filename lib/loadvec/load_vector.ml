@@ -13,14 +13,19 @@ let is_normalized a =
   in
   n > 0 && check 0
 
+(* Already-normalized input (every state an enumeration emits) is copied
+   without sorting; anything else takes the checked, sorting path. *)
 let of_array a =
-  if Array.length a = 0 then invalid_arg "Load_vector.of_array: empty";
-  Array.iter
-    (fun x -> if x < 0 then invalid_arg "Load_vector.of_array: negative load")
-    a;
-  let v = Array.copy a in
-  Array.sort (fun x y -> Stdlib.compare y x) v;
-  v
+  if is_normalized a then Array.copy a
+  else begin
+    if Array.length a = 0 then invalid_arg "Load_vector.of_array: empty";
+    Array.iter
+      (fun x -> if x < 0 then invalid_arg "Load_vector.of_array: negative load")
+      a;
+    let v = Array.copy a in
+    Array.sort (fun x y -> Stdlib.compare y x) v;
+    v
+  end
 
 let of_loads ~n loads =
   if List.length loads > n then

@@ -17,7 +17,9 @@ type t
     outside; every operation returns a fresh vector. *)
 
 val of_array : int array -> t
-(** [of_array a] normalizes (sorts) a copy of [a].
+(** [of_array a] normalizes (sorts) a copy of [a]; an [a] that is
+    already normalized ({!is_normalized}) is copied without sorting, at
+    the cost of one O(n) check.
     @raise Invalid_argument if [a] is empty or has a negative entry. *)
 
 val of_loads : n:int -> int list -> t

@@ -352,6 +352,32 @@ let is_stochastic ?(tol = 1e-9) t =
 let in_memory t =
   Array.for_all (function Mem _ -> true | Disk _ -> false) t.blocks
 
+(* Row by row, so the block layout and the spill do not enter: each
+   row's length, then its column indices and value bits.  A word is
+   xored in, then the running hash is multiplied by an odd constant
+   (carrying bits up) and xor-shifted (folding them down); both are
+   bijections, so changing any one word always changes the digest. *)
+let digest t =
+  let mix h x =
+    let h = (h lxor x) * 0x100000001b3 in
+    h lxor (h lsr 29)
+  in
+  let h = ref (mix (mix 0 t.rows) t.cols) in
+  for b = 0 to block_count t - 1 do
+    with_shard t b (fun ~row0:_ s ->
+        for r = 0 to Array.length s.row_ptr - 2 do
+          h := mix !h (s.row_ptr.(r + 1) - s.row_ptr.(r));
+          for k = s.row_ptr.(r) to s.row_ptr.(r + 1) - 1 do
+            let bits = Int64.bits_of_float s.values.(k) in
+            h :=
+              mix
+                (mix (mix !h s.col_idx.(k)) (Int64.to_int bits))
+                (Int64.to_int (Int64.shift_right_logical bits 32))
+          done
+        done)
+  done;
+  !h
+
 (* {2 Kernels}
 
    [dst <- src · P] plus optionally a fused L1 statistic.  The product is

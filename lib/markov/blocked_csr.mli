@@ -76,6 +76,14 @@ val open_file : string -> t
 val row_sums : t -> float array
 val is_stochastic : ?tol:float -> t -> bool
 
+val digest : t -> int
+(** A hash of the whole matrix — its shape and, row by row, each
+    entry's column index and value bits — in one O(nnz) pass (a spilled
+    store streams from disk).  Matrices equal entry for entry, bit for
+    bit, share it whatever their block size or spill; a checkpoint
+    records it to refuse a resume on a different chain of the same
+    shape. *)
+
 (** {1 Kernels} *)
 
 type kernel

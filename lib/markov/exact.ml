@@ -4,13 +4,21 @@ type 'state t = {
   bcsr : Blocked_csr.t;
   kernel : Blocked_csr.kernel; (* stateless: shared by every batch and domain *)
   mutable pi : (float array * float) option; (* cached stationary, with its tol *)
+  mutable digest : int option; (* Blocked_csr.digest, once a sink needs it *)
 }
 
 let of_blocked ~states ~find bcsr =
   let n = Array.length states in
   if Blocked_csr.rows bcsr <> n || Blocked_csr.cols bcsr <> n then
     invalid_arg "Exact.of_blocked: matrix shape does not match the states";
-  { states; find; bcsr; kernel = Blocked_csr.kernel bcsr; pi = None }
+  {
+    states;
+    find;
+    bcsr;
+    kernel = Blocked_csr.kernel bcsr;
+    pi = None;
+    digest = None;
+  }
 
 let size c = Array.length c.states
 let blocked c = c.bcsr
@@ -40,9 +48,29 @@ let tv_point pi start =
    resident: disk-backed shards stream through one shared channel. *)
 let fan_out_safe c = Blocked_csr.in_memory c.bcsr
 
+(* A checkpoint names its chain by shape and by the matrix digest.  The
+   digest costs an O(nnz) pass, so it is taken only for a run with a
+   sink, at its first snapshot or resume. *)
+let digest c =
+  match c.digest with
+  | Some d -> d
+  | None ->
+      let d = Blocked_csr.digest c.bcsr in
+      c.digest <- Some d;
+      d
+
+let snapshot_of c phase =
+  {
+    Exact_checkpoint.states = size c;
+    nnz = Blocked_csr.nnz c.bcsr;
+    digest = digest c;
+    phase;
+  }
+
 let fingerprint_matches c (s : Exact_checkpoint.snapshot) =
   s.Exact_checkpoint.states = size c
   && s.Exact_checkpoint.nnz = Blocked_csr.nnz c.bcsr
+  && s.Exact_checkpoint.digest = digest c
 
 (* Power iteration with a gap-corrected stopping rule.  The naive rule
    "stop when successive iterates are close" can stop far from π on a
@@ -112,12 +140,8 @@ let stationary_cached ?(tol = 1e-12) ?(max_iter = 1_000_000) ?checkpoint c =
         Option.map
           (fun sink ~iter ~prev_r ~dist ->
             Exact_checkpoint.offer sink (fun () ->
-                {
-                  Exact_checkpoint.states = size c;
-                  nnz = Blocked_csr.nnz c.bcsr;
-                  phase =
-                    Stationary { tol; iter; prev_r; dist = Array.copy dist };
-                }))
+                snapshot_of c
+                  (Stationary { tol; iter; prev_r; dist = Array.copy dist })))
           checkpoint
       in
       let sp =
@@ -380,11 +404,8 @@ let mixing_time_impl ~eps ~max_t ~domains ?starts ?checkpoint c =
          (chunk_starts (multi_batch c) (Array.of_list todo)))
   in
   let snapshot ?inflight completed =
-    {
-      Exact_checkpoint.states = n;
-      nnz = Blocked_csr.nnz c.bcsr;
-      phase = Mixing { eps; pi_tol; pi = Array.copy pi; completed; inflight };
-    }
+    snapshot_of c
+      (Mixing { eps; pi_tol; pi = Array.copy pi; completed; inflight })
   in
   (* Mark the phase transition: a kill between π and the first batch
      then resumes into the mixing phase directly. *)

@@ -1,10 +1,10 @@
 (* Versioned snapshots of long exact-analysis runs.
 
-   Schema "repro.exact-checkpoint/2" (all integers int64 LE, floats
+   Schema "repro.exact-checkpoint/3" (all integers int64 LE, floats
    IEEE-754 binary64 LE):
 
-     magic[24] = "repro.exact-checkpoint/2"
-     states, nnz                        — chain fingerprint
+     magic[24] = "repro.exact-checkpoint/3"
+     states, nnz, digest                — chain fingerprint
      phase tag (u8): 0 = Stationary, 1 = Mixing
      Stationary: tol, iter, prev_r, n, dist[n]
      Mixing:     eps, pi_tol, n, pi[n],
@@ -15,13 +15,15 @@
    remaining starts follow from (pi, eps) and the completed set, and a
    live start's distribution at t is the same bits however it got there,
    so a kill at any point resumes to a bit-identical answer.  A file of
-   an older schema reads as foreign.
+   an older schema reads as foreign: "/1" held no live batch, and "/1"
+   and "/2" fingerprinted the chain by its shape alone, which two
+   processes on one state space can share.
 
    Files are written to a temporary sibling and renamed into place, so
    a kill mid-write leaves the previous snapshot intact.  [load_file]
    treats a missing, truncated or foreign file as "no checkpoint". *)
 
-let magic = "repro.exact-checkpoint/2"
+let magic = "repro.exact-checkpoint/3"
 
 type inflight = {
   t : int;
@@ -46,7 +48,7 @@ type mixing = {
 
 type phase = Stationary of stationary | Mixing of mixing
 
-type snapshot = { states : int; nnz : int; phase : phase }
+type snapshot = { states : int; nnz : int; digest : int; phase : phase }
 
 (* {2 Encoding} *)
 
@@ -59,6 +61,7 @@ let encode s =
   Buffer.add_string buf magic;
   put_i64 buf s.states;
   put_i64 buf s.nnz;
+  put_i64 buf s.digest;
   (match s.phase with
   | Stationary { tol; iter; prev_r; dist } ->
       Buffer.add_char buf '\000';
@@ -127,6 +130,7 @@ let decode bytes =
   pos := String.length magic;
   let states = get_i64 () in
   let nnz = get_i64 () in
+  let digest = get_i64 () in
   let phase =
     match get_u8 () with
     | 0 ->
@@ -163,7 +167,7 @@ let decode bytes =
     | _ -> raise Corrupt
   in
   if !pos <> len then raise Corrupt;
-  { states; nnz; phase }
+  { states; nnz; digest; phase }
 
 let save_file path s =
   let tmp = path ^ ".tmp" in

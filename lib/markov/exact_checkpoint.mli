@@ -1,5 +1,5 @@
 (** Versioned snapshots of long exact-analysis runs (schema
-    ["repro.exact-checkpoint/2"]).
+    ["repro.exact-checkpoint/3"]).
 
     A snapshot captures everything a killed power iteration or mixing
     search needs to resume: the in-progress iteration vector, the
@@ -12,7 +12,7 @@
 
     Files are written atomically (temporary sibling + rename); loading
     treats a missing, truncated or foreign file — including one of the
-    older schema ["/1"] — as "no checkpoint". *)
+    older schemas ["/1"] and ["/2"] — as "no checkpoint". *)
 
 type inflight = {
   t : int;  (** Time the live batch has reached. *)
@@ -41,8 +41,13 @@ type phase = Stationary of stationary | Mixing of mixing
 
 type snapshot = {
   states : int;
-  nnz : int;  (** Fingerprint: a snapshot from a different chain shape
-                  is refused at resume. *)
+  nnz : int;
+  digest : int;
+      (** Fingerprint, with [states] and [nnz]: the
+          {!Blocked_csr.digest} of the matrix the snapshot was taken on.
+          A snapshot of any other chain — including one of the same
+          shape, as Id and Ib, or ABKU\[2\] and ABKU\[3\], share on
+          one Ω_m — is refused at resume. *)
   phase : phase;
 }
 

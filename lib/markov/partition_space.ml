@@ -1,33 +1,7 @@
-let enumerate ~n ~m =
-  if n <= 0 || m < 0 then invalid_arg "Partition_space.enumerate";
-  let out = ref [] in
-  (* Build parts left to right: remaining balls, remaining slots, cap on
-     the next part (non-increasing order). *)
-  let rec go acc remaining slots cap =
-    if remaining = 0 then out := List.rev acc :: !out
-    else if slots = 0 then ()
-    else
-      (* A part of size [p], p from min(cap, remaining) down to at least
-         ceil(remaining / slots) so the rest fits under the cap p. *)
-      for p = Stdlib.min cap remaining downto 1 do
-        if p * slots >= remaining then go (p :: acc) (remaining - p) (slots - 1) p
-      done
-  in
-  go [] m n m;
-  let to_vector parts =
-    let v = Array.make n 0 in
-    List.iteri (fun i p -> v.(i) <- p) parts;
-    Loadvec.Load_vector.of_array v
-  in
-  let states = List.rev_map to_vector !out in
-  let arr = Array.of_list states in
-  Array.sort (fun a b -> Loadvec.Load_vector.compare b a) arr;
-  arr
-
+(* p(m, k): partitions of m into at most k parts.
+   p(m, k) = p(m, k-1) + p(m-k, k). *)
 let count ~n ~m =
   if n <= 0 || m < 0 then invalid_arg "Partition_space.count";
-  (* p(m, k): partitions of m into at most k parts.
-     p(m, k) = p(m, k-1) + p(m-k, k). *)
   let k_max = Stdlib.min n m in
   let table = Array.make_matrix (m + 1) (k_max + 1) 0 in
   for k = 0 to k_max do
@@ -40,6 +14,36 @@ let count ~n ~m =
     done
   done;
   table.(m).(k_max)
+
+let enumerate ~n ~m =
+  if n <= 0 || m < 0 then invalid_arg "Partition_space.enumerate";
+  (* Every slot is overwritten; the fill is the first state emitted. *)
+  let out = Array.make (count ~n ~m) (Loadvec.Load_vector.all_in_one ~n ~m) in
+  let next = ref 0 in
+  let parts = Array.make n 0 in
+  (* Build parts left to right: [parts.(k)] is the part at rank [k],
+     [remaining] the balls left, [cap] the bound on the next part
+     (non-increasing order).  Larger parts are tried first, so states
+     come out in decreasing lexicographic order, the order they are
+     stored in. *)
+  let rec go k remaining cap =
+    if remaining = 0 then begin
+      out.(!next) <- Loadvec.Load_vector.of_array parts;
+      incr next
+    end
+    else if k < n then
+      (* A part of size [p], p from min(cap, remaining) down to at least
+         ceil(remaining / slots left) so the rest fits under the cap p. *)
+      for p = Stdlib.min cap remaining downto 1 do
+        if p * (n - k) >= remaining then begin
+          parts.(k) <- p;
+          go (k + 1) (remaining - p) p;
+          parts.(k) <- 0
+        end
+      done
+  in
+  go 0 m m;
+  out
 
 type index = {
   states : Loadvec.Load_vector.t array;

@@ -8,7 +8,9 @@
 
 val enumerate : n:int -> m:int -> Loadvec.Load_vector.t array
 (** All normalized vectors in Ω_m on [n] bins, in lexicographically
-    decreasing order of the underlying arrays.
+    decreasing order of the underlying arrays — the order the recursion
+    emits them in, with no sort.  A chain built on this array numbers
+    its states in this order, so a checkpoint's start ids depend on it.
     @raise Invalid_argument if [n <= 0] or [m < 0]. *)
 
 val count : n:int -> m:int -> int

@@ -570,6 +570,56 @@ let qcheck_monotone_matches_probe_reference =
       done;
       !ok && Prng.Rng.bits64 g = Prng.Rng.bits64 g')
 
+(* The class-level law against the per-rank law it replaced
+   (test/per_rank_law.ml): merged, both put the same mass on the same
+   successors, and the class-level list repeats no successor but the
+   state itself (once per removal class). *)
+let qcheck_exact_law_matches_per_rank =
+  let rules =
+    [| Sr.abku 1; Sr.abku 2; Sr.abku 3;
+       Sr.adap (Core.Adaptive.of_list [ 1; 2; 2; 3 ]) |]
+  in
+  let merged law =
+    let h = Hashtbl.create 16 in
+    List.iter
+      (fun (s, p) ->
+        Hashtbl.replace h s
+          (p +. Option.value ~default:0. (Hashtbl.find_opt h s)))
+      law;
+    h
+  in
+  QCheck.Test.make ~name:"exact law by class = per-rank law" ~count:500
+    QCheck.(
+      quad (int_range 1 8) (int_range 1 12)
+        (pair bool (int_range 0 (Array.length rules - 1)))
+        small_int)
+    (fun (n, m, (scenario_b, r), seed) ->
+      let sc = if scenario_b then Core.Scenario.B else Core.Scenario.A in
+      let p = Dp.make sc rules.(r) ~n in
+      let v = random_vector (rng ~seed ()) ~n ~m in
+      let law = Dp.exact_transitions p v in
+      let by_class = merged law in
+      let per_rank = merged (Per_rank_law.exact_transitions p v) in
+      let seen = Hashtbl.create 16 in
+      let repeats_only_self =
+        List.for_all
+          (fun (s, _) ->
+            let fresh = not (Hashtbl.mem seen s) in
+            Hashtbl.replace seen s ();
+            fresh || Lv.equal s v)
+          law
+      in
+      repeats_only_self
+      && Hashtbl.length by_class = Hashtbl.length per_rank
+      && Hashtbl.fold
+           (fun s q ok ->
+             ok
+             &&
+             match Hashtbl.find_opt per_rank s with
+             | Some q' -> Float.abs (q -. q') <= 1e-15
+             | None -> false)
+           by_class true)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -605,4 +655,5 @@ let suite =
         test_sampled_reset_replays_fresh;
       QCheck_alcotest.to_alcotest qcheck_monotone_matches_probe_reference;
       QCheck_alcotest.to_alcotest qcheck_abku_table_refill_equals_create;
+      QCheck_alcotest.to_alcotest qcheck_exact_law_matches_per_rank;
     ]

@@ -19,6 +19,18 @@ let test_of_array_sorts () =
   let v = Lv.of_array [| 1; 5; 3 |] in
   Alcotest.(check (array int)) "sorted" [| 5; 3; 1 |] (Lv.to_array v)
 
+(* Sorted input skips the sort but is still copied; sorted input with a
+   negative entry is refused as before. *)
+let test_of_array_sorted_copies () =
+  let a = [| 3; 2; 2; 0 |] in
+  let v = Lv.of_array a in
+  a.(0) <- 9;
+  Alcotest.(check (array int)) "unchanged by the input" [| 3; 2; 2; 0 |]
+    (Lv.to_array v);
+  Alcotest.check_raises "sorted, negative"
+    (Invalid_argument "Load_vector.of_array: negative load") (fun () ->
+      ignore (Lv.of_array [| 0; -1 |]))
+
 let test_of_array_invalid () =
   Alcotest.check_raises "empty" (Invalid_argument "Load_vector.of_array: empty")
     (fun () -> ignore (Lv.of_array [||]));
@@ -332,6 +344,7 @@ let suite =
       ("counts shifts", test_counts_shifts);
       ("eject_all on both mutable representations", test_eject_all);
       ("counts copy independent", test_counts_copy_independent);
+      ("of_array copies sorted input", test_of_array_sorted_copies);
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [

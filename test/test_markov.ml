@@ -28,6 +28,24 @@ let test_partition_enumerate () =
   Array.iter (fun v -> Hashtbl.replace tbl v ()) states;
   Alcotest.(check int) "distinct" (Array.length states) (Hashtbl.length tbl)
 
+(* State ids, and with them a checkpoint's starts and completed
+   crossings, follow the enumeration order: strictly decreasing, every
+   state a normalized vector of m balls. *)
+let test_partition_enumerate_order () =
+  for n = 1 to 8 do
+    for m = 0 to 12 do
+      let states = Markov.Partition_space.enumerate ~n ~m in
+      let where = Printf.sprintf "n=%d m=%d" n m in
+      Array.iteri
+        (fun i v ->
+          if not (Lv.is_normalized (Lv.to_array v) && Lv.total v = m) then
+            Alcotest.failf "%s: state %d is not in Omega_m" where i;
+          if i > 0 && Lv.compare states.(i - 1) v <= 0 then
+            Alcotest.failf "%s: states %d and %d out of order" where (i - 1) i)
+        states
+    done
+  done
+
 let test_partition_count_matches_enumerate_sweep () =
   for n = 1 to 5 do
     for m = 0 to 8 do
@@ -554,6 +572,7 @@ let sample_snapshot () =
   {
     Ck.states = 7;
     nnz = 19;
+    digest = min_int + 97;
     phase =
       Ck.Mixing
         {
@@ -579,7 +598,7 @@ let test_checkpoint_file_roundtrip () =
       | Some got -> Alcotest.(check bool) "roundtrip equal" true (got = snap));
       (* A Stationary-phase snapshot roundtrips too. *)
       let snap2 =
-        { Ck.states = 3; nnz = 5;
+        { Ck.states = 3; nnz = 5; digest = 0x5eed;
           phase = Ck.Stationary
               { tol = 1e-12; iter = 41; prev_r = 0.125;
                 dist = [| 0.1; 0.2; 0.7 |] } }
@@ -587,16 +606,21 @@ let test_checkpoint_file_roundtrip () =
       Ck.save_file path snap2;
       Alcotest.(check bool) "stationary roundtrip" true
         (Ck.load_file path = Some snap2);
-      (* A file of the older schema restarts fresh.  The stationary
-         layout is the same under /1, so this is a /1 file. *)
+      (* Files of the older schemas restart fresh.  A stationary
+         snapshot under /1 and /2 is this file without the digest that
+         follows states and nnz. *)
       let raw = In_channel.with_open_bin path In_channel.input_all in
-      let magic = "repro.exact-checkpoint/1" in
-      Out_channel.with_open_bin path (fun oc ->
-          output_string oc magic;
-          output_string oc
-            (String.sub raw (String.length magic)
-               (String.length raw - String.length magic)));
-      Alcotest.(check bool) "schema /1 file" true (Ck.load_file path = None);
+      let magic_len = String.length "repro.exact-checkpoint/3" in
+      let body = magic_len + 24 in
+      List.iter
+        (fun magic ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc magic;
+              output_string oc (String.sub raw magic_len 16);
+              output_string oc
+                (String.sub raw body (String.length raw - body)));
+          Alcotest.(check bool) magic true (Ck.load_file path = None))
+        [ "repro.exact-checkpoint/1"; "repro.exact-checkpoint/2" ];
       (* Corruption and foreign files read as "no checkpoint". *)
       let oc = open_out_bin path in
       output_string oc "definitely not a checkpoint";
@@ -622,6 +646,79 @@ let test_checkpoint_sink_throttle () =
   Ck.commit sink snap;
   Alcotest.(check bool) "commit unconditional" true (!cell = Some snap);
   Alcotest.(check bool) "resume reads back" true (Ck.resume sink = Some snap)
+
+(* Id-ABKU[2] and Id-ABKU[3] share Omega_8's states and non-zeros but not
+   tau(0.01) (20 and 19): a snapshot of one must not resume the other,
+   while the same chain, rebuilt, resumes from it without a product. *)
+let test_checkpoint_refuses_foreign_chain () =
+  let eps = 0.01 in
+  let chain d =
+    let p =
+      Core.Dynamic_process.make Core.Scenario.A (Core.Scheduling_rule.abku d)
+        ~n:8
+    in
+    Markov.Exact_builder.build
+      (Markov.Exact_builder.enumerated
+         (Markov.Partition_space.enumerate ~n:8 ~m:8))
+      ~transitions:(Core.Dynamic_process.exact_transitions p)
+  in
+  let shape c =
+    (Markov.Exact.size c, Markov.Blocked_csr.nnz (Markov.Exact.blocked c))
+  in
+  Alcotest.(check (pair int int))
+    "same shape" (shape (chain 2)) (shape (chain 3));
+  let sink, cell = Ck.memory_sink () in
+  let tau2 = Markov.Exact.mixing_time ~eps ~checkpoint:sink (chain 2) in
+  let snap = !cell in
+  let fresh3 = Markov.Exact.mixing_time ~eps (chain 3) in
+  Alcotest.(check bool) "taus differ" true (tau2 <> fresh3);
+  let resume c =
+    let sink, cell = Ck.memory_sink () in
+    cell := snap;
+    Markov.Exact.mixing_time ~eps ~checkpoint:sink c
+  in
+  Alcotest.(check int) "foreign chain runs fresh" fresh3 (resume (chain 3));
+  let calls = Obs.Counter.make "bcsr.spmv_calls" in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let c = chain 2 in
+      let before = Obs.Counter.value calls in
+      Alcotest.(check int) "same chain resumes" tau2 (resume c);
+      Alcotest.(check int) "no product on resume" 0
+        (Obs.Counter.value calls - before))
+
+(* The digest is a function of the entries alone: the same matrix in
+   1-row blocks, one block, or spilled to disk shares it, and a one-bit
+   change in one value moves it. *)
+let test_blocked_digest () =
+  let rows =
+    [ [ (0, 0.5); (2, 0.5) ]; [ (1, 1.) ]; [ (0, 0.25); (1, 0.25); (2, 0.5) ] ]
+  in
+  let build ?spill block_rows rows =
+    let b = Markov.Blocked_csr.builder ~block_rows ?spill () in
+    List.iter (Markov.Blocked_csr.add_row b) rows;
+    Markov.Blocked_csr.finish b ~cols:3
+  in
+  let d = Markov.Blocked_csr.digest (build 1 rows) in
+  Alcotest.(check int) "one block" d (Markov.Blocked_csr.digest (build 3 rows));
+  let path = Filename.temp_file "digest" ".blk" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let spilled = build ~spill:path 2 rows in
+      Alcotest.(check int) "spilled" d (Markov.Blocked_csr.digest spilled);
+      Markov.Blocked_csr.close spilled);
+  let nudged =
+    [ [ (0, 0.5); (2, 0.5) ]; [ (1, 1.) ];
+      [ (0, 0.25); (1, Float.succ 0.25); (2, 0.5) ] ]
+  in
+  Alcotest.(check bool) "one value bit" true
+    (Markov.Blocked_csr.digest (build 1 nudged) <> d)
 
 let test_mixing_checkpoint_resume_file () =
   (* End-to-end through a file sink: interrupt nothing, just check that
@@ -677,4 +774,7 @@ let suite =
       ("checkpoint sink throttle", test_checkpoint_sink_throttle);
       ("mixing checkpoint resume via file", test_mixing_checkpoint_resume_file);
       ("mixing: one product per time step", test_mixing_one_product_per_step);
+      ("partition enumerate order", test_partition_enumerate_order);
+      ("checkpoint refuses a foreign chain", test_checkpoint_refuses_foreign_chain);
+      ("blocked csr digest", test_blocked_digest);
     ])
