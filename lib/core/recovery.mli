@@ -13,9 +13,6 @@ type spec = {
   m : int;
 }
 
-val adversarial_bins : spec -> Bins.t
-(** All [m] balls in bin 0 — the worst state for the max-load measure. *)
-
 val time_to_max_load :
   ?repr:Repr.t ->
   rng:Prng.Rng.t -> spec -> target:int -> limit:int -> int option

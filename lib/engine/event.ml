@@ -49,11 +49,3 @@ let reply_name = function
   | Rejected _ -> "rejected"
 
 let reply_ok = function Rejected _ -> false | _ -> true
-
-let equal_reply a b =
-  match (a, b) with
-  | Ack, Ack -> true
-  | Placed x, Placed y | Removed x, Removed y | Level x, Level y -> x = y
-  | Loads x, Loads y -> x = y
-  | Rejected x, Rejected y -> x = y
-  | _ -> false

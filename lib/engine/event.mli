@@ -49,5 +49,3 @@ val is_mutation : t -> bool
 val reply_name : reply -> string
 val reply_ok : reply -> bool
 (** [false] exactly on [Rejected]. *)
-
-val equal_reply : reply -> reply -> bool

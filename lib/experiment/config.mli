@@ -27,17 +27,14 @@ type t = {
 val default : t
 (** Quick mode, seed [0xB0B], one domain, no file sinks, no trace. *)
 
-val env_table : (string * string * string) list
-(** Every environment variable the harnesses read, as
-    [(name, kind, doc)] — the one documented table; {!load} reads
-    exactly these. *)
-
 val env_help : unit -> string
-(** {!env_table} rendered for [--help] output. *)
+(** Every environment variable the harnesses read, with its kind and
+    doc — the one documented table, which {!load} reads exactly —
+    rendered for [--help] output. *)
 
 val load : unit -> t
-(** [default] overridden by the environment per {!env_table}; an empty
-    value counts as unset.
+(** [default] overridden by the environment variables {!env_help}
+    lists; an empty value counts as unset.
     @raise Invalid_argument naming the variable if [BENCH_SEED] is not
     an integer, [BENCH_DOMAINS] is not an integer [>= 1], or
     [BENCH_REPR] names an unknown backend. *)

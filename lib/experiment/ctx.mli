@@ -117,5 +117,4 @@ val measurement_values : Engine.Runner.measurement -> (string * float) list
 
 (** {1 JSON view (used by {!Driver})} *)
 
-val metrics_json : Engine.Metrics.snapshot -> Json.t
 val to_json : t -> wall_seconds:float -> Json.t

@@ -37,8 +37,6 @@ val print_list : ?verbose:bool -> ?repr:Core.Repr.t -> Spec.t list -> unit
     ["array (fixed)"] otherwise — and the grid axis with the quick and
     full cell counts, sizes and replication counts. *)
 
-val print_banner : Config.t -> unit
-
 val run : ?banner:bool -> config:Config.t -> Spec.t list -> Json.t
 (** Run the specs in order: banner (unless [~banner:false]), per-spec
     heading and body, then the JSON results document — returned, and
@@ -47,14 +45,8 @@ val run : ?banner:bool -> config:Config.t -> Spec.t list -> Json.t
     before the first spec and the merged trace is written there after
     the last. *)
 
-val results_json : config:Config.t -> (Ctx.t * float) list -> Json.t
-val write_results : dir:string -> Json.t -> string
-(** Returns the path written. *)
-
-val timing_keys : string list
-(** JSON object keys holding wall-clock times. *)
-
 val deterministic_view : Json.t -> Json.t
-(** The document with {!timing_keys} and the ["domains"] provenance
-    field stripped: two runs with the same seed must agree on this view
-    regardless of domain count or machine speed. *)
+(** The document with its wall-clock times ([wall_seconds],
+    [phase_seconds]) and the ["domains"] provenance field stripped: two
+    runs with the same seed must agree on this view regardless of domain
+    count or machine speed. *)

@@ -12,8 +12,9 @@
    determined by the time [i] is dequeued.  The final column count is
    only known once discovery ends, so bounds are checked at [finish].
 
-   Spill file format "repro.blocked-csr/1" (all integers int64 LE,
-   values IEEE-754 float64 LE):
+   Spill file format "repro.blocked-csr/1" (primitives from
+   {!Common.Codec}: integers int64 LE, values IEEE-754 float64 LE, the
+   arrays unprefixed slices):
 
      per block, in order:
        nrows, nnz, row_ptr[nrows+1], col_idx[nnz], values[nnz]
@@ -61,33 +62,16 @@ let block_nnz_hist = Obs.Histogram.make "bcsr.block_nnz"
 
 (* {2 Binary encoding} *)
 
-let put_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
-let put_f64 buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
+module Codec = Common.Codec
 
-let read_block ch ~pos =
-  seek_in ch pos;
-  let b8 = Bytes.create 8 in
-  let get_i64 () =
-    really_input ch b8 0 8;
-    Int64.to_int (Bytes.get_int64_le b8 0)
-  in
-  let nrows = get_i64 () in
-  let nnz = get_i64 () in
-  if nrows < 0 || nnz < 0 then failwith "Blocked_csr: corrupt block header";
-  let bulk = Bytes.create (8 * (nrows + 1 + nnz + nnz)) in
-  really_input ch bulk 0 (Bytes.length bulk);
-  let row_ptr =
-    Array.init (nrows + 1) (fun i -> Int64.to_int (Bytes.get_int64_le bulk (8 * i)))
-  in
-  let off = 8 * (nrows + 1) in
-  let col_idx =
-    Array.init nnz (fun k -> Int64.to_int (Bytes.get_int64_le bulk (off + (8 * k))))
-  in
-  let off = off + (8 * nnz) in
-  let values =
-    Array.init nnz (fun k ->
-        Int64.float_of_bits (Bytes.get_int64_le bulk (off + (8 * k))))
-  in
+(* One block: nrows and nnz, then its three arrays. *)
+let read_block ch ~pos ~nrows ~nnz =
+  let c = Codec.read_at ch ~pos ~len:(8 * (3 + nrows + (2 * nnz))) in
+  if Codec.get_int c <> nrows || Codec.get_int c <> nnz then
+    Codec.corrupt pos "block header";
+  let row_ptr = Codec.get_int_slice c (nrows + 1) in
+  let col_idx = Codec.get_int_slice c nnz in
+  let values = Codec.get_float_slice c nnz in
   { row_ptr; col_idx; values }
 
 (* Load block [b] and apply [f] to its shard; [row0] is the global index
@@ -97,14 +81,15 @@ let with_shard t b f =
   let row0 = b * t.block_rows in
   match t.blocks.(b) with
   | Mem s -> f ~row0 s
-  | Disk { pos; _ } -> f ~row0 (read_block (Option.get t.channel) ~pos)
+  | Disk { pos; nrows; nnz } ->
+      f ~row0 (read_block (Option.get t.channel) ~pos ~nrows ~nnz)
 
 (* {2 Streaming builder} *)
 
 type builder = {
   target_block_rows : int;
-  spill : string option;
-  mutable out : out_channel option;
+  out : (out_channel * string) option; (* the spill file and its path *)
+  buf : Buffer.t; (* the spill's encoding buffer, reused per block *)
   mutable written : int; (* bytes written so far = pos of next block *)
   mutable done_blocks : storage list; (* reversed *)
   mutable nrows : int; (* rows fed in, across all blocks *)
@@ -121,8 +106,8 @@ let builder ?(block_rows = default_block_rows) ?spill () =
   if block_rows < 1 then invalid_arg "Blocked_csr.builder: block_rows < 1";
   {
     target_block_rows = block_rows;
-    spill;
-    out = None;
+    out = Option.map (fun path -> (open_out_bin path, path)) spill;
+    buf = Buffer.create 64;
     written = 0;
     done_blocks = [];
     nrows = 0;
@@ -134,22 +119,16 @@ let builder ?(block_rows = default_block_rows) ?spill () =
     cur_val = Array.make 64 0.;
   }
 
-let spill_block b (s : shard) =
-  let ch =
-    match b.out with
-    | Some ch -> ch
-    | None ->
-        let ch = open_out_bin (Option.get b.spill) in
-        b.out <- Some ch;
-        ch
-  in
-  let nnz = Array.length s.values in
-  let buf = Buffer.create (8 * (2 + Array.length s.row_ptr + (2 * nnz))) in
-  put_i64 buf (Array.length s.row_ptr - 1);
-  put_i64 buf nnz;
-  Array.iter (put_i64 buf) s.row_ptr;
-  Array.iter (put_i64 buf) s.col_idx;
-  Array.iter (put_f64 buf) s.values;
+(* Encode the block under construction straight from the builder's
+   arrays and append it to the spill file. *)
+let spill_block b ch =
+  let nrows = b.cur_rows and nnz = b.cur_ptr.(b.cur_rows) in
+  let buf = b.buf in
+  Buffer.clear buf;
+  List.iter (Codec.put_int buf) [ nrows; nnz ];
+  Codec.put_int_slice buf b.cur_ptr ~pos:0 ~len:(nrows + 1);
+  Codec.put_int_slice buf b.cur_col ~pos:0 ~len:nnz;
+  Codec.put_float_slice buf b.cur_val ~pos:0 ~len:nnz;
   let sp =
     if Obs.enabled () then
       Obs.begin_span "bcsr.spill"
@@ -164,20 +143,23 @@ let spill_block b (s : shard) =
   Buffer.output_buffer ch buf;
   b.written <- b.written + Buffer.length buf;
   Obs.end_span sp;
-  Disk { pos; nrows = Array.length s.row_ptr - 1; nnz }
+  Disk { pos; nrows; nnz }
 
 let flush_block b =
   if b.cur_rows > 0 then begin
     let nnz = b.cur_ptr.(b.cur_rows) in
-    let s =
-      {
-        row_ptr = Array.sub b.cur_ptr 0 (b.cur_rows + 1);
-        col_idx = Array.sub b.cur_col 0 nnz;
-        values = Array.sub b.cur_val 0 nnz;
-      }
-    in
     Obs.Histogram.observe block_nnz_hist nnz;
-    let st = match b.spill with None -> Mem s | Some _ -> spill_block b s in
+    let st =
+      match b.out with
+      | None ->
+          Mem
+            {
+              row_ptr = Array.sub b.cur_ptr 0 (b.cur_rows + 1);
+              col_idx = Array.sub b.cur_col 0 nnz;
+              values = Array.sub b.cur_val 0 nnz;
+            }
+      | Some (ch, _) -> spill_block b ch
+    in
     b.done_blocks <- st :: b.done_blocks;
     b.cur_rows <- 0;
     Array.fill b.cur_ptr 0 (Array.length b.cur_ptr) 0
@@ -244,89 +226,56 @@ let finish b ~cols =
         invalid_arg "Blocked_csr.finish: column index out of bounds";
       flush_block b;
       let blocks = Array.of_list (List.rev b.done_blocks) in
-      match b.out with
-      | None ->
-          {
-            rows = b.nrows;
-            cols;
-            block_rows = b.target_block_rows;
-            blocks;
-            channel = None;
-            path = None;
-            nnz = b.total_nnz;
-          }
-      | Some ch ->
-          let footer_pos = b.written in
-          let buf = Buffer.create 1024 in
-          put_i64 buf (Array.length blocks);
-          Array.iter
-            (function
-              | Disk { pos; nrows; nnz } ->
-                  put_i64 buf pos;
-                  put_i64 buf nrows;
-                  put_i64 buf nnz
-              | Mem _ -> assert false)
-            blocks;
-          put_i64 buf b.nrows;
-          put_i64 buf cols;
-          put_i64 buf b.target_block_rows;
-          put_i64 buf b.total_nnz;
-          put_i64 buf footer_pos;
-          Buffer.add_string buf magic;
-          Buffer.output_buffer ch buf;
-          close_out ch;
-          b.out <- None;
-          let path = Option.get b.spill in
-          {
-            rows = b.nrows;
-            cols;
-            block_rows = b.target_block_rows;
-            blocks;
-            channel = Some (open_in_bin path);
-            path = Some path;
-            nnz = b.total_nnz;
-          })
+      let channel, path =
+        match b.out with
+        | Some (ch, path) ->
+            let buf = b.buf in
+            Buffer.clear buf;
+            Codec.put_int buf (Array.length blocks);
+            Array.iter
+              (function
+                | Disk { pos; nrows; nnz } ->
+                    List.iter (Codec.put_int buf) [ pos; nrows; nnz ]
+                | Mem _ -> assert false)
+              blocks;
+            List.iter (Codec.put_int buf)
+              [ b.nrows; cols; b.target_block_rows; b.total_nnz; b.written ];
+            Buffer.add_string buf magic;
+            Buffer.output_buffer ch buf;
+            close_out ch;
+            (Some (open_in_bin path), Some path)
+        | None -> (None, None)
+      in
+      { rows = b.nrows; cols; block_rows = b.target_block_rows; blocks;
+        channel; path; nnz = b.total_nnz })
 
 let open_file path =
   let ch = open_in_bin path in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        close_in_noerr ch;
-        failwith ("Blocked_csr.open_file: " ^ m))
-      fmt
-  in
-  let len = in_channel_length ch in
-  if len < 48 then fail "%s: truncated file" path;
-  seek_in ch (len - 48);
-  let b = Bytes.create 48 in
-  really_input ch b 0 48;
-  if Bytes.sub_string b 40 8 <> magic then fail "%s: bad magic" path;
-  let get i = Int64.to_int (Bytes.get_int64_le b (8 * i)) in
-  let rows = get 0
-  and cols = get 1
-  and block_rows = get 2
-  and total_nnz = get 3
-  and footer_pos = get 4 in
-  if rows <= 0 || cols <= 0 || block_rows <= 0 || footer_pos < 0 then
-    fail "%s: corrupt trailer" path;
-  seek_in ch footer_pos;
-  let b8 = Bytes.create 8 in
-  let get_i64 () =
-    really_input ch b8 0 8;
-    Int64.to_int (Bytes.get_int64_le b8 0)
-  in
-  let nblocks = get_i64 () in
-  if nblocks < 0 || nblocks > rows then fail "%s: corrupt footer" path;
-  let blocks =
-    Array.init nblocks (fun _ ->
-        let pos = get_i64 () in
-        let nrows = get_i64 () in
-        let nnz = get_i64 () in
-        Disk { pos; nrows; nnz })
-  in
-  { rows; cols; block_rows; blocks; channel = Some ch; path = Some path;
-    nnz = total_nnz }
+  try
+    let len = in_channel_length ch in
+    let c = Codec.read_at ch ~pos:(len - 48) ~len:48 in
+    let rows = Codec.get_int c in
+    let cols = Codec.get_int c in
+    let block_rows = Codec.get_int c in
+    let total_nnz = Codec.get_int c in
+    let footer_pos = Codec.get_int c in
+    Codec.expect c magic;
+    if rows <= 0 || cols <= 0 || block_rows <= 0 || footer_pos < 0 then
+      Codec.corrupt (len - 48) "trailer";
+    let c = Codec.read_at ch ~pos:footer_pos ~len:(len - 48 - footer_pos) in
+    let nblocks = Codec.get_count c ~size:24 in
+    let blocks =
+      Array.init nblocks (fun _ ->
+          let pos = Codec.get_int c in
+          let nrows = Codec.get_int c in
+          Disk { pos; nrows; nnz = Codec.get_int c })
+    in
+    Codec.finish c;
+    { rows; cols; block_rows; blocks; channel = Some ch; path = Some path;
+      nnz = total_nnz }
+  with e ->
+    close_in_noerr ch;
+    raise e
 
 (* {2 Queries} *)
 

@@ -49,8 +49,8 @@ type builder
 
 val builder : ?block_rows:int -> ?spill:string -> unit -> builder
 (** A fresh builder (default [block_rows = 4096]).  With [~spill:path],
-    each completed block is appended to [path] and dropped from memory;
-    the file is finalized (footer + trailer) by {!finish}.
+    each completed block is appended to [path] (created at once) and
+    dropped from memory; {!finish} writes the footer and trailer.
     @raise Invalid_argument if [block_rows < 1]. *)
 
 val add_row : builder -> (int * float) list -> unit
@@ -68,7 +68,7 @@ val finish : builder -> cols:int -> t
 val open_file : string -> t
 (** Reopen a spilled block file.  Validates the trailer magic, so a
     file from a killed build (no trailer yet) is rejected.
-    @raise Failure on a truncated or corrupt file.
+    @raise Common.Codec.Error on a truncated or corrupt file.
     @raise Sys_error if the file cannot be read. *)
 
 (** {1 Queries} *)

@@ -28,11 +28,6 @@ let reachable_states ?hash ?equal ~root ~transitions () =
   done;
   State_index.to_array index
 
-let states_of ?hash ?equal source ~transitions =
-  match source with
-  | Enumerated states -> states
-  | Reachable root -> reachable_states ?hash ?equal ~root ~transitions ()
-
 (* The one row check: every successor resolved through [find], no
    negative mass, total within 1e-9 of 1.  Returns index/probability
    pairs for {!Blocked_csr.add_row}, which merges duplicates. *)

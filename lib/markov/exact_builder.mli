@@ -37,14 +37,6 @@ val reachable_states :
     are interned through a {!State_index} keyed by [hash]/[equal]
     (default: structural). *)
 
-val states_of :
-  ?hash:('state -> int) ->
-  ?equal:('state -> 'state -> bool) ->
-  'state source ->
-  transitions:('state -> ('state * float) list) ->
-  'state array
-(** The state array a source denotes (runs the BFS for {!reachable}). *)
-
 val build :
   ?block_rows:int ->
   ?spill:string ->

@@ -1,7 +1,7 @@
 (* Versioned snapshots of long exact-analysis runs.
 
-   Schema "repro.exact-checkpoint/3" (all integers int64 LE, floats
-   IEEE-754 binary64 LE):
+   Schema "repro.exact-checkpoint/3" (primitives from {!Common.Codec}:
+   integers int64 LE, floats IEEE-754 binary64 LE):
 
      magic[24] = "repro.exact-checkpoint/3"
      states, nnz, digest                — chain fingerprint
@@ -20,8 +20,9 @@
    processes on one state space can share.
 
    Files are written to a temporary sibling and renamed into place, so
-   a kill mid-write leaves the previous snapshot intact.  [load_file]
-   treats a missing, truncated or foreign file as "no checkpoint". *)
+   a kill mid-write leaves the previous snapshot intact.  [decode]
+   raises the codec's typed error on a truncated or foreign file, which
+   [load_file] reads as "no checkpoint". *)
 
 let magic = "repro.exact-checkpoint/3"
 
@@ -52,141 +53,78 @@ type snapshot = { states : int; nnz : int; digest : int; phase : phase }
 
 (* {2 Encoding} *)
 
-let put_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
-let put_f64 buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
-let put_vec buf a = Array.iter (put_f64 buf) a
+module Codec = Common.Codec
 
 let encode s =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
-  put_i64 buf s.states;
-  put_i64 buf s.nnz;
-  put_i64 buf s.digest;
+  List.iter (Codec.put_int buf) [ s.states; s.nnz; s.digest ];
   (match s.phase with
   | Stationary { tol; iter; prev_r; dist } ->
-      Buffer.add_char buf '\000';
-      put_f64 buf tol;
-      put_i64 buf iter;
-      put_f64 buf prev_r;
-      put_i64 buf (Array.length dist);
-      put_vec buf dist
+      Codec.put_byte buf 0;
+      Codec.put_float buf tol;
+      Codec.put_int buf iter;
+      Codec.put_float buf prev_r;
+      Codec.put_floats buf dist
   | Mixing { eps; pi_tol; pi; completed; inflight } ->
-      Buffer.add_char buf '\001';
-      put_f64 buf eps;
-      put_f64 buf pi_tol;
-      put_i64 buf (Array.length pi);
-      put_vec buf pi;
-      put_i64 buf (List.length completed);
-      List.iter
-        (fun (s, t) ->
-          put_i64 buf s;
-          put_i64 buf t)
+      Codec.put_byte buf 1;
+      Codec.put_float buf eps;
+      Codec.put_float buf pi_tol;
+      Codec.put_floats buf pi;
+      Codec.put_int buf (List.length completed);
+      List.iter (fun (s, t) -> List.iter (Codec.put_int buf) [ s; t ])
         completed;
       (match inflight with
-      | None -> Buffer.add_char buf '\000'
+      | None -> Codec.put_byte buf 0
       | Some { t; starts; dists } ->
-          Buffer.add_char buf '\001';
-          put_i64 buf t;
-          put_i64 buf (Array.length starts);
-          Array.iter (put_i64 buf) starts;
-          Array.iter
-            (fun d ->
-              put_i64 buf (Array.length d);
-              put_vec buf d)
-            dists));
+          Codec.put_byte buf 1;
+          Codec.put_int buf t;
+          Codec.put_ints buf starts;
+          Array.iter (Codec.put_floats buf) dists));
   buf
 
-exception Corrupt
-
 let decode bytes =
-  let pos = ref 0 in
-  let len = Bytes.length bytes in
-  let need n = if !pos + n > len then raise Corrupt in
-  let get_i64 () =
-    need 8;
-    let v = Int64.to_int (Bytes.get_int64_le bytes !pos) in
-    pos := !pos + 8;
-    v
-  in
-  let get_f64 () =
-    need 8;
-    let v = Int64.float_of_bits (Bytes.get_int64_le bytes !pos) in
-    pos := !pos + 8;
-    v
-  in
-  let get_u8 () =
-    need 1;
-    let v = Char.code (Bytes.get bytes !pos) in
-    incr pos;
-    v
-  in
-  let get_vec () =
-    let n = get_i64 () in
-    if n < 0 || n > (len - !pos) / 8 then raise Corrupt;
-    Array.init n (fun _ -> get_f64 ())
-  in
-  need (String.length magic);
-  if Bytes.sub_string bytes 0 (String.length magic) <> magic then raise Corrupt;
-  pos := String.length magic;
-  let states = get_i64 () in
-  let nnz = get_i64 () in
-  let digest = get_i64 () in
+  let c = Codec.cursor bytes in
+  Codec.expect c magic;
+  let states = Codec.get_int c in
+  let nnz = Codec.get_int c in
+  let digest = Codec.get_int c in
   let phase =
-    match get_u8 () with
-    | 0 ->
-        let tol = get_f64 () in
-        let iter = get_i64 () in
-        let prev_r = get_f64 () in
-        let dist = get_vec () in
-        Stationary { tol; iter; prev_r; dist }
-    | 1 ->
-        let eps = get_f64 () in
-        let pi_tol = get_f64 () in
-        let pi = get_vec () in
-        let k = get_i64 () in
-        if k < 0 || k > (len - !pos) / 16 then raise Corrupt;
-        let completed =
-          List.init k (fun _ ->
-              let s = get_i64 () in
-              let t = get_i64 () in
-              (s, t))
-        in
-        let inflight =
-          match get_u8 () with
-          | 0 -> None
-          | 1 ->
-              let t = get_i64 () in
-              let b = get_i64 () in
-              if b < 0 || b > (len - !pos) / 16 then raise Corrupt;
-              let starts = Array.init b (fun _ -> get_i64 ()) in
-              let dists = Array.init b (fun _ -> get_vec ()) in
-              Some { t; starts; dists }
-          | _ -> raise Corrupt
-        in
-        Mixing { eps; pi_tol; pi; completed; inflight }
-    | _ -> raise Corrupt
+    if Codec.get_tag c 2 "phase tag" = 0 then begin
+      let tol = Codec.get_float c in
+      let iter = Codec.get_int c in
+      let prev_r = Codec.get_float c in
+      let dist = Codec.get_floats c in
+      Stationary { tol; iter; prev_r; dist }
+    end
+    else begin
+      let eps = Codec.get_float c in
+      let pi_tol = Codec.get_float c in
+      let pi = Codec.get_floats c in
+      let completed =
+        List.init (Codec.get_count c ~size:16) (fun _ ->
+            let s = Codec.get_int c in
+            (s, Codec.get_int c))
+      in
+      let inflight =
+        if Codec.get_tag c 2 "inflight flag" = 0 then None
+        else begin
+          let t = Codec.get_int c in
+          let starts = Codec.get_ints c in
+          let dists = Array.map (fun _ -> Codec.get_floats c) starts in
+          Some { t; starts; dists }
+        end
+      in
+      Mixing { eps; pi_tol; pi; completed; inflight }
+    end
   in
-  if !pos <> len then raise Corrupt;
+  Codec.finish c;
   { states; nnz; digest; phase }
 
-let save_file path s =
-  let tmp = path ^ ".tmp" in
-  let ch = open_out_bin tmp in
-  Buffer.output_buffer ch (encode s);
-  close_out ch;
-  Sys.rename tmp path
+let save_file path s = Codec.write_file path (encode s)
 
 let load_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ch ->
-      let r =
-        match really_input_string ch (in_channel_length ch) with
-        | exception End_of_file -> None
-        | raw -> ( try Some (decode (Bytes.of_string raw)) with Corrupt -> None)
-      in
-      close_in_noerr ch;
-      r
+  try Option.map decode (Codec.read_file path) with Codec.Error _ -> None
 
 (* {2 Sinks}
 

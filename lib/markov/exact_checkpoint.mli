@@ -10,9 +10,10 @@
     it, so a resumed run reproduces the uninterrupted answer bit-for-bit
     (see the qcheck property in [test/test_properties.ml]).
 
-    Files are written atomically (temporary sibling + rename); loading
-    treats a missing, truncated or foreign file — including one of the
-    older schemas ["/1"] and ["/2"] — as "no checkpoint". *)
+    Files are encoded with {!Common.Codec} and written atomically
+    (temporary sibling + rename); loading treats a missing, truncated or
+    foreign file — including one of the older schemas ["/1"] and ["/2"]
+    — as "no checkpoint". *)
 
 type inflight = {
   t : int;  (** Time the live batch has reached. *)
@@ -55,7 +56,11 @@ val save_file : string -> snapshot -> unit
 (** Atomic write: encode to [path ^ ".tmp"], then rename. *)
 
 val load_file : string -> snapshot option
-(** [None] if the file is missing, truncated, or not a checkpoint. *)
+(** [None] if the file is missing, or {!decode} refuses it. *)
+
+val decode : string -> snapshot
+(** @raise Common.Codec.Error on bytes that are not a whole checkpoint
+    of this schema. *)
 
 (** {1 Sinks}
 

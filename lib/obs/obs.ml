@@ -397,7 +397,6 @@ module Histogram = struct
     | _ -> invalid_arg ("Obs.Histogram.make: not a histogram: " ^ name)
 
   let observe t v = if !on then Hist.observe t v
-  let observe_ns t ns = if !on then Hist.observe t (Int64.to_int ns)
   let snapshot = Hist.snapshot
 end
 

@@ -175,7 +175,6 @@ module Histogram : sig
 
   val make : string -> t
   val observe : t -> int -> unit
-  val observe_ns : t -> int64 -> unit
   val snapshot : t -> Hist.snapshot
 end
 

@@ -1,8 +1,9 @@
 (* Durability for the allocation service: a snapshot file plus an
    append-only event journal.
 
-   Snapshot schema "repro.serve-snapshot/4" (integers int64 LE,
-   strings length-prefixed):
+   Snapshot schema "repro.serve-snapshot/4" (primitives from
+   {!Common.Codec}: integers int64 LE, strings and arrays
+   length-prefixed):
 
      magic[23] = "repro.serve-snapshot/4\n"
      fingerprint            — n, m, shards, seed, process, scenario,
@@ -33,9 +34,12 @@
              | 3 = Round
 
    The trailer is written last, so a record is valid iff its trailer is
-   intact: a kill mid-append leaves a torn tail that the reader (and
-   [Writer.open_append], which truncates it) detects and drops.  The
-   snapshot is written to a temporary sibling and renamed into place.
+   intact: a kill mid-append leaves a torn tail, which [replay] stops
+   at and [Writer.open_at] truncates.  A kill inside [Writer.create]
+   leaves a strict prefix of the header, which [replay] reads as no
+   journal; any other header that does not decode is a typed error.
+   The snapshot is written to a temporary sibling and renamed into
+   place, so a snapshot that does not decode is damage, never a kill.
    Records carry every routed mutation — including ones the router
    later rejected, which consume no randomness — so replay from a
    snapshot cut at a record boundary is exactly: apply each record with
@@ -70,102 +74,36 @@ let fingerprint_to_string fp =
 
 (* {2 Encoding} *)
 
-let put_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
-let put_word buf w = Buffer.add_int64_le buf w
-
-let put_str buf s =
-  put_i64 buf (String.length s);
-  Buffer.add_string buf s
-
-let put_words buf a =
-  put_i64 buf (Array.length a);
-  Array.iter (put_word buf) a
-
-let put_ints buf a =
-  put_i64 buf (Array.length a);
-  Array.iter (put_i64 buf) a
+module Codec = Common.Codec
 
 let put_fingerprint buf fp =
-  put_i64 buf fp.n;
-  put_i64 buf fp.m;
-  put_i64 buf fp.shards;
-  put_i64 buf fp.seed;
-  put_str buf fp.process;
-  put_str buf fp.scenario;
-  put_str buf fp.rule;
-  put_str buf fp.repr
-
-exception Corrupt
-
-(* A little cursor over raw bytes; raises [Corrupt] past the end, which
-   both readers turn into "stop cleanly". *)
-type cursor = { bytes : Bytes.t; mutable pos : int }
-
-let need c n = if c.pos + n > Bytes.length c.bytes then raise Corrupt
-
-let get_i64 c =
-  need c 8;
-  let v = Int64.to_int (Bytes.get_int64_le c.bytes c.pos) in
-  c.pos <- c.pos + 8;
-  v
-
-let get_word c =
-  need c 8;
-  let v = Bytes.get_int64_le c.bytes c.pos in
-  c.pos <- c.pos + 8;
-  v
-
-let get_u8 c =
-  need c 1;
-  let v = Char.code (Bytes.get c.bytes c.pos) in
-  c.pos <- c.pos + 1;
-  v
-
-let get_str c =
-  let n = get_i64 c in
-  if n < 0 || n > Bytes.length c.bytes - c.pos then raise Corrupt;
-  let s = Bytes.sub_string c.bytes c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let get_words c =
-  let n = get_i64 c in
-  if n < 0 || n > (Bytes.length c.bytes - c.pos) / 8 then raise Corrupt;
-  Array.init n (fun _ -> get_word c)
-
-let get_ints c =
-  let n = get_i64 c in
-  if n < 0 || n > (Bytes.length c.bytes - c.pos) / 8 then raise Corrupt;
-  Array.init n (fun _ -> get_i64 c)
-
-let get_magic c magic =
-  let k = String.length magic in
-  need c k;
-  if Bytes.sub_string c.bytes c.pos k <> magic then raise Corrupt;
-  c.pos <- c.pos + k
+  List.iter (Codec.put_int buf) [ fp.n; fp.m; fp.shards; fp.seed ];
+  List.iter (Codec.put_string buf) [ fp.process; fp.scenario; fp.rule; fp.repr ]
 
 let get_fingerprint c =
-  let n = get_i64 c in
-  let m = get_i64 c in
-  let shards = get_i64 c in
-  let seed = get_i64 c in
-  let process = get_str c in
-  let scenario = get_str c in
-  let rule = get_str c in
-  let repr = get_str c in
+  let n = Codec.get_int c in
+  let m = Codec.get_int c in
+  let shards = Codec.get_int c in
+  let seed = Codec.get_int c in
+  let process = Codec.get_string c in
+  let scenario = Codec.get_string c in
+  let rule = Codec.get_string c in
+  let repr = Codec.get_string c in
   { n; m; shards; seed; process; scenario; rule; repr }
 
-let read_all path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ch ->
-      let r =
-        match really_input_string ch (in_channel_length ch) with
-        | exception End_of_file -> None
-        | raw -> Some (Bytes.unsafe_of_string raw)
-      in
-      close_in_noerr ch;
-      r
+let check_fingerprint ~file fp on_disk =
+  if on_disk <> fp then
+    failwith
+      (Printf.sprintf "%s belongs to a different service (%s, want %s)" file
+         (fingerprint_to_string on_disk)
+         (fingerprint_to_string fp))
+
+(* A cursor past the [magic] and fingerprint opening a file's bytes, and
+   that fingerprint. *)
+let read_header magic bytes =
+  let c = Codec.cursor bytes in
+  Codec.expect c magic;
+  (c, get_fingerprint c)
 
 (* {2 Snapshots} *)
 
@@ -173,142 +111,122 @@ let save_snapshot ~path fp (st : Cluster.state) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf snapshot_magic;
   put_fingerprint buf fp;
-  put_i64 buf st.seq;
-  put_words buf st.router;
-  put_ints buf st.counts;
-  put_i64 buf (Array.length st.shards);
+  Codec.put_int buf st.seq;
+  Codec.put_int64s buf st.router;
+  Codec.put_ints buf st.counts;
+  Codec.put_int buf (Array.length st.shards);
   Array.iter
     (fun (sh : Shard.state) ->
-      put_i64 buf sh.applied;
-      put_i64 buf sh.watermark;
-      put_words buf sh.rng;
-      put_i64 buf sh.bins.Core.Bins.sn_n;
-      put_ints buf sh.bins.Core.Bins.sn_balls;
-      put_ints buf sh.bins.Core.Bins.sn_slot_order;
-      put_ints buf sh.bins.Core.Bins.sn_nonempty;
-      put_i64 buf (Array.length sh.bins.Core.Bins.sn_levels);
-      Array.iter (put_ints buf) sh.bins.Core.Bins.sn_levels)
+      let b = sh.bins in
+      List.iter (Codec.put_int buf) [ sh.applied; sh.watermark ];
+      Codec.put_int64s buf sh.rng;
+      Codec.put_int buf b.Core.Bins.sn_n;
+      List.iter (Codec.put_ints buf)
+        [ b.sn_balls; b.sn_slot_order; b.sn_nonempty ];
+      Codec.put_int buf (Array.length b.sn_levels);
+      Array.iter (Codec.put_ints buf) b.sn_levels)
     st.shards;
-  let tmp = path ^ ".tmp" in
-  let ch = open_out_bin tmp in
-  Buffer.output_buffer ch buf;
-  close_out ch;
-  Sys.rename tmp path
+  Codec.write_file path buf
 
-let load_snapshot ~path =
-  match read_all path with
-  | None -> None
-  | Some bytes -> (
-      let c = { bytes; pos = 0 } in
-      try
-        get_magic c snapshot_magic;
-        let fp = get_fingerprint c in
-        let seq = get_i64 c in
-        let router = get_words c in
-        let counts = get_ints c in
-        let k = get_i64 c in
-        if k < 0 || k > Bytes.length bytes then raise Corrupt;
-        let shards =
-          Array.init k (fun _ ->
-              let applied = get_i64 c in
-              let watermark = get_i64 c in
-              let rng = get_words c in
-              let sn_n = get_i64 c in
-              let sn_balls = get_ints c in
-              let sn_slot_order = get_ints c in
-              let sn_nonempty = get_ints c in
-              let nl = get_i64 c in
-              if nl < 0 || nl > Bytes.length bytes - c.pos then raise Corrupt;
-              let sn_levels = Array.init nl (fun _ -> get_ints c) in
-              {
-                Shard.applied;
-                watermark;
-                rng;
-                bins =
-                  {
-                    Core.Bins.sn_n;
-                    sn_balls;
-                    sn_slot_order;
-                    sn_nonempty;
-                    sn_levels;
-                  };
-              })
-        in
-        if c.pos <> Bytes.length bytes then raise Corrupt;
-        Some (fp, { Cluster.seq; router; counts; shards })
-      with Corrupt -> None)
+let get_shard c =
+  let applied = Codec.get_int c in
+  let watermark = Codec.get_int c in
+  let rng = Codec.get_int64s c in
+  let sn_n = Codec.get_int c in
+  let sn_balls = Codec.get_ints c in
+  let sn_slot_order = Codec.get_ints c in
+  let sn_nonempty = Codec.get_ints c in
+  let sn_levels =
+    Array.init (Codec.get_count c ~size:8) (fun _ -> Codec.get_ints c)
+  in
+  { Shard.applied; watermark; rng;
+    bins =
+      { Core.Bins.sn_n; sn_balls; sn_slot_order; sn_nonempty; sn_levels } }
+
+let load_snapshot ~path fp =
+  Codec.read_file path
+  |> Option.map (fun bytes ->
+         let c, on_disk = read_header snapshot_magic bytes in
+         check_fingerprint ~file:("snapshot " ^ path) fp on_disk;
+         let seq = Codec.get_int c in
+         let router = Codec.get_int64s c in
+         let counts = Codec.get_ints c in
+         let shards =
+           Array.init (Codec.get_count c ~size:8) (fun _ -> get_shard c)
+         in
+         Codec.finish c;
+         { Cluster.seq; router; counts; shards })
 
 (* {2 Journal records} *)
 
 let encode_record buf ~seq events =
-  put_i64 buf seq;
-  put_i64 buf (Array.length events);
+  Codec.put_int buf seq;
+  Codec.put_int buf (Array.length events);
   Array.iter
     (fun ev ->
       match ev with
-      | Engine.Event.Step -> Buffer.add_char buf '\000'
+      | Engine.Event.Step -> Codec.put_byte buf 0
       | Engine.Event.Insert key ->
-          Buffer.add_char buf '\001';
-          put_i64 buf key
-      | Engine.Event.Remove -> Buffer.add_char buf '\002'
-      | Engine.Event.Round -> Buffer.add_char buf '\003'
+          Codec.put_byte buf 1;
+          Codec.put_int buf key
+      | Engine.Event.Remove -> Codec.put_byte buf 2
+      | Engine.Event.Round -> Codec.put_byte buf 3
       | ev ->
           invalid_arg
-            ("Serve.Journal: cannot journal non-mutation " ^ Engine.Event.name ev))
+            ("Serve.Journal: cannot journal non-mutation "
+           ^ Engine.Event.name ev))
     events;
   Buffer.add_string buf trailer
 
-(* Parse records from [c], calling [f] per valid record; returns the
-   byte offset just past the last valid record (the truncation point
-   for a torn tail). *)
-let scan_records c f =
-  let valid_end = ref c.pos in
-  (try
-     while c.pos < Bytes.length c.bytes do
-       let seq = get_i64 c in
-       let count = get_i64 c in
-       if count < 0 || count > Bytes.length c.bytes - c.pos then raise Corrupt;
-       let events =
-         Array.init count (fun _ ->
-             match get_u8 c with
-             | 0 -> Engine.Event.Step
-             | 1 -> Engine.Event.Insert (get_i64 c)
-             | 2 -> Engine.Event.Remove
-             | 3 -> Engine.Event.Round
-             | _ -> raise Corrupt)
-       in
-       let k = String.length trailer in
-       need c k;
-       if Bytes.sub_string c.bytes c.pos k <> trailer then raise Corrupt;
-       c.pos <- c.pos + k;
-       valid_end := c.pos;
-       f ~seq events
-     done
-   with Corrupt -> ());
-  !valid_end
+let get_event c =
+  match Codec.get_tag c 4 "event tag" with
+  | 0 -> Engine.Event.Step
+  | 1 -> Engine.Event.Insert (Codec.get_int c)
+  | 2 -> Engine.Event.Remove
+  | _ -> Engine.Event.Round
 
-let read_fingerprint ~path =
-  match read_all path with
-  | None -> None
-  | Some bytes -> (
-      let c = { bytes; pos = 0 } in
-      try
-        get_magic c journal_magic;
-        Some (get_fingerprint c)
-      with Corrupt -> None)
+(* Hand each valid record to [f], in order; return the offset just past
+   the last one, where a torn tail (a kill mid-append) begins. *)
+let rec scan_records c f =
+  let valid_end = Codec.offset c in
+  match
+    if Codec.at_end c then None
+    else begin
+      let seq = Codec.get_int c in
+      let count = Codec.get_count c ~size:1 in
+      let events = Array.init count (fun _ -> get_event c) in
+      Codec.expect c trailer;
+      Some (seq, events)
+    end
+  with
+  | None | (exception Codec.Error _) -> valid_end
+  | Some (seq, events) ->
+      f ~seq events;
+      scan_records c f
+
+let header fp =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf journal_magic;
+  put_fingerprint buf fp;
+  Buffer.contents buf
+
+let replay ~path fp ~f =
+  Option.bind (Codec.read_file path) (fun data ->
+      match read_header journal_magic data with
+      | c, on_disk ->
+          check_fingerprint ~file:("journal " ^ path) fp on_disk;
+          Some (scan_records c f)
+      | exception (Codec.Error _ as e) ->
+          (* What a kill inside [Writer.create] leaves. *)
+          if String.starts_with ~prefix:data (header fp) then None else raise e)
 
 let fold ~path ~init ~f =
-  match read_all path with
-  | None -> init
-  | Some bytes -> (
-      let c = { bytes; pos = 0 } in
-      try
-        get_magic c journal_magic;
-        ignore (get_fingerprint c);
-        let acc = ref init in
-        ignore (scan_records c (fun ~seq events -> acc := f !acc ~seq events));
-        !acc
-      with Corrupt -> init)
+  let acc = ref init in
+  (match Option.map (read_header journal_magic) (Codec.read_file path) with
+  | Some (c, _) ->
+      ignore (scan_records c (fun ~seq evs -> acc := f !acc ~seq evs))
+  | None | (exception Codec.Error _) -> ());
+  !acc
 
 (* {2 Writer} *)
 
@@ -322,54 +240,18 @@ module Writer = struct
     mutable last_sync_ns : int64 option;
   }
 
-  let header fp =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf journal_magic;
-    put_fingerprint buf fp;
-    buf
-
-  let create ~path fp =
-    let ch = open_out_bin path in
-    Buffer.output_buffer ch (header fp);
-    flush ch;
+  let open_at ~path offset =
+    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+    Unix.ftruncate fd offset;
+    let ch = Unix.out_channel_of_descr fd in
+    seek_out ch offset;
     { ch; buf = Buffer.create 4096;
       last_flush_ns = Obs.Clock.now_ns (); last_sync_ns = None }
 
-  let open_append ~path fp =
-    match read_all path with
-    | None -> create ~path fp
-    | Some bytes ->
-        let c = { bytes; pos = 0 } in
-        let ok_header =
-          try
-            get_magic c journal_magic;
-            let on_disk = get_fingerprint c in
-            if on_disk <> fp then
-              invalid_arg
-                (Printf.sprintf
-                   "Serve.Journal: journal %s belongs to a different service \
-                    (%s, want %s)"
-                   path
-                   (fingerprint_to_string on_disk)
-                   (fingerprint_to_string fp));
-            true
-          with Corrupt -> false
-        in
-        if not ok_header then
-          (* Unreadable header: the file never held a full header write;
-             start it over. *)
-          create ~path fp
-        else begin
-          let valid_end = scan_records c (fun ~seq:_ _ -> ()) in
-          if valid_end < Bytes.length bytes then
-            (* Torn tail from a kill mid-append: drop it. *)
-            Unix.truncate path valid_end;
-          let ch =
-            open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
-          in
-          { ch; buf = Buffer.create 4096;
-            last_flush_ns = Obs.Clock.now_ns (); last_sync_ns = None }
-        end
+  let create ~path fp =
+    let header = header fp in
+    Out_channel.with_open_bin path (fun ch -> output_string ch header);
+    open_at ~path (String.length header)
 
   let append t ~seq events =
     Buffer.clear t.buf;

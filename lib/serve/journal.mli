@@ -3,12 +3,12 @@
 
     Both files open with a versioned magic string
     ([repro.serve-snapshot/4] / [repro.serve-journal/3]) and a service
-    {!fingerprint}.  Snapshots are written to a temporary sibling and
-    renamed into place; journal records end with a trailer written
-    last, so a kill mid-append leaves a torn tail that readers detect
-    and drop ({!Writer.open_append} truncates it).  Records carry every
-    routed mutation — including rejected ones, which consume no
-    randomness — so restoring a snapshot cut at a record boundary and
+    {!fingerprint}, encoded with {!Common.Codec}.  Snapshots are written
+    to a temporary sibling and renamed into place; journal records end
+    with a trailer written last, so a kill mid-append leaves a torn tail
+    that {!replay} stops at ({!Writer.open_at} truncates it).  Records
+    carry every routed mutation — including rejected ones, which consume
+    no randomness — so restoring a snapshot cut at a record boundary and
     applying each record with [seq >= snapshot.seq] replays the service
     bit-identically ({!Serve.Store} implements that loop). *)
 
@@ -24,27 +24,41 @@ type fingerprint = {
 }
 
 val fingerprint_of_config : Cluster.config -> fingerprint
-val fingerprint_to_string : fingerprint -> string
 
 (** {2 Snapshots} *)
 
 val save_snapshot : path:string -> fingerprint -> Cluster.state -> unit
 (** Atomic (temporary sibling + rename). *)
 
-val load_snapshot : path:string -> (fingerprint * Cluster.state) option
-(** [None] on a missing, truncated or foreign file. *)
+val load_snapshot : path:string -> fingerprint -> Cluster.state option
+(** [None] when the file does not exist.
+    @raise Common.Codec.Error when it does but does not decode (an old
+    schema, or damage: a kill never leaves a partial snapshot).
+    @raise Failure when it names another service. *)
 
 (** {2 Journal} *)
 
-val read_fingerprint : path:string -> fingerprint option
+val replay :
+  path:string ->
+  fingerprint ->
+  f:(seq:int -> Engine.Event.t array -> unit) ->
+  int option
+(** Check the header against the fingerprint, hand each valid record
+    to [f] in order, and return the offset past the last one, where
+    {!Writer.open_at} continues.  [None] when the file is missing or a
+    strict prefix of this fingerprint's header (empty included), as a
+    kill inside {!Writer.create} leaves it: start a fresh journal.
+    @raise Common.Codec.Error when the header does not decode.
+    @raise Failure when it names another service. *)
 
 val fold :
   path:string ->
   init:'a ->
   f:('a -> seq:int -> Engine.Event.t array -> 'a) ->
   'a
-(** Fold over the valid record prefix in order ([f acc ~seq events]);
-    a torn tail or missing file ends the fold cleanly. *)
+(** Fold over the valid record prefix in order ([f acc ~seq events]),
+    whatever fingerprint the header names; a torn tail ends the fold,
+    and a missing file or an unreadable header folds nothing. *)
 
 module Writer : sig
   type t
@@ -52,11 +66,9 @@ module Writer : sig
   val create : path:string -> fingerprint -> t
   (** Start a fresh journal, truncating any existing file. *)
 
-  val open_append : path:string -> fingerprint -> t
-  (** Append to an existing journal: validates the fingerprint,
-      truncates any torn tail, and seeks to the end.  A missing file
-      (or one whose header never finished writing) is created fresh.
-      @raise Invalid_argument when the on-disk fingerprint differs. *)
+  val open_at : path:string -> int -> t
+  (** Continue an existing journal at an offset {!replay} returned,
+      truncating the torn tail after it. *)
 
   val append : t -> seq:int -> Engine.Event.t array -> unit
   (** Buffered; [events] must be mutations.

@@ -31,46 +31,42 @@ type t = {
 let journal_file = "journal.bin"
 let snapshot_file = "snapshot.bin"
 
-let restore_cluster ?pool ~snapshot_path ~journal_path config fp =
-  let cluster, snap_seq =
-    match Journal.load_snapshot ~path:snapshot_path with
-    | Some (fp', st) ->
-        if fp' <> fp then
-          failwith
-            (Printf.sprintf
-               "snapshot %s belongs to a different service (%s, want %s)"
-               snapshot_path
-               (Journal.fingerprint_to_string fp')
-               (Journal.fingerprint_to_string fp));
-        (Cluster.of_state ?pool config st, st.seq)
-    | None -> (Cluster.create ?pool config, 0)
+(* Each file is read once.  A snapshot that exists but does not decode,
+   or a journal header that neither decodes nor is a prefix of this
+   service's, is refused before anything is written: booting the
+   initial state instead would serve it and overwrite the evidence. *)
+let restore ?pool ~snapshot_path ~journal_path config fp =
+  let decode read path =
+    try read ~path
+    with Common.Codec.Error e -> failwith (Common.Codec.describe ~path e)
   in
-  (match Journal.read_fingerprint ~path:journal_path with
-  | Some fp' when fp' <> fp ->
+  let cluster =
+    match decode (Journal.load_snapshot fp) snapshot_path with
+    | Some st -> Cluster.of_state ?pool config st
+    | None -> Cluster.create ?pool config
+  in
+  let apply ~seq events =
+    let cur = Cluster.seq cluster in
+    if seq = cur then ignore (Cluster.apply_batch cluster events)
+    else if seq > cur then
       failwith
         (Printf.sprintf
-           "journal %s belongs to a different service (%s, want %s)"
-           journal_path
-           (Journal.fingerprint_to_string fp')
-           (Journal.fingerprint_to_string fp))
-  | _ -> ());
-  ignore snap_seq;
-  Journal.fold ~path:journal_path ~init:() ~f:(fun () ~seq events ->
-      let cur = Cluster.seq cluster in
-      if seq = cur then ignore (Cluster.apply_batch cluster events)
-      else if seq > cur then
-        failwith
-          (Printf.sprintf
-             "journal %s has a gap: record seq %d but service is at %d"
-             journal_path seq cur)
-      else if seq + Array.length events > cur then
-        failwith
-          (Printf.sprintf
-             "journal %s record [%d, %d) straddles the snapshot seq %d"
-             journal_path seq
-             (seq + Array.length events)
-             cur));
-  cluster
+           "journal %s has a gap: record seq %d but service is at %d"
+           journal_path seq cur)
+    else if seq + Array.length events > cur then
+      failwith
+        (Printf.sprintf
+           "journal %s record [%d, %d) straddles the snapshot seq %d"
+           journal_path seq
+           (seq + Array.length events)
+           cur)
+  in
+  let writer =
+    match decode (Journal.replay fp ~f:apply) journal_path with
+    | None -> Journal.Writer.create ~path:journal_path fp
+    | Some valid_end -> Journal.Writer.open_at ~path:journal_path valid_end
+  in
+  (cluster, writer)
 
 let open_ ?pool ?(snapshot_every = 1_000_000) ?(sync = false) ~dir config =
   if snapshot_every <= 0 then
@@ -79,16 +75,12 @@ let open_ ?pool ?(snapshot_every = 1_000_000) ?(sync = false) ~dir config =
   let snapshot_path = Filename.concat dir snapshot_file in
   let journal_path = Filename.concat dir journal_file in
   let fp = Journal.fingerprint_of_config config in
-  match
-    let cluster =
-      restore_cluster ?pool ~snapshot_path ~journal_path config fp
-    in
-    let writer = Journal.Writer.open_append ~path:journal_path fp in
-    { config; fp; cluster; writer; journal_path; snapshot_path;
-      snapshot_every; sync; last_snapshot_seq = Cluster.seq cluster;
-      last_snapshot_ns = Obs.Clock.now_ns (); closed = false }
-  with
-  | t -> Ok t
+  match restore ?pool ~snapshot_path ~journal_path config fp with
+  | cluster, writer ->
+      Ok
+        { config; fp; cluster; writer; journal_path; snapshot_path;
+          snapshot_every; sync; last_snapshot_seq = Cluster.seq cluster;
+          last_snapshot_ns = Obs.Clock.now_ns (); closed = false }
   | exception Failure msg -> Error msg
   | exception Invalid_argument msg -> Error msg
 

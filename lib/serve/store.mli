@@ -20,9 +20,13 @@ val open_ :
 (** Open (creating [dir] as needed) or restore the service.  A fresh
     directory boots a new {!Cluster.create}; an existing one is
     restored from [snapshot.bin] (if any) and the valid prefix of
-    [journal.bin].  [Error _] on a fingerprint mismatch (the directory
-    belongs to a service with different parameters) or a corrupt replay
-    sequence.  [sync] makes every batch [fsync] (default: flush only).
+    [journal.bin], each read once.  [Error _], with nothing written, on
+    a fingerprint mismatch (the directory belongs to a service with
+    different parameters), a corrupt replay sequence, or a
+    [snapshot.bin] or [journal.bin] header that does not decode (the
+    message names the file and byte offset; a journal that is a strict
+    prefix of its header, as a kill inside its creation leaves, restarts
+    instead).  [sync] makes every batch [fsync] (default: flush only).
     @raise Invalid_argument if [snapshot_every <= 0]. *)
 
 val cluster : t -> Cluster.t

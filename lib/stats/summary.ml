@@ -26,14 +26,9 @@ let mean s = if s.count = 0 then nan else s.mean
 let variance s =
   if s.count < 2 then nan else s.m2 /. float_of_int (s.count - 1)
 
-let stddev s = sqrt (variance s)
-
 let min s = s.min
 let max s = s.max
 let sum s = s.mean *. float_of_int s.count
-
-let std_error s =
-  if s.count < 2 then nan else stddev s /. sqrt (float_of_int s.count)
 
 let merge a b =
   if a.count = 0 then { b with count = b.count }

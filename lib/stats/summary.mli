@@ -20,7 +20,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [nan] with fewer than two observations. *)
 
-val stddev : t -> float
 val min : t -> float
 (** Minimum observation; [infinity] when empty. *)
 
@@ -28,9 +27,6 @@ val max : t -> float
 (** Maximum observation; [neg_infinity] when empty. *)
 
 val sum : t -> float
-
-val std_error : t -> float
-(** Standard error of the mean, [stddev / sqrt count]. *)
 
 val merge : t -> t -> t
 (** [merge a b] is a fresh summary equivalent to having observed both

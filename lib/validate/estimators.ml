@@ -124,14 +124,6 @@ let standardized_residuals freq ~expected =
       else infinity)
     expected
 
-let worst_residual freq ~expected =
-  let rs = standardized_residuals freq ~expected in
-  let best = ref 0 in
-  Array.iteri
-    (fun i r -> if Float.abs r > Float.abs rs.(!best) then best := i)
-    rs;
-  (!best, rs.(!best))
-
 let tv_ci ?(replicates = 200) ?(level = 0.95) ~rng freq ~expected =
   check_lengths "tv_ci" freq expected;
   let n = Stats.Freq.size freq in

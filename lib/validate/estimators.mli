@@ -52,9 +52,6 @@ val standardized_residuals : Stats.Freq.t -> expected:float array -> float array
     the null variance vanishes and the observation agrees, [infinity]
     when mass sits on a zero-probability cell. *)
 
-val worst_residual : Stats.Freq.t -> expected:float array -> int * float
-(** Index and value of the residual largest in absolute value. *)
-
 val tv_ci :
   ?replicates:int ->
   ?level:float ->

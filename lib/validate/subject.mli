@@ -61,10 +61,6 @@ val edge : ?block_rows:int -> n:int -> unit -> t
 (** The Section 6 edge-orientation class chain, state space reachable
     from the adversarial state, bound Corollary 6.4. *)
 
-val open_system : n:int -> capacity:int -> t
-(** A capacity-bounded open system (ABKU[2] insertions at probability
-    ½), state space reachable from empty, starting full-in-one-bin. *)
-
 val relocation :
   Core.Scenario.t -> d:int -> relocations:int -> n:int -> m:int -> t
 (** A relocation process on per-bin load arrays, state space reachable

@@ -27,4 +27,5 @@ let () =
       ("rbb", Test_rbb.suite);
       ("validate", Test_validate.suite);
       ("serve", Test_serve.suite);
+      ("codec", Test_codec.suite);
     ]

@@ -453,7 +453,7 @@ let test_blocked_killed_build_rejected () =
       Alcotest.(check bool) "killed build rejected" true
         (match B.open_file path with
         | (_ : B.t) -> false
-        | exception Failure _ -> true);
+        | exception Common.Codec.Error _ -> true);
       ignore (B.finish bld ~cols:2))
 
 let test_blocked_builder_invalid () =

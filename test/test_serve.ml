@@ -271,6 +271,84 @@ let qcheck_torn_tail =
           Serve.Store.close revived;
           ok && a = b))
 
+(* {2 Damaged headers} *)
+
+let dir_contents dir =
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  List.map
+    (fun f -> (f, read (Filename.concat dir f)))
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* One bit flipped in a file's magic string must stop the restore with
+   an error naming the file and offset, and leave the directory as it
+   was: booting the initial state instead would serve it and, at the
+   next snapshot, overwrite the evidence. *)
+let damaged_magic_refused ~file ~close () =
+  let config = mk_config ~seed:12 ~n:16 ~shards:1 () in
+  with_dir (fun dir ->
+      let s = store_exn ~dir config in
+      ignore (Serve.Store.apply_batch s (gen_events (rng_of 13) 200));
+      (* Closed: a snapshot plus an empty journal; else killed: the
+         journal alone. *)
+      if close then Serve.Store.close s;
+      let path = Filename.concat dir file in
+      let bytes = Bytes.of_string (List.assoc file (dir_contents dir)) in
+      Bytes.set bytes 3 (Char.chr (Char.code (Bytes.get bytes 3) lxor 0x10));
+      Out_channel.with_open_bin path (fun oc -> output_bytes oc bytes);
+      let before = dir_contents dir in
+      (match Serve.Store.open_ ~dir config with
+      | Ok s ->
+          Serve.Store.close s;
+          Alcotest.failf "a damaged %s was accepted" file
+      | Error msg ->
+          Alcotest.(check bool) ("error names " ^ path ^ " at byte 0: " ^ msg)
+            true
+            (contains ~sub:path msg && contains ~sub:"byte 0" msg));
+      Alcotest.(check bool) "nothing written" true (dir_contents dir = before))
+
+(* A kill inside the journal's creation leaves a strict prefix of its
+   header (empty included): that restarts the journal over the
+   snapshot. *)
+let test_journal_header_cut_restarts () =
+  let config = mk_config ~seed:14 ~n:16 ~shards:2 () in
+  List.iter
+    (fun cut ->
+      with_dir (fun dir ->
+          let g = rng_of 15 in
+          let head = gen_events g 60 and tail = gen_events g 40 in
+          let reference = Serve.Cluster.create config in
+          ignore (Serve.Cluster.apply_batch reference head);
+          let s = store_exn ~dir config in
+          ignore (Serve.Store.apply_batch s head);
+          Serve.Store.close s;
+          Unix.truncate (Filename.concat dir "journal.bin") cut;
+          let revived = store_exn ~dir config in
+          let restored =
+            Serve.Cluster.state (Serve.Store.cluster revived)
+            = Serve.Cluster.state reference
+          in
+          let a = Serve.Store.apply_batch revived tail in
+          let b = Serve.Cluster.apply_batch reference tail in
+          (* Kill again: the restarted journal must replay the tail. *)
+          let again = store_exn ~dir config in
+          let replayed =
+            Serve.Cluster.state (Serve.Store.cluster again)
+            = Serve.Cluster.state reference
+          in
+          Serve.Store.close again;
+          Alcotest.(check bool)
+            (Printf.sprintf "journal cut to %d bytes restarts" cut)
+            true
+            (restored && a = b && replayed)))
+    [ 0; 1; 50 ]
+
 (* {2 Unit tests} *)
 
 let test_initial_queries () =
@@ -789,6 +867,12 @@ let suite =
       test_cluster_stage_telemetry;
     Alcotest.test_case "store durability gauges" `Quick
       test_store_durability_gauges;
+    Alcotest.test_case "a damaged snapshot magic is refused" `Quick
+      (damaged_magic_refused ~file:"snapshot.bin" ~close:true);
+    Alcotest.test_case "a damaged journal magic is refused" `Quick
+      (damaged_magic_refused ~file:"journal.bin" ~close:false);
+    Alcotest.test_case "a journal cut inside its header restarts" `Quick
+      test_journal_header_cut_restarts;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
