@@ -39,7 +39,7 @@ let run ctx =
         Ctx.table ctx
           ~title:
             (Printf.sprintf "E6: load fractions s_i, %s-ABKU[%d], n = m = %d"
-               (match scenario with Core.Scenario.A -> "Id" | B -> "Ib")
+               (Core.Scenario.process_prefix scenario)
                d n)
           ~columns:[ "i"; "simulated s_i"; "fluid s_i"; "abs diff" ]
       in

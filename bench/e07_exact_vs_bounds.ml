@@ -46,7 +46,7 @@ let run ctx =
           ~title:
             (Printf.sprintf
                "E7: %s-ABKU[2], exact tau(%.2f) on Omega_m vs bound"
-               (match scenario with Core.Scenario.A -> "Id" | B -> "Ib")
+               (Core.Scenario.process_prefix scenario)
                eps)
           ~columns:
             [
@@ -140,7 +140,7 @@ let run ctx =
       Engine.Metrics.dump
         ~label:
           (Printf.sprintf "E7 %s exact-cell metrics"
-             (match scenario with Core.Scenario.A -> "Id" | B -> "Ib"))
+             (Core.Scenario.process_prefix scenario))
         (Engine.Metrics.snapshot metrics))
     [ Core.Scenario.A; Core.Scenario.B ]
 

@@ -29,7 +29,7 @@ let run ctx =
         Ctx.table ctx
           ~title:
             (Printf.sprintf "E14: %s-ABKU[2] exact decay"
-               (match scenario with Core.Scenario.A -> "Id" | B -> "Ib"))
+               (Core.Scenario.process_prefix scenario))
           ~columns:
             [
               "n=m";
@@ -119,7 +119,7 @@ let run ctx =
       Engine.Metrics.dump
         ~label:
           (Printf.sprintf "E14 %s exact-cell metrics"
-             (match scenario with Core.Scenario.A -> "Id" | B -> "Ib"))
+             (Core.Scenario.process_prefix scenario))
         (Engine.Metrics.snapshot metrics))
     [ Core.Scenario.A; Core.Scenario.B ]
 

@@ -10,9 +10,11 @@ let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 0x5EED & info [ "seed" ] ~docv:"SEED" ~doc)
 
+let positive = Experiments.Cli.positive
+
 let n_arg =
   let doc = "Number of bins / servers / vertices." in
-  Arg.(value & opt int 256 & info [ "n" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 256 & info [ "n" ] ~docv:"N" ~doc)
 
 let m_arg =
   let doc = "Number of balls (defaults to n)." in
@@ -58,17 +60,13 @@ let rule_arg =
   Arg.(value & opt conv_rule (Core.Scheduling_rule.abku 2)
        & info [ "rule" ] ~docv:"RULE" ~doc)
 
-let conv_repr =
-  let parse s = Result.map_error (fun m -> `Msg m) (Core.Repr.of_string s) in
-  Arg.conv (parse, fun fmt r -> Format.fprintf fmt "%s" (Core.Repr.name r))
-
 let repr_arg =
   let doc =
     "Representation backend for the hot path: " ^ Core.Repr.help
     ^ ".  counts-sampled switches ABKU insertion to the cutoff table \
        (equal in law, different draw trace)."
   in
-  Arg.(value & opt conv_repr Core.Repr.Array_backed
+  Arg.(value & opt Experiments.Cli.repr Core.Repr.Array_backed
        & info [ "repr" ] ~docv:"REPR" ~doc)
 
 let steps_arg ~default =
@@ -91,10 +89,9 @@ let simulate seed n m scenario rule steps adversarial =
     else Loadvec.Load_vector.to_array (Loadvec.Load_vector.uniform ~n ~m)
   in
   let system = Core.System.create scenario rule (Core.Bins.of_loads loads) in
-  Printf.printf "process %s, n = %d, m = %d, %d steps\n"
-    (Printf.sprintf "%s-%s"
-       (match scenario with Core.Scenario.A -> "Id" | B -> "Ib")
-       (Core.Scheduling_rule.name rule))
+  Printf.printf "process %s-%s, n = %d, m = %d, %d steps\n"
+    (Core.Scenario.process_prefix scenario)
+    (Core.Scheduling_rule.name rule)
     n m steps;
   let probes = Stats.Summary.create () in
   let max_summary = Stats.Summary.create () in
@@ -152,7 +149,7 @@ let recover seed n m scenario rule reps target =
   let meas = Core.Recovery.measure ~rng ~reps spec ~target ~limit in
   Printf.printf
     "recovery of %s-%s from all-in-one to max load <= %d (n=%d, m=%d, %d runs)\n"
-    (match scenario with Core.Scenario.A -> "Id" | B -> "Ib")
+    (Core.Scenario.process_prefix scenario)
     (Core.Scheduling_rule.name rule)
     target n m reps;
   Printf.printf "median %.0f steps [q10 %.0f, q90 %.0f], %d runs hit the limit\n"
@@ -166,7 +163,8 @@ let recover seed n m scenario rule reps target =
 
 let recover_cmd =
   let reps =
-    Arg.(value & opt int 11 & info [ "reps" ] ~docv:"REPS" ~doc:"Repetitions.")
+    Arg.(value & opt positive 11
+         & info [ "reps" ] ~docv:"REPS" ~doc:"Repetitions.")
   in
   let target =
     Arg.(value & opt (some int) None
@@ -213,7 +211,8 @@ let couple seed n m scenario rule reps =
 
 let couple_cmd =
   let reps =
-    Arg.(value & opt int 15 & info [ "reps" ] ~docv:"REPS" ~doc:"Repetitions.")
+    Arg.(value & opt positive 15
+         & info [ "reps" ] ~docv:"REPS" ~doc:"Repetitions.")
   in
   Cmd.v
     (Cmd.info "couple" ~doc:"Measure coupling coalescence time")
@@ -339,13 +338,13 @@ let exact_cmd =
          & info [ "eps" ] ~docv:"EPS" ~doc:"Mixing threshold.")
   in
   let domains =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive 1
          & info [ "domains" ] ~docv:"N"
              ~doc:"Worker domains for the mixing search; the result is \
                    identical for any value.")
   in
   let block_rows =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "block-rows" ] ~docv:"N"
              ~doc:"Rows per blocked-CSR block (default 4096).")
   in
@@ -410,10 +409,11 @@ let fluid n m scenario d levels =
 
 let fluid_cmd =
   let d =
-    Arg.(value & opt int 2 & info [ "d" ] ~docv:"D" ~doc:"Number of choices.")
+    Arg.(value & opt positive 2
+         & info [ "d" ] ~docv:"D" ~doc:"Number of choices.")
   in
   let levels =
-    Arg.(value & opt int 30
+    Arg.(value & opt positive 30
          & info [ "levels" ] ~docv:"L" ~doc:"Truncation level.")
   in
   Cmd.v
@@ -457,7 +457,8 @@ let tv seed n m scenario rule reps =
 
 let tv_cmd =
   let reps =
-    Arg.(value & opt int 500 & info [ "reps" ] ~docv:"REPS" ~doc:"Runs per point.")
+    Arg.(value & opt positive 500
+         & info [ "reps" ] ~docv:"REPS" ~doc:"Runs per point.")
   in
   Cmd.v
     (Cmd.info "tv" ~doc:"Empirical total-variation decay profile")
@@ -478,7 +479,9 @@ let weighted seed n m d tail =
     (Core.Weighted.total_weight t /. float_of_int n)
 
 let weighted_cmd =
-  let d = Arg.(value & opt int 2 & info [ "d" ] ~docv:"D" ~doc:"Choices.") in
+  let d =
+    Arg.(value & opt positive 2 & info [ "d" ] ~docv:"D" ~doc:"Choices.")
+  in
   let tail =
     Arg.(value
          & opt
@@ -509,7 +512,9 @@ let parallel seed n m d rounds =
     result.max_load result.rounds_used result.fallback_balls
 
 let parallel_cmd =
-  let d = Arg.(value & opt int 2 & info [ "d" ] ~docv:"D" ~doc:"Candidates.") in
+  let d =
+    Arg.(value & opt positive 2 & info [ "d" ] ~docv:"D" ~doc:"Candidates.")
+  in
   let rounds =
     Arg.(value & opt int 3 & info [ "rounds" ] ~docv:"R" ~doc:"Parallel rounds.")
   in
@@ -566,147 +571,6 @@ let removal_cmd =
   Cmd.v
     (Cmd.info "removal" ~doc:"Recovery under a generalized removal law")
     Term.(const removal $ seed_arg $ n_arg $ m_arg $ rule_arg $ law)
-
-(* ---- bench: the experiment framework ---- *)
-
-let bench ids list_only verbose full seed domains csv json trace checkpoint
-    resume tags repr =
-  let specs = Experiments.Registry.all in
-  let fail msg =
-    prerr_endline ("repro bench: " ^ msg);
-    exit 2
-  in
-  (match domains with
-  | Some d when d < 1 -> fail "--domains expects a value >= 1"
-  | _ -> ());
-  let base =
-    try Experiment.Config.load () with Invalid_argument msg -> fail msg
-  in
-  let cfg =
-    {
-      Experiment.Config.full = base.full || full;
-      seed = Option.value seed ~default:base.seed;
-      domains = Option.value domains ~default:base.domains;
-      csv_dir = (match csv with Some _ -> csv | None -> base.csv_dir);
-      json_dir = (match json with Some _ -> json | None -> base.json_dir);
-      trace = (match trace with Some _ -> trace | None -> base.trace);
-      checkpoint_dir =
-        (match checkpoint with
-        | Some _ -> checkpoint
-        | None -> base.checkpoint_dir);
-      resume = base.resume || resume;
-      metrics_dump = base.metrics_dump;
-      repr = Option.value repr ~default:base.repr;
-    }
-  in
-  if list_only then begin
-    (match Experiment.Driver.unknown_tags specs tags with
-    | [] -> ()
-    | bad ->
-        prerr_endline
-          (Experiment.Driver.selection_error_message specs
-             (Experiment.Driver.Unknown_tags bad));
-        exit 2);
-    let listed =
-      match tags with
-      | [] -> specs
-      | tags ->
-          List.filter
-            (fun (s : Experiment.Spec.t) ->
-              List.exists (fun t -> Experiment.Spec.has_tag s t) tags)
-            specs
-    in
-    (if listed = [] then begin
-       prerr_endline
-         (Experiment.Driver.selection_error_message specs
-            Experiment.Driver.Empty_selection);
-       exit 2
-     end);
-    Experiment.Driver.print_list ~verbose ~repr:cfg.repr listed
-  end
-  else begin
-    let ids = List.map String.lowercase_ascii ids in
-    match Experiment.Driver.select specs ~ids ~tags with
-    | Error e ->
-        prerr_endline (Experiment.Driver.selection_error_message specs e);
-        exit 2
-    | Ok selected -> ignore (Experiment.Driver.run ~config:cfg selected)
-  end
-
-let bench_cmd =
-  let ids =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"ID"
-             ~doc:"Experiment ids to run (default: every default experiment).")
-  in
-  let list_only =
-    Arg.(value & flag
-         & info [ "list" ] ~doc:"List experiment ids, claims and tags.")
-  in
-  let verbose =
-    Arg.(value & flag
-         & info [ "v"; "verbose" ]
-             ~doc:"With --list: show each spec's quick/full grid and the \
-                   representation backend it will run with.")
-  in
-  let full =
-    Arg.(value & flag
-         & info [ "full" ] ~doc:"Paper-scale sweeps (BENCH_FULL=1).")
-  in
-  let seed =
-    Arg.(value & opt (some int) None
-         & info [ "seed" ] ~docv:"SEED" ~doc:"Root seed (default 0xB0B).")
-  in
-  let domains =
-    Arg.(value & opt (some int) None
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Replication fan-out width; results are identical for any \
-                   value.")
-  in
-  let csv =
-    Arg.(value & opt (some string) None
-         & info [ "csv" ] ~docv:"DIR" ~doc:"Write every table as CSV into DIR.")
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"DIR"
-             ~doc:"Write BENCH_RESULTS.json into DIR.")
-  in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write a Chrome/Perfetto trace of the run to FILE \
-                   (REPRO_TRACE); open in https://ui.perfetto.dev.")
-  in
-  let checkpoint =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"DIR"
-             ~doc:"Snapshot long exact-analysis runs into DIR \
-                   (BENCH_CHECKPOINT) so a killed run can resume.")
-  in
-  let resume =
-    Arg.(value & flag
-         & info [ "resume" ]
-             ~doc:"Resume from snapshots left in the checkpoint directory \
-                   (BENCH_RESUME); without it stale snapshots are deleted.")
-  in
-  let tags =
-    Arg.(value & opt (list string) []
-         & info [ "tags" ] ~docv:"TAGS"
-             ~doc:"Keep only experiments carrying one of the comma-separated \
-                   tags.")
-  in
-  let repr =
-    Arg.(value & opt (some conv_repr) None
-         & info [ "repr" ] ~docv:"NAME"
-             ~doc:"Stepper state backend (BENCH_REPR): array (the default \
-                   oracle), counts, or counts-sampled. Only experiments \
-                   flagged in --list -v honour it.")
-  in
-  Cmd.v
-    (Cmd.info "bench" ~doc:"Run the paper's experiment suite")
-    Term.(const bench $ ids $ list_only $ verbose $ full $ seed $ domains
-          $ csv $ json $ trace $ checkpoint $ resume $ tags $ repr)
 
 (* ---- validate: statistical conformance (lib/validate) ---- *)
 
@@ -778,7 +642,7 @@ let validate_cmd =
              ~doc:"False-FAIL budget per conformance check.")
   in
   let domains =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive 1
          & info [ "domains" ] ~docv:"N"
              ~doc:"Sampling fan-out width; the report is identical for any \
                    value.")
@@ -886,7 +750,7 @@ let serve_cmd =
          & info [ "sync" ] ~doc:"fsync the journal after every batch.")
   in
   let domains =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive 1
          & info [ "domains" ] ~docv:"N"
              ~doc:"Worker domains applying shard batches.  Above 1, a pool \
                    flushes the shard queues in parallel; the replies are the \
@@ -1180,10 +1044,11 @@ let () =
   let doc = "recovery time of dynamic allocation processes (SPAA 1998)" in
   let info = Cmd.info "repro" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
+    (Cmd.eval ~env:Experiments.Cli.env
        (Cmd.group info
           [
             simulate_cmd; recover_cmd; couple_cmd; edge_cmd; exact_cmd;
             fluid_cmd; tv_cmd; weighted_cmd; parallel_cmd; removal_cmd;
-            bench_cmd; validate_cmd; serve_cmd; load_cmd; query_cmd; stat_cmd;
+            Experiments.Cli.cmd; validate_cmd; serve_cmd; load_cmd; query_cmd;
+            stat_cmd;
           ]))

@@ -18,9 +18,3 @@ let sanitize_component s =
       | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> c
       | _ -> '_')
     s
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)

@@ -9,7 +9,3 @@ val mkdir_p : string -> unit
 val sanitize_component : string -> string
 (** Replace every character outside [A-Za-z0-9_-] with ['_'], making an
     arbitrary table title usable as a file-name component. *)
-
-val write_file : string -> string -> unit
-(** [write_file path contents] truncates/creates [path] with [contents],
-    closing the channel even on exceptions. *)

@@ -11,8 +11,9 @@ let rule t = t.rule
 let n t = t.n
 
 let name t =
-  let prefix = match t.scenario with Scenario.A -> "Id" | Scenario.B -> "Ib" in
-  Printf.sprintf "%s-%s" prefix (Scheduling_rule.name t.rule)
+  Printf.sprintf "%s-%s"
+    (Scenario.process_prefix t.scenario)
+    (Scheduling_rule.name t.rule)
 
 (* One removal variate, then the rule's insertion draws — the same order
    on every backend. *)

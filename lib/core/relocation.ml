@@ -11,9 +11,9 @@ let make scenario rule ~relocations ~n =
   { scenario; rule; relocations; n }
 
 let name t =
-  let prefix = match t.scenario with Scenario.A -> "Id" | Scenario.B -> "Ib" in
-  Printf.sprintf "%s-%s+reloc%d" prefix (Scheduling_rule.name t.rule)
-    t.relocations
+  Printf.sprintf "%s-%s+reloc%d"
+    (Scenario.process_prefix t.scenario)
+    (Scheduling_rule.name t.rule) t.relocations
 
 let relocation_attempts t = t.relocations
 

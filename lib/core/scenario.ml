@@ -1,6 +1,7 @@
 type t = A | B
 
 let name = function A -> "A" | B -> "B"
+let process_prefix = function A -> "Id" | B -> "Ib"
 
 let remove_rank sc v ~u =
   let module Mv = Loadvec.Mutable_vector in

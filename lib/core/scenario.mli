@@ -10,6 +10,10 @@ type t = A | B
 
 val name : t -> string
 
+val process_prefix : t -> string
+(** ["Id"] for A, ["Ib"] for B: the prefix of a process name such as
+    [Id-ABKU[2]] or [Ib-ADAP(1,2)]. *)
+
 val remove_rank : t -> Loadvec.Mutable_vector.t -> u:float -> int
 (** [remove_rank sc v ~u] maps the uniform variate [u ∈ [0,1)] to the
     rank to decrement, by inverse CDF.  Feeding two coupled copies the

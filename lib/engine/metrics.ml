@@ -144,9 +144,8 @@ let to_table ?(title = "engine metrics") (s : snapshot) =
     add "steps/sec" (Printf.sprintf "%.3e" (float_of_int s.steps /. secs));
   table
 
-(* Environment handling is centralized in [Experiment.Config] (the
-   [BENCH_METRICS] row of its variable table); the engine itself only
-   holds the flag. *)
+(* The experiment harness sets this from its [--metrics] flag (or
+   [BENCH_METRICS]); the engine itself only holds the flag. *)
 let dump_flag = ref false
 let set_dump on = dump_flag := on
 let dump_enabled () = !dump_flag

@@ -89,8 +89,8 @@ val to_table : ?title:string -> snapshot -> Stats.Table.t
 
 val set_dump : bool -> unit
 (** Turn counter-table dumping on or off.  The experiment harness sets
-    this from the [BENCH_METRICS] row of [Experiment.Config]'s
-    environment table; the engine reads no environment itself. *)
+    this from [Experiment.Config.metrics_dump] ([--metrics] or
+    [BENCH_METRICS]); the engine reads no environment itself. *)
 
 val dump_enabled : unit -> bool
 (** Whether {!dump} prints (default [false]; see {!set_dump}). *)

@@ -1,12 +1,19 @@
-(** Run configuration for the experiment harness. *)
+(** Run configuration for the experiment harness.  The suite's command
+    line ([bench/cli.ml]) sets each field from its flag, or else from
+    the environment variable named below. *)
 
 type t = {
-  full : bool;  (** Paper-scale sweeps instead of quick sizes. *)
-  seed : int;  (** Root seed. *)
-  domains : int;  (** Replication fan-out width; results are identical for any value. *)
-  csv_dir : string option;  (** Dump every table as CSV into this directory. *)
-  json_dir : string option;  (** Write [BENCH_RESULTS.json] into this directory. *)
-  trace : string option;  (** Write a Chrome/Perfetto trace of the run here. *)
+  full : bool;  (** Paper-scale sweeps instead of quick sizes ([BENCH_FULL]). *)
+  seed : int;  (** Root seed ([BENCH_SEED]). *)
+  domains : int;
+      (** Replication fan-out width; results are identical for any value
+          ([BENCH_DOMAINS]). *)
+  csv_dir : string option;
+      (** Dump every table as CSV into this directory ([BENCH_CSV]). *)
+  json_dir : string option;
+      (** Write [BENCH_RESULTS.json] into this directory ([BENCH_JSON]). *)
+  trace : string option;
+      (** Write a Chrome/Perfetto trace of the run here ([REPRO_TRACE]). *)
   checkpoint_dir : string option;
       (** Snapshot long exact-analysis runs into this directory
           ([BENCH_CHECKPOINT]). *)
@@ -19,25 +26,13 @@ type t = {
           {!Engine.Metrics.set_dump}. *)
   repr : Core.Repr.t;
       (** State-representation backend for the stepper hot paths
-          ([BENCH_REPR] / [--repr]).  Specs that honour it are flagged
+          ([BENCH_REPR]).  Specs that honour it are flagged
           {!Spec.t.uses_repr}; all others run the array oracle
           regardless. *)
 }
 
 val default : t
 (** Quick mode, seed [0xB0B], one domain, no file sinks, no trace. *)
-
-val env_help : unit -> string
-(** Every environment variable the harnesses read, with its kind and
-    doc — the one documented table, which {!load} reads exactly —
-    rendered for [--help] output. *)
-
-val load : unit -> t
-(** [default] overridden by the environment variables {!env_help}
-    lists; an empty value counts as unset.
-    @raise Invalid_argument naming the variable if [BENCH_SEED] is not
-    an integer, [BENCH_DOMAINS] is not an integer [>= 1], or
-    [BENCH_REPR] names an unknown backend. *)
 
 val mode_name : t -> string
 (** ["quick"] or ["FULL"] — for result provenance. *)

@@ -166,7 +166,9 @@ let emit t tbl =
         Filename.concat dir
           (Util.sanitize_component (Stats.Table.title tbl.table) ^ ".csv")
       in
-      Util.write_file path (Stats.Table.to_csv tbl.table));
+      let csv = Buffer.create 4096 in
+      Buffer.add_string csv (Stats.Table.to_csv tbl.table);
+      Common.Codec.write_file path csv);
   t.emitted <- tbl :: t.emitted
 
 (* ---- cell formatting (historical bench/exp_util.ml helpers) ---- *)

@@ -133,7 +133,10 @@ let results_json ~config outcomes =
 let write_results ~dir doc =
   Util.mkdir_p dir;
   let path = Filename.concat dir results_file in
-  Util.write_file path (Json.to_string doc ^ "\n");
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf (Json.to_string doc);
+  Buffer.add_char buf '\n';
+  Common.Codec.write_file path buf;
   path
 
 (* Run the specs in order under [config]: banner, then per spec the
@@ -142,8 +145,9 @@ let write_results ~dir doc =
    Returns the document. *)
 let run ?(banner = true) ~config specs =
   if config.Config.trace <> None then Obs.enable ();
-  (* The engine reads no environment itself; the config's BENCH_METRICS
-     row is forwarded here, once, for the whole run. *)
+  (* The engine reads no environment itself; the config's metrics_dump
+     (--metrics / BENCH_METRICS) is forwarded here, once, for the whole
+     run. *)
   Engine.Metrics.set_dump config.Config.metrics_dump;
   if banner then print_banner config;
   let outcomes =

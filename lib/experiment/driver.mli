@@ -14,11 +14,6 @@ type selection_error =
 
 val selection_error_message : Spec.t list -> selection_error -> string
 
-val unknown_tags : Spec.t list -> string list -> string list
-(** The requested tags carried by no spec at all — callers that filter
-    outside {!select} (e.g. a [--list] path) use this to reject typos
-    with the same error the selection would give. *)
-
 val select :
   Spec.t list ->
   ids:string list ->

@@ -1,6 +1,7 @@
 (* Tests for the declarative experiment framework (lib/experiment):
    filesystem helpers shared by the sinks, the JSON value layer, the
-   BENCH_RESULTS.json sink, and the cross-domain determinism contract. *)
+   BENCH_RESULTS.json sink, the cross-domain determinism contract, and
+   the suite's command line (bench/cli.ml). *)
 
 let fresh_tmp_dir =
   let counter = ref 0 in
@@ -42,11 +43,16 @@ let test_mkdir_p_race () =
   Alcotest.(check (list string)) "no domain raised" [] errors;
   Alcotest.(check bool) "path exists" true (Sys.is_directory deep)
 
+let write_string path s =
+  let buf = Buffer.create (String.length s) in
+  Buffer.add_string buf s;
+  Common.Codec.write_file path buf
+
 let test_mkdir_p_file_conflict () =
   let root = fresh_tmp_dir () in
   Experiment.Util.mkdir_p root;
   let file = Filename.concat root "plain" in
-  Experiment.Util.write_file file "not a directory\n";
+  write_string file "not a directory\n";
   let raised =
     try
       Experiment.Util.mkdir_p (Filename.concat file "sub");
@@ -59,8 +65,8 @@ let test_write_file () =
   let root = fresh_tmp_dir () in
   Experiment.Util.mkdir_p root;
   let path = Filename.concat root "out.txt" in
-  Experiment.Util.write_file path "first";
-  Experiment.Util.write_file path "second";
+  write_string path "first";
+  write_string path "second";
   let ic = open_in_bin path in
   let contents = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -193,6 +199,13 @@ let toy_spec =
       Experiment.Ctx.note t "toy note";
       Experiment.Ctx.emit ctx t)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let test_json_sink_writes_file () =
   let dir = fresh_tmp_dir () in
   let config =
@@ -204,14 +217,9 @@ let test_json_sink_writes_file () =
   let ic = open_in_bin path in
   let contents = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool)
     "schema marker present" true
-    (contains contents "repro.bench-results/4");
+    (contains ~sub:"repro.bench-results/4" contents);
   Alcotest.(check string)
     "file matches the returned document"
     (Experiment.Json.to_string doc ^ "\n")
@@ -316,27 +324,60 @@ let test_determinism_across_domains () =
     "domains=1 and domains=4 agree on the deterministic view"
     (run 1) (run 4)
 
-(* --- Config.load -------------------------------------------------- *)
+(* --- Cli.config ----------------------------------------------------- *)
 
-(* Unix cannot unset a variable, so an unset one is restored as empty,
-   which Config.load reads as unset. *)
-let with_env name value f =
-  let saved = Option.value (Sys.getenv_opt name) ~default:"" in
-  Unix.putenv name value;
-  Fun.protect ~finally:(fun () -> Unix.putenv name saved) f
+(* Evaluate [term] on [args] under the fake environment [env], read the
+   way both front ends read the real one.  Returns the value or the
+   error text cmdliner printed. *)
+let eval_cli ?(env = []) term args =
+  let err = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer err in
+  let getenv name = List.assoc_opt name env in
+  let result =
+    Cmdliner.Cmd.eval_value ~err:ppf
+      ~env:(Experiments.Cli.env ~getenv)
+      ~argv:(Array.of_list ("bench" :: args))
+      (Cmdliner.Cmd.v (Cmdliner.Cmd.info "bench") term)
+  in
+  Format.pp_print_flush ppf ();
+  match result with
+  | Ok (`Ok v) -> Ok v
+  | _ -> Error (Buffer.contents err)
 
 (* A malformed value fails loudly, naming the variable, instead of
    silently running the default. *)
 let rejects name value () =
-  with_env name value (fun () ->
-      match Experiment.Config.load () with
-      | _ -> Alcotest.failf "%s=%S should be rejected" name value
-      | exception Invalid_argument msg ->
-          if not (String.starts_with ~prefix:(name ^ ": ") msg) then
-            Alcotest.failf "%s=%S: message %S does not name the variable"
-              name value msg);
-  (* Restored: the environment loads again. *)
-  ignore (Experiment.Config.load ())
+  match eval_cli ~env:[ (name, value) ] Experiments.Cli.config [] with
+  | Ok _ -> Alcotest.failf "%s=%S should be rejected" name value
+  | Error msg ->
+      if not (contains ~sub:name msg) then
+        Alcotest.failf "%s=%S: message %S does not name the variable" name
+          value msg
+
+(* A flag wins over its variable, whose malformed value is then never
+   read; an empty variable is unset; a flag variable reads 1 as true;
+   --tags repeats and splits at commas. *)
+let test_cli_flags_and_variables () =
+  let config ?env args =
+    match eval_cli ?env Experiments.Cli.config args with
+    | Ok c -> c
+    | Error msg -> Alcotest.failf "rejected: %s" msg
+  in
+  let seed = (config ~env:[ ("BENCH_SEED", "abc") ] [ "--seed"; "5" ]).seed in
+  Alcotest.(check int) "--seed wins over BENCH_SEED" 5 seed;
+  let empty =
+    config
+      ~env:[ ("BENCH_SEED", ""); ("BENCH_DOMAINS", ""); ("BENCH_CSV", "") ]
+      []
+  in
+  Alcotest.(check bool) "empty variables read as unset" true
+    (empty = Experiment.Config.default);
+  Alcotest.(check bool) "BENCH_FULL=1 sets full mode" true
+    (config ~env:[ ("BENCH_FULL", "1") ] []).full;
+  match eval_cli Experiments.Cli.tags [ "--tags"; "a"; "--tags"; "b,c" ] with
+  | Ok tags ->
+      Alcotest.(check (list string)) "--tags repeats" [ "a"; "b"; "c" ] tags
+  | Error msg -> Alcotest.failf "--tags rejected: %s" msg
 
 let suite =
   [
@@ -359,5 +400,6 @@ let suite =
     ("config rejects non-integer BENCH_DOMAINS", rejects "BENCH_DOMAINS" "abc");
     ("config rejects BENCH_DOMAINS < 1", rejects "BENCH_DOMAINS" "0");
     ("config rejects unknown BENCH_REPR", rejects "BENCH_REPR" "abc");
+    ("config flags win over variables", test_cli_flags_and_variables);
   ]
   |> List.map (fun (name, f) -> (name, `Quick, f))
