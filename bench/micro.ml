@@ -626,11 +626,82 @@ let serve_throughput ctx =
      show wall-clock speedup";
   Ctx.emit ctx table
 
+(* The daemon's wire codec alone, on serve-read's request mix (80%
+   probe, 10% watermark, 5% insert, 5% remove): decode a request line
+   where it lies in a byte buffer, as the server does, and encode one
+   reply into a reused buffer.  The allocation column is gated: bare
+   ops decode to preallocated values, so only inserts allocate. *)
+let wire_codec ctx =
+  Printf.printf "\n#### Micro — serve wire codec\n%!";
+  let g = Prng.Rng.create ~seed:0xC0DEC () in
+  let k = 4096 in
+  let lines = Buffer.create (k * 24) in
+  let offs = Array.make (k + 1) 0 in
+  let replies =
+    Array.init k (fun i ->
+        offs.(i) <- Buffer.length lines;
+        let u = Prng.Rng.float g in
+        if u < 0.05 then begin
+          Printf.bprintf lines "{\"op\":\"insert\",\"key\":%d}"
+            (Prng.Rng.int g 1_000_000_000);
+          Engine.Event.Placed (Prng.Rng.int g 16384)
+        end
+        else if u < 0.10 then begin
+          Buffer.add_string lines "{\"op\":\"remove\"}";
+          Engine.Event.Removed (Prng.Rng.int g 16384)
+        end
+        else if u < 0.20 then begin
+          Buffer.add_string lines "{\"op\":\"watermark\"}";
+          Engine.Event.Level (3 + Prng.Rng.int g 3)
+        end
+        else begin
+          Buffer.add_string lines "{\"op\":\"probe\"}";
+          Engine.Event.Level (2 + Prng.Rng.int g 3)
+        end)
+  in
+  offs.(k) <- Buffer.length lines;
+  let bytes = Buffer.to_bytes lines in
+  Array.iteri
+    (fun i _ ->
+      match Serve.Wire.decode bytes offs.(i) (offs.(i + 1) - offs.(i)) with
+      | Ok (None, Serve.Wire.Event _) -> ()
+      | _ -> failwith "micro: a serve-read request does not decode")
+    replies;
+  let table =
+    Ctx.table ctx ~title:"serve wire codec"
+      ~columns:[ "operation"; "ns/request"; "minor words/request" ]
+  in
+  let row name step =
+    let rate, alloc = time_budget_loop ~budget:0.2 step in
+    Ctx.row table
+      ~values:[ ("ns_per_request", 1e9 /. rate); ("minor_words", alloc) ]
+      [ name; Printf.sprintf "%.1f" (1e9 /. rate); Printf.sprintf "%.2f" alloc ]
+  in
+  let i = ref 0 in
+  row "decode" (fun () ->
+      let j = !i in
+      ignore
+        (Sys.opaque_identity
+           (Serve.Wire.decode bytes offs.(j) (offs.(j + 1) - offs.(j))));
+      i := (j + 1) land (k - 1));
+  let out = Buffer.create (k * 48) in
+  row "encode" (fun () ->
+      let j = !i in
+      if j = 0 then Buffer.clear out;
+      Serve.Wire.add_reply out ~id:None replies.(j);
+      i := (j + 1) land (k - 1));
+  Ctx.note table
+    "serve-read's 80/10/5/5 probe/watermark/insert/remove mix, no ids; \
+     decode reads each line in place with Serve.Wire.decode, encode appends \
+     one reply line to a reused buffer";
+  Ctx.emit ctx table
+
 let run ctx =
   backend_tables ctx;
   exact_tables ctx;
   engine_vs_chain ctx;
   serve_throughput ctx;
+  wire_codec ctx;
   obs_overhead ctx;
   Printf.printf "\n#### Micro — per-step cost (Bechamel OLS estimate)\n%!";
   let cfg =

@@ -20,6 +20,11 @@ let m_arg =
   let doc = "Number of balls (defaults to n)." in
   Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M" ~doc)
 
+(* The dynamic processes remove a ball every step, so they need one. *)
+let balls_arg =
+  let doc = "Number of balls, at least 1 (defaults to n)." in
+  Arg.(value & opt (some positive) None & info [ "m" ] ~docv:"M" ~doc)
+
 let scenario_arg =
   let conv_scenario =
     let parse = function
@@ -75,6 +80,14 @@ let steps_arg ~default =
 
 let resolve_m n = function Some m -> m | None -> n
 
+(* Refuse, with exit 2, a size the command's paper bound is undefined
+   at. *)
+let require cmd ok what =
+  if not ok then begin
+    Printf.eprintf "repro %s: %s\n" cmd what;
+    exit 2
+  end
+
 (* ---- simulate ---- *)
 
 let simulate seed n m scenario rule steps adversarial =
@@ -115,13 +128,14 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a dynamic allocation process")
-    Term.(const simulate $ seed_arg $ n_arg $ m_arg $ scenario_arg $ rule_arg
+    Term.(const simulate $ seed_arg $ n_arg $ balls_arg $ scenario_arg $ rule_arg
           $ steps_arg ~default:100_000 $ adversarial)
 
 (* ---- recover ---- *)
 
 let recover seed n m scenario rule reps target =
   let m = resolve_m n m in
+  require "recover" (n >= 2) "needs n >= 2 bins";
   let rng = Prng.Rng.create ~seed () in
   let d = match rule with Core.Scheduling_rule.Abku d -> d | Adap _ -> 2 in
   let fluid =
@@ -173,13 +187,14 @@ let recover_cmd =
   in
   Cmd.v
     (Cmd.info "recover" ~doc:"Measure recovery time from the worst state")
-    Term.(const recover $ seed_arg $ n_arg $ m_arg $ scenario_arg $ rule_arg
+    Term.(const recover $ seed_arg $ n_arg $ balls_arg $ scenario_arg $ rule_arg
           $ reps $ target)
 
 (* ---- couple ---- *)
 
 let couple seed n m scenario rule reps =
   let m = resolve_m n m in
+  require "couple" (scenario = Core.Scenario.A || m >= 2) "scenario B needs m >= 2 balls";
   let rng = Prng.Rng.create ~seed () in
   let process = Core.Dynamic_process.make scenario rule ~n in
   let coupled = Core.Coupled.monotone process in
@@ -216,7 +231,7 @@ let couple_cmd =
   in
   Cmd.v
     (Cmd.info "couple" ~doc:"Measure coupling coalescence time")
-    Term.(const couple $ seed_arg $ n_arg $ m_arg $ scenario_arg $ rule_arg $ reps)
+    Term.(const couple $ seed_arg $ n_arg $ balls_arg $ scenario_arg $ rule_arg $ reps)
 
 (* ---- edge ---- *)
 
@@ -237,8 +252,9 @@ let edge seed n steps adversarial =
     end
   done;
   Printf.printf "%10d  %d (final)\n" steps (Edgeorient.Orientation.unfairness t);
-  Printf.printf "Ajtai et al. stationary prediction ~ log2 log2 n = %.2f\n"
-    (Theory.Bounds.edge_stationary_unfairness ~n);
+  if n >= 4 then
+    Printf.printf "Ajtai et al. stationary prediction ~ log2 log2 n = %.2f\n"
+      (Theory.Bounds.edge_stationary_unfairness ~n);
   Printf.printf "Theorem 2 recovery scale: n^2 ln^2 n = %.0f\n"
     (Theory.Bounds.theorem2 ~n)
 
@@ -247,9 +263,20 @@ let edge_cmd =
     Arg.(value & flag
          & info [ "adversarial" ] ~doc:"Start from the adversarial state.")
   in
+  let vertices =
+    let parse s =
+      match int_of_string_opt s with
+      | Some v when v >= 2 -> Ok v
+      | _ ->
+          Error
+            (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 2" s))
+    in
+    Arg.(value & opt (conv (parse, Format.pp_print_int)) 256
+         & info [ "n" ] ~docv:"N" ~doc:"Number of vertices, at least 2.")
+  in
   Cmd.v
     (Cmd.info "edge" ~doc:"Run the greedy edge orientation protocol")
-    Term.(const edge $ seed_arg $ n_arg $ steps_arg ~default:100_000 $ adversarial)
+    Term.(const edge $ seed_arg $ vertices $ steps_arg ~default:100_000 $ adversarial)
 
 (* ---- exact ---- *)
 
@@ -309,8 +336,14 @@ let exact n m scenario rule eps domains block_rows spill checkpoint resume
         checkpoint
     in
     let tau =
-      Markov.Exact.mixing_time ~eps ~max_t:10_000_000 ~domains ?starts
-        ?checkpoint:sink chain
+      match
+        Markov.Exact.mixing_time ~eps ~max_t:10_000_000 ~domains ?starts
+          ?checkpoint:sink chain
+      with
+      | tau -> tau
+      | exception Failure msg ->
+          Printf.eprintf "repro exact: %s\n" msg;
+          exit 2
     in
     Printf.printf "exact mixing time tau(%.3f) = %d\n" eps tau;
     let pi = Markov.Exact.stationary chain in
@@ -334,8 +367,16 @@ let exact n m scenario rule eps domains block_rows spill checkpoint resume
 
 let exact_cmd =
   let eps =
-    Arg.(value & opt float 0.25
-         & info [ "eps" ] ~docv:"EPS" ~doc:"Mixing threshold.")
+    let parse s =
+      match float_of_string_opt s with
+      | Some e when e > 0. && e < 1. -> Ok e
+      | _ ->
+          Error
+            (`Msg
+              (Printf.sprintf "invalid value '%s', expected a number in (0, 1)" s))
+    in
+    Arg.(value & opt (conv (parse, Format.pp_print_float)) 0.25
+         & info [ "eps" ] ~docv:"EPS" ~doc:"Mixing threshold, in (0, 1).")
   in
   let domains =
     Arg.(value & opt positive 1
@@ -384,7 +425,7 @@ let exact_cmd =
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Exact mixing time on a small state space")
-    Term.(const exact $ n_arg $ m_arg $ scenario_arg $ rule_arg $ eps $ domains
+    Term.(const exact $ n_arg $ balls_arg $ scenario_arg $ rule_arg $ eps $ domains
           $ block_rows $ spill $ checkpoint $ resume $ max_states $ starts)
 
 (* ---- fluid ---- *)
@@ -418,12 +459,13 @@ let fluid_cmd =
   in
   Cmd.v
     (Cmd.info "fluid" ~doc:"Print the fluid-limit stationary profile")
-    Term.(const fluid $ n_arg $ m_arg $ scenario_arg $ d $ levels)
+    Term.(const fluid $ n_arg $ balls_arg $ scenario_arg $ d $ levels)
 
 (* ---- tv: empirical mixing profile ---- *)
 
 let tv seed n m scenario rule reps =
   let m = resolve_m n m in
+  require "tv" (scenario = Core.Scenario.A || m >= 2) "scenario B needs m >= 2 balls";
   let rng = Prng.Rng.create ~seed () in
   let process = Core.Dynamic_process.make scenario rule ~n in
   let step g v =
@@ -462,7 +504,7 @@ let tv_cmd =
   in
   Cmd.v
     (Cmd.info "tv" ~doc:"Empirical total-variation decay profile")
-    Term.(const tv $ seed_arg $ n_arg $ m_arg $ scenario_arg $ rule_arg $ reps)
+    Term.(const tv $ seed_arg $ n_arg $ balls_arg $ scenario_arg $ rule_arg $ reps)
 
 (* ---- weighted ---- *)
 

@@ -109,6 +109,24 @@ let member key = function
 
 exception Parse_error of string * int
 
+let add_utf8 buf cp =
+  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
+  else if cp < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+  else if cp < 0x10000 then begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+
 let of_string text =
   let n = String.length text in
   let pos = ref 0 in
@@ -150,24 +168,6 @@ let of_string text =
       incr pos
     done;
     !v
-  in
-  let add_utf8 buf cp =
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else if cp < 0x10000 then begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
   in
   let parse_string () =
     expect '"';

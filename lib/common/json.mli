@@ -25,6 +25,10 @@ val add_escaped : Buffer.t -> string -> unit
     quote, backslash and control characters escaped, every other byte
     (UTF-8 included) as is.  The serializer's own escaper. *)
 
+val add_utf8 : Buffer.t -> int -> unit
+(** Append the UTF-8 encoding of a code point (at most [0x10FFFF]), as
+    the parser decodes a [\u] escape. *)
+
 val strip_keys : keys:string list -> t -> t
 (** Recursively drop every object field whose name is in [keys].  Used
     to remove wall-clock fields before determinism comparisons. *)

@@ -14,6 +14,11 @@ module Clock = struct
      which can make Unix.gettimeofday deltas negative or inflated. *)
   let now_ns () = Monotonic_clock.now ()
 
+  (* The stub returns an unboxed int64 and [Monotonic_clock.now] inlines
+     here, so the conversion allocates nothing; callers in other
+     modules get an immediate. *)
+  let now_int () = Int64.to_int (Monotonic_clock.now ())
+
   let ns_since t0 =
     let d = Int64.sub (now_ns ()) t0 in
     if Int64.compare d 0L < 0 then 0L else d

@@ -39,6 +39,11 @@ val reset : unit -> unit
 module Clock : sig
   val now_ns : unit -> int64
 
+  val now_int : unit -> int
+  (** {!now_ns} as an immediate int.  Unlike {!now_ns}, whose result
+      is boxed wherever the call is not inlined (every other module of a
+      build without cross-module inlining), it allocates nothing. *)
+
   val ns_since : int64 -> int64
   (** Nanoseconds elapsed since an earlier {!now_ns}, clamped at zero. *)
 

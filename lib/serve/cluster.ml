@@ -192,33 +192,35 @@ let drain_shard t replies s =
         if q.slots.(i) >= 0 then replies.(q.slots.(i)) <- reply
       done
   | Some tel ->
-      (* Same loop with the shard-apply stage timed per event.  Hist
-         cells are atomic, so recording is safe from pool workers. *)
-      let t0 = Obs.Clock.now_ns () in
+      (* Same loop with the shard-apply stage timed per event; each
+         event's stage starts where the previous one ended.  Hist cells
+         are atomic, so recording is safe from pool workers. *)
+      let t0 = Obs.Clock.now_int () in
+      let last = ref t0 in
       for i = 0 to q.len - 1 do
         let ev = q.evs.(i) in
-        let ta = Obs.Clock.now_ns () in
         let reply =
           match Shard.apply shard ev with
           | Engine.Event.Placed bin -> Engine.Event.Placed (lo + bin)
           | Engine.Event.Removed bin -> Engine.Event.Removed (lo + bin)
           | reply -> reply
         in
+        if q.slots.(i) >= 0 then replies.(q.slots.(i)) <- reply;
+        let now = Obs.Clock.now_int () in
         Telemetry.observe_stage tel Telemetry.Apply
-          ~op:(Telemetry.op_of_event ev)
-          (Obs.Clock.ns_since ta);
-        if q.slots.(i) >= 0 then replies.(q.slots.(i)) <- reply
+          ~op:(Telemetry.op_of_event ev) (now - !last);
+        last := now
       done;
-      Telemetry.observe_drain tel ~shard:s ~depth:q.len
-        (Obs.Clock.ns_since t0));
+      Telemetry.observe_drain tel ~shard:s ~depth:q.len (!last - t0));
   q.len <- 0
 
+(* Drain every queue; whether any held events. *)
 let flush t replies =
   let pending = ref false in
   for s = 0 to Array.length t.queues - 1 do
     if t.queues.(s).len > 0 then pending := true
   done;
-  if !pending then
+  if !pending then begin
     match t.pool with
     | Some pool when Array.length t.shards > 1 ->
         Parallel.Pool.run pool (fun w size ->
@@ -231,6 +233,8 @@ let flush t replies =
         for s = 0 to Array.length t.shards - 1 do
           drain_shard t replies s
         done
+  end;
+  !pending
 
 let max_load t =
   Array.fold_left (fun acc sh -> max acc (Shard.max_load sh)) 0 t.shards
@@ -301,37 +305,41 @@ let route_and_queue t replies ev i =
       | Some s -> push t.queues.(s) ev i
       | None -> replies.(i) <- Engine.Event.Rejected "empty")
 
+(* The telemetry clock, read only when telemetry is attached. *)
+let clock t = match t.tel with Some _ -> Obs.Clock.now_int () | None -> 0
+
+(* End the [stage] of [ev] that began at [since]: record it and return
+   the boundary, where the next stage begins. *)
+let end_stage t stage ev since =
+  match t.tel with
+  | None -> since
+  | Some tel ->
+      let now = Obs.Clock.now_int () in
+      Telemetry.observe_stage tel stage ~op:(Telemetry.op_of_event ev) (now - since);
+      now
+
 let apply_batch t events =
   let n = Array.length events in
   let replies = Array.make n Engine.Event.Ack in
+  (* A stage starts where the previous one ended, except after a flush
+     that drained: the drain times its own events. *)
+  let last = ref (clock t) in
   for i = 0 to n - 1 do
     let ev = events.(i) in
     if Engine.Event.is_mutation ev then begin
       t.seq <- t.seq + 1;
-      match t.tel with
-      | None -> route_and_queue t replies ev i
-      | Some tel ->
-          let t0 = Obs.Clock.now_ns () in
-          route_and_queue t replies ev i;
-          Telemetry.observe_stage tel Telemetry.Route
-            ~op:(Telemetry.op_of_event ev)
-            (Obs.Clock.ns_since t0)
+      route_and_queue t replies ev i;
+      last := end_stage t Telemetry.Route ev !last
     end
     else begin
-      (* Queries are barriers: they observe all prior mutations. *)
-      flush t replies;
-      match t.tel with
-      | None -> replies.(i) <- answer_query t ev
-      | Some tel ->
-          (* The global answer is the query's apply stage. *)
-          let t0 = Obs.Clock.now_ns () in
-          replies.(i) <- answer_query t ev;
-          Telemetry.observe_stage tel Telemetry.Apply
-            ~op:(Telemetry.op_of_event ev)
-            (Obs.Clock.ns_since t0)
+      (* Queries are barriers: they observe all prior mutations.  The
+         global answer is the query's apply stage. *)
+      if flush t replies then last := clock t;
+      replies.(i) <- answer_query t ev;
+      last := end_stage t Telemetry.Apply ev !last
     end
   done;
-  flush t replies;
+  ignore (flush t replies);
   replies
 
 let apply t ev = (apply_batch t [| ev |]).(0)

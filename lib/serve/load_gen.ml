@@ -53,15 +53,21 @@ let with_connection addr f =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () -> f ic oc)
 
-(* Count the "ok":false replies without parsing: the server formats
-   every reply with the ok field first. *)
-let reply_failed line =
-  let needle = "\"ok\":false" in
-  let nl = String.length needle and ll = String.length line in
-  let rec go i =
-    i + nl <= ll && (String.sub line i nl = needle || go (i + 1))
-  in
-  go 0
+(* Count the "ok":false replies without parsing, and without
+   allocating: the server formats every reply with the ok field first
+   (after the optional id), so a scan for the marker is enough. *)
+let failed_marker = "\"ok\":false"
+
+let rec marker_at line i j =
+  j = String.length failed_marker
+  || String.unsafe_get line (i + j) = String.unsafe_get failed_marker j
+     && marker_at line i (j + 1)
+
+let rec marker_from line i =
+  i + String.length failed_marker <= String.length line
+  && (marker_at line i 0 || marker_from line (i + 1))
+
+let reply_failed line = marker_from line 0
 
 let add_request buf g mix =
   let r = Prng.Rng.int g 100 in

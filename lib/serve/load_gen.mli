@@ -31,6 +31,10 @@ val run :
     [batch] lines, reading the matching replies between writes.
     @raise Invalid_argument on a bad mix, [ops <= 0] or [batch <= 0]. *)
 
+val reply_failed : string -> bool
+(** Whether a reply line carries ["ok":false] (a rejection or an
+    error), checked in place without allocating. *)
+
 val query :
   connect:Wire.address -> string list -> (string list, string) Stdlib.result
 (** Send raw request lines one at a time; returns the reply lines in

@@ -1,20 +1,36 @@
 (* The serve daemon: a single-threaded select loop feeding the sharded
    cluster, with shard application fanned out over a {!Parallel.Pool}.
 
-   Each select round drains every readable client, parses the complete
-   lines into one batch (arrival order), applies the batch — in chunks
-   of at most [max_batch]; chunking cannot change the outcome because
-   cluster application is batch-invariant — and appends the replies to
-   each client's output buffer in request order.  Ping and stats are
-   answered by the server itself, after the batch, so a client that
-   interleaves them with events still sees ordered replies.
+   Framing is in place.  Each client owns one [max_line]-byte input
+   buffer: [Unix.read] writes into it after the bytes still pending,
+   only the new bytes are scanned for '\n', and each complete line is
+   decoded where it lies ({!Wire.decode} on the slice, one trailing
+   '\r' dropped, empty lines skipped).  The unterminated rest then moves
+   to the front of the buffer, so a byte is moved at most once.  A line
+   that reaches [max_line] bytes without a '\n' is answered with a
+   typed error after the client's earlier replies; the daemon then
+   half-closes the connection, discards that client's input, and closes
+   it when the client hangs up.  No client ever holds more than
+   [max_line] pending bytes.
+
+   Each select round drains every readable client, decoding its lines
+   into one batch (arrival order) held in arrays reused across rounds,
+   applies the batch — in chunks of at most [max_batch]; chunking
+   cannot change the outcome because cluster application is
+   batch-invariant — and appends the replies to each client's output
+   buffer in request order.  Ping and stats are answered by the server
+   itself, after the batch, so a client that interleaves them with
+   events still sees ordered replies.
 
    Telemetry is always on: every request is timed through its
    lifecycle stages (decode here, route/apply in the cluster, reply
-   here) into a {!Telemetry} bank.  The [stats] op renders the bank's
-   registry, where the server, the cluster and the store also register
-   their counters and gauges.  When
-   [trace] is set, the daemon additionally records Obs spans for a
+   here) into a {!Telemetry} bank.  Adjacent stages share one clock
+   reading: a line's decode stage ends where the next line's begins
+   (the chain restarts after each read), and the reply stages chain the
+   same way, so a request costs about one reading per stage.  The
+   [stats] op renders the bank's registry, where the server, the
+   cluster and the store also register their counters and gauges.
+   When [trace] is set, the daemon additionally records Obs spans for a
    sampled 1-in-[trace_sample] request per round — a full
    request/decode/apply/reply span tree per sample — and writes the
    Perfetto trace on graceful shutdown.
@@ -42,6 +58,8 @@ let default_config ~listen ~cluster =
     domains = 1; max_batch = 8192; quiet = false; trace = None;
     trace_sample = 64 }
 
+let max_line = 65536
+
 type backend = Durable of Store.t | Ephemeral of Cluster.t
 
 let backend_apply b events =
@@ -55,30 +73,39 @@ let backend_close = function
 
 type client = {
   fd : Unix.file_descr;
-  pending : Buffer.t;  (* bytes read, not yet terminated by '\n' *)
+  inb : Bytes.t;  (* [start, fill): the unterminated line *)
+  mutable start : int;
+  mutable fill : int;
   out : Buffer.t;
   mutable out_pos : int;
   mutable dead : bool;
+  mutable refused : bool;
+      (* sent a line over the cap: its input is discarded, and the
+         connection half-closes once its replies are written *)
+  mutable half_closed : bool;
 }
 
-(* What each parsed request of the current round owes its client. *)
-type slot =
-  | Reply of int  (* index into the round's event array *)
-  | Immediate of string  (* preformatted line(s) *)
-  | Stats_slot of Wire.stats_format
-
-(* A parsed request of the current round, tagged for telemetry: its op
-   index, its decode-start timestamp (the service-time origin) and —
-   when sampled — its in-flight "serve.request" span. *)
-type pending = {
-  pc : client;
-  pid : int option;
-  pslot : slot;
-  pop : int;
-  pt0 : int64;
-  pspan : Obs.span;
-  ptraced : bool;
+(* The requests of one round, in arrival order, in arrays that grow and
+   are reused.  [owed.(i)] is what request [i] owes its client: an
+   index into [events], or one of the codes below. *)
+type round = {
+  mutable size : int;
+  mutable clients : client array;
+  mutable ids : int option array;
+  mutable owed : int array;
+  mutable ops : int array;
+  mutable starts : int array;  (* decode start: the latency origin *)
+  mutable errors : string array;
+  mutable events : Engine.Event.t array;
+  mutable nevents : int;
 }
+
+let owe_pong = -1
+let owe_error = -2
+let owe_stats_json = -3
+let owe_stats_prom = -4
+
+let grow a fill = Array.append a (Array.make (Array.length a) fill)
 
 type stats = {
   mutable connections : int;
@@ -108,6 +135,9 @@ let listen_socket addr =
       Unix.bind fd (Unix.ADDR_INET (inet, port));
       Unix.listen fd 64;
       fd
+
+let line_too_long =
+  Printf.sprintf "request line reaches %d bytes without a newline" max_line
 
 let run ?on_ready config =
   if config.max_batch <= 0 then
@@ -169,8 +199,23 @@ let run ?on_ready config =
   end;
   (match on_ready with Some f -> f () | None -> ());
   let clients : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 16 in
+  (* Staging for writes: [Unix.write] takes bytes, and a [Buffer] lends
+     its contents only by copy, so each flush copies just the unwritten
+     part, in pieces of this size. *)
   let scratch = Bytes.create 65536 in
-  let line_buf = Buffer.create 256 in
+  let nobody =
+    { fd = lsock; inb = Bytes.empty; start = 0; fill = 0; out = Buffer.create 1;
+      out_pos = 0; dead = true; refused = false; half_closed = false }
+  in
+  let cap = 256 in
+  let r =
+    { size = 0; clients = Array.make cap nobody; ids = Array.make cap None;
+      owed = Array.make cap 0; ops = Array.make cap 0; starts = Array.make cap 0;
+      errors = Array.make cap ""; events = Array.make cap Engine.Event.Step;
+      nevents = 0 }
+  in
+  (* The round's sampled request, when tracing: its index and span. *)
+  let traced = ref (-1) and traced_span = ref Obs.null_span in
   let close_client c =
     if not c.dead then begin
       c.dead <- true;
@@ -179,27 +224,112 @@ let run ?on_ready config =
       try Unix.close c.fd with Unix.Unix_error _ -> ()
     end
   in
-  (* Split [c.pending] into complete lines, appending each to [lines]
-     tagged with its client; the last partial line stays pending. *)
-  let extract_lines c lines =
-    let s = Buffer.contents c.pending in
-    Buffer.clear c.pending;
-    let n = String.length s in
-    let start = ref 0 in
-    for i = 0 to n - 1 do
-      if s.[i] = '\n' then begin
-        let line = String.sub s !start (i - !start) in
-        let line =
-          (* Tolerate CRLF clients. *)
-          if line <> "" && line.[String.length line - 1] = '\r' then
-            String.sub line 0 (String.length line - 1)
-          else line
-        in
-        if line <> "" then lines := (c, line) :: !lines;
-        start := i + 1
+  let add_request c ~id ~owed ~op ~start =
+    if r.size = Array.length r.owed then begin
+      r.clients <- grow r.clients nobody;
+      r.ids <- grow r.ids None;
+      r.owed <- grow r.owed 0;
+      r.ops <- grow r.ops 0;
+      r.starts <- grow r.starts 0;
+      r.errors <- grow r.errors ""
+    end;
+    let i = r.size in
+    r.clients.(i) <- c;
+    r.ids.(i) <- id;
+    r.owed.(i) <- owed;
+    r.ops.(i) <- op;
+    r.starts.(i) <- start;
+    r.size <- i + 1;
+    stats.requests <- stats.requests + 1;
+    i
+  in
+  let add_error c ~start msg =
+    let i = add_request c ~id:None ~owed:owe_error ~op:Telemetry.op_error ~start in
+    r.errors.(i) <- msg;
+    stats.errors <- stats.errors + 1
+  in
+  let add_event c ~id ev ~start =
+    if r.nevents = Array.length r.events then
+      r.events <- grow r.events Engine.Event.Step;
+    r.events.(r.nevents) <- ev;
+    ignore (add_request c ~id ~owed:r.nevents ~op:(Telemetry.op_of_event ev) ~start);
+    r.nevents <- r.nevents + 1;
+    stats.events <- stats.events + 1
+  in
+  (* Decode the line [s, e) of [c]'s buffer as one request of the round;
+     its decode stage began at [start].  Returns the stage's end. *)
+  let decode_line c s e ~start =
+    let e = if e > s && Bytes.get c.inb (e - 1) = '\r' then e - 1 else e in
+    if e = s then start
+    else begin
+      let sampled =
+        trace_on && !traced < 0 && stats.requests + 1 >= !next_trace
+      in
+      let dspan =
+        if sampled then begin
+          traced_span := Obs.begin_span "serve.request";
+          Obs.begin_span "serve.decode"
+        end
+        else Obs.null_span
+      in
+      (match Wire.decode c.inb s (e - s) with
+      | Error msg -> add_error c ~start msg
+      | Ok (id, Wire.Event ev) -> add_event c ~id ev ~start
+      | Ok (id, Wire.Ping) ->
+          ignore (add_request c ~id ~owed:owe_pong ~op:Telemetry.op_ping ~start)
+      | Ok (id, Wire.Stats fmt) ->
+          let owed =
+            match fmt with
+            | Wire.Stats_json -> owe_stats_json
+            | Wire.Stats_prom -> owe_stats_prom
+          in
+          ignore (add_request c ~id ~owed ~op:Telemetry.op_stats ~start));
+      Obs.end_span dspan;
+      if sampled then begin
+        traced := r.size - 1;
+        next_trace := stats.requests + config.trace_sample
+      end;
+      let now = Obs.Clock.now_int () in
+      Telemetry.observe_stage tel Telemetry.Decode ~op:r.ops.(r.size - 1) (now - start);
+      now
+    end
+  in
+  (* Frame and decode the [k] bytes just read at [c.fill]. *)
+  let frame c k =
+    let t = ref (Obs.Clock.now_int ()) in
+    let stop = c.fill + k in
+    for i = c.fill to stop - 1 do
+      if Bytes.unsafe_get c.inb i = '\n' then begin
+        t := decode_line c c.start i ~start:!t;
+        c.start <- i + 1
       end
     done;
-    if !start < n then Buffer.add_substring c.pending s !start (n - !start)
+    c.fill <- stop;
+    if c.start = c.fill then begin
+      c.start <- 0;
+      c.fill <- 0
+    end
+    else if c.start > 0 then begin
+      Bytes.blit c.inb c.start c.inb 0 (c.fill - c.start);
+      c.fill <- c.fill - c.start;
+      c.start <- 0
+    end
+    else if c.fill = max_line then begin
+      add_error c ~start:!t line_too_long;
+      let now = Obs.Clock.now_int () in
+      Telemetry.observe_stage tel Telemetry.Decode ~op:Telemetry.op_error (now - !t);
+      c.refused <- true;
+      c.fill <- 0
+    end
+  in
+  let read_client c =
+    let room = if c.refused then max_line else max_line - c.fill in
+    match Unix.read c.fd c.inb (if c.refused then 0 else c.fill) room with
+    | 0 -> close_client c
+    | k -> if not c.refused then frame c k
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+        close_client c
+    | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ()
   in
   let apply_chunked events =
     let n = Array.length events in
@@ -217,146 +347,95 @@ let run ?on_ready config =
       replies
     end
   in
+  let answer replies i =
+    let c = r.clients.(i) and id = r.ids.(i) in
+    let owed = r.owed.(i) in
+    if owed >= 0 then begin
+      (match replies.(owed) with
+      | Engine.Event.Rejected _ -> stats.errors <- stats.errors + 1
+      | _ -> ());
+      Wire.add_reply c.out ~id replies.(owed)
+    end
+    else if owed = owe_pong then Wire.add_pong c.out ~id
+    else if owed = owe_error then Wire.add_error c.out ~id r.errors.(i)
+    else if owed = owe_stats_json then
+      Wire.add_stats c.out ~id (Obs.Registry.to_json registry)
+    else
+      Wire.add_stats_text c.out ~id
+        (Obs.Registry.to_prom ~prefix:"repro_serve_" registry)
+  in
   let process_round ready =
-    (* 1. drain readable clients *)
-    let lines = ref [] in
+    let t_round = Obs.Clock.now_int () in
+    (* 1. drain readable clients, decoding as the bytes arrive *)
     List.iter
       (fun fd ->
         match Hashtbl.find_opt clients fd with
         | None -> ()
-        | Some c -> (
-            match Unix.read fd scratch 0 (Bytes.length scratch) with
-            | 0 -> close_client c
-            | k ->
-                Buffer.add_subbytes c.pending scratch 0 k;
-                extract_lines c lines
-            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
-              -> close_client c
-            | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ()))
+        | Some c -> read_client c)
       ready;
-    let lines = List.rev !lines in
-    if lines <> [] then begin
+    if r.size > 0 then begin
       stats.rounds <- stats.rounds + 1;
-      let t_round = Obs.Clock.now_ns () in
-      (* At most one sampled request per round, so its span cleanly
-         contains the round-level apply span and its own reply span. *)
-      let traced_this_round = ref false in
-      (* 2. parse into one batch *)
-      let events = ref [] and nevents = ref 0 in
-      let slots =
-        (* fold_left, not map: the slot builder mutates the event
-           accumulator, so evaluation order must be the arrival order. *)
-        List.rev
-          (List.fold_left
-             (fun acc (c, line) ->
-               stats.requests <- stats.requests + 1;
-               let traced =
-                 trace_on
-                 && (not !traced_this_round)
-                 && stats.requests >= !next_trace
-               in
-               if traced then begin
-                 traced_this_round := true;
-                 next_trace := stats.requests + config.trace_sample
-               end;
-               let pspan =
-                 if traced then Obs.begin_span "serve.request"
-                 else Obs.null_span
-               in
-               let dspan =
-                 if traced then Obs.begin_span "serve.decode"
-                 else Obs.null_span
-               in
-               let t0 = Obs.Clock.now_ns () in
-               let parsed = Wire.parse line in
-               let decode_ns = Obs.Clock.ns_since t0 in
-               Obs.end_span dspan;
-               let op, pid, pslot =
-                 match parsed with
-                 | Error msg ->
-                     stats.errors <- stats.errors + 1;
-                     Buffer.clear line_buf;
-                     Wire.add_error line_buf ~id:None msg;
-                     ( Telemetry.op_error, None,
-                       Immediate (Buffer.contents line_buf) )
-                 | Ok (id, Wire.Ping) ->
-                     Buffer.clear line_buf;
-                     Wire.add_pong line_buf ~id;
-                     (Telemetry.op_ping, id, Immediate (Buffer.contents line_buf))
-                 | Ok (id, Wire.Stats fmt) ->
-                     (Telemetry.op_stats, id, Stats_slot fmt)
-                 | Ok (id, Wire.Event ev) ->
-                     let ix = !nevents in
-                     events := ev :: !events;
-                     incr nevents;
-                     stats.events <- stats.events + 1;
-                     (Telemetry.op_of_event ev, id, Reply ix)
-               in
-               Telemetry.observe_stage tel Telemetry.Decode ~op decode_ns;
-               { pc = c; pid; pslot; pop = op; pt0 = t0; pspan;
-                 ptraced = traced }
-               :: acc)
-             [] lines)
-      in
-      (* 3. apply *)
-      let events = Array.of_list (List.rev !events) in
+      (* 2. apply *)
+      let events = Array.sub r.events 0 r.nevents in
       let aspan =
-        if !traced_this_round then
+        if !traced >= 0 then
           Obs.begin_span "serve.apply"
             ~args:[ ("events", Obs.Int (Array.length events)) ]
         else Obs.null_span
       in
       let replies = apply_chunked events in
       Obs.end_span aspan;
-      (* 4. answer in request order *)
-      List.iter
-        (fun p ->
-          if not p.pc.dead then begin
-            let t_reply = Obs.Clock.now_ns () in
-            let rspan =
-              if p.ptraced then Obs.begin_span "serve.reply" else Obs.null_span
-            in
-            (match p.pslot with
-            | Immediate s -> Buffer.add_string p.pc.out s
-            | Reply ix ->
-                (match replies.(ix) with
-                | Engine.Event.Rejected _ -> stats.errors <- stats.errors + 1
-                | _ -> ());
-                Wire.add_reply p.pc.out ~id:p.pid replies.(ix)
-            | Stats_slot Wire.Stats_json ->
-                Wire.add_stats p.pc.out ~id:p.pid
-                  (Obs.Registry.to_json registry)
-            | Stats_slot Wire.Stats_prom ->
-                Wire.add_stats_text p.pc.out ~id:p.pid
-                  (Obs.Registry.to_prom ~prefix:"repro_serve_" registry));
-            Obs.end_span rspan;
-            let t_end = Obs.Clock.now_ns () in
-            Telemetry.observe_stage tel Telemetry.Reply ~op:p.pop
-              (Int64.sub t_end t_reply);
-            Telemetry.observe_latency tel ~op:p.pop (Int64.sub t_end p.pt0);
-            if p.ptraced then
-              Obs.end_span p.pspan
-                ~args:[ ("op", Obs.Str (Telemetry.op_name p.pop)) ]
-          end)
-        slots;
-      Telemetry.observe_batch tel (Array.length events);
-      Telemetry.observe_round tel (Obs.Clock.ns_since t_round)
+      (* 3. answer in request order *)
+      let t = ref (Obs.Clock.now_int ()) in
+      for i = 0 to r.size - 1 do
+        if not r.clients.(i).dead then begin
+          let rspan =
+            if i = !traced then Obs.begin_span "serve.reply" else Obs.null_span
+          in
+          answer replies i;
+          Obs.end_span rspan;
+          let now = Obs.Clock.now_int () in
+          let op = r.ops.(i) in
+          Telemetry.observe_stage tel Telemetry.Reply ~op (now - !t);
+          Telemetry.observe_latency tel ~op (now - r.starts.(i));
+          t := now;
+          if i = !traced then
+            Obs.end_span !traced_span
+              ~args:[ ("op", Obs.Str (Telemetry.op_name op)) ]
+        end;
+        r.clients.(i) <- nobody
+      done;
+      Telemetry.observe_batch tel r.nevents;
+      Telemetry.observe_round tel (!t - t_round);
+      r.size <- 0;
+      r.nevents <- 0;
+      traced := -1;
+      traced_span := Obs.null_span
     end
   in
   let flush_client c =
-    let len = Buffer.length c.out - c.out_pos in
-    if len > 0 then begin
-      let bytes = Bytes.unsafe_of_string (Buffer.contents c.out) in
-      match Unix.write c.fd bytes c.out_pos len with
-      | k ->
-          c.out_pos <- c.out_pos + k;
-          if c.out_pos = Buffer.length c.out then begin
-            Buffer.clear c.out;
-            c.out_pos <- 0
-          end
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          close_client c
-      | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ()
+    let rec go () =
+      let len = min (Buffer.length c.out - c.out_pos) (Bytes.length scratch) in
+      if len > 0 then begin
+        Buffer.blit c.out c.out_pos scratch 0 len;
+        match Unix.write c.fd scratch 0 len with
+        | k ->
+            c.out_pos <- c.out_pos + k;
+            go ()
+        | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+            close_client c
+        | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ()
+      end
+    in
+    go ();
+    if (not c.dead) && c.out_pos = Buffer.length c.out then begin
+      Buffer.clear c.out;
+      c.out_pos <- 0;
+      if c.refused && not c.half_closed then begin
+        c.half_closed <- true;
+        try Unix.shutdown c.fd Unix.SHUTDOWN_SEND
+        with Unix.Unix_error _ -> close_client c
+      end
     end
   in
   (while not !stop do
@@ -375,8 +454,9 @@ let run ?on_ready config =
                  stats.connections <- stats.connections + 1;
                  stats.live <- stats.live + 1;
                  Hashtbl.replace clients fd
-                   { fd; pending = Buffer.create 1024; out = Buffer.create 4096;
-                     out_pos = 0; dead = false }
+                   { fd; inb = Bytes.create max_line; start = 0; fill = 0;
+                     out = Buffer.create 4096; out_pos = 0; dead = false;
+                     refused = false; half_closed = false }
              | exception Unix.Unix_error _ -> ()
            end;
            process_round (List.filter (fun fd -> fd <> lsock) ready_r);

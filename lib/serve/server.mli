@@ -3,17 +3,23 @@
     durable via {!Store}) whose shards apply in parallel on a
     {!Parallel.Pool}.
 
-    Each select round collects the complete request lines from every
-    readable client into one batch, applies it (in [max_batch]-sized
-    chunks — harmless, since cluster application is batch-invariant)
-    and answers each client in its own request order.  SIGTERM/SIGINT
+    Each select round decodes the complete request lines of every
+    readable client where they lie in that client's input buffer into
+    one batch, applies it (in [max_batch]-sized chunks — harmless,
+    since cluster application is batch-invariant) and answers each
+    client in its own request order.  A line that reaches 64 KiB
+    without a newline is answered with a typed error (["ok":false],
+    ["reply":"error"]) after the client's earlier replies; the daemon
+    then half-closes that connection and discards its input until the
+    client hangs up.  SIGTERM/SIGINT
     shut the loop down gracefully: flush, snapshot, unlink the Unix
     socket.  A [kill -9] is recovered on the next start by snapshot
     load plus journal replay.
 
     Every request is timed through its lifecycle stages into an
-    always-on {!Telemetry} bank; the [stats] wire op renders the bank's
-    registry (JSON or Prometheus text).  With [trace] set, a sampled
+    always-on {!Telemetry} bank, adjacent stages sharing one clock
+    reading; the [stats] wire op renders the bank's registry (JSON or
+    Prometheus text).  With [trace] set, a sampled
     1-in-[trace_sample] request (at most one per round) additionally
     records a [serve.request]/[serve.decode]/[serve.apply]/[serve.reply]
     span tree, exported as a Perfetto trace on graceful shutdown. *)

@@ -6,9 +6,11 @@
    [stages.(stage).(op)] holds the nanoseconds of one lifecycle stage
    of one request: decode and reply are timed per request in the
    server's select loop, route and shard-apply per mutation inside
-   {!Serve.Cluster}.  [latency.(op)] runs from the moment a request's
-   line is parsed to the moment its reply is buffered, queueing behind
-   the batch included. *)
+   {!Serve.Cluster}.  Adjacent stages share a boundary: one
+   [Obs.Clock.now_int] reading ends a stage and starts the next, and
+   every duration is the difference of two such readings.
+   [latency.(op)] runs from the start of a request's decode stage to
+   the end of its reply stage, queueing behind the batch included. *)
 
 module Hist = Obs.Hist
 module Registry = Obs.Registry
@@ -107,13 +109,11 @@ let create ~shards =
 
 let registry t = t.registry
 
-let observe_stage t stage ~op ns =
-  Hist.observe t.stages.(stage_index stage).(op) (Int64.to_int ns)
-
-let observe_latency t ~op ns = Hist.observe t.latency.(op) (Int64.to_int ns)
+let observe_stage t stage ~op ns = Hist.observe t.stages.(stage_index stage).(op) ns
+let observe_latency t ~op ns = Hist.observe t.latency.(op) ns
 let observe_batch t events = Hist.observe t.batch_events events
-let observe_round t ns = Hist.observe t.round_ns (Int64.to_int ns)
+let observe_round t ns = Hist.observe t.round_ns ns
 
 let observe_drain t ~shard ~depth ns =
-  Hist.observe t.drain_ns.(shard) (Int64.to_int ns);
+  Hist.observe t.drain_ns.(shard) ns;
   Hist.observe t.drain_depth.(shard) depth

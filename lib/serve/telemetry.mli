@@ -2,8 +2,11 @@
 
     A bank of raw {!Obs.Hist} instruments, atomic, domain-safe and
     deliberately {e not} gated on [Obs.enabled ()]: the daemon measures
-    its own latency whether or not a trace is being recorded.  Each
-    timed {!stage} costs two monotonic-clock reads.
+    its own latency whether or not a trace is being recorded.  Stages
+    that follow each other share a boundary: one {!Obs.Clock.now_int}
+    reading ends a stage and starts the next, so a request's decode,
+    apply and reply stages cost about one reading each.  Durations are
+    nanoseconds, differences of two such readings.
 
     {!create} also makes the daemon's own {!Obs.Registry} and registers
     the bank in it; the cluster, the store and the server register
@@ -33,23 +36,27 @@ val op_name : int -> string
 (** {2 Recording} *)
 
 type stage =
-  | Decode  (** Wire parse of one request line (per request). *)
+  | Decode
+      (** One request line: the scan for its newline and its decode,
+          from the previous line's end (or the read that brought it). *)
   | Route  (** Router draw + queue push of one mutation (per event). *)
-  | Apply  (** Shard state-machine application (per event). *)
+  | Apply
+      (** Shard state-machine application of one mutation, or the global
+          answer of one query (per event). *)
   | Reply  (** Reply formatting into the client buffer (per request). *)
 
-val observe_stage : t -> stage -> op:int -> int64 -> unit
+val observe_stage : t -> stage -> op:int -> int -> unit
 (** Record one stage duration in nanoseconds for op index [op]. *)
 
-val observe_latency : t -> op:int -> int64 -> unit
-(** End-to-end service time of one request: parse start to reply
+val observe_latency : t -> op:int -> int -> unit
+(** End-to-end service time of one request: decode start to reply
     buffered. *)
 
 val observe_batch : t -> int -> unit
 (** Events in one applied round. *)
 
-val observe_round : t -> int64 -> unit
+val observe_round : t -> int -> unit
 (** Duration of one round (drain to replies buffered). *)
 
-val observe_drain : t -> shard:int -> depth:int -> int64 -> unit
+val observe_drain : t -> shard:int -> depth:int -> int -> unit
 (** One drain pass over a shard's queue: its depth and duration. *)

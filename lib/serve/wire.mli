@@ -6,7 +6,10 @@
     mirror {!Engine.Event} ([step], [insert], [remove], [probe],
     [occupancy], [watermark]) plus [ping] and [stats] (the telemetry
     report, structured JSON or, with ["format":"prom"], a Prometheus
-    text exposition). *)
+    text exposition).
+
+    The decoder reads a line in one pass without building a JSON tree;
+    the encoders write each reply as a constant prefix plus digits. *)
 
 (** Where a service listens (or a client connects). *)
 type address = Unix_sock of string | Tcp of string * int
@@ -26,8 +29,19 @@ type request =
       (** The [stats] op: the telemetry report, structured JSON by
           default or Prometheus text with ["format":"prom"]. *)
 
+val decode : Bytes.t -> int -> int -> (int option * request, string) result
+(** [decode b off len] decodes the request line held in bytes
+    [off .. off + len - 1] into its optional id and payload, where they
+    lie.  It accepts what {!Common.Json.of_string} accepts and reads the
+    fields as [Json.member] would (the first of duplicate keys wins;
+    ["id"], ["key"] are integers as [int_of_string_opt] reads them),
+    with one limit: objects and arrays nest at most 64 deep.  Malformed
+    JSON gives [Error "bad json: <what> at offset <n>"], [n] counted
+    from [off].  A line without ["id"] whose op carries no payload (all
+    but insert) decodes without allocating. *)
+
 val parse : string -> (int option * request, string) result
-(** Parse one request line into its optional id and payload. *)
+(** {!decode} over a whole string. *)
 
 (** {2 Response formatting}
 

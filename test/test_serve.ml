@@ -545,15 +545,13 @@ let populated_telemetry () =
   let tel = Serve.Telemetry.create ~shards:2 in
   for i = 1 to 50 do
     Serve.Telemetry.observe_stage tel Serve.Telemetry.Decode
-      ~op:Serve.Telemetry.op_ping
-      (Int64.of_int (100 * i));
-    Serve.Telemetry.observe_latency tel ~op:Serve.Telemetry.op_ping
-      (Int64.of_int (1000 * i))
+      ~op:Serve.Telemetry.op_ping (100 * i);
+    Serve.Telemetry.observe_latency tel ~op:Serve.Telemetry.op_ping (1000 * i)
   done;
-  Serve.Telemetry.observe_latency tel ~op:Serve.Telemetry.op_stats 5_000L;
+  Serve.Telemetry.observe_latency tel ~op:Serve.Telemetry.op_stats 5_000;
   Serve.Telemetry.observe_batch tel 64;
-  Serve.Telemetry.observe_round tel 5_000L;
-  Serve.Telemetry.observe_drain tel ~shard:1 ~depth:3 700L;
+  Serve.Telemetry.observe_round tel 5_000;
+  Serve.Telemetry.observe_drain tel ~shard:1 ~depth:3 700;
   tel
 
 let count_substring ~needle hay =
@@ -564,21 +562,22 @@ let count_substring ~needle hay =
   done;
   !k
 
-(* Run the daemon ephemeral on a Unix socket in its own domain, send
-   [lines] one at a time (so each is its own select round) and return
-   the reply lines; SIGTERM then stops it.  The test holds its own
-   SIGTERM handler around the run, so the signal can never fall through
-   to the default action and end the test process. *)
-let serve_script lines =
+(* Run the daemon on a Unix socket in its own domain — durable in
+   [state] when given, ephemeral otherwise — and hand [f] the socket
+   path; SIGTERM then stops it.  The test holds its own SIGTERM handler
+   around the run, so the signal can never fall through to the default
+   action and end the test process. *)
+let with_daemon ?state cluster f =
   with_dir (fun dir ->
       Unix.mkdir dir 0o700;
       let path = Filename.concat dir "serve.sock" in
       let config =
         {
           (Serve.Server.default_config ~listen:(Serve.Wire.Unix_sock path)
-             ~cluster:(mk_config ~n:16 ~shards:2 ()))
+             ~cluster)
           with
           Serve.Server.quiet = true;
+          dir = state;
         }
       in
       let ready = Atomic.make false in
@@ -600,20 +599,25 @@ let serve_script lines =
           Unix.kill (Unix.getpid ()) Sys.sigterm;
           Domain.join server;
           Sys.set_signal Sys.sigterm previous)
+        (fun () -> f path))
+
+(* Send [lines] one at a time (so each is its own select round) to an
+   ephemeral daemon and return the reply lines. *)
+let serve_script lines =
+  with_daemon (mk_config ~n:16 ~shards:2 ()) (fun path ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Fun.protect
-            ~finally:(fun () -> Unix.close fd)
-            (fun () ->
-              Unix.connect fd (Unix.ADDR_UNIX path);
-              let ic = Unix.in_channel_of_descr fd
-              and oc = Unix.out_channel_of_descr fd in
-              List.map
-                (fun line ->
-                  output_string oc (line ^ "\n");
-                  flush oc;
-                  input_line ic)
-                lines)))
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          let ic = Unix.in_channel_of_descr fd
+          and oc = Unix.out_channel_of_descr fd in
+          List.map
+            (fun line ->
+              output_string oc (line ^ "\n");
+              flush oc;
+              input_line ic)
+            lines))
 
 let parse_reply line =
   match Experiment.Json.of_string line with
@@ -698,7 +702,7 @@ let test_telemetry_prom () =
         (Serve.Store.apply_batch store
            (Array.init 10 (fun i -> Engine.Event.Insert i)));
       let tel = populated_telemetry () in
-      Serve.Telemetry.observe_drain tel ~shard:0 ~depth:2 400L;
+      Serve.Telemetry.observe_drain tel ~shard:0 ~depth:2 400;
       Serve.Store.set_telemetry store tel;
       let text =
         Obs.Registry.to_prom ~prefix:"repro_serve_" (Serve.Telemetry.registry tel)
@@ -814,6 +818,17 @@ let test_wire_format () =
   Alcotest.(check string) "rejected escapes"
     "{\"ok\":false,\"reply\":\"rejected\",\"error\":\"no \\\"x\\\"\"}\n"
     (line (Engine.Event.Rejected "no \"x\""));
+  (* Digits are written as string_of_int writes them, extremes included. *)
+  List.iter
+    (fun v ->
+      Alcotest.(check string)
+        (Printf.sprintf "digits of %d" v)
+        (Printf.sprintf "{\"id\":%d,\"ok\":true,\"reply\":\"removed\",\"bin\":%d}\n" (-v) v)
+        (line ~id:(-v) (Engine.Event.Removed v)))
+    [ 0; 9; 10; -1; -10; 99; 100; 123456789; max_int; min_int + 1 ];
+  Alcotest.(check string) "min_int"
+    (Printf.sprintf "{\"ok\":true,\"reply\":\"level\",\"value\":%d}\n" min_int)
+    (line (Engine.Event.Level min_int));
   (* Formatted replies parse back as JSON. *)
   List.iter
     (fun reply ->
@@ -842,6 +857,434 @@ let test_wire_address () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%S should not parse" s)
     [ "unix:"; "tcp:"; "tcp:host:0"; "tcp:host:banana"; "http://x"; "" ]
+
+(* {2 The one-pass decoder against the Json-tree oracle} *)
+
+let pick g xs = xs.(Prng.Rng.int g (Array.length xs))
+
+(* A JSON string literal of [text]: quotes and backslashes escaped, and
+   some bytes, when [escapes], written as \u escapes of either case. *)
+let json_string ?(escapes = true) g text =
+  let buf = Buffer.create (String.length text + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      if escapes && Char.code c < 0x80 && Prng.Rng.int g 5 = 0 then
+        Buffer.add_string buf
+          (Printf.sprintf (if Prng.Rng.bool g then "\\u%04x" else "\\u%04X") (Char.code c))
+      else
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | c -> Buffer.add_char buf c)
+    text;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let wire_ints =
+  [| "0"; "-0"; "7"; "-123"; "007"; "1e3"; "1.5"; "-2.5E-3"; "12.";
+     "99999999999999999999"; "4611686018427387903"; "-4611686018427387904";
+     "4611686018427387904"; "123456789012345678"; "-1234567890123456789" |]
+
+let gen_int_lit g =
+  if Prng.Rng.bool g then pick g wire_ints
+  else string_of_int (Int64.to_int (Prng.Rng.bits64 g) asr Prng.Rng.int g 62)
+
+(* Strings that exercise the escape grammar: surrogate pairs, UTF-8,
+   every short escape. *)
+let wire_texts =
+  [| "{\"op\":\"x\"}"; "\\ud83d\\ude00"; "caf\\u00e9"; "\\n\\t\\/\\b\\f\\r";
+     "\xc3\xa9t\xc3\xa9"; ""; "\\\\\\\""; "\\ud83d"; "\\ude00"; "\\ud83d\\u0041" |]
+
+let rec gen_json g ~ws depth =
+  match Prng.Rng.int g (if depth >= 4 then 5 else 7) with
+  | 0 -> gen_int_lit g
+  | 1 -> "\"" ^ pick g wire_texts ^ "\""
+  | 2 -> pick g [| "true"; "false"; "null" |]
+  | 3 -> json_string g (pick g [| "op"; "probe"; "id"; "x y" |])
+  | 4 -> pick g [| "[]"; "{}"; "[ ]"; "{ }" |]
+  | 5 ->
+      "[" ^ String.concat ("," ^ ws g)
+              (List.init (1 + Prng.Rng.int g 3) (fun _ -> gen_json g ~ws (depth + 1)))
+      ^ "]"
+  | _ ->
+      "{" ^ ws g
+      ^ String.concat ","
+          (List.init (1 + Prng.Rng.int g 3) (fun _ ->
+               json_string g (pick g [| "a"; "op"; "key"; "b" |]) ^ ws g ^ ":" ^ ws g
+               ^ gen_json g ~ws (depth + 1)))
+      ^ ws g ^ "}"
+
+let wire_op_names =
+  [| "step"; "round"; "insert"; "remove"; "probe"; "occupancy"; "watermark";
+     "ping"; "stats"; "fly"; ""; "PROBE"; "probe "; "stat"; "insert\x00" |]
+
+(* A request line: the known fields (sometimes absent, sometimes of the
+   wrong type, sometimes twice) and unknown ones, in random order with
+   random whitespace.  [framing] keeps it free of '\n' and of the stats
+   op, whose replies change with the daemon's counters. *)
+let gen_wire_line ?(framing = false) g =
+  let ws g =
+    if framing then pick g [| ""; ""; " "; "\t"; "\r" |]
+    else pick g [| ""; ""; ""; " "; "\t"; "\r\n"; "  \n"; "\r" |]
+  in
+  let op =
+    let names =
+      if framing then Array.of_list (List.filter (( <> ) "stats") (Array.to_list wire_op_names))
+      else wire_op_names
+    in
+    let name = pick g names in
+    match Prng.Rng.int g 12 with
+    | 0 -> gen_json g ~ws 1
+    | 1 | 2 | 3 -> json_string g name
+    | _ -> json_string ~escapes:false g name
+  in
+  let value g = if Prng.Rng.int g 4 = 0 then gen_json g ~ws 1 else gen_int_lit g in
+  let key_name g name = if Prng.Rng.int g 6 = 0 then json_string g name else "\"" ^ name ^ "\"" in
+  let field g name v = key_name g name ^ ws g ^ ":" ^ ws g ^ v in
+  let fields =
+    List.concat
+      [
+        (if Prng.Rng.int g 10 > 0 then [ field g "op" op ] else []);
+        (if Prng.Rng.bool g then [ field g "id" (value g) ] else []);
+        (if Prng.Rng.int g 3 > 0 then [ field g "key" (value g) ] else []);
+        (if (not framing) && Prng.Rng.int g 4 = 0 then
+           [ field g "format"
+               (if Prng.Rng.int g 4 = 0 then gen_json g ~ws 1
+                else json_string g (pick g [| "json"; "prom"; "prom"; "xml"; "" |])) ]
+         else []);
+        List.init (Prng.Rng.int g 3) (fun _ ->
+            field g (pick g [| "x"; "ids"; "o"; "keys"; "opp" |]) (gen_json g ~ws 1));
+      ]
+  in
+  (* Duplicates: the first occurrence must win. *)
+  let fields =
+    if fields <> [] && Prng.Rng.int g 4 = 0 then
+      fields @ [ field g (pick g [| "op"; "id"; "key"; "format" |]) (gen_json g ~ws 1) ]
+    else fields
+  in
+  let arr = Array.of_list fields in
+  for i = Array.length arr - 1 downto 1 do
+    let j = Prng.Rng.int g (i + 1) in
+    let t = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- t
+  done;
+  let line =
+    ws g ^ "{" ^ ws g ^ String.concat (ws g ^ "," ^ ws g) (Array.to_list arr) ^ ws g ^ "}"
+    ^ ws g
+  in
+  let line =
+    match Prng.Rng.int g 12 with
+    | 0 -> gen_json g ~ws 0  (* a value other than an object *)
+    | 1 -> line ^ pick g [| "x"; "}"; ","; "{}" |]  (* trailing input *)
+    | _ -> line
+  in
+  (* Damage: byte flips and truncations. *)
+  let damage line =
+    let n = String.length line in
+    if n = 0 then line
+    else
+      match Prng.Rng.int g 3 with
+      | 0 -> String.sub line 0 (Prng.Rng.int g n)
+      | 1 ->
+          let b = Bytes.of_string line in
+          Bytes.set b (Prng.Rng.int g n)
+            (pick g
+               [| '{'; '}'; '"'; '\\'; ':'; ','; '['; ']'; 'u'; '0'; 'e'; '-'; '.';
+                  ' '; 't'; Char.chr (Prng.Rng.int g 256) |]);
+          if framing then String.map (fun c -> if c = '\n' then ' ' else c) (Bytes.to_string b)
+          else Bytes.to_string b
+      | _ ->
+          let k = Prng.Rng.int g n in
+          String.sub line k (n - k)
+  in
+  let rec damaged line k = if k = 0 then line else damaged (damage line) (k - 1) in
+  if Prng.Rng.int g 3 = 0 then damaged line (1 + Prng.Rng.int g 3) else line
+
+let show_decoded = function
+  | Error msg -> Printf.sprintf "Error %S" msg
+  | Ok (id, req) ->
+      Printf.sprintf "Ok (%s, %s)"
+        (match id with None -> "None" | Some i -> Printf.sprintf "Some %d" i)
+        (match req with
+        | Serve.Wire.Event ev -> Engine.Event.name ev
+        | Serve.Wire.Ping -> "ping"
+        | Serve.Wire.Stats Serve.Wire.Stats_json -> "stats json"
+        | Serve.Wire.Stats Serve.Wire.Stats_prom -> "stats prom")
+
+let qcheck_wire_oracle =
+  QCheck.Test.make ~name:"wire decoder matches the Json-tree oracle" ~count:400
+    QCheck.small_int (fun seed ->
+      let g = rng_of (seed + 0x3E1) in
+      for _ = 1 to 50 do
+        let line = gen_wire_line g in
+        let got = Serve.Wire.parse line and want = Wire_oracle.parse line in
+        if got <> want then
+          QCheck.Test.fail_reportf "line %S: decoder %s, oracle %s" line
+            (show_decoded got) (show_decoded want)
+      done;
+      true)
+
+(* {2 In-place framing on a live daemon} *)
+
+(* A client socket whose reads give up after 5 s, so that a daemon
+   that withholds a reply fails the test instead of hanging it. *)
+let connect_unix path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let rec send_all fd s off =
+  if off < String.length s then
+    send_all fd s (off + Unix.write_substring fd s off (String.length s - off))
+
+(* Read until [lines] newlines have arrived, or to EOF: the bytes read. *)
+let recv_lines fd lines =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go seen =
+    if seen < lines then
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.failf "no reply within 5 s after %S" (Buffer.contents buf)
+      | 0 -> ()
+      | k ->
+          Buffer.add_subbytes buf chunk 0 k;
+          let nl = ref 0 in
+          for i = 0 to k - 1 do
+            if Bytes.get chunk i = '\n' then incr nl
+          done;
+          go (seen + !nl)
+  in
+  go 0;
+  Buffer.contents buf
+
+let count_newlines s =
+  String.fold_left (fun k c -> if c = '\n' then k + 1 else k) 0 s
+
+(* A client's side of a framing script. *)
+type framing_step =
+  | Send of int * string  (* client 0 or 1, bytes *)
+  | Read_replies  (* client 1 reads every reply owed so far *)
+  | Send_and_vanish of string  (* client 1's last bytes, then close *)
+
+(* Split [s] at random offsets into pieces of 1 to 48 bytes. *)
+let random_pieces g s =
+  let n = String.length s in
+  let rec go pos acc =
+    if pos >= n then List.rev acc
+    else
+      let len = min (n - pos) (1 + Prng.Rng.int g 48) in
+      go (pos + len) (String.sub s pos len :: acc)
+  in
+  go 0 []
+
+(* Merge two step lists in a random interleaving that keeps each in
+   order. *)
+let rec interleave g xs ys =
+  match (xs, ys) with
+  | [], rest | rest, [] -> rest
+  | x :: xs', y :: ys' ->
+      if Prng.Rng.bool g then x :: interleave g xs' ys else y :: interleave g xs ys'
+
+(* The replies a clean twin gives: every complete line in the order the
+   daemon completes it, each decoded by the oracle and applied to a
+   cluster of its own.  Returns client 0's reply bytes, client 1's up to
+   its [Read_replies], and the twin cluster. *)
+let framing_twin config steps =
+  let twin = Serve.Cluster.create config in
+  let pending = [| ""; "" |] and out = [| Buffer.create 256; Buffer.create 256 |] in
+  let owed1 = ref "" in
+  let feed c bytes =
+    let parts = String.split_on_char '\n' (pending.(c) ^ bytes) in
+    let rec go = function
+      | [ rest ] -> pending.(c) <- rest
+      | line :: rest ->
+          let n = String.length line in
+          let line = if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line in
+          (if line <> "" then
+             let buf = out.(c) in
+             match Wire_oracle.parse line with
+             | Error msg -> Serve.Wire.add_error buf ~id:None msg
+             | Ok (id, Serve.Wire.Ping) -> Serve.Wire.add_pong buf ~id
+             | Ok (id, Serve.Wire.Event ev) ->
+                 Serve.Wire.add_reply buf ~id (Serve.Cluster.apply twin ev)
+             | Ok (_, Serve.Wire.Stats _) -> Alcotest.fail "stats in a framing script");
+          go rest
+      | [] -> ()
+    in
+    go parts
+  in
+  List.iter
+    (function
+      | Send (c, bytes) -> feed c bytes
+      | Read_replies -> owed1 := Buffer.contents out.(1)
+      | Send_and_vanish bytes -> feed 1 bytes)
+    steps;
+  (Buffer.contents out.(0), !owed1, twin)
+
+let qcheck_wire_framing =
+  QCheck.Test.make
+    ~name:"framing survives arbitrary splits and a vanishing client" ~count:20
+    (* A seed has no meaningful shrink. *)
+    QCheck.(set_shrink Shrink.nil small_int)
+    (fun seed ->
+      let g = rng_of (seed + 0xF4A) in
+      let config = mk_config ~n:16 ~shards:2 () in
+      let rec gen_line () =
+        let line =
+          match Prng.Rng.int g 12 with
+          | 0 -> pick g [| ""; "\r" |]
+          | 1 ->
+              String.init (Prng.Rng.int g 40) (fun _ ->
+                  match Char.chr (Prng.Rng.int g 256) with '\n' -> ' ' | c -> c)
+          | _ -> gen_wire_line ~framing:true g
+        in
+        match Wire_oracle.parse line with
+        | Ok (_, Serve.Wire.Stats _) -> gen_line ()
+        | _ -> line
+      in
+      let stream k =
+        String.concat ""
+          (List.init k (fun _ -> gen_line () ^ pick g [| "\n"; "\n"; "\n"; "\r\n" |]))
+      in
+      let a = stream (5 + Prng.Rng.int g 20) in
+      (* Client 1 reads its replies at a random byte of its stream,
+         then sends the rest and vanishes, possibly mid-line. *)
+      let b =
+        let full = stream (3 + Prng.Rng.int g 12) in
+        String.sub full 0 (Prng.Rng.int g (String.length full + 1))
+      in
+      let cut = Prng.Rng.int g (String.length b + 1) in
+      let b_tail = random_pieces g (String.sub b cut (String.length b - cut)) in
+      let steps =
+        interleave g
+          (List.map (fun p -> Send (0, p)) (random_pieces g a))
+          (List.map (fun p -> Send (1, p)) (random_pieces g (String.sub b 0 cut))
+          @ [ Read_replies ]
+          @
+          match List.rev b_tail with
+          | [] -> [ Send_and_vanish "" ]
+          | last :: rest ->
+              List.rev_map (fun p -> Send (1, p)) rest @ [ Send_and_vanish last ])
+      in
+      let want0, want1, twin = framing_twin config steps in
+      let got0 = ref "" and got1 = ref "" in
+      with_dir (fun state ->
+          with_daemon ~state config (fun path ->
+              let fds = [| connect_unix path; connect_unix path |] in
+              let sync = connect_unix path in
+              (* A ping answered on a third connection proves that the
+                 daemon has read every byte sent before it, so each send
+                 below is exactly one read. *)
+              let settle () =
+                send_all sync "{\"op\":\"ping\"}\n" 0;
+                ignore (recv_lines sync 1)
+              in
+              List.iter
+                (function
+                  | Send (c, bytes) ->
+                      send_all fds.(c) bytes 0;
+                      settle ()
+                  | Read_replies -> got1 := recv_lines fds.(1) (count_newlines want1)
+                  | Send_and_vanish bytes ->
+                      send_all fds.(1) bytes 0;
+                      Unix.close fds.(1);
+                      settle ())
+                steps;
+              got0 := recv_lines fds.(0) (count_newlines want0);
+              Unix.close fds.(0);
+              Unix.close sync);
+          let store = store_exn ~dir:state config in
+          let same_state =
+            Serve.Cluster.state (Serve.Store.cluster store) = Serve.Cluster.state twin
+          in
+          Serve.Store.close store;
+          if !got0 <> want0 then
+            QCheck.Test.fail_reportf "client 0 read %S, the twin %S" !got0 want0;
+          if !got1 <> want1 then
+            QCheck.Test.fail_reportf "client 1 read %S, the twin %S" !got1 want1;
+          same_state))
+
+(* A line that reaches the cap without a newline is answered with one
+   typed error after the client's earlier replies; the client then
+   reads EOF, and other clients are served throughout. *)
+let test_line_cap () =
+  with_daemon (mk_config ~n:16 ~shards:2 ()) (fun path ->
+      let probe_line = "{\"op\":\"probe\"}\n" in
+      let other = connect_unix path in
+      let probe () =
+        send_all other probe_line 0;
+        recv_lines other 1
+      in
+      let before = probe () in
+      (* The longest line served: 65,535 bytes before its newline. *)
+      let head = {|{"op":"ping","pad":"|} and tail = {|"}|} in
+      let longest =
+        head ^ String.make (65535 - String.length head - String.length tail) 'a' ^ tail
+      in
+      send_all other (longest ^ "\n") 0;
+      Alcotest.(check string) "a 65,535-byte line is served"
+        "{\"ok\":true,\"reply\":\"pong\"}\n" (recv_lines other 1);
+      let hostile = connect_unix path in
+      send_all hostile ("{\"op\":\"ping\"}\n" ^ String.make (1 lsl 20) 'x') 0;
+      let got = recv_lines hostile max_int in
+      Alcotest.(check string) "pong, one typed error, then EOF"
+        "{\"ok\":true,\"reply\":\"pong\"}\n\
+         {\"ok\":false,\"reply\":\"error\",\"error\":\"request line reaches \
+         65536 bytes without a newline\"}\n"
+        got;
+      Alcotest.(check string) "other client still served" before (probe ());
+      Unix.close hostile;
+      Alcotest.(check string) "and after the hang-up" before (probe ());
+      Unix.close other)
+
+(* The load client's failure count reads "ok":false in place, with or
+   without an id before it, and allocates nothing per reply. *)
+let test_reply_failed () =
+  let line f =
+    let buf = Buffer.create 64 in
+    f buf;
+    Buffer.contents buf
+  in
+  let cases =
+    [
+      ("level", false, line (fun b -> Serve.Wire.add_reply b ~id:None (Engine.Event.Level 3)));
+      ( "placed with id", false,
+        line (fun b -> Serve.Wire.add_reply b ~id:(Some 7) (Engine.Event.Placed 17)) );
+      ( "rejected", true,
+        line (fun b -> Serve.Wire.add_reply b ~id:None (Engine.Event.Rejected "empty")) );
+      ( "rejected with id", true,
+        line (fun b -> Serve.Wire.add_reply b ~id:(Some (-4)) (Engine.Event.Rejected "empty")) );
+      ("error", true, line (fun b -> Serve.Wire.add_error b ~id:(Some 1) "unknown op \"x\""));
+      ("pong", false, line (fun b -> Serve.Wire.add_pong b ~id:None));
+      ("cut marker", false, "{\"ok\":fals");
+      ("empty", false, "");
+    ]
+  in
+  List.iter
+    (fun (name, want, l) -> Alcotest.(check bool) name want (Serve.Load_gen.reply_failed l))
+    cases;
+  let _, _, rejected = List.nth cases 3 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Serve.Load_gen.reply_failed rejected))
+  done;
+  Alcotest.(check bool) "no allocation per reply" true (Gc.minor_words () -. w0 < 100.)
+
+(* The decoder's one limit beyond the JSON grammar: objects and arrays
+   nest at most 64 deep, the request object included.  The oracle has
+   no limit. *)
+let test_wire_nesting_limit () =
+  let nested k = {|{"x":|} ^ String.make k '[' ^ String.make k ']' ^ {|,"op":"ping"}|} in
+  Alcotest.(check string) "64 deep decodes" "Ok (None, ping)"
+    (show_decoded (Serve.Wire.parse (nested 63)));
+  Alcotest.(check string) "65 deep is refused at its 65th opening"
+    "Error \"bad json: nesting deeper than 64 at offset 68\""
+    (show_decoded (Serve.Wire.parse (nested 64)));
+  Alcotest.(check string) "the oracle has no limit" "Ok (None, ping)"
+    (show_decoded (Wire_oracle.parse (nested 64)))
 
 let suite =
   [
@@ -886,3 +1329,11 @@ let suite =
         qcheck_rbb_kill_and_restore;
         qcheck_torn_tail;
       ]
+  @ List.map QCheck_alcotest.to_alcotest [ qcheck_wire_oracle; qcheck_wire_framing ]
+  @ [
+      Alcotest.test_case "a line over the cap is refused" `Quick test_line_cap;
+      Alcotest.test_case "load client reads ok:false in place" `Quick
+        test_reply_failed;
+      Alcotest.test_case "wire decoder nesting limit" `Quick
+        test_wire_nesting_limit;
+    ]
