@@ -730,14 +730,14 @@ let connect_arg =
        & info [ "connect" ] ~docv:"ADDR" ~doc)
 
 let serve seed n m scenario rule repr process listen shards dir snapshot_every
-    sync domains max_batch quiet trace trace_sample =
+    sync domains quiet trace trace_sample =
   let m = resolve_m n m in
   let cluster =
     { Serve.Cluster.n; m; shards; process; scenario; rule; repr; seed }
   in
   let config =
     { Serve.Server.listen; cluster; dir; snapshot_every; sync; domains;
-      max_batch; quiet; trace; trace_sample }
+      quiet; trace; trace_sample }
   in
   try Serve.Server.run config
   with Failure msg | Invalid_argument msg ->
@@ -798,12 +798,6 @@ let serve_cmd =
                    flushes the shard queues in parallel; the replies are the \
                    same for any value.")
   in
-  let max_batch =
-    Arg.(value & opt int 8192
-         & info [ "max-batch" ] ~docv:"EVENTS"
-             ~doc:"Largest event batch applied at once (chunking does not \
-                   change results).")
-  in
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"No banner.") in
   let trace =
     Arg.(value & opt (some string) None
@@ -822,7 +816,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Run the allocation service daemon")
     Term.(const serve $ seed_arg $ n_arg $ m_arg $ scenario_arg $ rule_arg
           $ repr_arg $ process $ listen $ shards $ dir $ snapshot_every $ sync
-          $ domains $ max_batch $ quiet $ trace $ trace_sample)
+          $ domains $ quiet $ trace $ trace_sample)
 
 let parse_mix s =
   match String.split_on_char ':' s |> List.map int_of_string_opt with

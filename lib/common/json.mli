@@ -2,6 +2,11 @@
     the repository (result sinks, the serve wire protocol, telemetry
     views, trace export).
 
+    The parser is the only JSON scanner in the repository: one
+    recursive descent over a byte slice ({!read_value}), which
+    {!of_string} runs over a whole string and the serve wire decoder
+    over a request line for every value it does not match in place.
+
     Kept dependency-free on purpose: the toolchain is pinned, so no
     layer can assume yojson. *)
 
@@ -25,10 +30,6 @@ val add_escaped : Buffer.t -> string -> unit
     quote, backslash and control characters escaped, every other byte
     (UTF-8 included) as is.  The serializer's own escaper. *)
 
-val add_utf8 : Buffer.t -> int -> unit
-(** Append the UTF-8 encoding of a code point (at most [0x10FFFF]), as
-    the parser decodes a [\u] escape. *)
-
 val strip_keys : keys:string list -> t -> t
 (** Recursively drop every object field whose name is in [keys].  Used
     to remove wall-clock fields before determinism comparisons. *)
@@ -40,7 +41,33 @@ val float_repr : float -> string
 (** The serializer's representation of a finite float. *)
 
 val of_string : string -> (t, string) result
-(** Parse standard JSON text (the inverse of [to_string]).  Number
-    literals without a fraction or exponent that fit in a native [int]
-    parse as [Int]; everything else numeric parses as [Float].  [Error]
-    carries a message with the byte offset of the failure. *)
+(** Parse standard JSON text (the inverse of [to_string]), with no
+    nesting limit.  Number literals without a fraction or exponent that
+    fit in a native [int] parse as [Int]; everything else numeric
+    parses as [Float].  [Error] carries a message with the byte offset
+    of the failure, ["<what> at offset <n>"]. *)
+
+(** {2 Reading a byte slice}
+
+    Positions are absolute indices into the bytes, [lim] is the end of
+    the slice, and each reader returns what it read with the position
+    just after it. *)
+
+exception Parse_error of string * int
+(** Malformed text: what is wrong, and the position where it was
+    found. *)
+
+val read_value :
+  max_depth:int -> depth:int -> Bytes.t -> int -> int -> t * int
+(** [read_value ~max_depth ~depth b pos lim] reads one value after
+    optional whitespace at [pos], inside [depth] enclosing objects or
+    arrays.  Objects and arrays nest at most [max_depth] deep, the
+    enclosing ones included: one more fails with ["nesting deeper than
+    <max_depth>"] at its opening bracket.
+    @raise Parse_error on malformed text. *)
+
+val read_string : Bytes.t -> int -> int -> string * int
+(** [read_string b pos lim] reads a string literal whose opening quote
+    lies just before [pos]: its unescaped text and the position after
+    its closing quote.
+    @raise Parse_error on malformed text. *)

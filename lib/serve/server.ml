@@ -15,12 +15,16 @@
 
    Each select round drains every readable client, decoding its lines
    into one batch (arrival order) held in arrays reused across rounds,
-   applies the batch — in chunks of at most [max_batch]; chunking
-   cannot change the outcome because cluster application is
-   batch-invariant — and appends the replies to each client's output
+   applies the batch, and appends the replies to each client's output
    buffer in request order.  Ping and stats are answered by the server
    itself, after the batch, so a client that interleaves them with
    events still sees ordered replies.
+
+   Client sockets are non-blocking: a write takes what the socket
+   accepts and the rest waits in the client's output buffer.  A client
+   whose unwritten output exceeds [max_out] is left out of the read set
+   until it reads, so a client that sends without reading is held back
+   at about [max_out] of replies and never stalls the others.
 
    Telemetry is always on: every request is timed through its
    lifecycle stages (decode here, route/apply in the cluster, reply
@@ -47,7 +51,6 @@ type config = {
   snapshot_every : int;
   sync : bool;
   domains : int;
-  max_batch : int;
   quiet : bool;
   trace : string option;  (* Perfetto trace path, written on shutdown *)
   trace_sample : int;  (* trace every Nth request (at most 1 per round) *)
@@ -55,10 +58,14 @@ type config = {
 
 let default_config ~listen ~cluster =
   { listen; cluster; dir = None; snapshot_every = 1_000_000; sync = false;
-    domains = 1; max_batch = 8192; quiet = false; trace = None;
-    trace_sample = 64 }
+    domains = 1; quiet = false; trace = None; trace_sample = 64 }
 
 let max_line = 65536
+
+(* A client with more unwritten reply bytes than this is not read until
+   it reads: the most a client that stops reading makes the daemon hold,
+   give or take the replies to one read. *)
+let max_out = 16 * max_line
 
 type backend = Durable of Store.t | Ephemeral of Cluster.t
 
@@ -140,8 +147,6 @@ let line_too_long =
   Printf.sprintf "request line reaches %d bytes without a newline" max_line
 
 let run ?on_ready config =
-  if config.max_batch <= 0 then
-    invalid_arg "Serve.Server.run: max_batch must be positive";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let stop = ref false in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true)) in
@@ -329,23 +334,7 @@ let run ?on_ready config =
     | k -> if not c.refused then frame c k
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         close_client c
-    | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ()
-  in
-  let apply_chunked events =
-    let n = Array.length events in
-    if n <= config.max_batch then backend_apply backend events
-    else begin
-      let replies = Array.make n Engine.Event.Ack in
-      let pos = ref 0 in
-      while !pos < n do
-        let len = min config.max_batch (n - !pos) in
-        let chunk = Array.sub events !pos len in
-        let rs = backend_apply backend chunk in
-        Array.blit rs 0 replies !pos len;
-        pos := !pos + len
-      done;
-      replies
-    end
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in
   let answer replies i =
     let c = r.clients.(i) and id = r.ids.(i) in
@@ -383,7 +372,7 @@ let run ?on_ready config =
             ~args:[ ("events", Obs.Int (Array.length events)) ]
         else Obs.null_span
       in
-      let replies = apply_chunked events in
+      let replies = backend_apply backend events in
       Obs.end_span aspan;
       (* 3. answer in request order *)
       let t = ref (Obs.Clock.now_int ()) in
@@ -424,7 +413,7 @@ let run ?on_ready config =
             go ()
         | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
             close_client c
-        | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
       end
     in
     go ();
@@ -439,7 +428,12 @@ let run ?on_ready config =
     end
   in
   (while not !stop do
-       let rfds = lsock :: Hashtbl.fold (fun fd _ acc -> fd :: acc) clients [] in
+       let rfds =
+         lsock
+         :: Hashtbl.fold
+              (fun fd c acc -> if Buffer.length c.out - c.out_pos > max_out then acc else fd :: acc)
+              clients []
+       in
        let wfds =
          Hashtbl.fold
            (fun fd c acc -> if Buffer.length c.out > c.out_pos then fd :: acc else acc)
@@ -451,6 +445,7 @@ let run ?on_ready config =
            if List.mem lsock ready_r then begin
              match Unix.accept lsock with
              | fd, _ ->
+                 Unix.set_nonblock fd;
                  stats.connections <- stats.connections + 1;
                  stats.live <- stats.live + 1;
                  Hashtbl.replace clients fd

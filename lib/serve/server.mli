@@ -5,16 +5,17 @@
 
     Each select round decodes the complete request lines of every
     readable client where they lie in that client's input buffer into
-    one batch, applies it (in [max_batch]-sized chunks — harmless,
-    since cluster application is batch-invariant) and answers each
-    client in its own request order.  A line that reaches 64 KiB
-    without a newline is answered with a typed error (["ok":false],
-    ["reply":"error"]) after the client's earlier replies; the daemon
-    then half-closes that connection and discards its input until the
-    client hangs up.  SIGTERM/SIGINT
-    shut the loop down gracefully: flush, snapshot, unlink the Unix
-    socket.  A [kill -9] is recovered on the next start by snapshot
-    load plus journal replay.
+    one batch, applies it and answers each client in its own request
+    order.  A line that reaches 64 KiB without a newline is answered
+    with a typed error (["ok":false], ["reply":"error"]) after the
+    client's earlier replies; the daemon then half-closes that
+    connection and discards its input until the client hangs up.
+    Client sockets are non-blocking, and a client with more than 1 MiB
+    of unwritten replies is not read until it reads, so a client that
+    stops reading stalls nobody else.  SIGTERM/SIGINT shut the loop
+    down gracefully: flush what the sockets accept, snapshot, unlink
+    the Unix socket.  A [kill -9] is recovered on the next start by
+    snapshot load plus journal replay.
 
     Every request is timed through its lifecycle stages into an
     always-on {!Telemetry} bank, adjacent stages sharing one clock
@@ -33,7 +34,6 @@ type config = {
   snapshot_every : int;
   sync : bool;  (** [fsync] the journal every batch. *)
   domains : int;  (** Pool width for shard application (1 = inline). *)
-  max_batch : int;
   quiet : bool;
   trace : string option;
       (** Record sampled request spans and write a Perfetto trace here
@@ -44,8 +44,8 @@ type config = {
 }
 
 val default_config : listen:Wire.address -> cluster:Cluster.config -> config
-(** Ephemeral, single-domain, [max_batch = 8192],
-    [snapshot_every = 1_000_000], no tracing ([trace_sample = 64]). *)
+(** Ephemeral, single-domain, [snapshot_every = 1_000_000], no tracing
+    ([trace_sample = 64]). *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Serve until SIGTERM/SIGINT.  [on_ready] fires once the socket is

@@ -22,19 +22,18 @@
    written in request order, so correlation works without ids too.
    Rejected mutations and malformed requests answer with "ok":false.
 
-   Decoding is one pass over a byte slice that builds no JSON tree.  It
-   accepts the text the [Common.Json] parser accepts and fails with the
-   same message at the same offset, with one limit of its own: objects
-   and arrays nest at most [max_depth] deep.  The four known fields
-   ("op", "id", "key", "format") are read where they lie, as a field
-   lookup on the parsed object reads them: the first of duplicate keys
-   wins, and a number is an integer exactly when [int_of_string_opt]
-   reads it.
-   Every other value is validated and skipped.  Strings without
-   escapes are compared in place; only a string with escapes is
-   unescaped into a fresh string.  A request with neither an id nor a
-   payload decodes to a preallocated value, so probe, watermark, remove
-   and the other bare ops allocate nothing.
+   Decoding is one pass over a byte slice on [Common.Json]'s scanner,
+   so it accepts the text [Common.Json.of_string] accepts and fails
+   with the same message at the same offset, with one limit of its own:
+   objects and arrays nest at most [max_depth] deep.  The four known
+   fields ("op", "id", "key", "format") are read as a field lookup on
+   the parsed object reads them: the first of duplicate keys wins.  A
+   known key, and an op name, without escapes is matched where it lies;
+   every other key is read with [Json.read_string] and every other
+   value with [Json.read_value], which builds the tree of that value
+   only.  A request with neither an id nor a payload decodes to a
+   preallocated value, so probe, watermark, remove and the other bare
+   ops allocate nothing.
 
    Replies are written into a caller-owned [Buffer] as a constant
    prefix plus digits, with no intermediate strings. *)
@@ -76,14 +75,17 @@ type request =
 
 (* {2 Decoding}
 
-   Positions are absolute indices into the bytes; [lim] is the end of
-   the slice.  Every scanner mirrors one function of the [Common.Json]
-   parser and returns the position after what it read. *)
-
-exception Syntax of string * int
+   Positions are absolute indices into the bytes and [lim] is the end
+   of the slice. *)
 
 let max_depth = 64
-let fail msg pos = raise (Syntax (msg, pos))
+let fail msg pos = raise (Json.Parse_error (msg, pos))
+
+(* [peek], [skip_ws], [expect] and [same_at] repeat helpers of the
+   [Common.Json] scanner on purpose: the dev profile compiles with
+   -opaque, so a call into another module is never inlined, and these
+   run several times per request on the path that matches names in
+   place. *)
 let[@inline] peek b pos lim = if pos < lim then Bytes.unsafe_get b pos else '\000'
 
 let rec skip_spaces b pos lim =
@@ -108,182 +110,14 @@ let rec same_at b pos s i =
   i = String.length s
   || (Bytes.unsafe_get b (pos + i) = String.unsafe_get s i && same_at b pos s (i + 1))
 
-let literal b pos lim word =
-  if pos + String.length word <= lim && same_at b pos word 0 then
-    pos + String.length word
-  else fail "invalid literal" pos
-
-let hex_digit b pos =
-  match Bytes.unsafe_get b pos with
-  | '0' .. '9' as c -> Char.code c - Char.code '0'
-  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-  | _ -> fail "invalid hex digit in \\u escape" pos
-
-let hex4 b pos lim =
-  if pos + 4 > lim then fail "truncated \\u escape" pos;
-  let d0 = hex_digit b pos in
-  let d1 = hex_digit b (pos + 1) in
-  let d2 = hex_digit b (pos + 2) in
-  let d3 = hex_digit b (pos + 3) in
-  (d0 lsl 12) lor (d1 lsl 8) lor (d2 lsl 4) lor d3
-
-let add_to into c = match into with Some buf -> Buffer.add_char buf c | None -> ()
-
-(* A \u escape from just after its 'u': the position after it (and
-   after the low half of a surrogate pair), its code point appended to
-   [into] when given. *)
-let unicode_escape b pos lim into =
-  let cp = hex4 b pos lim in
-  let pos = pos + 4 in
-  if cp >= 0xD800 && cp <= 0xDBFF then
-    (* High surrogate: a low surrogate must follow. *)
-    if pos + 1 < lim && Bytes.unsafe_get b pos = '\\' && Bytes.unsafe_get b (pos + 1) = 'u'
-    then begin
-      let lo = hex4 b (pos + 2) lim in
-      let pos = pos + 6 in
-      if lo < 0xDC00 || lo > 0xDFFF then fail "invalid low surrogate" pos;
-      (match into with
-      | Some buf -> Json.add_utf8 buf (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
-      | None -> ());
-      pos
-    end
-    else fail "lone high surrogate" pos
-  else if cp >= 0xDC00 && cp <= 0xDFFF then fail "lone low surrogate" pos
-  else begin
-    (match into with Some buf -> Json.add_utf8 buf cp | None -> ());
-    pos
-  end
-
-(* A string body from just after its opening quote: the position after
-   its closing quote, the body unescaped into [into] when given. *)
-let rec string_body b pos lim into =
-  if pos >= lim then fail "unterminated string" pos;
-  match Bytes.unsafe_get b pos with
-  | '"' -> pos + 1
-  | '\\' ->
-      let pos = pos + 1 in
-      if pos >= lim then fail "truncated escape" pos;
-      let pos =
-        match Bytes.unsafe_get b pos with
-        | ('"' | '\\' | '/') as c -> add_to into c; pos + 1
-        | 'n' -> add_to into '\n'; pos + 1
-        | 'r' -> add_to into '\r'; pos + 1
-        | 't' -> add_to into '\t'; pos + 1
-        | 'b' -> add_to into '\b'; pos + 1
-        | 'f' -> add_to into '\012'; pos + 1
-        | 'u' -> unicode_escape b (pos + 1) lim into
-        | _ -> fail "invalid escape" (pos + 1)
-      in
-      string_body b pos lim into
-  | c ->
-      add_to into c;
-      string_body b (pos + 1) lim into
-
-let rec has_escape b s e = s < e && (Bytes.unsafe_get b s = '\\' || has_escape b (s + 1) e)
-
-(* The text of a validated string whose body lies in [s, e). *)
-let unescape b s e =
-  if has_escape b s e then begin
-    let buf = Buffer.create (e - s) in
-    ignore (string_body b s (e + 1) (Some buf));
-    Buffer.contents buf
-  end
-  else Bytes.sub_string b s (e - s)
-
-let rec number_chars b pos lim =
-  if pos < lim then
-    match Bytes.unsafe_get b pos with
-    | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> number_chars b (pos + 1) lim
-    | _ -> pos
-  else pos
-
-let number_end b pos lim =
-  number_chars b (if peek b pos lim = '-' then pos + 1 else pos) lim
-
-let rec all_digits b i e =
-  i = e || (match Bytes.unsafe_get b i with '0' .. '9' -> all_digits b (i + 1) e | _ -> false)
-
-(* Whether the number literal [s, e) is an optional minus and 1 to 18
-   digits: an integer [int_of_string_opt] reads without overflow. *)
-let short_int b s e =
-  let d = if Bytes.unsafe_get b s = '-' then s + 1 else s in
-  e > d && e - d <= 18 && all_digits b d e
-
-(* Whether the number literal [s, e) reads as an [Int] in
-   [Common.Json]'s sense; fails "invalid number" when it is no number. *)
-let int_literal b s e =
-  short_int b s e
-  ||
-  let lit = Bytes.sub_string b s (e - s) in
-  let is_float = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit in
-  if (not is_float) && int_of_string_opt lit <> None then true
-  else if float_of_string_opt lit <> None then false
-  else fail "invalid number" e
-
-(* Whether the validated value [s, e) is an integer. *)
-let is_int b s e =
-  match Bytes.unsafe_get b s with
-  | '-' | '0' .. '9' -> int_literal b s e
-  | _ -> false
-
-let rec digits_value b i e v =
-  if i = e then v
-  else digits_value b (i + 1) e ((v * 10) + Char.code (Bytes.unsafe_get b i) - Char.code '0')
-
-let int_value b s e =
-  if short_int b s e then
-    if Bytes.unsafe_get b s = '-' then - digits_value b (s + 1) e 0
-    else digits_value b s e 0
-  else int_of_string (Bytes.sub_string b s (e - s))
-
-(* Validate and skip one value inside [depth] containers. *)
-let rec skip_value b pos lim depth =
-  let pos = skip_ws b pos lim in
-  match peek b pos lim with
-  | ('{' | '[') as c ->
-      if depth >= max_depth then
-        fail (Printf.sprintf "nesting deeper than %d" max_depth) pos;
-      let pos = skip_ws b (pos + 1) lim in
-      if c = '{' then
-        if peek b pos lim = '}' then pos + 1 else skip_fields b pos lim (depth + 1)
-      else if peek b pos lim = ']' then pos + 1
-      else skip_elems b pos lim (depth + 1)
-  | '"' -> string_body b (pos + 1) lim None
-  | 't' -> literal b pos lim "true"
-  | 'f' -> literal b pos lim "false"
-  | 'n' -> literal b pos lim "null"
-  | '-' | '0' .. '9' ->
-      let e = number_end b pos lim in
-      ignore (int_literal b pos e);
-      e
-  | _ -> fail "unexpected character" pos
-
-and skip_fields b pos lim depth =
-  let pos = skip_ws b pos lim in
-  let pos = string_body b (expect b pos lim '"') lim None in
-  let pos = expect b (skip_ws b pos lim) lim ':' in
-  let pos = skip_ws b (skip_value b pos lim depth) lim in
-  match peek b pos lim with
-  | ',' -> skip_fields b (pos + 1) lim depth
-  | '}' -> pos + 1
-  | _ -> fail "expected ',' or '}'" pos
-
-and skip_elems b pos lim depth =
-  let pos = skip_ws b (skip_value b pos lim depth) lim in
-  match peek b pos lim with
-  | ',' -> skip_elems b (pos + 1) lim depth
-  | ']' -> pos + 1
-  | _ -> fail "expected ',' or ']'" pos
-
 let rec find_in names str i =
   if i = Array.length names then -1
   else if String.equal names.(i) str then i
   else find_in names str (i + 1)
 
 (* The index in [names] of the name that lies at [pos] followed by a
-   closing quote, or -1: a string body without escapes, matched as it
-   is scanned. *)
+   closing quote, or -1: a string body without escapes, matched in
+   place. *)
 let rec quoted_at names b pos lim i =
   if i = Array.length names then -1
   else
@@ -295,12 +129,6 @@ let rec quoted_at names b pos lim i =
        && same_at b pos name 1
     then i
     else quoted_at names b pos lim (i + 1)
-
-(* The index in [names] of the string whose body lies in [s, e), or
-   -1. *)
-let lookup names b s e =
-  if has_escape b s e then find_in names (unescape b s e) 0
-  else quoted_at names b s (e + 1) 0
 
 (* The vocabulary.  A known field's state is [absent], [wrong] (a value
    of another type), [unknown] (a string outside its vocabulary), or,
@@ -332,18 +160,21 @@ let no_payload_ok = Array.map (fun r -> Ok (None, r)) no_payload
 let prom_ok = Ok (None, Stats Stats_prom)
 let missing_op = Error "missing \"op\""
 
-(* The state of a string-valued field whose value lies in [s, e). *)
-let string_field names b s e =
-  if Bytes.unsafe_get b s <> '"' then wrong
-  else
-    let i = lookup names b (s + 1) (e - 1) in
-    if i < 0 then unknown else i
+(* The state of a string-valued field that holds [v]. *)
+let string_state names = function
+  | Json.String s ->
+      let i = find_in names s 0 in
+      if i < 0 then unknown else i
+  | _ -> wrong
+
+let text = function Json.String s -> s | _ -> ""
 
 let decode_exn b off lim =
   let pos = skip_ws b off lim in
   if peek b pos lim <> '{' then begin
     (* Valid or not, a value other than an object names no op. *)
-    let pos = skip_ws b (skip_value b pos lim 0) lim in
+    let _, pos = Json.read_value ~max_depth ~depth:0 b pos lim in
+    let pos = skip_ws b pos lim in
     if pos <> lim then fail "trailing input after value" pos;
     missing_op
   end
@@ -358,11 +189,12 @@ let decode_exn b off lim =
     while !more do
       let ks = expect b (skip_ws b !pos lim) lim '"' in
       let known = quoted_at keys b ks lim 0 in
-      let ke =
-        if known >= 0 then ks + String.length keys.(known) + 1
-        else string_body b ks lim None
+      let field, ke =
+        if known >= 0 then (known, ks + String.length keys.(known) + 1)
+        else
+          let name, ke = Json.read_string b ks lim in
+          (find_in keys name 0, ke)
       in
-      let field = if known >= 0 then known else lookup keys b ks (ke - 1) in
       let vs = skip_ws b (expect b (skip_ws b ke lim) lim ':') lim in
       let fast =
         if field = 0 && !op = absent && peek b vs lim = '"' then
@@ -375,26 +207,24 @@ let decode_exn b off lim =
           vs + String.length ops.(fast) + 2
         end
         else begin
-          let ve = skip_value b vs lim 1 in
-          (match field with
-          | 0 when !op = absent ->
-              op := string_field ops b vs ve;
-              if !op = unknown then op_text := unescape b (vs + 1) (ve - 1)
-          | 1 when !id_state = absent ->
-              if is_int b vs ve then begin
-                id_state := present;
-                id_value := int_value b vs ve
-              end
-              else id_state := wrong
-          | 2 when !key = absent ->
-              if is_int b vs ve then begin
-                key := present;
-                key_value := int_value b vs ve
-              end
-              else key := wrong
-          | 3 when !format = absent ->
-              format := string_field formats b vs ve;
-              if !format = unknown then format_text := unescape b (vs + 1) (ve - 1)
+          (* The first of duplicate keys wins; a later one is only
+             validated. *)
+          let v, ve = Json.read_value ~max_depth ~depth:1 b vs lim in
+          (match (field, v) with
+          | 0, _ when !op = absent ->
+              op := string_state ops v;
+              op_text := text v
+          | 1, Json.Int i when !id_state = absent ->
+              id_state := present;
+              id_value := i
+          | 2, Json.Int k when !key = absent ->
+              key := present;
+              key_value := k
+          | 1, _ when !id_state = absent -> id_state := wrong
+          | 2, _ when !key = absent -> key := wrong
+          | 3, _ when !format = absent ->
+              format := string_state formats v;
+              format_text := text v
           | _ -> ());
           ve
         end
@@ -428,7 +258,7 @@ let decode_exn b off lim =
 
 let decode b off len =
   try decode_exn b off (off + len)
-  with Syntax (msg, pos) ->
+  with Json.Parse_error (msg, pos) ->
     Error (Printf.sprintf "bad json: %s at offset %d" msg (pos - off))
 
 let parse line = decode (Bytes.unsafe_of_string line) 0 (String.length line)

@@ -8,8 +8,10 @@
     report, structured JSON or, with ["format":"prom"], a Prometheus
     text exposition).
 
-    The decoder reads a line in one pass without building a JSON tree;
-    the encoders write each reply as a constant prefix plus digits. *)
+    The decoder reads a line in one pass, matching known keys and op
+    names in place and reading every other value with
+    {!Common.Json.read_value}; the encoders write each reply as a
+    constant prefix plus digits. *)
 
 (** Where a service listens (or a client connects). *)
 type address = Unix_sock of string | Tcp of string * int
@@ -34,8 +36,8 @@ val decode : Bytes.t -> int -> int -> (int option * request, string) result
     [off .. off + len - 1] into its optional id and payload, where they
     lie.  It accepts what {!Common.Json.of_string} accepts and reads the
     fields as [Json.member] would (the first of duplicate keys wins;
-    ["id"], ["key"] are integers as [int_of_string_opt] reads them),
-    with one limit: objects and arrays nest at most 64 deep.  Malformed
+    ["id"] and ["key"] must parse as [Json.Int]), with one limit:
+    objects and arrays nest at most 64 deep.  Malformed
     JSON gives [Error "bad json: <what> at offset <n>"], [n] counted
     from [off].  A line without ["id"] whose op carries no payload (all
     but insert) decodes without allocating. *)

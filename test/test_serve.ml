@@ -1026,6 +1026,86 @@ let qcheck_wire_oracle =
       done;
       true)
 
+(* {2 The JSON parser against the independent oracle} *)
+
+(* Number literals beside [gen_int_lit]'s: fractions, exponents, values
+   out of the float range, and text the number scanner takes in but no
+   conversion reads. *)
+let json_numbers =
+  [| "1.5"; "-0.0"; "2.5e-3"; "1E+9"; "6.02e23"; "12."; "0.1e-400"; "1e999";
+     "-1e999"; "1e"; "1.2.3"; "-"; "1-2"; "2e+-1"; "0x1"; "--1" |]
+
+(* 17 to 20 digits: around the 19 of a native int's range. *)
+let gen_long_int g =
+  let k = 17 + Prng.Rng.int g 4 in
+  (if Prng.Rng.bool g then "-" else "")
+  ^ String.init k (fun i ->
+        Char.chr (Char.code '0' + if i = 0 then 1 + Prng.Rng.int g 9 else Prng.Rng.int g 10))
+
+let json_texts =
+  Array.append wire_texts
+    [| "\\uD83D\\uDE00"; "\\u00E9\\u4e2d"; "\\u0000"; "tab\there"; "\x01\x1f" |]
+
+let gen_text g =
+  if Prng.Rng.bool g then "\"" ^ pick g json_texts ^ "\""
+  else json_string g (pick g [| ""; "op"; "x y"; "caf\xc3\xa9"; "a\"b\\c"; "\xf0\x9f\x98\x80" |])
+
+(* A document: every scalar kind, strings with escapes in keys and
+   values, nesting up to six deep, whitespace between any tokens. *)
+let rec gen_doc g depth =
+  let ws () = pick g [| ""; ""; " "; "\t"; "\n"; "\r\n"; "  " |] in
+  let items gen = String.concat (ws () ^ "," ^ ws ()) (List.init (1 + Prng.Rng.int g 4) gen) in
+  match Prng.Rng.int g (if depth >= 5 then 5 else 7) with
+  | 0 -> gen_int_lit g
+  | 1 -> if Prng.Rng.bool g then gen_long_int g else pick g json_numbers
+  | 2 -> pick g [| "true"; "false"; "null" |]
+  | 3 -> gen_text g
+  | 4 -> pick g [| "[]"; "{}"; "[ ]"; "{\n}" |]
+  | 5 -> "[" ^ ws () ^ items (fun _ -> gen_doc g (depth + 1)) ^ ws () ^ "]"
+  | _ ->
+      "{" ^ ws ()
+      ^ items (fun _ -> gen_text g ^ ws () ^ ":" ^ ws () ^ gen_doc g (depth + 1))
+      ^ ws () ^ "}"
+
+(* Byte flips, truncations and insertions. *)
+let mutate g doc =
+  let n = String.length doc in
+  let byte () =
+    pick g
+      [| '{'; '}'; '['; ']'; '"'; '\\'; ':'; ','; 'u'; 'D'; '0'; '9'; 'e'; '.'; '-';
+         '+'; ' '; 'n'; 't'; Char.chr (Prng.Rng.int g 256) |]
+  in
+  match Prng.Rng.int g 3 with
+  | 0 -> String.sub doc 0 (Prng.Rng.int g (n + 1))
+  | 1 when n > 0 ->
+      let b = Bytes.of_string doc in
+      Bytes.set b (Prng.Rng.int g n) (byte ());
+      Bytes.to_string b
+  | _ ->
+      let k = Prng.Rng.int g (n + 1) in
+      String.sub doc 0 k ^ String.make 1 (byte ()) ^ String.sub doc k (n - k)
+
+let qcheck_json_oracle =
+  QCheck.Test.make ~name:"Json.of_string matches the independent oracle" ~count:400
+    QCheck.small_int (fun seed ->
+      let g = rng_of (seed + 0x150) in
+      for _ = 1 to 50 do
+        let doc = gen_doc g 0 in
+        let rec damaged doc k = if k = 0 then doc else damaged (mutate g doc) (k - 1) in
+        let doc = if Prng.Rng.bool g then doc else damaged doc (1 + Prng.Rng.int g 3) in
+        match (Common.Json.of_string doc, Json_oracle.of_string doc) with
+        | Ok a, Ok b when a = b -> ()
+        | Error a, Error b when String.equal a b -> ()
+        | got, want ->
+            let show = function
+              | Ok v -> "Ok " ^ Common.Json.to_string ~indent:0 v
+              | Error e -> "Error " ^ e
+            in
+            QCheck.Test.fail_reportf "document %S: parser %s, oracle %s" doc (show got)
+              (show want)
+      done;
+      true)
+
 (* {2 In-place framing on a live daemon} *)
 
 (* A client socket whose reads give up after 5 s, so that a daemon
@@ -1240,6 +1320,43 @@ let test_line_cap () =
       Alcotest.(check string) "and after the hang-up" before (probe ());
       Unix.close other)
 
+(* A client that sends requests and never reads its replies is held
+   back once the daemon holds about 1 MiB of its replies, and every other
+   client is served meanwhile.  The stalled client is closed before the
+   daemon stops, so a daemon that blocks on it fails the test rather
+   than hanging it. *)
+let test_stalled_reader () =
+  with_daemon (mk_config ~n:16 ~shards:2 ()) (fun path ->
+      let stalled = connect_unix path in
+      let offered = 16 lsl 20 in
+      let sent =
+        Fun.protect
+          ~finally:(fun () -> Unix.close stalled)
+          (fun () ->
+            (* A send that makes no progress for 0.5 s gives up. *)
+            Unix.setsockopt_float stalled Unix.SO_SNDTIMEO 0.5;
+            let batch = String.concat "" (List.init 4096 (fun _ -> "{\"op\":\"probe\"}\n")) in
+            let rec offer sent =
+              if sent >= offered then sent
+              else
+                match Unix.write_substring stalled batch 0 (String.length batch) with
+                | k -> offer (sent + k)
+                | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> sent
+            in
+            let sent = offer 0 in
+            let other = connect_unix path in
+            send_all other "{\"op\":\"ping\"}\n" 0;
+            let got = recv_lines other 1 in
+            Unix.close other;
+            Alcotest.(check string) "a ping beside the stalled client" "{\"ok\":true,\"reply\":\"pong\"}\n"
+              got;
+            sent)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "the stalled client was held back (%d of %d bytes taken)" sent offered)
+        true
+        (sent > 0 && sent < offered))
+
 (* The load client's failure count reads "ok":false in place, with or
    without an id before it, and allocates nothing per reply. *)
 let test_reply_failed () =
@@ -1336,4 +1453,7 @@ let suite =
         test_reply_failed;
       Alcotest.test_case "wire decoder nesting limit" `Quick
         test_wire_nesting_limit;
+      Alcotest.test_case "a client that stops reading stalls nobody" `Quick
+        test_stalled_reader;
     ]
+  @ List.map QCheck_alcotest.to_alcotest [ qcheck_json_oracle ]

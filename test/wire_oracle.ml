@@ -1,13 +1,13 @@
 (* The serve request decoder as it read before the one-pass decoder:
-   parse the whole line into a [Common.Json] tree, then look the known
-   fields up with [Json.member] (the first of duplicate keys wins).
-   Kept as the oracle that [Serve.Wire.parse] must match line for
-   line. *)
+   parse the whole line into a [Common.Json] tree with the independent
+   parser of [Json_oracle], then look the known fields up with
+   [Json.member] (the first of duplicate keys wins).  Kept as the oracle
+   that [Serve.Wire.parse] must match line for line. *)
 
 module Json = Common.Json
 
 let parse line =
-  match Json.of_string line with
+  match Json_oracle.of_string line with
   | Error e -> Error ("bad json: " ^ e)
   | Ok json -> (
       let id =
