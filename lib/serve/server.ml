@@ -24,7 +24,11 @@
    accepts and the rest waits in the client's output buffer.  A client
    whose unwritten output exceeds [max_out] is left out of the read set
    until it reads, so a client that sends without reading is held back
-   at about [max_out] of replies and never stalls the others.
+   at about [max_out] of replies and never stalls the others.  A buffer
+   that never empties, because its client reads slower than it is
+   answered, drops its written part once that reaches [max_out], so no
+   client's buffer outgrows about twice [max_out] plus the replies to
+   one read.
 
    Telemetry is always on: every request is timed through its
    lifecycle stages (decode here, route/apply in the cluster, reply
@@ -64,7 +68,8 @@ let max_line = 65536
 
 (* A client with more unwritten reply bytes than this is not read until
    it reads: the most a client that stops reading makes the daemon hold,
-   give or take the replies to one read. *)
+   give or take the replies to one read.  It is also the written prefix
+   a client's output buffer may keep before it is dropped. *)
 let max_out = 16 * max_line
 
 type backend = Durable of Store.t | Ephemeral of Cluster.t
@@ -417,7 +422,8 @@ let run ?on_ready config =
       end
     in
     go ();
-    if (not c.dead) && c.out_pos = Buffer.length c.out then begin
+    if c.dead then ()
+    else if c.out_pos = Buffer.length c.out then begin
       Buffer.clear c.out;
       c.out_pos <- 0;
       if c.refused && not c.half_closed then begin
@@ -425,6 +431,16 @@ let run ?on_ready config =
         try Unix.shutdown c.fd Unix.SHUTDOWN_SEND
         with Unix.Unix_error _ -> close_client c
       end
+    end
+    else if c.out_pos >= max_out && 2 * c.out_pos >= Buffer.length c.out then begin
+      (* A client that reads slower than it is answered never empties
+         its buffer: drop the written part once it is [max_out] and at
+         least the unwritten rest, so the copy costs at most one byte
+         per byte written. *)
+      let rest = Buffer.sub c.out c.out_pos (Buffer.length c.out - c.out_pos) in
+      Buffer.clear c.out;
+      Buffer.add_string c.out rest;
+      c.out_pos <- 0
     end
   in
   (while not !stop do

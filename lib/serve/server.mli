@@ -12,9 +12,12 @@
     connection and discards its input until the client hangs up.
     Client sockets are non-blocking, and a client with more than 1 MiB
     of unwritten replies is not read until it reads, so a client that
-    stops reading stalls nobody else.  SIGTERM/SIGINT shut the loop
-    down gracefully: flush what the sockets accept, snapshot, unlink
-    the Unix socket.  A [kill -9] is recovered on the next start by
+    stops reading stalls nobody else, and the written part of a
+    client's output is dropped as the socket takes it, so one that
+    reads slowly is held in bounded memory.  SIGTERM/SIGINT shut the
+    loop down gracefully: flush what the sockets accept at once (a
+    reply a socket cannot take is dropped), snapshot, unlink the Unix
+    socket.  A [kill -9] is recovered on the next start by
     snapshot load plus journal replay.
 
     Every request is timed through its lifecycle stages into an

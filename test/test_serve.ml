@@ -1357,6 +1357,50 @@ let test_stalled_reader () =
         true
         (sent > 0 && sent < offered))
 
+(* A client that keeps sending and reads 64 KiB every 10 ms, slower
+   than the daemon answers, leaves the daemon holding a bounded share of
+   its replies however many it reads: the heap (the daemon runs in this
+   process) grows by less than 8 MiB while 16 MiB of replies pass. *)
+let test_slow_reader () =
+  with_daemon (mk_config ~n:16 ~shards:2 ()) (fun path ->
+      let heap () =
+        Gc.full_major ();
+        (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)
+      in
+      let h0 = heap () in
+      let fd = connect_unix path in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.set_nonblock fd;
+          let batch = String.concat "" (List.init 4096 (fun _ -> "{\"op\":\"probe\"}\n")) in
+          let chunk = Bytes.create 65536 in
+          let deadline = Unix.gettimeofday () +. 30. in
+          (* [off] keeps the sent lines whole across partial writes. *)
+          let rec go off received =
+            if received < 16 lsl 20 then begin
+              if Unix.gettimeofday () > deadline then
+                Alcotest.failf "only %d reply bytes within 30 s" received;
+              let off =
+                match Unix.write_substring fd batch off (String.length batch - off) with
+                | k -> (off + k) mod String.length batch
+                | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> off
+              in
+              let k =
+                match Unix.read fd chunk 0 (Bytes.length chunk) with
+                | k -> k
+                | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0
+              in
+              Unix.sleepf 0.01;
+              go off (received + k)
+            end
+          in
+          go 0 0;
+          let grown = heap () - h0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "the heap grew by %d bytes while 16 MiB of replies were read" grown)
+            true (grown < 8 lsl 20)))
+
 (* The load client's failure count reads "ok":false in place, with or
    without an id before it, and allocates nothing per reply. *)
 let test_reply_failed () =
@@ -1455,5 +1499,7 @@ let suite =
         test_wire_nesting_limit;
       Alcotest.test_case "a client that stops reading stalls nobody" `Quick
         test_stalled_reader;
+      Alcotest.test_case "a slow reader's replies are held in bounded memory" `Quick
+        test_slow_reader;
     ]
   @ List.map QCheck_alcotest.to_alcotest [ qcheck_json_oracle ]
