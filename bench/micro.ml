@@ -533,13 +533,10 @@ let obs_overhead ctx =
   Ctx.emit ctx table
 
 (* The serve daemon's hot path in isolation: [Serve.Cluster.apply_batch]
-   on a mixed insert/remove/probe stream (the `repro load` default mix),
-   across shard counts and batch sizes.  Probes are barriers that flush
-   the per-shard queues, so batch size controls how much routing and
-   flush fan-out each query amortises; rows with shards > 1 attach a
-   pool, whose wall-clock gain needs real cores.  Socket and JSON
-   framing costs are excluded — compare with `repro load` against a
-   running daemon for the end-to-end number. *)
+   on one shard, on a mixed insert/remove/probe stream (the `repro load`
+   default mix), across batch sizes.  Socket and JSON framing costs are
+   excluded — compare with `repro load` against a running daemon for
+   the end-to-end number. *)
 let serve_throughput ctx =
   Printf.printf "\n#### Micro — serve cluster throughput\n%!";
   let n = 16_384 in
@@ -560,70 +557,57 @@ let serve_throughput ctx =
         [ "config"; "kops/s"; "batch p50(us)"; "batch p99(us)";
           "batch p999(us)" ]
   in
+  let cluster =
+    Serve.Cluster.create
+      {
+        Serve.Cluster.n;
+        m = 2 * n;
+        shards = 1;
+        process = Serve.Process.Sequential;
+        scenario = Core.Scenario.A;
+        rule = Core.Scheduling_rule.abku 2;
+        repr = Core.Repr.Array_backed;
+        seed = 0xC10C;
+      }
+  in
   List.iter
-    (fun shards ->
-      let config =
-        {
-          Serve.Cluster.n;
-          m = 2 * n;
-          shards;
-          process = Serve.Process.Sequential;
-          scenario = Core.Scenario.A;
-          rule = Core.Scheduling_rule.abku 2;
-          repr = Core.Repr.Array_backed;
-          seed = 0xC10C;
-        }
-      in
-      let rows pool =
-        let cluster = Serve.Cluster.create ?pool config in
-        List.iter
-          (fun size ->
-            let batch = batch_of size in
-            ignore (Sys.opaque_identity (Serve.Cluster.apply_batch cluster batch));
-            let lat = Obs.Hist.create () in
-            let t0 = Unix.gettimeofday () in
-            let events = ref 0 in
-            while Unix.gettimeofday () -. t0 < budget do
-              let t1 = Obs.Clock.now_ns () in
-              ignore
-                (Sys.opaque_identity (Serve.Cluster.apply_batch cluster batch));
-              Obs.Hist.observe lat (Int64.to_int (Obs.Clock.ns_since t1));
-              events := !events + size
-            done;
-            let rate =
-              float_of_int !events /. (Unix.gettimeofday () -. t0)
-            in
-            let snap = Obs.Hist.snapshot lat in
-            let p q = Obs.Hist.quantile snap q /. 1e3 in
-            Ctx.row table
-              ~values:
-                [
-                  ("shards", float_of_int shards);
-                  ("batch", float_of_int size);
-                  ("ops_per_sec", rate);
-                  ("batch_p50_us", p 0.5);
-                  ("batch_p99_us", p 0.99);
-                  ("batch_p999_us", p 0.999);
-                ]
-              [
-                Printf.sprintf "%d shards x %d" shards size;
-                Printf.sprintf "%.0f" (rate /. 1e3);
-                Printf.sprintf "%.1f" (p 0.5);
-                Printf.sprintf "%.1f" (p 0.99);
-                Printf.sprintf "%.1f" (p 0.999);
-              ])
-          [ 64; 512; 4096 ]
-      in
-      if shards = 1 then rows None
-      else
-        Parallel.Pool.with_pool ~domains:(min shards 4) (fun pool ->
-            rows (Some pool)))
-    [ 1; 2; 4; 8 ];
+    (fun size ->
+      let batch = batch_of size in
+      ignore (Sys.opaque_identity (Serve.Cluster.apply_batch cluster batch));
+      let lat = Obs.Hist.create () in
+      let t0 = Unix.gettimeofday () in
+      let events = ref 0 in
+      while Unix.gettimeofday () -. t0 < budget do
+        let t1 = Obs.Clock.now_ns () in
+        ignore (Sys.opaque_identity (Serve.Cluster.apply_batch cluster batch));
+        Obs.Hist.observe lat (Int64.to_int (Obs.Clock.ns_since t1));
+        events := !events + size
+      done;
+      let rate = float_of_int !events /. (Unix.gettimeofday () -. t0) in
+      let snap = Obs.Hist.snapshot lat in
+      let p q = Obs.Hist.quantile snap q /. 1e3 in
+      Ctx.row table
+        ~values:
+          [
+            ("shards", 1.);
+            ("batch", float_of_int size);
+            ("ops_per_sec", rate);
+            ("batch_p50_us", p 0.5);
+            ("batch_p99_us", p 0.99);
+            ("batch_p999_us", p 0.999);
+          ]
+        [
+          Printf.sprintf "1 shards x %d" size;
+          Printf.sprintf "%.0f" (rate /. 1e3);
+          Printf.sprintf "%.1f" (p 0.5);
+          Printf.sprintf "%.1f" (p 0.99);
+          Printf.sprintf "%.1f" (p 0.999);
+        ])
+    [ 64; 512; 4096 ];
   Ctx.note table
     "in-process Cluster.apply_batch, mixed 45/45/10 insert/remove/probe; \
      excludes socket and JSON framing (see `repro load`); batch percentiles \
-     are whole-batch apply latency; pooled rows need >1 physical core to \
-     show wall-clock speedup";
+     are whole-batch apply latency";
   Ctx.emit ctx table
 
 (* The daemon's wire codec alone, on serve-read's request mix (80%

@@ -730,14 +730,14 @@ let connect_arg =
        & info [ "connect" ] ~docv:"ADDR" ~doc)
 
 let serve seed n m scenario rule repr process listen shards dir snapshot_every
-    sync domains quiet trace trace_sample =
+    sync () quiet trace trace_sample =
   let m = resolve_m n m in
   let cluster =
     { Serve.Cluster.n; m; shards; process; scenario; rule; repr; seed }
   in
   let config =
-    { Serve.Server.listen; cluster; dir; snapshot_every; sync; domains;
-      quiet; trace; trace_sample }
+    { Serve.Server.listen; cluster; dir; snapshot_every; sync; quiet; trace;
+      trace_sample }
   in
   try Serve.Server.run config
   with Failure msg | Invalid_argument msg ->
@@ -792,11 +792,19 @@ let serve_cmd =
          & info [ "sync" ] ~doc:"fsync the journal after every batch.")
   in
   let domains =
-    Arg.(value & opt positive 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains applying shard batches.  Above 1, a pool \
-                   flushes the shard queues in parallel; the replies are the \
-                   same for any value.")
+    let one =
+      Arg.conv
+        ( (fun s ->
+            if int_of_string_opt s = Some 1 then Ok ()
+            else Error (`Msg "the daemon runs on one domain: only 1 is accepted")),
+          fun fmt () -> Format.pp_print_string fmt "1" )
+    in
+    Arg.(value & opt one ()
+         & info [ "domains" ] ~docv:"1"
+             ~doc:"Accepted only as 1, and ignored: the daemon applies \
+                   every event on one domain.  Kept for command lines that \
+                   still pass $(b,--domains 1), such as the steady \
+                   benchmark's; any other value is a usage error.")
   in
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"No banner.") in
   let trace =
@@ -987,18 +995,13 @@ let render_dashboard j =
         match List.assoc_opt shard (family ~label:"shard" name j) with
         | Some s -> jint "value" s
         | None -> 0
-      and drains = family ~label:"shard" "shard_drain_ns" j in
-      add "\n%-6s %10s %9s %10s %8s %10s %12s\n" "shard" "balls" "max_load"
-        "applied" "queue" "drains" "drain p99us";
+      in
+      add "\n%-6s %10s %9s %10s\n" "shard" "balls" "max_load" "applied";
       List.iter
         (fun (shard, balls) ->
-          let drain = List.assoc_opt shard drains in
-          add "%-6s %10d %9d %10d %8d %10d %12.1f\n" shard (jint "value" balls)
+          add "%-6s %10d %9d %10d\n" shard (jint "value" balls)
             (gauge "shard_max_load" shard)
-            (gauge "shard_applied" shard)
-            (gauge "shard_queue_depth" shard)
-            (match drain with Some d -> jint "count" d | None -> 0)
-            (match drain with Some d -> jfloat "p99" d /. 1e3 | None -> 0.))
+            (gauge "shard_applied" shard))
         shards);
   if Experiment.Json.member "journal_bytes" j <> None then
     add

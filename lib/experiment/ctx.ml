@@ -76,10 +76,10 @@ let checkpoint_path t ~name =
   match t.config.Config.checkpoint_dir with
   | None -> None
   | Some dir ->
-      Util.mkdir_p dir;
+      Common.Util.mkdir_p dir;
       let path =
         Filename.concat dir
-          (Util.sanitize_component (t.id ^ "_" ^ name) ^ ".ckpt")
+          (Common.Util.sanitize_component (t.id ^ "_" ^ name) ^ ".ckpt")
       in
       if (not t.config.Config.resume) && Sys.file_exists path then
         Sys.remove path;
@@ -161,10 +161,10 @@ let emit t tbl =
   (match t.config.Config.csv_dir with
   | None -> ()
   | Some dir ->
-      Util.mkdir_p dir;
+      Common.Util.mkdir_p dir;
       let path =
         Filename.concat dir
-          (Util.sanitize_component (Stats.Table.title tbl.table) ^ ".csv")
+          (Common.Util.sanitize_component (Stats.Table.title tbl.table) ^ ".csv")
       in
       let csv = Buffer.create 4096 in
       Buffer.add_string csv (Stats.Table.to_csv tbl.table);

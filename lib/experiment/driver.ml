@@ -131,7 +131,7 @@ let results_json ~config outcomes =
     ]
 
 let write_results ~dir doc =
-  Util.mkdir_p dir;
+  Common.Util.mkdir_p dir;
   let path = Filename.concat dir results_file in
   let buf = Buffer.create 65536 in
   Buffer.add_string buf (Json.to_string doc);

@@ -1,10 +1,10 @@
 (* A cluster of shards behind one deterministic router.
 
-   Routing is sequential in arrival order and independent of how the
-   caller batches events — mutations queue per shard, and a shard
-   applies its queue in global arrival order restricted to that shard.
-   Together with the per-shard generators this makes the state after N
-   events a pure function of the event prefix, regardless of batch
+   Each event is handled as it arrives: a mutation is routed and
+   applied to its shard at once, a round is applied to every shard in
+   turn, and a query reads the current state.  Routing is sequential in
+   arrival order, so with the per-shard generators the state after N
+   events is a pure function of the event prefix, regardless of batch
    boundaries (the batch-invariance property the tests pin down).
 
    Removal routing picks a shard with probability proportional to its
@@ -25,12 +25,6 @@ type config = {
   seed : int;
 }
 
-type queue = {
-  mutable evs : Engine.Event.t array;
-  mutable slots : int array;  (* reply index in the current batch *)
-  mutable len : int;
-}
-
 type t = {
   config : config;
   shards : Shard.t array;
@@ -38,8 +32,6 @@ type t = {
   counts : int array;  (* router-tracked balls per shard *)
   mutable total : int;
   mutable seq : int;  (* mutation events routed since creation *)
-  pool : Parallel.Pool.t option;
-  queues : queue array;
   mutable tel : Telemetry.t option;
       (* When attached, route and shard-apply stages are timed into it;
          the telemetry-free path stays clock-call free. *)
@@ -48,7 +40,6 @@ type t = {
 let config t = t.config
 let seq t = t.seq
 let total_balls t = t.total
-let queue_depths t = Array.map (fun q -> q.len) t.queues
 
 let validate_config c =
   if c.n <= 0 then invalid_arg "Serve.Cluster: n must be positive";
@@ -73,9 +64,7 @@ let initial_loads c =
   let q = c.m / c.n and r = c.m mod c.n in
   Array.init c.n (fun i -> if i < r then q + 1 else q)
 
-let fresh_queue () = { evs = Array.make 64 Engine.Event.Step; slots = Array.make 64 0; len = 0 }
-
-let build ~pool config mk_shard =
+let build config mk_shard =
   validate_config config;
   let shards = Array.init config.shards mk_shard in
   let counts = Array.map Shard.balls shards in
@@ -83,11 +72,9 @@ let build ~pool config mk_shard =
     router = Prng.Rng.create ~seed:config.seed ();  (* replaced by callers *)
     counts;
     total = Array.fold_left ( + ) 0 counts;
-    seq = 0; pool;
-    queues = Array.init config.shards (fun _ -> fresh_queue ());
-    tel = None }
+    seq = 0; tel = None }
 
-let create ?pool config =
+let create config =
   validate_config config;
   let root = Prng.Rng.create ~seed:config.seed () in
   let router = Prng.Rng.split root in
@@ -106,7 +93,7 @@ let create ?pool config =
       ~rule:config.rule ~repr:config.repr ~loads:slice
       ~rng:(Prng.Rng.split root)
   in
-  let t = build ~pool config mk in
+  let t = build config mk in
   (* Overwrite the placeholder router with the derived stream. *)
   { t with router }
 
@@ -134,8 +121,8 @@ let pick_weighted t =
   in
   go 0 0
 
-(* Route one mutation.  Returns [Some shard] and updates the router's
-   ball accounting, or [None] (reject) — rejects consume no randomness,
+(* Route one mutation.  Returns its shard and updates the router's
+   ball accounting, or -1 (reject) — rejects consume no randomness,
    which keeps replay exact across them. *)
 let route t ev =
   match ev with
@@ -143,98 +130,20 @@ let route t ev =
       let s = hash_key key mod t.config.shards in
       t.counts.(s) <- t.counts.(s) + 1;
       t.total <- t.total + 1;
-      Some s
+      s
   | Engine.Event.Remove ->
-      if t.total = 0 then None
+      if t.total = 0 then -1
       else begin
         let s = pick_weighted t in
         t.counts.(s) <- t.counts.(s) - 1;
         t.total <- t.total - 1;
-        Some s
+        s
       end
   | Engine.Event.Step ->
       (* Composite remove-then-insert stays within one shard: net zero
          ball movement, weighted like a removal. *)
-      if t.total = 0 then None else Some (pick_weighted t)
+      if t.total = 0 then -1 else pick_weighted t
   | _ -> invalid_arg "Serve.Cluster.route: not a single-shard mutation"
-
-(* {2 Batch application} *)
-
-let push q ev slot =
-  let cap = Array.length q.evs in
-  if q.len = cap then begin
-    let evs = Array.make (2 * cap) Engine.Event.Step in
-    let slots = Array.make (2 * cap) 0 in
-    Array.blit q.evs 0 evs 0 cap;
-    Array.blit q.slots 0 slots 0 cap;
-    q.evs <- evs;
-    q.slots <- slots
-  end;
-  q.evs.(q.len) <- ev;
-  q.slots.(q.len) <- slot;
-  q.len <- q.len + 1
-
-let drain_shard t replies s =
-  let q = t.queues.(s) in
-  let shard = t.shards.(s) in
-  let lo = Shard.lo shard in
-  (match t.tel with
-  | None ->
-      for i = 0 to q.len - 1 do
-        let reply =
-          match Shard.apply shard q.evs.(i) with
-          | Engine.Event.Placed bin -> Engine.Event.Placed (lo + bin)
-          | Engine.Event.Removed bin -> Engine.Event.Removed (lo + bin)
-          | reply -> reply
-        in
-        (* Broadcast events (rounds) carry slot -1: one reply was
-           already written at route time, per-shard replies drop. *)
-        if q.slots.(i) >= 0 then replies.(q.slots.(i)) <- reply
-      done
-  | Some tel ->
-      (* Same loop with the shard-apply stage timed per event; each
-         event's stage starts where the previous one ended.  Hist cells
-         are atomic, so recording is safe from pool workers. *)
-      let t0 = Obs.Clock.now_int () in
-      let last = ref t0 in
-      for i = 0 to q.len - 1 do
-        let ev = q.evs.(i) in
-        let reply =
-          match Shard.apply shard ev with
-          | Engine.Event.Placed bin -> Engine.Event.Placed (lo + bin)
-          | Engine.Event.Removed bin -> Engine.Event.Removed (lo + bin)
-          | reply -> reply
-        in
-        if q.slots.(i) >= 0 then replies.(q.slots.(i)) <- reply;
-        let now = Obs.Clock.now_int () in
-        Telemetry.observe_stage tel Telemetry.Apply
-          ~op:(Telemetry.op_of_event ev) (now - !last);
-        last := now
-      done;
-      Telemetry.observe_drain tel ~shard:s ~depth:q.len (!last - t0));
-  q.len <- 0
-
-(* Drain every queue; whether any held events. *)
-let flush t replies =
-  let pending = ref false in
-  for s = 0 to Array.length t.queues - 1 do
-    if t.queues.(s).len > 0 then pending := true
-  done;
-  if !pending then begin
-    match t.pool with
-    | Some pool when Array.length t.shards > 1 ->
-        Parallel.Pool.run pool (fun w size ->
-            let s = ref w in
-            while !s < Array.length t.shards do
-              drain_shard t replies !s;
-              s := !s + size
-            done)
-    | _ ->
-        for s = 0 to Array.length t.shards - 1 do
-          drain_shard t replies s
-        done
-  end;
-  !pending
 
 let max_load t =
   Array.fold_left (fun acc sh -> max acc (Shard.max_load sh)) 0 t.shards
@@ -265,9 +174,7 @@ let set_telemetry t tel =
       gauge "shard_watermark" "Highest shard load seen since boot" (fun () ->
           Shard.watermark sh);
       gauge "shard_applied" "Mutations applied by the shard" (fun () ->
-          Shard.applied sh);
-      gauge "shard_queue_depth" "Pending events queued for the shard" (fun () ->
-          t.queues.(s).len))
+          Shard.applied sh))
     t.shards
 
 let answer_query t ev =
@@ -277,33 +184,7 @@ let answer_query t ev =
   | Engine.Event.Occupancy -> Engine.Event.Loads (loads t)
   | _ -> invalid_arg "Serve.Cluster.answer_query: not a query"
 
-let route_and_queue t replies ev i =
-  match ev with
-  | Engine.Event.Round ->
-      (* A round is a broadcast: every shard advances one synchronous
-         round, in queue order relative to the inserts around it.  The
-         single global reply is written here (slot -1 marks the
-         per-shard copies); the router draws nothing and its ball
-         accounting is untouched — rounds conserve balls. *)
-      if t.config.process <> Process.Rbb then
-        replies.(i) <-
-          Engine.Event.Rejected "round unsupported (sequential cluster)"
-      else begin
-        for s = 0 to Array.length t.queues - 1 do
-          push t.queues.(s) ev (-1)
-        done;
-        replies.(i) <- Engine.Event.Ack
-      end
-  | (Engine.Event.Step | Engine.Event.Remove)
-    when t.config.process = Process.Rbb ->
-      (* Rounds conserve balls: the round-synchronous family has no
-         single-ball removal law, and its unit transition is [Round]. *)
-      replies.(i) <-
-        Engine.Event.Rejected "round-synchronous cluster: use round"
-  | _ -> (
-      match route t ev with
-      | Some s -> push t.queues.(s) ev i
-      | None -> replies.(i) <- Engine.Event.Rejected "empty")
+(* {2 Batch application} *)
 
 (* The telemetry clock, read only when telemetry is attached. *)
 let clock t = match t.tel with Some _ -> Obs.Clock.now_int () | None -> 0
@@ -318,28 +199,65 @@ let end_stage t stage ev since =
       Telemetry.observe_stage tel stage ~op:(Telemetry.op_of_event ev) (now - since);
       now
 
+(* Apply the mutation [ev], event [i] of the batch, whose route stage
+   began at [since]: write its reply and return where its last stage
+   ended.  A rejected mutation has a route stage only. *)
+let mutate t replies i ev since =
+  t.seq <- t.seq + 1;
+  match ev with
+  | Engine.Event.Round when t.config.process = Process.Rbb ->
+      (* A broadcast: every shard advances one synchronous round.  The
+         router draws nothing and its ball accounting is untouched —
+         rounds conserve balls. *)
+      let since = end_stage t Telemetry.Route ev since in
+      for s = 0 to Array.length t.shards - 1 do
+        ignore (Shard.apply t.shards.(s) ev)
+      done;
+      replies.(i) <- Engine.Event.Ack;
+      end_stage t Telemetry.Apply ev since
+  | Engine.Event.Round ->
+      replies.(i) <-
+        Engine.Event.Rejected "round unsupported (sequential cluster)";
+      end_stage t Telemetry.Route ev since
+  | (Engine.Event.Step | Engine.Event.Remove)
+    when t.config.process = Process.Rbb ->
+      (* Rounds conserve balls: the round-synchronous family has no
+         single-ball removal law, and its unit transition is [Round]. *)
+      replies.(i) <-
+        Engine.Event.Rejected "round-synchronous cluster: use round";
+      end_stage t Telemetry.Route ev since
+  | _ ->
+      let s = route t ev in
+      let since = end_stage t Telemetry.Route ev since in
+      if s < 0 then begin
+        replies.(i) <- Engine.Event.Rejected "empty";
+        since
+      end
+      else begin
+        let shard = t.shards.(s) in
+        replies.(i) <-
+          (match Shard.apply shard ev with
+          | Engine.Event.Placed bin -> Engine.Event.Placed (Shard.lo shard + bin)
+          | Engine.Event.Removed bin -> Engine.Event.Removed (Shard.lo shard + bin)
+          | reply -> reply);
+        end_stage t Telemetry.Apply ev since
+      end
+
 let apply_batch t events =
   let n = Array.length events in
   let replies = Array.make n Engine.Event.Ack in
-  (* A stage starts where the previous one ended, except after a flush
-     that drained: the drain times its own events. *)
+  (* Each stage starts where the previous one ended. *)
   let last = ref (clock t) in
   for i = 0 to n - 1 do
     let ev = events.(i) in
-    if Engine.Event.is_mutation ev then begin
-      t.seq <- t.seq + 1;
-      route_and_queue t replies ev i;
-      last := end_stage t Telemetry.Route ev !last
-    end
+    if Engine.Event.is_mutation ev then last := mutate t replies i ev !last
     else begin
-      (* Queries are barriers: they observe all prior mutations.  The
-         global answer is the query's apply stage. *)
-      if flush t replies then last := clock t;
+      (* A query observes every earlier mutation; its global answer is
+         its apply stage. *)
       replies.(i) <- answer_query t ev;
       last := end_stage t Telemetry.Apply ev !last
     end
   done;
-  ignore (flush t replies);
   replies
 
 let apply t ev = (apply_batch t [| ev |]).(0)
@@ -353,17 +271,12 @@ type state = {
   shards : Shard.state array;
 }
 
-let state t =
-  (* Callers snapshot only at batch boundaries, where the queues are
-     drained; assert rather than silently losing queued events. *)
-  Array.iter
-    (fun q -> if q.len > 0 then invalid_arg "Serve.Cluster.state: pending events")
-    t.queues;
+let state (t : t) =
   { seq = t.seq; router = Prng.Rng.save t.router;
     counts = Array.copy t.counts;
     shards = Array.map Shard.state t.shards }
 
-let of_state ?pool config (st : state) =
+let of_state config (st : state) =
   validate_config config;
   if Array.length st.shards <> config.shards then
     invalid_arg "Serve.Cluster.of_state: shard count mismatch";
@@ -377,7 +290,7 @@ let of_state ?pool config (st : state) =
     Shard.of_state ~id:s ~lo ~process:config.process
       ~scenario:config.scenario ~rule:config.rule ~repr:config.repr shard_st
   in
-  let t = build ~pool config mk in
+  let t = build config mk in
   let t = { t with router = Prng.Rng.restore st.router } in
   Array.blit st.counts 0 t.counts 0 config.shards;
   t.total <- Array.fold_left ( + ) 0 st.counts;

@@ -2,25 +2,25 @@
 
     The cluster partitions the [n] global bins into contiguous shards
     (sizes differing by at most one), each a {!Serve.Shard} with its own
-    generator, and routes mutations sequentially in arrival order:
+    generator, and handles each event as it arrives:
 
-    - [Insert key] — stateless splitmix hash of [key] mod shards;
-    - [Remove] / [Step] — a shard drawn from the {e router's} generator
-      with probability proportional to its tracked ball count (exact for
-      the global scenario-A removal law; an approximation for B);
+    - [Insert key] — routed by a stateless splitmix hash of [key] mod
+      shards;
+    - [Remove] / [Step] — routed to a shard drawn from the {e router's}
+      generator with probability proportional to its tracked ball count
+      (exact for the global scenario-A removal law; an approximation
+      for B);
     - [Round] (round-synchronous clusters only) — a {e broadcast}: every
-      shard advances one synchronous round, ordered in its queue
-      relative to the inserts around it; the router draws nothing
-      (rounds conserve balls);
-    - queries ([Probe]/[Occupancy]/[Watermark]) are {e barriers}: all
-      queued mutations are flushed (in parallel across shards when a
-      {!Parallel.Pool} is attached) before the query is answered
-      globally.
+      shard advances one synchronous round, in shard order; the router
+      draws nothing (rounds conserve balls);
+    - queries ([Probe]/[Occupancy]/[Watermark]) are answered globally
+      from the current state.
 
-    Because routing is sequential and per-shard application preserves
-    arrival order, the state after [N] events does not depend on how the
-    caller batches them — the invariance {!Serve.Store} and the replay
-    tests rely on. *)
+    A routed mutation is applied to its shard at once.  Routing is
+    sequential and every shard sees its events in arrival order, so the
+    state after [N] events does not depend on how the caller batches
+    them — the invariance {!Serve.Store} and the replay tests rely
+    on. *)
 
 type config = {
   n : int;  (** Global bins. *)
@@ -46,7 +46,7 @@ type config = {
 
 type t
 
-val create : ?pool:Parallel.Pool.t -> config -> t
+val create : config -> t
 (** @raise Invalid_argument on a non-positive [n] or [shards], [shards >
     n], or an initial placement that leaves some shard without a ball. *)
 
@@ -59,16 +59,11 @@ val seq : t -> int
 val total_balls : t -> int
 
 val set_telemetry : t -> Telemetry.t -> unit
-(** Attach a telemetry bank: route and shard-apply stages (and drain
-    depth/duration per shard) are timed into it from then on, and the
-    cluster's gauges ([seq], [balls], [max_load], [watermark] and the
+(** Attach a telemetry bank: route and shard-apply stages are timed
+    into it from then on, and the cluster's gauges ([seq], [balls], [max_load], [watermark] and the
     per-shard [shard_*] family) are registered in its registry.
     Without one the hot path performs no clock reads.  Attach at most
     once. *)
-
-val queue_depths : t -> int array
-(** Pending (queued, unflushed) events per shard — zero at batch
-    boundaries, non-zero only observed mid-batch. *)
 
 val max_load : t -> int
 val watermark : t -> int
@@ -96,10 +91,8 @@ type state = {
 }
 
 val state : t -> state
-(** @raise Invalid_argument if called with queued (unflushed) mutations
-    — only batch boundaries are snapshot points. *)
 
-val of_state : ?pool:Parallel.Pool.t -> config -> state -> t
+val of_state : config -> state -> t
 (** Rebuild a cluster that replays bit-identically to the one
     {!state} was taken from.
     @raise Invalid_argument on a config/state mismatch. *)

@@ -1,5 +1,5 @@
 (* The serve daemon: a single-threaded select loop feeding the sharded
-   cluster, with shard application fanned out over a {!Parallel.Pool}.
+   cluster, which applies each event as it arrives.
 
    Framing is in place.  Each client owns one [max_line]-byte input
    buffer: [Unix.read] writes into it after the bytes still pending,
@@ -13,16 +13,21 @@
    it when the client hangs up.  No client ever holds more than
    [max_line] pending bytes.
 
-   Each select round drains every readable client, decoding its lines
-   into one batch (arrival order) held in arrays reused across rounds,
-   applies the batch, and appends the replies to each client's output
-   buffer in request order.  Ping and stats are answered by the server
-   itself, after the batch, so a client that interleaves them with
-   events still sees ordered replies.
+   Each select round decodes lines into one batch (arrival order) held
+   in arrays reused across rounds, applies the batch, and appends the
+   replies to each client's output buffer in request order.  Ping and
+   stats are answered by the server itself, after the batch, so a
+   client that interleaves them with events still sees ordered replies.
+   A client's framing stops after an occupancy or stats request, whose
+   replies are large (an n-int array, the whole registry): the
+   client's later lines stay in its buffer, [scan] marks where framing
+   resumes, and the next round frames them before any read.  A client
+   with such a backlog is not read, and it is framed at most once per
+   round, so one read adds at most one large reply per client.
 
    Client sockets are non-blocking: a write takes what the socket
    accepts and the rest waits in the client's output buffer.  A client
-   whose unwritten output exceeds [max_out] is left out of the read set
+   whose unwritten output exceeds [max_out] is neither read nor framed
    until it reads, so a client that sends without reading is held back
    at about [max_out] of replies and never stalls the others.  A buffer
    that never empties, because its client reads slower than it is
@@ -54,7 +59,6 @@ type config = {
   dir : string option;  (* None = ephemeral (no snapshot/journal) *)
   snapshot_every : int;
   sync : bool;
-  domains : int;
   quiet : bool;
   trace : string option;  (* Perfetto trace path, written on shutdown *)
   trace_sample : int;  (* trace every Nth request (at most 1 per round) *)
@@ -62,7 +66,7 @@ type config = {
 
 let default_config ~listen ~cluster =
   { listen; cluster; dir = None; snapshot_every = 1_000_000; sync = false;
-    domains = 1; quiet = false; trace = None; trace_sample = 64 }
+    quiet = false; trace = None; trace_sample = 64 }
 
 let max_line = 65536
 
@@ -85,8 +89,9 @@ let backend_close = function
 
 type client = {
   fd : Unix.file_descr;
-  inb : Bytes.t;  (* [start, fill): the unterminated line *)
+  inb : Bytes.t;  (* [start, fill): pending bytes; [start, scan) holds no '\n' *)
   mutable start : int;
+  mutable scan : int;  (* below [fill]: complete lines wait for the next round *)
   mutable fill : int;
   out : Buffer.t;
   mutable out_pos : int;
@@ -148,6 +153,11 @@ let listen_socket addr =
       Unix.listen fd 64;
       fd
 
+(* Requests whose replies grow with n or with the registry. *)
+let large_reply =
+  let occupancy = Telemetry.op_of_event Engine.Event.Occupancy in
+  fun op -> op = Telemetry.op_stats || op = occupancy
+
 let line_too_long =
   Printf.sprintf "request line reaches %d bytes without a newline" max_line
 
@@ -156,16 +166,12 @@ let run ?on_ready config =
   let stop = ref false in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true)) in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true)) in
-  let pool =
-    if config.domains > 1 then Some (Parallel.Pool.create ~domains:config.domains ())
-    else None
-  in
   let backend =
     match config.dir with
-    | None -> Ephemeral (Cluster.create ?pool config.cluster)
+    | None -> Ephemeral (Cluster.create config.cluster)
     | Some dir -> (
         match
-          Store.open_ ?pool ~snapshot_every:config.snapshot_every
+          Store.open_ ~snapshot_every:config.snapshot_every
             ~sync:config.sync ~dir config.cluster
         with
         | Ok store -> Durable store
@@ -176,7 +182,7 @@ let run ?on_ready config =
     { connections = 0; live = 0; requests = 0; events = 0; errors = 0;
       rounds = 0 }
   in
-  let tel = Telemetry.create ~shards:config.cluster.Cluster.shards in
+  let tel = Telemetry.create () in
   (match backend with
   | Durable s -> Store.set_telemetry s tel
   | Ephemeral c -> Cluster.set_telemetry c tel);
@@ -214,7 +220,7 @@ let run ?on_ready config =
      part, in pieces of this size. *)
   let scratch = Bytes.create 65536 in
   let nobody =
-    { fd = lsock; inb = Bytes.empty; start = 0; fill = 0; out = Buffer.create 1;
+    { fd = lsock; inb = Bytes.empty; start = 0; scan = 0; fill = 0; out = Buffer.create 1;
       out_pos = 0; dead = true; refused = false; half_closed = false }
   in
   let cap = 256 in
@@ -304,24 +310,31 @@ let run ?on_ready config =
       now
     end
   in
-  (* Frame and decode the [k] bytes just read at [c.fill]. *)
-  let frame c k =
+  (* Frame and decode [c]'s bytes from [c.scan] to [c.fill], stopping
+     after a request with a large reply. *)
+  let frame c =
     let t = ref (Obs.Clock.now_int ()) in
-    let stop = c.fill + k in
-    for i = c.fill to stop - 1 do
-      if Bytes.unsafe_get c.inb i = '\n' then begin
-        t := decode_line c c.start i ~start:!t;
-        c.start <- i + 1
-      end
+    let i = ref c.scan and held = ref false in
+    while !i < c.fill && not !held do
+      if Bytes.unsafe_get c.inb !i = '\n' then begin
+        let size = r.size in
+        t := decode_line c c.start !i ~start:!t;
+        c.start <- !i + 1;
+        held := r.size > size && large_reply r.ops.(size)
+      end;
+      incr i
     done;
-    c.fill <- stop;
-    if c.start = c.fill then begin
+    c.scan <- !i;
+    if c.scan < c.fill then ()
+    else if c.start = c.fill then begin
       c.start <- 0;
+      c.scan <- 0;
       c.fill <- 0
     end
     else if c.start > 0 then begin
       Bytes.blit c.inb c.start c.inb 0 (c.fill - c.start);
       c.fill <- c.fill - c.start;
+      c.scan <- c.fill;
       c.start <- 0
     end
     else if c.fill = max_line then begin
@@ -329,14 +342,20 @@ let run ?on_ready config =
       let now = Obs.Clock.now_int () in
       Telemetry.observe_stage tel Telemetry.Decode ~op:Telemetry.op_error (now - !t);
       c.refused <- true;
+      c.scan <- 0;
       c.fill <- 0
     end
   in
+  let held_back c = Buffer.length c.out - c.out_pos > max_out in
   let read_client c =
     let room = if c.refused then max_line else max_line - c.fill in
     match Unix.read c.fd c.inb (if c.refused then 0 else c.fill) room with
     | 0 -> close_client c
-    | k -> if not c.refused then frame c k
+    | k ->
+        if not c.refused then begin
+          c.fill <- c.fill + k;
+          frame c
+        end
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         close_client c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
@@ -360,7 +379,9 @@ let run ?on_ready config =
   in
   let process_round ready =
     let t_round = Obs.Clock.now_int () in
-    (* 1. drain readable clients, decoding as the bytes arrive *)
+    (* 1. frame the lines held from the last round, then read the
+       readable clients, decoding as the bytes arrive *)
+    Hashtbl.iter (fun _ c -> if c.scan < c.fill && not (held_back c) then frame c) clients;
     List.iter
       (fun fd ->
         match Hashtbl.find_opt clients fd with
@@ -444,18 +465,26 @@ let run ?on_ready config =
     end
   in
   (while not !stop do
+       (* A client with held lines is framed, not read; while one can be
+          framed, select only polls. *)
+       let backlog = ref false in
        let rfds =
-         lsock
-         :: Hashtbl.fold
-              (fun fd c acc -> if Buffer.length c.out - c.out_pos > max_out then acc else fd :: acc)
-              clients []
+         Hashtbl.fold
+           (fun fd c acc ->
+             if held_back c then acc
+             else if c.scan < c.fill then begin
+               backlog := true;
+               acc
+             end
+             else fd :: acc)
+           clients [ lsock ]
        in
        let wfds =
          Hashtbl.fold
            (fun fd c acc -> if Buffer.length c.out > c.out_pos then fd :: acc else acc)
            clients []
        in
-       match Unix.select rfds wfds [] 0.2 with
+       match Unix.select rfds wfds [] (if !backlog then 0. else 0.2) with
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
        | ready_r, ready_w, _ ->
            if List.mem lsock ready_r then begin
@@ -465,7 +494,7 @@ let run ?on_ready config =
                  stats.connections <- stats.connections + 1;
                  stats.live <- stats.live + 1;
                  Hashtbl.replace clients fd
-                   { fd; inb = Bytes.create max_line; start = 0; fill = 0;
+                   { fd; inb = Bytes.create max_line; start = 0; scan = 0; fill = 0;
                      out = Buffer.create 4096; out_pos = 0; dead = false;
                      refused = false; half_closed = false }
              | exception Unix.Unix_error _ -> ()
@@ -491,7 +520,6 @@ let run ?on_ready config =
   | Wire.Unix_sock path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
   | Wire.Tcp _ -> ());
   backend_close backend;
-  (match pool with Some p -> Parallel.Pool.shutdown p | None -> ());
   (match config.trace with
   | Some path ->
       Obs.write_trace ~path;

@@ -1,20 +1,22 @@
 (** The serve daemon: a single-threaded select loop over the
     {!Wire} protocol, feeding batches into a {!Cluster} (optionally
-    durable via {!Store}) whose shards apply in parallel on a
-    {!Parallel.Pool}.
+    durable via {!Store}), which applies each event as it arrives.
 
     Each select round decodes the complete request lines of every
     readable client where they lie in that client's input buffer into
     one batch, applies it and answers each client in its own request
-    order.  A line that reaches 64 KiB without a newline is answered
-    with a typed error (["ok":false], ["reply":"error"]) after the
-    client's earlier replies; the daemon then half-closes that
-    connection and discards its input until the client hangs up.
-    Client sockets are non-blocking, and a client with more than 1 MiB
-    of unwritten replies is not read until it reads, so a client that
-    stops reading stalls nobody else, and the written part of a
+    order.  A client adds at most one [occupancy] or [stats] request to
+    a round; its later lines wait in its buffer for the next round,
+    which frames them before it reads.  A line that reaches 64 KiB
+    without a newline is answered with a typed error (["ok":false],
+    ["reply":"error"]) after the client's earlier replies; the daemon
+    then half-closes that connection and discards its input until the
+    client hangs up.  Client sockets are non-blocking, and a client
+    with more than 1 MiB of unwritten replies is neither read nor
+    framed until it reads, so a client that stops reading stalls nobody
+    else and is held in bounded memory, and the written part of a
     client's output is dropped as the socket takes it, so one that
-    reads slowly is held in bounded memory.  SIGTERM/SIGINT shut the
+    reads slowly is held in bounded memory too.  SIGTERM/SIGINT shut the
     loop down gracefully: flush what the sockets accept at once (a
     reply a socket cannot take is dropped), snapshot, unlink the Unix
     socket.  A [kill -9] is recovered on the next start by
@@ -36,7 +38,6 @@ type config = {
           service ephemeral (no durability). *)
   snapshot_every : int;
   sync : bool;  (** [fsync] the journal every batch. *)
-  domains : int;  (** Pool width for shard application (1 = inline). *)
   quiet : bool;
   trace : string option;
       (** Record sampled request spans and write a Perfetto trace here
@@ -47,7 +48,7 @@ type config = {
 }
 
 val default_config : listen:Wire.address -> cluster:Cluster.config -> config
-(** Ephemeral, single-domain, [snapshot_every = 1_000_000], no tracing
+(** Ephemeral, [snapshot_every = 1_000_000], no tracing
     ([trace_sample = 64]). *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit

@@ -35,15 +35,15 @@ let snapshot_file = "snapshot.bin"
    or a journal header that neither decodes nor is a prefix of this
    service's, is refused before anything is written: booting the
    initial state instead would serve it and overwrite the evidence. *)
-let restore ?pool ~snapshot_path ~journal_path config fp =
+let restore ~snapshot_path ~journal_path config fp =
   let decode read path =
     try read ~path
     with Common.Codec.Error e -> failwith (Common.Codec.describe ~path e)
   in
   let cluster =
     match decode (Journal.load_snapshot fp) snapshot_path with
-    | Some st -> Cluster.of_state ?pool config st
-    | None -> Cluster.create ?pool config
+    | Some st -> Cluster.of_state config st
+    | None -> Cluster.create config
   in
   let apply ~seq events =
     let cur = Cluster.seq cluster in
@@ -68,14 +68,14 @@ let restore ?pool ~snapshot_path ~journal_path config fp =
   in
   (cluster, writer)
 
-let open_ ?pool ?(snapshot_every = 1_000_000) ?(sync = false) ~dir config =
+let open_ ?(snapshot_every = 1_000_000) ?(sync = false) ~dir config =
   if snapshot_every <= 0 then
     invalid_arg "Serve.Store.open_: snapshot_every must be positive";
   Common.Util.mkdir_p dir;
   let snapshot_path = Filename.concat dir snapshot_file in
   let journal_path = Filename.concat dir journal_file in
   let fp = Journal.fingerprint_of_config config in
-  match restore ?pool ~snapshot_path ~journal_path config fp with
+  match restore ~snapshot_path ~journal_path config fp with
   | cluster, writer ->
       Ok
         { config; fp; cluster; writer; journal_path; snapshot_path;

@@ -11,7 +11,6 @@
 type t
 
 val open_ :
-  ?pool:Parallel.Pool.t ->
   ?snapshot_every:int ->
   ?sync:bool ->
   dir:string ->

@@ -56,14 +56,11 @@ type t = {
   latency : Hist.t array;  (* op, end-to-end nanoseconds *)
   batch_events : Hist.t;  (* events per applied round *)
   round_ns : Hist.t;  (* full round duration *)
-  drain_ns : Hist.t array;  (* per shard: one drain pass *)
-  drain_depth : Hist.t array;  (* per shard: queue depth at drain *)
 }
 
 let hists n = Array.init n (fun _ -> Hist.create ())
 
-let create ~shards =
-  if shards <= 0 then invalid_arg "Serve.Telemetry.create: shards";
+let create () =
   let t =
     {
       registry = Registry.create ();
@@ -71,8 +68,6 @@ let create ~shards =
       latency = hists (Array.length op_names);
       batch_events = Hist.create ();
       round_ns = Hist.create ();
-      drain_ns = hists shards;
-      drain_depth = hists shards;
     }
   in
   let r = t.registry in
@@ -98,13 +93,6 @@ let create ~shards =
             ~help:"Lifecycle stage duration in nanoseconds")
         stage_names)
     op_names;
-  for s = 0 to shards - 1 do
-    let labels = [ ("shard", string_of_int s) ] in
-    Registry.histogram r "shard_drain_ns" ~labels t.drain_ns.(s)
-      ~help:"Shard drain pass duration in nanoseconds";
-    Registry.histogram r "shard_drain_depth" ~labels t.drain_depth.(s)
-      ~help:"Queue depth at drain time"
-  done;
   t
 
 let registry t = t.registry
@@ -113,7 +101,3 @@ let observe_stage t stage ~op ns = Hist.observe t.stages.(stage_index stage).(op
 let observe_latency t ~op ns = Hist.observe t.latency.(op) ns
 let observe_batch t events = Hist.observe t.batch_events events
 let observe_round t ns = Hist.observe t.round_ns ns
-
-let observe_drain t ~shard ~depth ns =
-  Hist.observe t.drain_ns.(shard) ns;
-  Hist.observe t.drain_depth.(shard) depth

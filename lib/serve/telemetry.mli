@@ -15,9 +15,8 @@
 
 type t
 
-val create : shards:int -> t
-(** A fresh bank and registry for a cluster of [shards] shards (the
-    per-shard histograms are indexed by shard id). *)
+val create : unit -> t
+(** A fresh bank and registry. *)
 
 val registry : t -> Obs.Registry.t
 
@@ -39,10 +38,11 @@ type stage =
   | Decode
       (** One request line: the scan for its newline and its decode,
           from the previous line's end (or the read that brought it). *)
-  | Route  (** Router draw + queue push of one mutation (per event). *)
+  | Route  (** Router draw of one mutation (per event). *)
   | Apply
-      (** Shard state-machine application of one mutation, or the global
-          answer of one query (per event). *)
+      (** Shard state-machine application of one mutation, right after
+          its route (every shard's, for a round), or the global answer
+          of one query (per event). *)
   | Reply  (** Reply formatting into the client buffer (per request). *)
 
 val observe_stage : t -> stage -> op:int -> int -> unit
@@ -56,7 +56,4 @@ val observe_batch : t -> int -> unit
 (** Events in one applied round. *)
 
 val observe_round : t -> int -> unit
-(** Duration of one round (drain to replies buffered). *)
-
-val observe_drain : t -> shard:int -> depth:int -> int -> unit
-(** One drain pass over a shard's queue: its depth and duration. *)
+(** Duration of one round (reads and framing to replies buffered). *)

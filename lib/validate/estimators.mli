@@ -31,7 +31,7 @@ val bias_corrected_tv : Stats.Freq.t -> expected:float array -> float
 
 type gof = {
   statistic : float;
-  df : int;  (** Pooled cells − 1 (0 for a degenerate single cell). *)
+  df : int;  (** [pooled] − 1 (0 for a degenerate single cell). *)
   p_value : float;
   cells : int;  (** Cells with positive expectation before pooling. *)
   pooled : int;  (** Cells after pooling. *)

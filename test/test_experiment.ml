@@ -21,10 +21,10 @@ let fresh_tmp_dir =
 let test_mkdir_p_nested () =
   let root = fresh_tmp_dir () in
   let deep = List.fold_left Filename.concat root [ "a"; "b"; "c" ] in
-  Experiment.Util.mkdir_p deep;
+  Common.Util.mkdir_p deep;
   Alcotest.(check bool) "deep path exists" true (Sys.is_directory deep);
   (* Idempotent on an existing tree. *)
-  Experiment.Util.mkdir_p deep;
+  Common.Util.mkdir_p deep;
   Alcotest.(check bool) "still exists" true (Sys.is_directory deep)
 
 let test_mkdir_p_race () =
@@ -34,7 +34,7 @@ let test_mkdir_p_race () =
   let deep = List.fold_left Filename.concat root [ "x"; "y"; "z" ] in
   let worker () =
     try
-      Experiment.Util.mkdir_p deep;
+      Common.Util.mkdir_p deep;
       None
     with exn -> Some (Printexc.to_string exn)
   in
@@ -50,12 +50,12 @@ let write_string path s =
 
 let test_mkdir_p_file_conflict () =
   let root = fresh_tmp_dir () in
-  Experiment.Util.mkdir_p root;
+  Common.Util.mkdir_p root;
   let file = Filename.concat root "plain" in
   write_string file "not a directory\n";
   let raised =
     try
-      Experiment.Util.mkdir_p (Filename.concat file "sub");
+      Common.Util.mkdir_p (Filename.concat file "sub");
       false
     with Sys_error _ -> true
   in
@@ -63,7 +63,7 @@ let test_mkdir_p_file_conflict () =
 
 let test_write_file () =
   let root = fresh_tmp_dir () in
-  Experiment.Util.mkdir_p root;
+  Common.Util.mkdir_p root;
   let path = Filename.concat root "out.txt" in
   write_string path "first";
   write_string path "second";
@@ -75,13 +75,13 @@ let test_write_file () =
 let test_sanitize_component () =
   Alcotest.(check string)
     "keeps [A-Za-z0-9_-]" "AZaz09_-"
-    (Experiment.Util.sanitize_component "AZaz09_-");
+    (Common.Util.sanitize_component "AZaz09_-");
   Alcotest.(check string)
     "replaces the rest" "E1__n__recovery_steps_"
-    (Experiment.Util.sanitize_component "E1: n, recovery steps.");
+    (Common.Util.sanitize_component "E1: n, recovery steps.");
   Alcotest.(check string)
     "slash is not a path escape" "a_b"
-    (Experiment.Util.sanitize_component "a/b")
+    (Common.Util.sanitize_component "a/b")
 
 (* --- Json ------------------------------------------------------------ *)
 

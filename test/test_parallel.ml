@@ -35,13 +35,6 @@ let test_map_array_invalid () =
     (Invalid_argument "Parallel.map_array: domains < 1") (fun () ->
       ignore (Parallel.map_array ~domains:0 (fun x -> x) [| 1 |]))
 
-let test_init_array () =
-  Alcotest.(check (array int)) "init" [| 0; 2; 4 |]
-    (Parallel.init_array ~domains:2 3 (fun i -> 2 * i));
-  Alcotest.check_raises "negative" (Invalid_argument "Parallel.init_array: negative size")
-    (fun () -> ignore (Parallel.init_array
-      ~domains:2 (-1) (fun i -> i)))
-
 let test_recommended_positive () =
   Alcotest.(check bool) "at least one" true (Parallel.recommended_domains () >= 1)
 
@@ -79,69 +72,6 @@ let test_recovery_deterministic_across_domains () =
   Alcotest.(check (array int)) "identical times"
     seq.Coupling.Coalescence.times par.Coupling.Coalescence.times
 
-let test_pool_runs_all_slices () =
-  Parallel.Pool.with_pool ~domains:4 (fun pool ->
-      Alcotest.(check int) "size" 4 (Parallel.Pool.size pool);
-      let hits = Array.make 4 0 and sizes = Array.make 4 [] in
-      (* Reuse across jobs: the same workers serve every run.  Workers
-         only record what they saw; the checks run on this domain,
-         because Alcotest's assertion log is not domain-safe. *)
-      for _ = 1 to 5 do
-        Parallel.Pool.run pool (fun w size ->
-            sizes.(w) <- size :: sizes.(w);
-            hits.(w) <- hits.(w) + 1)
-      done;
-      Alcotest.(check (array (list int))) "slice size"
-        (Array.make 4 [ 4; 4; 4; 4; 4 ]) sizes;
-      Alcotest.(check (array int)) "every slice ran every job"
-        [| 5; 5; 5; 5 |] hits)
-
-let test_pool_size_one_inline () =
-  Parallel.Pool.with_pool ~domains:1 (fun pool ->
-      let ran = ref false in
-      Parallel.Pool.run pool (fun w size ->
-          Alcotest.(check int) "worker" 0 w;
-          Alcotest.(check int) "size" 1 size;
-          ran := true);
-      Alcotest.(check bool) "ran inline" true !ran)
-
-let test_pool_propagates_exception () =
-  Parallel.Pool.with_pool ~domains:3 (fun pool ->
-      Alcotest.check_raises "worker failure resurfaces" (Failure "pool-boom")
-        (fun () ->
-          Parallel.Pool.run pool (fun w _ ->
-              if w = 2 then failwith "pool-boom"));
-      (* The pool survives a failed job. *)
-      let total = Atomic.make 0 in
-      Parallel.Pool.run pool (fun w _ -> ignore (Atomic.fetch_and_add total w));
-      Alcotest.(check int) "usable after failure" 3 (Atomic.get total))
-
-let test_pool_shutdown_idempotent () =
-  let pool = Parallel.Pool.create ~domains:2 () in
-  Parallel.Pool.run pool (fun _ _ -> ());
-  Parallel.Pool.shutdown pool;
-  Parallel.Pool.shutdown pool;
-  Alcotest.check_raises "run after shutdown"
-    (Invalid_argument "Parallel.Pool.run: pool is shut down") (fun () ->
-      Parallel.Pool.run pool (fun _ _ -> ()))
-
-let test_pool_partitioned_sum () =
-  (* The intended usage shape: disjoint output ranges per worker. *)
-  let n = 10_000 in
-  let xs = Array.init n (fun i -> float_of_int (i mod 97)) in
-  let partial = Array.make 3 0. in
-  Parallel.Pool.with_pool ~domains:3 (fun pool ->
-      Parallel.Pool.run pool (fun w size ->
-          let lo = n * w / size and hi = n * (w + 1) / size in
-          let acc = ref 0. in
-          for i = lo to hi - 1 do
-            acc := !acc +. xs.(i)
-          done;
-          partial.(w) <- !acc));
-  let seq = Array.fold_left ( +. ) 0. xs in
-  Alcotest.(check (float 1e-9)) "partitioned sum" seq
-    (partial.(0) +. partial.(1) +. partial.(2))
-
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -150,15 +80,9 @@ let suite =
       ("more domains than tasks", test_map_array_more_domains_than_tasks);
       ("exception propagation", test_map_array_propagates_exception);
       ("invalid domains", test_map_array_invalid);
-      ("init_array", test_init_array);
       ("recommended domains", test_recommended_positive);
       ("coalescence deterministic across domains",
        test_measure_deterministic_across_domains);
       ("recovery deterministic across domains",
        test_recovery_deterministic_across_domains);
-      ("pool runs all slices and is reusable", test_pool_runs_all_slices);
-      ("pool size one runs inline", test_pool_size_one_inline);
-      ("pool propagates exceptions", test_pool_propagates_exception);
-      ("pool shutdown idempotent", test_pool_shutdown_idempotent);
-      ("pool partitioned sum", test_pool_partitioned_sum);
     ]

@@ -1,5 +1,5 @@
-(* The serve layer's contracts: batch- and domain-invariant cluster
-   application, wire codec round-trips, and the crash-recovery law —
+(* The serve layer's contracts: batch-invariant cluster application,
+   pinned replies, wire codec round-trips, and the crash-recovery law —
    snapshot + journal replay after an arbitrary kill (including a torn
    journal tail) restores a state whose subsequent replies are
    byte-identical to a service that never died. *)
@@ -109,20 +109,47 @@ let qcheck_batch_invariance =
       && replies_one = replies_single
       && replies_one = replies_chunked)
 
-let qcheck_pool_invariance =
-  QCheck.Test.make ~name:"cluster state independent of domains" ~count:40
-    QCheck.(pair small_int (int_range 4 32))
-    (fun (seed, n) ->
-      let config = mk_config ~seed ~n ~shards:(min 4 n) () in
-      let g = rng_of (seed + 23) in
-      let events = gen_events g (Prng.Rng.int g 150) in
-      let serial = Serve.Cluster.create config in
-      let replies_serial = Serve.Cluster.apply_batch serial events in
-      Parallel.Pool.with_pool ~domains:3 (fun pool ->
-          let fanned = Serve.Cluster.create ~pool config in
-          let replies_fanned = Serve.Cluster.apply_batch fanned events in
-          Serve.Cluster.state serial = Serve.Cluster.state fanned
-          && replies_serial = replies_fanned))
+(* Fixed seeded streams fed through [apply_batch] in seeded random
+   chunks, pinned by the digest of every reply's wire bytes and of the
+   final state's snapshot bytes.  The batch-invariance property above
+   compares the cluster with itself; these digests, recorded from a
+   cluster that queued mutations per shard and applied them at the next
+   query, hold its replies across changes to how it applies events. *)
+let pinned_streams =
+  Serve.Process.
+    [ ("seq, 1 shard, array", Sequential, 1, Core.Repr.Array_backed, 0x51,
+       "9407964b3b98661577a81071c0605827", "ce7ded25fabc68b7549c0eef13c0eef9");
+      ("seq, 1 shard, counts-sampled", Sequential, 1, Core.Repr.Count_sampled, 0x52,
+       "640d0ba811124aee2042be62d0b9ab16", "5d8829037481fefa59673a90ac463c57");
+      ("seq, 4 shards, array", Sequential, 4, Core.Repr.Array_backed, 0x53,
+       "0642e0d3ccc57571f2c89fc4a2baedc7", "894946301449957f301d2b9699c95134");
+      ("seq, 4 shards, counts-sampled", Sequential, 4, Core.Repr.Count_sampled, 0x54,
+       "14d0cc8035def434911b677ddac96e11", "ea68af4adecb75721d5e562a32b80968");
+      ("rbb, 2 shards, array", Rbb, 2, Core.Repr.Array_backed, 0x55,
+       "fdfb42a8eb5ebee684e1ee195a10cacc", "2953f1d167dda9ade3401e9d48f4ebfa");
+      ("rbb, 2 shards, counts-sampled", Rbb, 2, Core.Repr.Count_sampled, 0x56,
+       "aa31e6daac769d975200d0c8b2a63fb2", "449389c773a1e8aad8e29e1c2534768d") ]
+
+let test_pinned_replies () =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o700;
+      List.iter
+        (fun (name, process, shards, repr, seed, replies_hex, state_hex) ->
+          let config = mk_config ~seed ~process ~repr ~n:48 ~shards () in
+          let g = rng_of seed in
+          let gen = if process = Serve.Process.Rbb then gen_rbb_events else gen_events in
+          let cluster = Serve.Cluster.create config in
+          let replies = apply_chunks cluster (random_chunks g (gen g 3000)) in
+          let wire = Buffer.create 65536 in
+          Array.iter (fun r -> Serve.Wire.add_reply wire ~id:None r) replies;
+          let path = Filename.concat dir "snapshot" in
+          Serve.Journal.save_snapshot ~path (Serve.Journal.fingerprint_of_config config)
+            (Serve.Cluster.state cluster);
+          Alcotest.(check string) (name ^ ": replies") replies_hex
+            (Digest.to_hex (Digest.string (Buffer.contents wire)));
+          Alcotest.(check string) (name ^ ": state") state_hex
+            (Digest.to_hex (Digest.file path)))
+        pinned_streams)
 
 let state_roundtrip_prop ?repr ?process ?(gen = gen_events) (seed, n, shards) =
       let shards = min shards n in
@@ -542,7 +569,7 @@ let series doc name labels =
   | _ -> Alcotest.failf "family %S is not a list" name
 
 let populated_telemetry () =
-  let tel = Serve.Telemetry.create ~shards:2 in
+  let tel = Serve.Telemetry.create () in
   for i = 1 to 50 do
     Serve.Telemetry.observe_stage tel Serve.Telemetry.Decode
       ~op:Serve.Telemetry.op_ping (100 * i);
@@ -551,7 +578,6 @@ let populated_telemetry () =
   Serve.Telemetry.observe_latency tel ~op:Serve.Telemetry.op_stats 5_000;
   Serve.Telemetry.observe_batch tel 64;
   Serve.Telemetry.observe_round tel 5_000;
-  Serve.Telemetry.observe_drain tel ~shard:1 ~depth:3 700;
   tel
 
 let count_substring ~needle hay =
@@ -678,15 +704,6 @@ let test_telemetry_json () =
     (List.length (series doc "stage_ns" [ ("op", "ping"); ("stage", "decode") ]));
   Alcotest.(check int) "silent ops omitted" 0
     (List.length (series doc "latency_ns" [ ("op", "step") ]));
-  (match series doc "shard_drain_ns" [] with
-  | [ s1 ] ->
-      Alcotest.(check int) "only shard 1 drained" 1 (jint s1 "count");
-      Alcotest.(check bool) "labelled shard 1" true
-        (Experiment.Json.member "shard" s1 = Some (Experiment.Json.String "1"))
-  | _ -> Alcotest.fail "one drained shard");
-  (match series doc "shard_queue_depth" [ ("shard", "1") ] with
-  | [ q ] -> Alcotest.(check int) "shard 1 queue depth" 0 (jint q "value")
-  | _ -> Alcotest.fail "one queue-depth series per shard");
   Alcotest.(check int) "shard bins" 8
     (List.fold_left
        (fun acc s -> acc + jint s "value")
@@ -702,7 +719,6 @@ let test_telemetry_prom () =
         (Serve.Store.apply_batch store
            (Array.init 10 (fun i -> Engine.Event.Insert i)));
       let tel = populated_telemetry () in
-      Serve.Telemetry.observe_drain tel ~shard:0 ~depth:2 400;
       Serve.Store.set_telemetry store tel;
       let text =
         Obs.Registry.to_prom ~prefix:"repro_serve_" (Serve.Telemetry.registry tel)
@@ -732,8 +748,8 @@ let test_telemetry_prom () =
          repeat. *)
       Alcotest.(check int) "latency family declared once" 1
         (count_substring ~needle:"# TYPE repro_serve_latency_ns gauge" text);
-      Alcotest.(check int) "drain family declared once" 1
-        (count_substring ~needle:"# TYPE repro_serve_shard_drain_ns gauge" text);
+      Alcotest.(check int) "shard family declared once" 1
+        (count_substring ~needle:"# TYPE repro_serve_shard_bins gauge" text);
       Alcotest.(check bool) "ends with a newline" true
         (String.length text > 0 && text.[String.length text - 1] = '\n'))
 
@@ -744,15 +760,13 @@ let test_cluster_stage_telemetry () =
   let plain = Serve.Cluster.create config in
   let replies_plain = Serve.Cluster.apply_batch plain events in
   let cluster = Serve.Cluster.create config in
-  let tel = Serve.Telemetry.create ~shards:2 in
+  let tel = Serve.Telemetry.create () in
   Serve.Cluster.set_telemetry cluster tel;
   let replies_tel = Serve.Cluster.apply_batch cluster events in
   Alcotest.(check bool) "telemetry does not change replies" true
     (replies_plain = replies_tel);
   Alcotest.(check bool) "telemetry does not change state" true
     (Serve.Cluster.state plain = Serve.Cluster.state cluster);
-  Alcotest.(check (list int)) "probe barrier drained every queue" [ 0; 0 ]
-    (Array.to_list (Serve.Cluster.queue_depths cluster));
   let muts =
     Array.fold_left
       (fun k ev -> if Engine.Event.is_mutation ev then k + 1 else k)
@@ -774,7 +788,7 @@ let test_store_durability_gauges () =
   with_dir (fun dir ->
       let config = mk_config ~n:16 ~shards:2 () in
       let store = store_exn ~dir config in
-      let tel = Serve.Telemetry.create ~shards:2 in
+      let tel = Serve.Telemetry.create () in
       Serve.Store.set_telemetry store tel;
       let d0 = registry_json tel in
       Alcotest.(check int) "fresh store has nothing pending" 0
@@ -1401,6 +1415,58 @@ let test_slow_reader () =
             (Printf.sprintf "the heap grew by %d bytes while 16 MiB of replies were read" grown)
             true (grown < 8 lsl 20)))
 
+(* A client that sends 3,000 occupancy requests at n = 16,384 and never
+   reads adds one of them to each round, so the daemon stops framing it
+   once it holds about 1 MiB of its replies: the heap grows by less than
+   16 MiB, where one read used to build all 3,000 n-int replies.  Another
+   client is served meanwhile, and a client that reads gets every reply
+   in order. *)
+let test_occupancy_flood () =
+  with_daemon (mk_config ~n:16384 ~shards:1 ()) (fun path ->
+      let heap () =
+        Gc.full_major ();
+        (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)
+      in
+      let h0 = heap () in
+      let flood = connect_unix path in
+      Fun.protect
+        ~finally:(fun () -> Unix.close flood)
+        (fun () ->
+          Unix.setsockopt_float flood Unix.SO_SNDTIMEO 5.0;
+          send_all flood (String.concat "" (List.init 3000 (fun _ -> "{\"op\":\"occupancy\"}\n"))) 0;
+          Unix.sleepf 0.5;
+          let other = connect_unix path in
+          send_all other "{\"op\":\"ping\"}\n" 0;
+          Alcotest.(check string) "a ping beside the flood" "{\"ok\":true,\"reply\":\"pong\"}\n"
+            (recv_lines other 1);
+          Unix.close other;
+          let grown = heap () - h0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "the heap grew by %d bytes under the flood" grown)
+            true (grown < 16 lsl 20);
+          let reader = connect_unix path in
+          let k = 200 in
+          let op i = if i mod 2 = 0 then "occupancy" else "probe" in
+          send_all reader
+            (String.concat ""
+               (List.init k (fun i -> Printf.sprintf "{\"op\":%S,\"id\":%d}\n" (op i) i)))
+            0;
+          let got = String.split_on_char '\n' (recv_lines reader k) in
+          Unix.close reader;
+          Alcotest.(check int) "every reply" k (List.length got - 1);
+          List.iteri
+            (fun i line ->
+              if i < k then begin
+                let want =
+                  Printf.sprintf "{\"id\":%d,\"ok\":true,\"reply\":\"%s\"" i
+                    (if i mod 2 = 0 then "loads" else "level")
+                in
+                if not (String.starts_with ~prefix:want line) then
+                  Alcotest.failf "reply %d reads %S" i
+                    (String.sub line 0 (min 60 (String.length line)))
+              end)
+            got))
+
 (* The load client's failure count reads "ok":false in place, with or
    without an id before it, and allocates nothing per reply. *)
 let test_reply_failed () =
@@ -1481,7 +1547,6 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [
         qcheck_batch_invariance;
-        qcheck_pool_invariance;
         qcheck_state_roundtrip;
         qcheck_sampled_state_roundtrip;
         qcheck_rbb_state_roundtrip;
@@ -1501,5 +1566,9 @@ let suite =
         test_stalled_reader;
       Alcotest.test_case "a slow reader's replies are held in bounded memory" `Quick
         test_slow_reader;
+      Alcotest.test_case "an occupancy flood is held in bounded memory" `Quick
+        test_occupancy_flood;
+      Alcotest.test_case "cluster replies pinned across refactors" `Quick
+        test_pinned_replies;
     ]
   @ List.map QCheck_alcotest.to_alcotest [ qcheck_json_oracle ]
