@@ -56,7 +56,7 @@ let run ctx =
   let m = 2 * n in
   let p = Core.Open_process.make (Sr.abku 2) ~n in
   let step g v =
-    Core.Open_process.step_normalized p g v;
+    ignore (Core.Open_process.step_normalized p g v);
     v
   in
   let rng = Ctx.rng ctx ~experiment:11_500 in

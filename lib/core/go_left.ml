@@ -6,10 +6,6 @@ let make ~d ~n =
   if n mod d <> 0 then invalid_arg "Go_left.make: d must divide n";
   { d; n; group_size = n / d }
 
-let d t = t.d
-
-let name t = Printf.sprintf "GoLeft[%d]" t.d
-
 let insert t g bins =
   if Bins.n bins <> t.n then invalid_arg "Go_left.insert: size mismatch";
   (* One probe per group; least load wins, ties to the leftmost group. *)
@@ -34,19 +30,3 @@ let dynamic_step t scenario g bins =
   | Scenario.A -> ignore (Bins.remove_ball_uniform g bins)
   | Scenario.B -> ignore (Bins.remove_from_random_nonempty g bins));
   ignore (insert t g bins)
-
-(* One removal variate plus one probe per group. *)
-let sim ?metrics t scenario bins =
-  if Bins.n bins <> t.n then invalid_arg "Go_left.sim: size mismatch";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  Engine.Sim.make ~metrics
-    ~step:(fun g ->
-      dynamic_step t scenario g bins;
-      Engine.Metrics.add_probes metrics t.d;
-      Engine.Metrics.add_draws metrics (1 + t.d))
-    ~observe:(fun () -> Bins.loads bins)
-    ~reset:(fun loads -> Bins.reset_loads bins loads)
-    ~probe:(fun () -> Bins.max_load bins)
-    ()

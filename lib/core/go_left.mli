@@ -17,9 +17,6 @@ val make : d:int -> n:int -> t
 (** @raise Invalid_argument if [d < 1], [n < d], or [d] does not divide
     [n] (groups must be equal-sized). *)
 
-val d : t -> int
-val name : t -> string
-
 val insert : t -> Prng.Rng.t -> Bins.t -> int
 (** Place one ball; returns the bin.
     @raise Invalid_argument if the bins' size differs from the rule's
@@ -31,14 +28,3 @@ val static_run : t -> Prng.Rng.t -> m:int -> Bins.t
 val dynamic_step : t -> Scenario.t -> Prng.Rng.t -> Bins.t -> unit
 (** One remove-and-reinsert step of the dynamic process using this rule
     for insertion. *)
-
-val sim :
-  ?metrics:Engine.Metrics.t ->
-  t ->
-  Scenario.t ->
-  Bins.t ->
-  int array Engine.Sim.t
-(** {!dynamic_step} as an in-place engine stepper on the given bins
-    (adopted and mutated).
-    @raise Invalid_argument if the bins' size differs from the rule's
-    [n]. *)

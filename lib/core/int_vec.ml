@@ -34,4 +34,3 @@ let swap_remove v i =
 
 let clear v = v.len <- 0
 
-let to_array v = Array.sub v.data 0 v.len

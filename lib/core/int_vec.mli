@@ -22,4 +22,3 @@ val swap_remove : t -> int -> int
     element into its place; returns the removed value. *)
 
 val clear : t -> unit
-val to_array : t -> int array

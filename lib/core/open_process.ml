@@ -16,9 +16,6 @@ let make ?(insert_probability = 0.5) ?capacity rule ~n =
   | _ -> ());
   { insert_probability; rule; n; capacity }
 
-let n t = t.n
-let capacity t = t.capacity
-
 let name t =
   Printf.sprintf "Open(p=%.2f, %s%s)" t.insert_probability
     (Scheduling_rule.name t.rule)
@@ -28,13 +25,6 @@ let name t =
 
 let below_capacity t current =
   match t.capacity with None -> true | Some c -> current < c
-
-let step t g bins =
-  if Prng.Rng.float g < t.insert_probability then begin
-    if below_capacity t (Bins.num_balls bins) then
-      ignore (Bins.insert_with_rule t.rule g bins)
-  end
-  else if Bins.num_balls bins > 0 then ignore (Bins.remove_ball_uniform g bins)
 
 (* One normalized step driven by explicit variates so the coupling can
    share them: [coin] decides insert/remove, [u] drives the removal
@@ -55,7 +45,8 @@ let step_normalized t g v =
   let coin = Prng.Rng.float g in
   let u = Prng.Rng.float g in
   let probe = Probe.create g ~n:t.n in
-  step_with t v ~coin ~u ~probe
+  step_with t v ~coin ~u ~probe;
+  Probe.consumed probe
 
 (* Two variates (coin, removal) plus one draw per consumed probe. *)
 let sim ?metrics t v =
@@ -65,11 +56,7 @@ let sim ?metrics t v =
   in
   Engine.Sim.make ~metrics
     ~step:(fun g ->
-      let coin = Prng.Rng.float g in
-      let u = Prng.Rng.float g in
-      let probe = Probe.create g ~n:t.n in
-      step_with t v ~coin ~u ~probe;
-      let probes = Probe.consumed probe in
+      let probes = step_normalized t g v in
       Engine.Metrics.add_probes metrics probes;
       Engine.Metrics.add_draws metrics (2 + probes))
     ~observe:(fun () -> Mv.to_load_vector v)

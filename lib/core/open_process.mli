@@ -20,14 +20,7 @@ val make :
     @raise Invalid_argument if [n <= 0], the probability is outside
     (0, 1), or [capacity < 1]. *)
 
-val capacity : t -> int option
-
-val n : t -> int
 val name : t -> string
-
-val step : t -> Prng.Rng.t -> Bins.t -> unit
-(** One step on a concrete system (removal is scenario-A style: a uniform
-    random ball). *)
 
 val coupled :
   t -> Loadvec.Mutable_vector.t Coupling.Coupled_chain.t
@@ -36,7 +29,9 @@ val coupled :
     padding}: states may have different totals, so the reported distance
     is ⌈½ ‖v − u‖₁⌉. *)
 
-val step_normalized : t -> Prng.Rng.t -> Loadvec.Mutable_vector.t -> unit
+val step_normalized : t -> Prng.Rng.t -> Loadvec.Mutable_vector.t -> int
+(** One step on a normalized state (removal is scenario-A style: a
+    uniform random ball); returns the number of probes it consumed. *)
 
 val sim :
   ?metrics:Engine.Metrics.t ->

@@ -63,24 +63,3 @@ let run g ~n ~m ~d ~rounds ?(threshold = fun r -> r) () =
     rounds_used = !rounds_used;
     fallback_balls;
   }
-
-(* The protocol is a one-shot batch: one engine step is one complete
-   run, and the observation is the last result. *)
-let sim ?metrics ~n ~m ~d ~rounds ?threshold () =
-  let metrics =
-    match metrics with Some mt -> mt | None -> Engine.Metrics.create ()
-  in
-  let last = ref None in
-  Engine.Sim.make ~metrics
-    ~step:(fun g ->
-      let r = run g ~n ~m ~d ~rounds ?threshold () in
-      last := Some r;
-      Engine.Metrics.add_probes metrics (m * d);
-      Engine.Metrics.add_draws metrics (m * d))
-    ~observe:(fun () ->
-      match !last with
-      | Some r -> r
-      | None -> invalid_arg "Parallel_alloc.sim: observe before any step")
-    ~reset:(fun r -> last := Some r)
-    ~probe:(fun () -> match !last with Some r -> r.max_load | None -> 0)
-    ()

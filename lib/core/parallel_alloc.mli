@@ -34,17 +34,3 @@ val run :
     threshold for round [r] (1-based) is [r].
     @raise Invalid_argument if [n <= 0], [m < 0], [d < 1] or
     [rounds < 0]. *)
-
-val sim :
-  ?metrics:Engine.Metrics.t ->
-  n:int ->
-  m:int ->
-  d:int ->
-  rounds:int ->
-  ?threshold:(int -> int) ->
-  unit ->
-  result Engine.Sim.t
-(** The protocol as an engine stepper: each step is one complete batch
-    {!run} and the observation is the last result.  [observe] raises
-    [Invalid_argument] before the first step (there is nothing to
-    report); [reset] installs a prior result as the last observation. *)

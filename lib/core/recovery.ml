@@ -10,11 +10,6 @@ let adversarial_bins spec =
   loads.(0) <- spec.m;
   Bins.of_loads loads
 
-let balanced_bins spec =
-  Bins.of_loads
-    (Loadvec.Load_vector.to_array
-       (Loadvec.Load_vector.uniform ~n:spec.n ~m:spec.m))
-
 (* The sim's probe is the O(1) max load, so first-hitting times come
    out of the generic engine driver with the historical draw order.
    [repr] selects the state backend ({!Repr}); the default array oracle
@@ -42,25 +37,3 @@ let measure_with_metrics ?(domains = 1) ?repr ~rng ~reps spec ~target ~limit =
 
 let measure ?domains ?repr ~rng ~reps spec ~target ~limit =
   fst (measure_with_metrics ?domains ?repr ~rng ~reps spec ~target ~limit)
-
-let trajectory ~rng spec ~every ~points =
-  if every <= 0 || points < 0 then invalid_arg "Recovery.trajectory";
-  let s = adversarial_sim spec in
-  Array.init points (fun k ->
-      if k > 0 then Engine.Sim.iterate s rng every;
-      (k * every, Engine.Sim.probe s))
-
-let stationary_max_load ~rng spec ~burn_in ~every ~samples =
-  if burn_in < 0 || every <= 0 || samples <= 0 then
-    invalid_arg "Recovery.stationary_max_load";
-  let s =
-    System.sim (System.create spec.scenario spec.rule (balanced_bins spec))
-  in
-  let summary = Stats.Summary.create () in
-  let worst = ref 0 in
-  Engine.Sim.sample_every s rng ~burn_in ~every ~samples (fun () ->
-      Engine.Sim.probe s)
-  |> List.iter (fun ml ->
-         Stats.Summary.add_int summary ml;
-         if ml > !worst then worst := ml);
-  (Stats.Summary.mean summary, !worst)

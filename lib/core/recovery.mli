@@ -42,14 +42,3 @@ val measure :
     [repr] as in {!time_to_max_load}; backends that preserve the draw
     order leave every measurement bit-identical.
     @raise Invalid_argument if [reps <= 0]. *)
-
-val trajectory :
-  rng:Prng.Rng.t -> spec -> every:int -> points:int -> (int * int) array
-(** [(step, max_load)] samples along one run from the adversarial
-    state. *)
-
-val stationary_max_load :
-  rng:Prng.Rng.t -> spec -> burn_in:int -> every:int -> samples:int ->
-  float * int
-(** Mean and maximum of the max-load observable in (approximate)
-    stationarity, starting from the balanced state. *)

@@ -1,28 +1,10 @@
-(* One insertion per step; the caller owns the bins. *)
-let sim ?metrics rule bins =
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  Engine.Sim.make ~metrics
-    ~step:(fun g ->
-      let _, probes = Bins.insert_with_rule rule g bins in
-      Engine.Metrics.add_probes metrics probes;
-      Engine.Metrics.add_draws metrics probes)
-    ~observe:(fun () -> Bins.loads bins)
-    ~reset:(fun loads -> Bins.reset_loads bins loads)
-    ~probe:(fun () -> Bins.max_load bins)
-    ()
-
-let run_stats rule g ~n ~m =
+let run rule g ~n ~m =
   if n <= 0 || m < 0 then invalid_arg "Static_process.run";
   let bins = Bins.create ~n in
-  let s = sim rule bins in
-  Engine.Sim.iterate s g m;
-  let probes = (Engine.Metrics.snapshot (Engine.Sim.metrics s)).probes in
-  let avg = if m = 0 then 0. else float_of_int probes /. float_of_int m in
-  (bins, avg)
-
-let run rule g ~n ~m = fst (run_stats rule g ~n ~m)
+  for _ = 1 to m do
+    ignore (Bins.insert_with_rule rule g bins)
+  done;
+  bins
 
 let max_load_samples rule g ~n ~m ~reps =
   if reps < 0 then invalid_arg "Static_process.max_load_samples";

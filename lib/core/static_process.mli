@@ -5,19 +5,9 @@
     ln ln n / ln d (1 + o(1)) + Θ(m/n).  Experiment E5 reproduces this
     contrast. *)
 
-val sim :
-  ?metrics:Engine.Metrics.t -> Scheduling_rule.t -> Bins.t ->
-  int array Engine.Sim.t
-(** One insertion per step into the given bins (adopted and mutated).
-    [run]/[run_stats] are [m] steps of this sim from empty bins. *)
-
 val run : Scheduling_rule.t -> Prng.Rng.t -> n:int -> m:int -> Bins.t
 (** Allocate [m] balls sequentially.
     @raise Invalid_argument if [n <= 0] or [m < 0]. *)
-
-val run_stats :
-  Scheduling_rule.t -> Prng.Rng.t -> n:int -> m:int -> Bins.t * float
-(** Also returns the average number of probes per ball. *)
 
 val max_load_samples :
   Scheduling_rule.t -> Prng.Rng.t -> n:int -> m:int -> reps:int -> int array

@@ -11,8 +11,6 @@ let create ?(repr = Repr.Array_backed) scenario rule bins =
   | _ -> ());
   { scenario; rule; bins }
 
-let scenario t = t.scenario
-let rule t = t.rule
 let bins t = t.bins
 let sampled t = Bins.sampled_insertion t.bins <> None
 

@@ -16,8 +16,6 @@ val create : ?repr:Repr.t -> Scenario.t -> Scheduling_rule.t -> Bins.t -> t
     [Array_backed] here, since {!Bins} is already count-indexed.
     @raise Invalid_argument if the bins hold no balls. *)
 
-val scenario : t -> Scenario.t
-val rule : t -> Scheduling_rule.t
 val bins : t -> Bins.t
 
 val step : Prng.Rng.t -> t -> unit

@@ -40,7 +40,6 @@ let create ~n =
     num_balls = 0;
   }
 
-let n t = t.n
 let num_balls t = t.num_balls
 
 let load t b =
@@ -94,41 +93,3 @@ let static_run g ~n ~m ~d ~dist =
 let dynamic_step t g ~d ~dist =
   ignore (remove_uniform_ball t g);
   ignore (insert t g ~d ~weight:(sample_weight g dist))
-
-(* The ball registry (bin, weight per slot) determines the whole state:
-   per-bin loads are recomputed on restore. *)
-type snapshot = { snap_bins : int array; snap_weights : float array }
-
-let snapshot t =
-  {
-    snap_bins = Int_vec.to_array t.ball_bins;
-    snap_weights = Array.sub t.ball_weights 0 t.num_balls;
-  }
-
-let restore t s =
-  if Array.length s.snap_bins <> Array.length s.snap_weights then
-    invalid_arg "Weighted.restore: mismatched snapshot";
-  Array.fill t.loads 0 t.n 0.;
-  Int_vec.clear t.ball_bins;
-  t.num_balls <- 0;
-  Array.iteri
-    (fun i bin ->
-      if bin < 0 || bin >= t.n then invalid_arg "Weighted.restore: bad bin";
-      push_ball t bin s.snap_weights.(i))
-    s.snap_bins
-
-let sim ?metrics t ~d ~dist =
-  if d < 1 then invalid_arg "Weighted.sim: d must be >= 1";
-  let metrics =
-    match metrics with Some m -> m | None -> Engine.Metrics.create ()
-  in
-  let weight_draws = match dist with Constant _ -> 0 | _ -> 1 in
-  Engine.Sim.make ~metrics
-    ~step:(fun g ->
-      dynamic_step t g ~d ~dist;
-      Engine.Metrics.add_probes metrics d;
-      Engine.Metrics.add_draws metrics (1 + d + weight_draws))
-    ~observe:(fun () -> snapshot t)
-    ~reset:(fun s -> restore t s)
-    ~probe:(fun () -> int_of_float (Float.ceil (max_load t)))
-    ()

@@ -31,7 +31,6 @@ type t
 val create : n:int -> t
 (** @raise Invalid_argument if [n <= 0]. *)
 
-val n : t -> int
 val num_balls : t -> int
 val load : t -> int -> float
 val max_load : t -> float
@@ -54,23 +53,3 @@ val static_run :
 
 val dynamic_step : t -> Prng.Rng.t -> d:int -> dist:weight_dist -> unit
 (** One scenario-A step: remove a random ball, insert a fresh one. *)
-
-type snapshot
-(** A full copy of the ball registry (bins and weights by slot). *)
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-(** @raise Invalid_argument if the snapshot references a bin outside the
-    system or its arrays disagree in length. *)
-
-val sim :
-  ?metrics:Engine.Metrics.t ->
-  t ->
-  d:int ->
-  dist:weight_dist ->
-  snapshot Engine.Sim.t
-(** {!dynamic_step} as an in-place engine stepper on the given system
-    (adopted and mutated); the system must be non-empty before stepping.
-    The probe hook reports the weighted maximum load rounded up to an
-    integer (the engine watermark is integral).
-    @raise Invalid_argument if [d < 1]. *)

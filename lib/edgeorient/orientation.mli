@@ -45,12 +45,6 @@ val orient : t -> src:int -> dst:int -> unit
     @raise Invalid_argument on bad ids, [src = dst], or window
     overflow. *)
 
-val restore : t -> int array -> unit
-(** In-place {!of_discrepancies}: overwrite the state with the given
-    discrepancies and reset [edges_seen] to 0, reusing the buffers.
-    @raise Invalid_argument under the {!of_discrepancies} conditions or
-    on a dimension mismatch. *)
-
 val sim : ?metrics:Engine.Metrics.t -> t -> int array Engine.Sim.t
 (** {!greedy_step} as an engine stepper on the given state (adopted and
     mutated).  Observations are discrepancy vectors; the probe is the

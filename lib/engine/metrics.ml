@@ -61,13 +61,6 @@ let time m name f =
       Obs.end_span sp)
     f
 
-let reset (m : t) =
-  m.steps <- 0;
-  m.probes <- 0;
-  m.rng_draws <- 0;
-  m.watermark <- min_int;
-  Hashtbl.reset m.phases
-
 let snapshot (m : t) : snapshot =
   {
     steps = m.steps;
@@ -82,13 +75,13 @@ let snapshot (m : t) : snapshot =
 let zero =
   { steps = 0; probes = 0; rng_draws = 0; watermark = min_int; phases = [] }
 
-let combine_phases op (a : (string * float) list) (b : (string * float) list) =
+let sum_phases (a : (string * float) list) (b : (string * float) list) =
   let tbl = Hashtbl.create 4 in
   List.iter (fun (k, v) -> Hashtbl.replace tbl k v) a;
   List.iter
     (fun (k, v) ->
       let prev = match Hashtbl.find_opt tbl k with Some s -> s | None -> 0. in
-      Hashtbl.replace tbl k (op prev v))
+      Hashtbl.replace tbl k (prev +. v))
     b;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -99,25 +92,7 @@ let merge (a : snapshot) (b : snapshot) =
     probes = a.probes + b.probes;
     rng_draws = a.rng_draws + b.rng_draws;
     watermark = Stdlib.max a.watermark b.watermark;
-    phases = combine_phases ( +. ) a.phases b.phases;
-  }
-
-(* [diff before after]: counters accumulated between the two snapshots.
-   The watermark is not differentiable; the later one is reported.
-   Phase keys only in [before] are already fully elapsed — their delta
-   is zero, which the clamp also guarantees (the historical argument
-   order yielded before - after: the raw positive [before] value for
-   such keys, and a negated delta for shared ones). *)
-let diff (before : snapshot) (after : snapshot) =
-  {
-    steps = after.steps - before.steps;
-    probes = after.probes - before.probes;
-    rng_draws = after.rng_draws - before.rng_draws;
-    watermark = after.watermark;
-    phases =
-      combine_phases
-        (fun after_s before_s -> Float.max 0. (after_s -. before_s))
-        after.phases before.phases;
+    phases = sum_phases a.phases b.phases;
   }
 
 let run_seconds (s : snapshot) =

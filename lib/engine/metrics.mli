@@ -32,7 +32,6 @@ type snapshot = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 val add_step : t -> unit
 (** Count one transition.  {!Sim.make} calls this; adapters normally do
@@ -75,12 +74,6 @@ val zero : snapshot
 val merge : snapshot -> snapshot -> snapshot
 (** Component-wise sum (max for the watermark, per-phase sum for the
     timers) — aggregation across repetitions. *)
-
-val diff : snapshot -> snapshot -> snapshot
-(** [diff before after]: what accumulated between the two snapshots.
-    The watermark is not differentiable; [after]'s is reported.
-    Per-phase deltas are clamped at zero; a phase key present only in
-    [before] is already elapsed and contributes zero. *)
 
 val to_table : ?title:string -> snapshot -> Stats.Table.t
 (** Counters plus the derived probes/step, draws/step and steps/sec rows

@@ -84,21 +84,6 @@ let iterate s g t =
     ignore (apply s g Event.Step)
   done
 
-let fold s g t ~init ~f =
-  if t < 0 then invalid_arg "Sim.fold: negative step count";
-  let acc = ref init in
-  for i = 1 to t do
-    ignore (apply s g Event.Step);
-    acc := f !acc i (s.probe ())
-  done;
-  !acc
-
-let trajectory s g t =
-  if t < 0 then invalid_arg "Sim.trajectory: negative step count";
-  Array.init t (fun _ ->
-      ignore (apply s g Event.Step);
-      s.observe ())
-
 let first_hit s g ~pred ~limit =
   if limit < 0 then invalid_arg "Sim.first_hit: negative limit";
   let rec go t =

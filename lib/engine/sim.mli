@@ -12,10 +12,13 @@
     state as an immutable value and {!reset} restores a snapshot — so
     one sim can be reused across repetitions.
 
-    Every process in the repository exposes a [sim] constructor
-    returning this type ({!Core.Dynamic_process.sim}, {!Core.System.sim},
-    {!Core.Open_process.sim}, {!Coupling.Coupled_chain.sim},
-    {!Edgeorient.Orientation.sim}, …).  The rep-loop drivers below are
+    A process exposes a [sim] constructor returning this type only where
+    a driver runs it: {!Core.Dynamic_process.sim} and [sim_repr],
+    {!Core.System.sim}, {!Core.Open_process.sim}, {!Core.Relocation.sim},
+    {!Coupling.Coupled_chain.sim}, {!Edgeorient.Orientation.sim}, and
+    [Rbb]'s [sim_repr] and [service_sim].  Static, parallel, weighted and
+    Go-Left allocation are plain functions their experiments call
+    directly.  The rep-loop drivers below are
     [Step]-event streams over {!apply} — bit-identical to the historical
     step loops.  They are the only driver loops in the repository:
     a process's [chain] function is just the functional one-step view
@@ -61,15 +64,6 @@ val probe : _ t -> int
 val iterate : _ t -> Prng.Rng.t -> int -> unit
 (** [iterate s g t] applies [t] [Step] events in place.
     @raise Invalid_argument if [t < 0]. *)
-
-val fold :
-  _ t -> Prng.Rng.t -> int -> init:'acc -> f:('acc -> int -> int -> 'acc) -> 'acc
-(** [fold s g t ~init ~f] applies [t] [Step] events, folding
-    [f acc step_index probe_value] over the probe {e after} each step.
-    Allocation-free when [f] is. *)
-
-val trajectory : 'obs t -> Prng.Rng.t -> int -> 'obs array
-(** Observations after steps 1..t (length [t]). *)
 
 val first_hit : _ t -> Prng.Rng.t -> pred:(int -> bool) -> limit:int -> int option
 (** [first_hit s g ~pred ~limit] is [Some t] for the smallest

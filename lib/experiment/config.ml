@@ -38,8 +38,6 @@ let mode_name cfg = if cfg.full then "FULL" else "quick"
 let mode_description cfg =
   if cfg.full then "FULL" else "quick (set BENCH_FULL=1 for paper-scale)"
 
-let rng cfg = Prng.Rng.create ~seed:cfg.seed ()
-
 (* Every experiment derives an independent stream so that adding or
    reordering experiments does not perturb the others. *)
 let rng_for cfg ~experiment =

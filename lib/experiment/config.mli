@@ -41,9 +41,6 @@ val mode_description : t -> string
 (** The harness banner's mode string (kept byte-identical to the
     pre-framework harness). *)
 
-val rng : t -> Prng.Rng.t
-(** The root generator. *)
-
 val rng_for : t -> experiment:int -> Prng.Rng.t
 (** An independent stream per experiment key, so adding or reordering
     experiments does not perturb the others. *)

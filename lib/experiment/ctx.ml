@@ -47,8 +47,6 @@ let make ~config ~id ~claim ~tags ~grid =
     extras = [];
   }
 
-let config t = t.config
-let id t = t.id
 let full t = t.config.Config.full
 let domains t = t.config.Config.domains
 let seed t = t.config.Config.seed

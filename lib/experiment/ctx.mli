@@ -25,8 +25,6 @@ val make :
 
 (** {1 Configuration access} *)
 
-val config : t -> Config.t
-val id : t -> string
 val full : t -> bool
 val domains : t -> int
 val seed : t -> int
@@ -38,10 +36,6 @@ val repr : t -> Core.Repr.t
 val rng : t -> experiment:int -> Prng.Rng.t
 (** An independent stream per sub-experiment key (see
     {!Config.rng_for}). *)
-
-val sizes : t -> int list
-(** The spec grid's sweep sizes in the current mode.
-    @raise Invalid_argument if the spec declares no grid. *)
 
 val reps : t -> int
 (** The spec grid's replication count in the current mode.

@@ -125,7 +125,6 @@ let delta v u =
 
 let equal v u = v = u
 let compare = Stdlib.compare
-let hash = Hashtbl.hash
 
 let pp fmt v =
   Format.fprintf fmt "[%s]"

@@ -84,7 +84,6 @@ val l1_distance : t -> t -> int
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val counts_by_load : t -> (int * int) list

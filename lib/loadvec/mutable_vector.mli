@@ -29,9 +29,6 @@ val min_load : t -> int
 val support : t -> int
 (** Number of non-empty bins, maintained incrementally (O(1)). *)
 
-val first_equal : t -> int -> int
-val last_equal : t -> int -> int
-
 val incr_at : t -> int -> int
 (** [incr_at v i] performs [v ⊕ e_i] in place and returns the rank that
     was actually incremented (Fact 3.2's [j]). *)

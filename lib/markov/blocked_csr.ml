@@ -52,7 +52,6 @@ type t = {
 let rows t = t.rows
 let cols t = t.cols
 let nnz t = t.nnz
-let block_rows t = t.block_rows
 let block_count t = Array.length t.blocks
 let path t = t.path
 let close t = Option.iter close_in_noerr t.channel

@@ -24,10 +24,6 @@ type t
 val rows : t -> int
 val cols : t -> int
 val nnz : t -> int
-
-val block_rows : t -> int
-(** Rows per block (the last block may be shorter). *)
-
 val block_count : t -> int
 
 val path : t -> string option

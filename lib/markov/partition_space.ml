@@ -60,5 +60,4 @@ let find idx v =
   | Some i -> i
   | None -> raise Not_found
 
-let state idx i = idx.states.(i)
 let size idx = Array.length idx.states

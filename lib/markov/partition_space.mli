@@ -24,5 +24,4 @@ val index_of_space : Loadvec.Load_vector.t array -> index
 val find : index -> Loadvec.Load_vector.t -> int
 (** @raise Not_found if the vector is not in the space. *)
 
-val state : index -> int -> Loadvec.Load_vector.t
 val size : index -> int

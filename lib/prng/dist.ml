@@ -35,43 +35,3 @@ let weighted_int g w =
       if target < acc then i else scan (i + 1) acc
   in
   scan 0 0
-
-type alias = { prob : float array; alias : int array }
-
-(* Walker/Vose alias method: O(n) construction, O(1) sampling. *)
-let alias_of_weights w =
-  let total = check_weights w in
-  let n = Array.length w in
-  let scaled = Array.map (fun x -> x *. float_of_int n /. total) w in
-  let prob = Array.make n 1. in
-  let alias = Array.init n (fun i -> i) in
-  let small = Queue.create () and large = Queue.create () in
-  Array.iteri (fun i p -> Queue.add i (if p < 1. then small else large)) scaled;
-  while not (Queue.is_empty small) && not (Queue.is_empty large) do
-    let s = Queue.pop small and l = Queue.pop large in
-    prob.(s) <- scaled.(s);
-    alias.(s) <- l;
-    scaled.(l) <- scaled.(l) +. scaled.(s) -. 1.;
-    Queue.add l (if scaled.(l) < 1. then small else large)
-  done;
-  { prob; alias }
-
-let alias_sample g { prob; alias } =
-  let n = Array.length prob in
-  let i = Rng.int g n in
-  if Rng.float g < prob.(i) then i else alias.(i)
-
-(* The law [alias_sample] actually draws from, computed symbolically
-   from the table: column i is hit directly with mass prob.(i)/n and
-   as the alias of every column pointing at it with the complementary
-   mass.  Lets tests check table construction exactly, with no
-   sampling noise. *)
-let alias_induced { prob; alias } =
-  let n = Array.length prob in
-  let p = Array.make n 0. in
-  for i = 0 to n - 1 do
-    p.(i) <- p.(i) +. prob.(i);
-    if prob.(i) < 1. then p.(alias.(i)) <- p.(alias.(i)) +. (1. -. prob.(i))
-  done;
-  let fn = float_of_int n in
-  Array.map (fun x -> x /. fn) p

@@ -3,8 +3,7 @@
     The paper's removal rules are exactly such distributions: {b A(v)}
     picks index [i] with probability [v_i / m] (scenario A) and {b B(v)}
     picks uniformly among the non-empty prefix (scenario B).  This module
-    provides both ad-hoc weighted sampling and a precomputed alias table
-    for repeated draws. *)
+    samples them by inverse CDF, over float or integer weights. *)
 
 val weighted : Rng.t -> float array -> int
 (** [weighted g w] samples index [i] with probability [w.(i) / sum w] by
@@ -24,19 +23,3 @@ val inverse_cdf : float array -> float -> int
 (** [inverse_cdf w u] maps the uniform variate [u] in [0,1) to the index
     drawn by inverse CDF on weights [w].  Deterministic; this is the
     function shared between two coupled chains fed the same [u]. *)
-
-type alias
-(** Precomputed Walker alias table for O(1) sampling. *)
-
-val alias_of_weights : float array -> alias
-(** Build an alias table.  Same preconditions as {!weighted}. *)
-
-val alias_sample : Rng.t -> alias -> int
-(** O(1) draw from the table. *)
-
-val alias_induced : alias -> float array
-(** The exact law of {!alias_sample} on the given table, recovered
-    symbolically from its probability and alias columns.  For a table
-    built by {!alias_of_weights} this equals the normalized input
-    weights up to float rounding — the property the conformance tests
-    pin down without sampling noise. *)

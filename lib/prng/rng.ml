@@ -64,14 +64,6 @@ let pair_distinct g n =
   let j = if j0 >= i then j0 + 1 else j0 in
   if i < j then (i, j) else (j, i)
 
-let shuffle_in_place g a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int g (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let save g = Array.append (Xoshiro.state g.gen) [| Splitmix64.state g.sm |]
 
 let restore words =

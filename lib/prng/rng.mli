@@ -65,9 +65,6 @@ val pair_distinct : t -> int -> int * int
     [0 <= i < j < n], uniform over all [n*(n-1)/2] pairs.
     @raise Invalid_argument if [n < 2]. *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher-Yates shuffle. *)
-
 val save : t -> int64 array
 (** The full generator state as five words (four xoshiro256++ state
     words plus the splitmix64 word).  {!restore} rebuilds a generator

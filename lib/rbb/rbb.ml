@@ -16,21 +16,6 @@ let rule_name = function
   | Uniform -> "uniform"
   | Dchoice d -> Printf.sprintf "d%d" d
 
-let rule_of_string = function
-  | "uniform" | "u" -> Ok Uniform
-  | s ->
-      let fail () =
-        Error
-          (Printf.sprintf
-             "unknown RBB rule %S (expected \"uniform\" or \"d<k>\" with k >= 2)"
-             s)
-      in
-      if String.length s >= 2 && s.[0] = 'd' then
-        match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-        | Some d when d >= 2 -> Ok (Dchoice d)
-        | _ -> fail ()
-      else fail ()
-
 let of_scheduling_rule = function
   | Rule.Abku 1 -> Ok Uniform
   | Rule.Abku d -> Ok (Dchoice d)
@@ -79,16 +64,10 @@ let sim_repr ?metrics ?(repr = Core.Repr.Array_backed) t start =
     Engine.Metrics.add_probes metrics (q * d);
     Engine.Metrics.add_draws metrics (q * S.insert_draws ~probes:d)
   in
-  (* [Round] is answered exactly as [Step]: the round IS the unit
-     transition of this family, so every Step-driven rep loop (iterate,
-     first_hit, conformance) advances it one round at a time. *)
-  Engine.Sim.make ~metrics
-    ~extend:(fun g -> function
-      | Engine.Event.Round ->
-          do_round g;
-          Engine.Event.Ack
-      | ev -> Engine.Event.Rejected (Engine.Event.name ev ^ " unsupported"))
-    ~step:do_round
+  (* The round IS the unit transition of this family, so every
+     Step-driven rep loop (iterate, first_hit, conformance) advances it
+     one round at a time. *)
+  Engine.Sim.make ~metrics ~step:do_round
     ~observe:(fun () -> S.to_load_vector v)
     ~reset:(fun lv -> S.set_from_load_vector v lv)
     ~probe:(fun () -> S.max_load v)

@@ -12,9 +12,10 @@
     mixing times) applies unchanged.
 
     The unit transition here is the {e round}, and the engine treats it
-    as such: the sims below answer both [Step] and [Round] events with
-    one full round, so every generic driver ([iterate], [first_hit],
-    the conformance harness, the serve layer) works without change.
+    as such: a [Step] of the sims below is one full round, so every
+    generic driver ([iterate], [first_hit], the conformance harness)
+    works without change; the service machine also answers the serve
+    layer's [Round] event.
 
     A round over a normalized load vector splits into two phases:
 
@@ -45,9 +46,6 @@ val dchoice : int -> rule
 
 val rule_name : rule -> string
 (** ["uniform"] or ["d2"], ["d3"], ... *)
-
-val rule_of_string : string -> (rule, string) result
-(** Inverse of {!rule_name}; also accepts ["u"]. *)
 
 val of_scheduling_rule : Core.Scheduling_rule.t -> (rule, string) result
 (** The RBB rule whose placement is the given scheduling rule —

@@ -287,7 +287,7 @@ let of_state config (st : state) =
     let shard_st = st.shards.(s) in
     if shard_st.Shard.bins.Core.Bins.sn_n <> len then
       invalid_arg "Serve.Cluster.of_state: shard width mismatch";
-    Shard.of_state ~id:s ~lo ~process:config.process
+    Shard.of_state ~lo ~process:config.process
       ~scenario:config.scenario ~rule:config.rule ~repr:config.repr shard_st
   in
   let t = build config mk in

@@ -65,12 +65,6 @@ val set_telemetry : t -> Telemetry.t -> unit
     Without one the hot path performs no clock reads.  Attach at most
     once. *)
 
-val max_load : t -> int
-val watermark : t -> int
-
-val loads : t -> int array
-(** Global per-bin loads (shard snapshots concatenated in bin order). *)
-
 val apply_batch : t -> Engine.Event.t array -> Engine.Event.reply array
 (** Apply a batch in arrival order; [replies.(i)] answers [events.(i)].
     [Placed]/[Removed] bin ids are global.  A [Remove]/[Step] against an

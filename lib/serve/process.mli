@@ -10,7 +10,6 @@
 
 type t = Sequential | Rbb
 
-val all : t list
 val name : t -> string
 (** ["seq"] or ["rbb"]. *)
 

@@ -11,7 +11,10 @@
    typed error after the client's earlier replies; the daemon then
    half-closes the connection, discards that client's input, and closes
    it when the client hangs up.  No client ever holds more than
-   [max_line] pending bytes.
+   [max_line] pending bytes.  A client that half-closes its own side (a
+   read returns 0) is no longer read, but its held lines are still
+   framed, and it is closed once they are answered and its replies are
+   written; an unterminated last line is dropped.
 
    Each select round decodes lines into one batch (arrival order) held
    in arrays reused across rounds, applies the batch, and appends the
@@ -100,6 +103,9 @@ type client = {
       (* sent a line over the cap: its input is discarded, and the
          connection half-closes once its replies are written *)
   mutable half_closed : bool;
+  mutable eof : bool;
+      (* a read returned 0: it is not read again, and it is closed once
+         its held lines are answered and its replies written *)
 }
 
 (* The requests of one round, in arrival order, in arrays that grow and
@@ -221,7 +227,8 @@ let run ?on_ready config =
   let scratch = Bytes.create 65536 in
   let nobody =
     { fd = lsock; inb = Bytes.empty; start = 0; scan = 0; fill = 0; out = Buffer.create 1;
-      out_pos = 0; dead = true; refused = false; half_closed = false }
+      out_pos = 0; dead = true; refused = false; half_closed = false;
+      eof = false }
   in
   let cap = 256 in
   let r =
@@ -350,7 +357,7 @@ let run ?on_ready config =
   let read_client c =
     let room = if c.refused then max_line else max_line - c.fill in
     match Unix.read c.fd c.inb (if c.refused then 0 else c.fill) room with
-    | 0 -> close_client c
+    | 0 -> c.eof <- true
     | k ->
         if not c.refused then begin
           c.fill <- c.fill + k;
@@ -447,7 +454,8 @@ let run ?on_ready config =
     else if c.out_pos = Buffer.length c.out then begin
       Buffer.clear c.out;
       c.out_pos <- 0;
-      if c.refused && not c.half_closed then begin
+      if c.eof && c.scan >= c.fill then close_client c
+      else if c.refused && not c.half_closed then begin
         c.half_closed <- true;
         try Unix.shutdown c.fd Unix.SHUTDOWN_SEND
         with Unix.Unix_error _ -> close_client c
@@ -476,6 +484,7 @@ let run ?on_ready config =
                backlog := true;
                acc
              end
+             else if c.eof then acc
              else fd :: acc)
            clients [ lsock ]
        in
@@ -496,7 +505,7 @@ let run ?on_ready config =
                  Hashtbl.replace clients fd
                    { fd; inb = Bytes.create max_line; start = 0; scan = 0; fill = 0;
                      out = Buffer.create 4096; out_pos = 0; dead = false;
-                     refused = false; half_closed = false }
+                     refused = false; half_closed = false; eof = false }
              | exception Unix.Unix_error _ -> ()
            end;
            process_round (List.filter (fun fd -> fd <> lsock) ready_r);
@@ -506,9 +515,11 @@ let run ?on_ready config =
                | Some c -> flush_client c
                | None -> ())
              ready_w;
-           (* Answer fresh replies eagerly instead of waiting a round. *)
+           (* Answer fresh replies eagerly instead of waiting a round; this
+              also closes a client that sent EOF once it is done. *)
            Hashtbl.iter
-             (fun _ c -> if Buffer.length c.out > c.out_pos then flush_client c)
+             (fun _ c ->
+               if Buffer.length c.out > c.out_pos || c.eof then flush_client c)
              clients
    done);
   (* Graceful shutdown: flush what we can, persist, release. *)

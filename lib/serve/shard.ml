@@ -9,7 +9,6 @@
    exact. *)
 
 type t = {
-  id : int;
   lo : int;  (* first global bin id owned *)
   width : int;  (* number of bins owned *)
   store : Core.Bins.t;
@@ -43,9 +42,8 @@ let create ~id ~lo ~process ~scenario ~rule ~repr ~loads ~rng =
   Engine.Metrics.watermark
     (Engine.Sim.metrics machine)
     (Core.Bins.max_load store);
-  { id; lo; width = Array.length loads; store; machine; rng; applied = 0 }
+  { lo; width = Array.length loads; store; machine; rng; applied = 0 }
 
-let id t = t.id
 let lo t = t.lo
 let bin_count t = t.width
 let balls t = Core.Bins.num_balls t.store
@@ -91,7 +89,7 @@ let state (t : t) : state =
    one phantom ball and clear it (an empty registry has no order to
    lose).  The round-synchronous machine has no such refusal (rounds
    conserve balls), so it boots directly. *)
-let of_state ~id ~lo ~process ~scenario ~rule ~repr (st : state) =
+let of_state ~lo ~process ~scenario ~rule ~repr (st : state) =
   let store = Core.Bins.of_snapshot st.bins in
   let n = Core.Bins.n store in
   let drained =
@@ -110,7 +108,6 @@ let of_state ~id ~lo ~process ~scenario ~rule ~repr (st : state) =
   assert ((not drained) || Core.Bins.snapshot store = st.bins);
   Engine.Metrics.watermark (Engine.Sim.metrics machine) st.watermark;
   {
-    id;
     lo;
     width = n;
     store;

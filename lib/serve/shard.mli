@@ -28,8 +28,6 @@ val create :
     underlying {!Core.System} forbids empty systems), or when [process]
     is [Rbb] and [rule] has no round-synchronous form. *)
 
-val id : t -> int
-
 val lo : t -> int
 (** First global bin id owned by this shard. *)
 
@@ -71,7 +69,6 @@ type state = {
 val state : t -> state
 
 val of_state :
-  id:int ->
   lo:int ->
   process:Process.t ->
   scenario:Core.Scenario.t ->

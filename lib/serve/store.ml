@@ -15,7 +15,6 @@
    ([record.seq >= snapshot.seq]) ignores. *)
 
 type t = {
-  config : Cluster.config;
   fp : Journal.fingerprint;
   cluster : Cluster.t;
   mutable writer : Journal.Writer.t;
@@ -78,14 +77,13 @@ let open_ ?(snapshot_every = 1_000_000) ?(sync = false) ~dir config =
   match restore ~snapshot_path ~journal_path config fp with
   | cluster, writer ->
       Ok
-        { config; fp; cluster; writer; journal_path; snapshot_path;
+        { fp; cluster; writer; journal_path; snapshot_path;
           snapshot_every; sync; last_snapshot_seq = Cluster.seq cluster;
           last_snapshot_ns = Obs.Clock.now_ns (); closed = false }
   | exception Failure msg -> Error msg
   | exception Invalid_argument msg -> Error msg
 
 let cluster t = t.cluster
-let config t = t.config
 let seq t = Cluster.seq t.cluster
 
 let set_telemetry t tel =
@@ -146,8 +144,6 @@ let apply_batch t events =
   if Cluster.seq t.cluster - t.last_snapshot_seq >= t.snapshot_every then
     snapshot_now t;
   replies
-
-let apply t ev = (apply_batch t [| ev |]).(0)
 
 let close t =
   if not t.closed then begin

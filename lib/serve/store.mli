@@ -29,7 +29,6 @@ val open_ :
     @raise Invalid_argument if [snapshot_every <= 0]. *)
 
 val cluster : t -> Cluster.t
-val config : t -> Cluster.config
 
 val seq : t -> int
 (** Mutations routed over the service's whole history. *)
@@ -44,8 +43,6 @@ val set_telemetry : t -> Telemetry.t -> unit
 
 val apply_batch : t -> Engine.Event.t array -> Engine.Event.reply array
 (** Journal the batch's mutations, then {!Cluster.apply_batch}. *)
-
-val apply : t -> Engine.Event.t -> Engine.Event.reply
 
 val snapshot_now : t -> unit
 (** Cut a snapshot at the current (batch-boundary) state and compact

@@ -10,11 +10,3 @@ let ci ?(replicates = 1000) ?(level = 0.95) ~rng ~stat xs =
   in
   let alpha = (1. -. level) /. 2. in
   (Quantile.quantile stats alpha, Quantile.quantile stats (1. -. alpha))
-
-let ci_median ?replicates ?level ~rng xs =
-  ci ?replicates ?level ~rng ~stat:Quantile.median xs
-
-let mean xs =
-  Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
-
-let ci_mean ?replicates ?level ~rng xs = ci ?replicates ?level ~rng ~stat:mean xs

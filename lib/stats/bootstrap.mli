@@ -1,6 +1,6 @@
 (** Bootstrap confidence intervals.
 
-    Percentile bootstrap for medians and means of measured recovery times,
+    Percentile bootstrap for statistics of measured recovery times,
     replacing the "w.h.p." qualifiers of the paper with empirical interval
     estimates. *)
 
@@ -15,11 +15,3 @@ val ci :
     (default 1000 replicates, level 0.95) for [stat] of the distribution
     underlying the sample [xs].
     @raise Invalid_argument on an empty sample or a level outside (0,1). *)
-
-val ci_median :
-  ?replicates:int -> ?level:float -> rng:Prng.Rng.t -> float array ->
-  float * float
-
-val ci_mean :
-  ?replicates:int -> ?level:float -> rng:Prng.Rng.t -> float array ->
-  float * float

@@ -73,11 +73,6 @@ let pp fmt t =
     done
   end
 
-let freqs t =
-  if t.total = 0 then invalid_arg "Freq.freqs: no observations";
-  let n = float_of_int t.total in
-  Array.map (fun c -> float_of_int c /. n) t.counts
-
 (* Exact in integers:
    ½ Σ |ca/na − cb/nb| = Σ |ca·nb − cb·na| / (2·na·nb).
    Summing per-cell float quotients instead can round above 1 on

@@ -50,10 +50,6 @@ val pp : Format.formatter -> t -> unit
 (** Render as [value: count] lines with a proportional bar, from 0 up
     to the largest observed value. *)
 
-val freqs : t -> float array
-(** The empirical distribution [count / total].
-    @raise Invalid_argument if no observations were recorded. *)
-
 val tv : t -> t -> float
 (** Plug-in total-variation distance [½ Σ |p̂ᵢ − q̂ᵢ|] between two
     empirical distributions; the shorter count vector is padded with

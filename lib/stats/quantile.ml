@@ -16,6 +16,5 @@ let quantile xs q =
 
 let median xs = quantile xs 0.5
 
-let iqr xs = quantile xs 0.75 -. quantile xs 0.25
 
 let of_ints xs = Array.map float_of_int xs

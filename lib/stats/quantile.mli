@@ -9,8 +9,6 @@ val quantile : float array -> float -> float
     @raise Invalid_argument on an empty array or [q] outside [0,1]. *)
 
 val median : float array -> float
-val iqr : float array -> float
-(** Interquartile range, [quantile 0.75 - quantile 0.25]. *)
 
 val of_ints : int array -> float array
 (** Convenience conversion. *)

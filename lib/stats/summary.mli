@@ -1,6 +1,6 @@
-(** Streaming summary statistics (Welford's algorithm).
+(** Streaming summary statistics.
 
-    Numerically stable single-pass mean and variance, plus extrema.  Used
+    A single-pass running mean (Welford's update), plus extrema.  Used
     by every experiment to aggregate repeated measurements. *)
 
 type t
@@ -16,9 +16,6 @@ val add_int : t -> int -> unit
 val count : t -> int
 val mean : t -> float
 (** Mean of the observations so far; [nan] when empty. *)
-
-val variance : t -> float
-(** Unbiased sample variance; [nan] with fewer than two observations. *)
 
 val min : t -> float
 (** Minimum observation; [infinity] when empty. *)

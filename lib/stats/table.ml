@@ -62,10 +62,3 @@ let title t = t.title
 let columns t = t.columns
 let rows t = List.rev t.rows
 let notes t = List.rev t.notes
-
-let cell_int = string_of_int
-
-let cell_float ?(decimals = 2) x =
-  if Float.is_nan x then "-" else Printf.sprintf "%.*f" decimals x
-
-let cell_ci (lo, hi) = Printf.sprintf "[%s, %s]" (cell_float lo) (cell_float hi)

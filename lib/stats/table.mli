@@ -35,10 +35,3 @@ val rows : t -> string list list
 
 val notes : t -> string list
 (** Notes in insertion order. *)
-
-(** Cell formatting helpers. *)
-
-val cell_int : int -> string
-val cell_float : ?decimals:int -> float -> string
-val cell_ci : float * float -> string
-(** Renders an interval as ["[lo, hi]"]. *)

@@ -11,7 +11,6 @@ let make states =
   { states = Array.copy states; index }
 
 let size t = Array.length t.states
-let states t = Array.copy t.states
 let state t i = t.states.(i)
 let find_opt t s = Hashtbl.find_opt t.index s
 
@@ -54,9 +53,3 @@ let collect ?domains ~rng ~reps t ~sample =
   Obs.Counter.add samples_counter (Stats.Freq.total freq + !escapes);
   Obs.Counter.add escapes_counter !escapes;
   { freq; escapes = !escapes }
-
-let merge a b =
-  let freq = Stats.Freq.create ~size:(Stats.Freq.size a.freq) in
-  Stats.Freq.merge_into ~dst:freq a.freq;
-  Stats.Freq.merge_into ~dst:freq b.freq;
-  { freq; escapes = a.escapes + b.escapes }

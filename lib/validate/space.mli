@@ -23,9 +23,6 @@ val make : 'state array -> 'state t
 
 val size : _ t -> int
 
-val states : 'state t -> 'state array
-(** The enumeration, in index order (a copy). *)
-
 val state : 'state t -> int -> 'state
 val find_opt : 'state t -> 'state -> int option
 
@@ -52,7 +49,3 @@ val collect :
     per repetition, so the counts are identical for any [domains]) and
     tallies every observed state.
     @raise Invalid_argument if [reps <= 0]. *)
-
-val merge : counts -> counts -> counts
-(** Pointwise sum (fresh value).
-    @raise Invalid_argument on mismatched sizes. *)

@@ -72,6 +72,8 @@ let rbb ?block_rows ?(repr = Core.Repr.Array_backed) rule ~n ~m =
       block_rows;
     }
 
+(* The Section 6 edge-orientation class chain, over the states
+   reachable from the adversarial one, against Corollary 6.4. *)
 let edge ?block_rows ~n () =
   let module Cc = Edgeorient.Class_chain in
   let start = Cc.adversarial ~n in
@@ -113,6 +115,8 @@ let open_system ~n ~capacity =
       block_rows = None;
     }
 
+(* A relocation process on per-bin load arrays, over the states
+   reachable from all balls in bin 0. *)
 let relocation scenario ~d ~relocations ~n ~m =
   let t =
     Core.Relocation.make scenario (Core.Scheduling_rule.abku d) ~relocations ~n

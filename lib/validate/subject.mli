@@ -50,22 +50,6 @@ val balls :
     equality-in-law check the non-draw-order-preserving backends are
     held to. *)
 
-val rbb : ?block_rows:int -> ?repr:Core.Repr.t -> Rbb.rule -> n:int -> m:int -> t
-(** A round-synchronous repeated balls-into-bins process over the same
-    Ω_m (rounds conserve balls), starting from all-in-one-bin, with the
-    Los–Sauerwald Θ(n log n)-style mixing bound.  The subject's unit
-    transition is one full {e round}; [repr] selects the round
-    stepper's backend through {!Rbb.sim_repr}. *)
-
-val edge : ?block_rows:int -> n:int -> unit -> t
-(** The Section 6 edge-orientation class chain, state space reachable
-    from the adversarial state, bound Corollary 6.4. *)
-
-val relocation :
-  Core.Scenario.t -> d:int -> relocations:int -> n:int -> m:int -> t
-(** A relocation process on per-bin load arrays, state space reachable
-    from all-in-bin-0. *)
-
 (** {1 Catalogs} *)
 
 val quick_catalog : unit -> t list

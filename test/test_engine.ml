@@ -31,15 +31,6 @@ let test_sim_drivers () =
   Alcotest.(check (option int))
     "first_hit None past the limit" None
     (Engine.Sim.first_hit s g ~pred:(fun v -> v > 1000) ~limit:3);
-  (* x = 10 after the misses above. *)
-  Alcotest.(check (array int))
-    "trajectory observes after each step" [| 11; 12; 13 |]
-    (Engine.Sim.trajectory s g 3);
-  Alcotest.(check (list (pair int int)))
-    "fold sees step index and probe"
-    [ (1, 14); (2, 15) ]
-    (List.rev
-       (Engine.Sim.fold s g 2 ~init:[] ~f:(fun acc i p -> (i, p) :: acc)));
   Engine.Sim.reset s 5;
   Alcotest.(check int) "reset roundtrip" 5 (Engine.Sim.observe s);
   Alcotest.(check (list int))
@@ -47,7 +38,7 @@ let test_sim_drivers () =
     (Engine.Sim.sample_every s g ~burn_in:2 ~every:3 ~samples:3 (fun () ->
          Engine.Sim.observe s));
   let snap = Engine.Metrics.snapshot (Engine.Sim.metrics s) in
-  Alcotest.(check int) "metrics count every driver step" 26 snap.steps;
+  Alcotest.(check int) "metrics count every driver step" 21 snap.steps;
   Alcotest.(check int) "watermark tracks the probe" 16 snap.watermark;
   Alcotest.check_raises "negative iterate"
     (Invalid_argument "Sim.iterate: negative step count") (fun () ->
@@ -74,12 +65,6 @@ let test_metrics_accounting () =
     "merge sums phases"
     [ ("run", 0.5) ]
     merged.phases;
-  let d = Engine.Metrics.diff s merged in
-  Alcotest.(check int) "diff recovers the delta" 1 d.steps;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "diff recovers the phase delta"
-    [ ("run", 0.25) ]
-    d.phases;
   Alcotest.(check int) "merge with zero is identity" s.steps
     (Engine.Metrics.merge Engine.Metrics.zero s).steps;
   (* to_table renders without raising and carries the derived rows. *)
@@ -238,31 +223,12 @@ let test_coupled_sim_first_hit () =
   check_pair 4 0;
   check_pair 0 1
 
-(* Regression: [diff]'s phase combination historically computed
-   before - after — a negated delta for shared keys, and the raw
-   positive before-value for keys only present in [before] (which are
-   fully elapsed and must contribute zero). *)
-let test_metrics_diff_phases () =
-  let mk phases =
-    let m = Engine.Metrics.create () in
-    List.iter (fun (k, v) -> Engine.Metrics.add_phase m k v) phases;
-    Engine.Metrics.snapshot m
-  in
-  let before = mk [ ("setup", 1.0); ("shared", 0.25) ] in
-  let after = mk [ ("shared", 0.75); ("teardown", 0.5) ] in
-  let d = Engine.Metrics.diff before after in
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "shared subtracts; before-only clamps to zero; after-only passes through"
-    [ ("setup", 0.); ("shared", 0.5); ("teardown", 0.5) ]
-    d.phases
-
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
       ("sim drivers", test_sim_drivers);
       ("metrics accounting", test_metrics_accounting);
-      ("metrics diff phases", test_metrics_diff_phases);
       ("adapter probe counter", test_adapter_probe_counter);
       ("sim = chain, bitwise", test_sim_matches_chain_bitwise);
       ("sim = chain, in law", test_sim_matches_chain_in_law);

@@ -25,7 +25,7 @@ let test_prng_errors () =
   inv "Dist: negative weight" (fun () ->
       ignore (Prng.Dist.weighted (g ()) [| 1.; -1. |]));
   inv "Dist: zero total weight" (fun () ->
-      ignore (Prng.Dist.alias_of_weights [| 0. |]))
+      ignore (Prng.Dist.weighted (g ()) [| 0. |]))
 
 let test_stats_errors () =
   inv "Quantile.quantile: empty sample" (fun () ->
@@ -39,7 +39,9 @@ let test_stats_errors () =
         (Stats.Regression.log_corrected_power_law ~log_exponent:1.
            [| (0.5, 1.); (2., 2.) |]));
   inv "Bootstrap.ci: level must be in (0,1)" (fun () ->
-      ignore (Stats.Bootstrap.ci_mean ~level:1.5 ~rng:(g ()) [| 1. |]));
+      ignore
+        (Stats.Bootstrap.ci ~level:1.5 ~rng:(g ()) ~stat:Stats.Quantile.median
+           [| 1. |]));
   inv "Table.add_row: arity mismatch" (fun () ->
       Stats.Table.add_row (Stats.Table.create ~title:"t" ~columns:[ "a" ]) [])
 

@@ -133,16 +133,6 @@ let test_pair_uniform () =
         Alcotest.failf "pair frequency off: %f" frac)
     counts
 
-let test_shuffle_multiset () =
-  let g = rng () in
-  let a = Array.init 100 (fun i -> i) in
-  let b = Array.copy a in
-  Prng.Rng.shuffle_in_place g b;
-  let sorted = Array.copy b in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" a sorted;
-  Alcotest.(check bool) "actually shuffled" true (b <> a)
-
 let test_xoshiro_jump () =
   let a = Prng.Xoshiro.of_seed 9L and b = Prng.Xoshiro.of_seed 9L in
   Prng.Xoshiro.jump b;
@@ -180,48 +170,12 @@ let test_inverse_cdf () =
   Alcotest.(check int) "u=0.74" 1 (Prng.Dist.inverse_cdf w 0.74);
   Alcotest.(check int) "u=0.76" 2 (Prng.Dist.inverse_cdf w 0.76)
 
-let test_alias_matches_weights () =
-  let g = rng () in
-  let w = [| 0.5; 0.125; 0.25; 0.125 |] in
-  let alias = Prng.Dist.alias_of_weights w in
-  let counts = Array.make 4 0 in
-  let reps = 40_000 in
-  for _ = 1 to reps do
-    let i = Prng.Dist.alias_sample g alias in
-    counts.(i) <- counts.(i) + 1
-  done;
-  Array.iteri
-    (fun i wi ->
-      let frac = float_of_int counts.(i) /. float_of_int reps in
-      if Float.abs (frac -. wi) > 0.02 then
-        Alcotest.failf "alias frequency off at %d: %f vs %f" i frac wi)
-    w
-
 let test_weighted_skips_zeros () =
   let g = rng () in
   for _ = 1 to 500 do
     let i = Prng.Dist.weighted g [| 0.; 1.; 0.; 1.; 0. |] in
     if i <> 1 && i <> 3 then Alcotest.failf "picked zero-weight index %d" i
   done
-
-(* Alias-table vs naive-sampler distribution equality, without
-   sampling noise: the symbolic law of the table must equal the
-   normalized weights (which is also the law of [weighted]'s inverse
-   CDF) up to float rounding. *)
-let qcheck_alias_law_equals_weights =
-  QCheck.Test.make ~name:"alias table law = normalized weights" ~count:500
-    QCheck.(list_of_size (Gen.int_range 1 20) (float_range 0. 10.))
-    (fun ws ->
-      let w = Array.of_list ws in
-      let total = Array.fold_left ( +. ) 0. w in
-      QCheck.assume (total > 0.);
-      let induced = Prng.Dist.alias_induced (Prng.Dist.alias_of_weights w) in
-      let ok = ref true in
-      Array.iteri
-        (fun i wi ->
-          if Float.abs (induced.(i) -. (wi /. total)) > 1e-9 then ok := false)
-        w;
-      !ok)
 
 let qcheck_int_in_range =
   QCheck.Test.make ~name:"Rng.int stays in range" ~count:500
@@ -353,18 +307,15 @@ let suite =
       ("geometric", test_geometric);
       ("pair_distinct", test_pair_distinct);
       ("pair uniform", test_pair_uniform);
-      ("shuffle multiset", test_shuffle_multiset);
       ("xoshiro jump", test_xoshiro_jump);
       ("weighted_int frequencies", test_weighted_int);
       ("inverse_cdf boundaries", test_inverse_cdf);
-      ("alias frequencies", test_alias_matches_weights);
       ("weighted skips zeros", test_weighted_skips_zeros);
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         qcheck_int_in_range;
         qcheck_inverse_cdf_valid;
-        qcheck_alias_law_equals_weights;
       ]
   @ List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
       [

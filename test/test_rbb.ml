@@ -192,9 +192,6 @@ let test_round_event_vocabulary () =
   let p = Rbb.make (Rbb.dchoice 2) ~n in
   let g = rng_of 3 in
   let s = Rbb.sim_repr p (Lv.uniform ~n ~m) in
-  (match Engine.Sim.apply s g Engine.Event.Round with
-  | Engine.Event.Ack -> ()
-  | _ -> Alcotest.fail "Round should Ack on a normalized rbb sim");
   (match Engine.Sim.apply s g Engine.Event.Step with
   | Engine.Event.Ack -> ()
   | _ -> Alcotest.fail "Step should Ack (one round) on a normalized rbb sim");
@@ -235,22 +232,11 @@ let test_service_machine () =
 
 let test_rule_parsing () =
   List.iter
-    (fun (s, expect) ->
-      match (Rbb.rule_of_string s, expect) with
-      | Ok r, Some name -> Alcotest.(check string) s name (Rbb.rule_name r)
-      | Error _, None -> ()
-      | Ok r, None ->
-          Alcotest.failf "%S should not parse (got %s)" s (Rbb.rule_name r)
-      | Error e, Some _ -> Alcotest.failf "%S should parse: %s" s e)
-    [
-      ("uniform", Some "uniform");
-      ("u", Some "uniform");
-      ("d2", Some "d2");
-      ("d7", Some "d7");
-      ("d1", None);
-      ("d0", None);
-      ("nonsense", None);
-    ];
+    (fun (d, name) ->
+      match Rbb.of_scheduling_rule (Core.Scheduling_rule.abku d) with
+      | Ok r -> Alcotest.(check string) name name (Rbb.rule_name r)
+      | Error e -> Alcotest.failf "ABKU[%d] should convert: %s" d e)
+    [ (1, "uniform"); (2, "d2"); (7, "d7") ];
   match
     Rbb.of_scheduling_rule
       (Core.Scheduling_rule.adap (Core.Adaptive.of_list [ 1; 2 ]))

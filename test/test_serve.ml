@@ -1467,6 +1467,69 @@ let test_occupancy_flood () =
               end)
             got))
 
+(* Read to EOF, taking at most 64 KiB every [pause] seconds. *)
+let recv_to_eof ~pause fd =
+  let buf = Buffer.create 65536 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.failf "no EOF within 5 s after %d bytes" (Buffer.length buf)
+    | 0 -> Buffer.contents buf
+    | k ->
+        Buffer.add_subbytes buf chunk 0 k;
+        Unix.sleepf pause;
+        go ()
+  in
+  go ()
+
+(* [got] holds [k] occupancy replies with ids 0 .. k-1, in order, then
+   the lines [rest]. *)
+let check_occupancy_replies k ~rest got =
+  let lines = String.split_on_char '\n' got in
+  Alcotest.(check int) "every reply" (k + List.length rest + 1) (List.length lines);
+  List.iteri
+    (fun i line ->
+      let want = Printf.sprintf "{\"id\":%d,\"ok\":true,\"reply\":\"loads\"" i in
+      if i < k && not (String.starts_with ~prefix:want line) then
+        Alcotest.failf "reply %d reads %S" i
+          (String.sub line 0 (min 60 (String.length line))))
+    lines;
+  Alcotest.(check (list string)) "then" (rest @ [ "" ])
+    (List.filteri (fun i _ -> i >= k) lines)
+
+let occupancy_lines k =
+  String.concat ""
+    (List.init k (fun i -> Printf.sprintf "{\"op\":\"occupancy\",\"id\":%d}\n" i))
+
+(* A client that sends its requests and half-closes its write side
+   gets every reply before EOF.  One reads 100 occupancy replies at
+   n = 16,384, several times what its socket holds, 64 KiB every 2 ms.
+   Another is refused at the line cap after 20 occupancy requests, which
+   fill its socket first, and reads nothing until the daemon has seen
+   its EOF: it still gets its error reply, after the others. *)
+let test_half_closed_client () =
+  with_daemon (mk_config ~n:16384 ~shards:1 ()) (fun path ->
+      (* Send [request], half-close, sleep [wait] s, then read to EOF. *)
+      let half_closed request ~wait ~pause =
+        let fd = connect_unix path in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            send_all fd request 0;
+            Unix.shutdown fd Unix.SHUTDOWN_SEND;
+            Unix.sleepf wait;
+            recv_to_eof ~pause fd)
+      in
+      check_occupancy_replies 100 ~rest:[]
+        (half_closed (occupancy_lines 100) ~wait:0. ~pause:0.002);
+      check_occupancy_replies 20
+        ~rest:
+          [
+            "{\"ok\":false,\"reply\":\"error\",\"error\":\"request line \
+             reaches 65536 bytes without a newline\"}";
+          ]
+        (half_closed (occupancy_lines 20 ^ String.make 70_000 'x') ~wait:0.5 ~pause:0.))
+
 (* The load client's failure count reads "ok":false in place, with or
    without an id before it, and allocates nothing per reply. *)
 let test_reply_failed () =
@@ -1568,6 +1631,8 @@ let suite =
         test_slow_reader;
       Alcotest.test_case "an occupancy flood is held in bounded memory" `Quick
         test_occupancy_flood;
+      Alcotest.test_case "a half-closed client gets every reply" `Quick
+        test_half_closed_client;
       Alcotest.test_case "cluster replies pinned across refactors" `Quick
         test_pinned_replies;
     ]

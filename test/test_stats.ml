@@ -15,22 +15,17 @@ let test_summary_basic () =
   let s = summary_of [ 1.; 2.; 3.; 4. ] in
   Alcotest.(check int) "count" 4 (Stats.Summary.count s);
   check_float "mean" 2.5 (Stats.Summary.mean s);
-  check_float "variance" (5. /. 3.) (Stats.Summary.variance s);
   check_float "min" 1. (Stats.Summary.min s);
   check_float "max" 4. (Stats.Summary.max s);
   check_float "sum" 10. (Stats.Summary.sum s)
 
 let test_summary_empty () =
   let s = Stats.Summary.create () in
-  Alcotest.(check bool) "mean nan" true (Float.is_nan (Stats.Summary.mean s));
-  Alcotest.(check bool) "variance nan" true
-    (Float.is_nan (Stats.Summary.variance s))
+  Alcotest.(check bool) "mean nan" true (Float.is_nan (Stats.Summary.mean s))
 
 let test_summary_single () =
   let s = summary_of [ 7. ] in
-  check_float "mean" 7. (Stats.Summary.mean s);
-  Alcotest.(check bool) "variance nan" true
-    (Float.is_nan (Stats.Summary.variance s))
+  check_float "mean" 7. (Stats.Summary.mean s)
 
 let test_summary_merge () =
   let a = summary_of [ 1.; 2.; 3. ] and b = summary_of [ 10.; 20. ] in
@@ -38,8 +33,6 @@ let test_summary_merge () =
   let whole = summary_of [ 1.; 2.; 3.; 10.; 20. ] in
   Alcotest.(check int) "count" (Stats.Summary.count whole) (Stats.Summary.count m);
   check_float ~tol:1e-9 "mean" (Stats.Summary.mean whole) (Stats.Summary.mean m);
-  check_float ~tol:1e-9 "variance" (Stats.Summary.variance whole)
-    (Stats.Summary.variance m);
   check_float "min" 1. (Stats.Summary.min m);
   check_float "max" 20. (Stats.Summary.max m)
 
@@ -55,8 +48,7 @@ let test_quantile_known () =
   check_float "q0" 1. (Stats.Quantile.quantile xs 0.);
   check_float "q1" 4. (Stats.Quantile.quantile xs 1.);
   check_float "median" 2.5 (Stats.Quantile.median xs);
-  check_float "q25" 1.75 (Stats.Quantile.quantile xs 0.25);
-  check_float "iqr" 1.5 (Stats.Quantile.iqr xs)
+  check_float "q25" 1.75 (Stats.Quantile.quantile xs 0.25)
 
 let test_quantile_unsorted_input () =
   let xs = [| 3.; 1.; 2. |] in
@@ -145,21 +137,22 @@ let test_regression_invalid () =
 let test_bootstrap_constant () =
   let rng = Prng.Rng.create ~seed:7 () in
   let xs = Array.make 30 5. in
-  let lo, hi = Stats.Bootstrap.ci_median ~rng xs in
+  let lo, hi = Stats.Bootstrap.ci ~rng ~stat:Stats.Quantile.median xs in
   check_float "lo" 5. lo;
   check_float "hi" 5. hi
 
 let test_bootstrap_contains_truth () =
   let rng = Prng.Rng.create ~seed:7 () in
   let xs = Array.init 200 (fun i -> float_of_int (i mod 10)) in
-  let lo, hi = Stats.Bootstrap.ci_mean ~rng xs in
-  Alcotest.(check bool) "mean in CI" true (lo <= 4.5 && 4.5 <= hi);
+  let lo, hi = Stats.Bootstrap.ci ~rng ~stat:Stats.Quantile.median xs in
+  Alcotest.(check bool) "median in CI" true (lo <= 4.5 && 4.5 <= hi);
   Alcotest.(check bool) "tight-ish" true (hi -. lo < 1.5)
 
 let test_bootstrap_invalid () =
   let rng = Prng.Rng.create ~seed:7 () in
   Alcotest.check_raises "empty" (Invalid_argument "Bootstrap.ci: empty sample")
-    (fun () -> ignore (Stats.Bootstrap.ci_median ~rng [||]))
+    (fun () ->
+      ignore (Stats.Bootstrap.ci ~rng ~stat:Stats.Quantile.median [||]))
 
 let test_table () =
   let t = Stats.Table.create ~title:"T" ~columns:[ "a"; "bb" ] in
@@ -289,12 +282,6 @@ let test_table_accessors () =
   Alcotest.(check (list string))
     "notes in insertion order" [ "first"; "second" ] (Stats.Table.notes t)
 
-let test_table_cells () =
-  Alcotest.(check string) "int" "42" (Stats.Table.cell_int 42);
-  Alcotest.(check string) "float" "3.14" (Stats.Table.cell_float 3.14159);
-  Alcotest.(check string) "nan" "-" (Stats.Table.cell_float nan);
-  Alcotest.(check string) "ci" "[1.00, 2.00]" (Stats.Table.cell_ci (1., 2.))
-
 let qcheck_quantile_monotone =
   QCheck.Test.make ~name:"quantile monotone in q" ~count:300
     QCheck.(
@@ -323,9 +310,7 @@ let qcheck_merge_matches_whole =
     (fun (xs, ys) ->
       let m = Stats.Summary.merge (summary_of xs) (summary_of ys) in
       let w = summary_of (xs @ ys) in
-      feq ~tol:1e-6 (Stats.Summary.mean m) (Stats.Summary.mean w)
-      && (Stats.Summary.count w < 2
-         || feq ~tol:1e-6 (Stats.Summary.variance m) (Stats.Summary.variance w)))
+      feq ~tol:1e-6 (Stats.Summary.mean m) (Stats.Summary.mean w))
 
 (* ---- Special (gamma / chi-square) ---------------------------------- *)
 
@@ -387,8 +372,6 @@ let test_freq_counts () =
   Stats.Freq.add f 3 2;
   Alcotest.(check int) "total" 4 (Stats.Freq.total f);
   Alcotest.(check (array int)) "counts" [| 0; 2; 0; 2 |] (Stats.Freq.counts f);
-  Alcotest.(check (array (float 1e-12)))
-    "freqs" [| 0.; 0.5; 0.; 0.5 |] (Stats.Freq.freqs f);
   let g = Stats.Freq.of_values [| 0; 3; 3; 0 |] in
   Stats.Freq.merge_into ~dst:f g;
   Alcotest.(check int) "merged total" 8 (Stats.Freq.total f);
@@ -436,7 +419,6 @@ let suite =
       ("bootstrap contains truth", test_bootstrap_contains_truth);
       ("bootstrap invalid", test_bootstrap_invalid);
       ("table", test_table);
-      ("table cells", test_table_cells);
       ("table csv", test_table_csv);
       ("table csv roundtrip", test_table_csv_roundtrip);
       ("table csv notes", test_table_csv_notes);
