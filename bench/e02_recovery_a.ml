@@ -9,7 +9,6 @@ module Ctx = Experiment.Ctx
 
 let run ctx =
   let reps = Ctx.reps ctx in
-  let repr = Ctx.repr ctx in
   let d = 2 in
   let table =
     Ctx.table ctx ~title:"E2: recovery of Id-ABKU[2] to fluid max load + 1"
@@ -32,8 +31,8 @@ let run ctx =
       let scale = Theory.Bounds.recovery_a_steps ~n in
       let rng = Ctx.rng ctx ~experiment:(2000 + n) in
       let meas, metrics =
-        Core.Recovery.measure_with_metrics ~domains:(Ctx.domains ctx) ~repr
-          ~rng ~reps spec ~target ~limit:(200 * int_of_float scale)
+        Core.Recovery.measure_with_metrics ~domains:(Ctx.domains ctx) ~rng
+          ~reps spec ~target ~limit:(200 * int_of_float scale)
       in
       points := (float_of_int n, meas.median) :: !points;
       Ctx.row table
@@ -55,7 +54,7 @@ let run ctx =
 let spec =
   Experiment.Spec.v ~id:"e2"
     ~claim:"scenario-A recovery from the worst state in O(n ln n) steps"
-    ~tags:[ "recovery"; "scenario-a"; "sim" ] ~uses_repr:true
+    ~tags:[ "recovery"; "scenario-a"; "sim" ]
     ~grid:
       (Experiment.Grid.v ~axis:"n=m" ~quick:[ 128; 256; 512; 1024; 2048 ]
          ~full:[ 128; 256; 512; 1024; 2048; 4096 ] ~reps:(11, 31) ())

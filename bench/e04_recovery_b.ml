@@ -8,7 +8,6 @@ module Ctx = Experiment.Ctx
 
 let run ctx =
   let reps = Ctx.reps ctx in
-  let repr = Ctx.repr ctx in
   let d = 2 in
   let table =
     Ctx.table ctx ~title:"E4: recovery of Ib-ABKU[2] to fluid max load + 1"
@@ -31,8 +30,8 @@ let run ctx =
       let scale = Theory.Bounds.recovery_b_steps ~n in
       let rng = Ctx.rng ctx ~experiment:(4000 + n) in
       let meas, metrics =
-        Core.Recovery.measure_with_metrics ~domains:(Ctx.domains ctx) ~repr
-          ~rng ~reps spec ~target ~limit:(50 * int_of_float scale)
+        Core.Recovery.measure_with_metrics ~domains:(Ctx.domains ctx) ~rng
+          ~reps spec ~target ~limit:(50 * int_of_float scale)
       in
       points := (float_of_int n, meas.median) :: !points;
       Ctx.row table
@@ -57,7 +56,7 @@ let run ctx =
 let spec =
   Experiment.Spec.v ~id:"e4"
     ~claim:"scenario-B recovery from the worst state in O(n^2 ln n) steps"
-    ~tags:[ "recovery"; "scenario-b"; "sim" ] ~uses_repr:true
+    ~tags:[ "recovery"; "scenario-b"; "sim" ]
     ~grid:
       (Experiment.Grid.v ~axis:"n=m" ~quick:[ 32; 64; 128; 256; 512 ]
          ~full:[ 64; 128; 256; 512; 1024 ] ~reps:(9, 21) ())

@@ -65,15 +65,6 @@ let rule_arg =
   Arg.(value & opt conv_rule (Core.Scheduling_rule.abku 2)
        & info [ "rule" ] ~docv:"RULE" ~doc)
 
-let repr_arg =
-  let doc =
-    "Representation backend for the hot path: " ^ Core.Repr.help
-    ^ ".  counts-sampled switches ABKU insertion to the cutoff table \
-       (equal in law, different draw trace)."
-  in
-  Arg.(value & opt Experiments.Cli.repr Core.Repr.Array_backed
-       & info [ "repr" ] ~docv:"REPR" ~doc)
-
 let steps_arg ~default =
   let doc = "Number of process steps." in
   Arg.(value & opt int default & info [ "steps" ] ~docv:"STEPS" ~doc)
@@ -729,11 +720,12 @@ let connect_arg =
   Arg.(value & opt address_conv default_address
        & info [ "connect" ] ~docv:"ADDR" ~doc)
 
-let serve seed n m scenario rule repr process listen shards dir snapshot_every
-    sync () quiet trace trace_sample =
+let serve seed n m scenario rule process listen shards dir snapshot_every sync
+    () quiet trace trace_sample =
   let m = resolve_m n m in
   let cluster =
-    { Serve.Cluster.n; m; shards; process; scenario; rule; repr; seed }
+    { Serve.Cluster.n; m; shards; process; scenario; rule;
+      repr = Core.Repr.Array_backed; seed }
   in
   let config =
     { Serve.Server.listen; cluster; dir; snapshot_every; sync; quiet; trace;
@@ -823,8 +815,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Run the allocation service daemon")
     Term.(const serve $ seed_arg $ n_arg $ m_arg $ scenario_arg $ rule_arg
-          $ repr_arg $ process $ listen $ shards $ dir $ snapshot_every $ sync
-          $ domains $ quiet $ trace $ trace_sample)
+          $ process $ listen $ shards $ dir $ snapshot_every $ sync $ domains
+          $ quiet $ trace $ trace_sample)
 
 let parse_mix s =
   match String.split_on_char ':' s |> List.map int_of_string_opt with

@@ -15,20 +15,10 @@ type t = {
   pos_in_nonempty : int array;  (* bin id -> index in [nonempty], or -1 *)
   mutable count_by_load : int array;  (* #bins with load l, for l >= 1 *)
   mutable max_load : int;
-  mutable by_level : Int_vec.t array;  (* level -> bin ids at that load *)
-  pos_in_level : int array;  (* bin id -> index in by_level.(load) *)
-  mutable sampler : (int * Scheduling_rule.Abku_table.table) option;
-      (* (d, cutoff table) when sampled ABKU insertion is enabled *)
 }
-
-let fresh_level_bucket () = Int_vec.create ~capacity:4 ()
 
 let create ~n =
   if n <= 0 then invalid_arg "Bins.create: n must be positive";
-  let level0 = Int_vec.create ~capacity:n () in
-  for b = 0 to n - 1 do
-    Int_vec.push level0 b
-  done;
   {
     n;
     loads = Array.make n 0;
@@ -39,10 +29,6 @@ let create ~n =
     pos_in_nonempty = Array.make n (-1);
     count_by_load = Array.make 8 0;
     max_load = 0;
-    by_level =
-      Array.init 8 (fun l -> if l = 0 then level0 else fresh_level_bucket ());
-    pos_in_level = Array.init n (fun b -> b);
-    sampler = None;
   }
 
 let n t = t.n
@@ -63,28 +49,6 @@ let ensure_count t l =
     t.count_by_load <- arr
   end
 
-let ensure_level t l =
-  let len = Array.length t.by_level in
-  if l >= len then begin
-    let arr =
-      Array.init
-        (Stdlib.max (l + 1) (2 * len))
-        (fun i -> if i < len then t.by_level.(i) else fresh_level_bucket ())
-    in
-    t.by_level <- arr
-  end
-
-(* Move bin [b] from its bucket at [from_l] to the one at [to_l]. *)
-let move_level t b ~from_l ~to_l =
-  let bk = t.by_level.(from_l) in
-  let pos = t.pos_in_level.(b) in
-  ignore (Int_vec.swap_remove bk pos);
-  if pos < Int_vec.length bk then
-    t.pos_in_level.(Int_vec.get bk pos) <- pos;
-  ensure_level t to_l;
-  t.pos_in_level.(b) <- Int_vec.length t.by_level.(to_l);
-  Int_vec.push t.by_level.(to_l) b
-
 let note_increment t b =
   let l = t.loads.(b) in
   if l = 0 then begin
@@ -94,10 +58,6 @@ let note_increment t b =
   else t.count_by_load.(l) <- t.count_by_load.(l) - 1;
   ensure_count t (l + 1);
   t.count_by_load.(l + 1) <- t.count_by_load.(l + 1) + 1;
-  move_level t b ~from_l:l ~to_l:(l + 1);
-  (match t.sampler with
-  | Some (_, table) -> Scheduling_rule.Abku_table.on_gain table (l + 1)
-  | None -> ());
   t.loads.(b) <- l + 1;
   if l + 1 > t.max_load then t.max_load <- l + 1
 
@@ -115,10 +75,6 @@ let note_decrement t b =
     end;
     t.pos_in_nonempty.(b) <- -1
   end;
-  move_level t b ~from_l:l ~to_l:(l - 1);
-  (match t.sampler with
-  | Some (_, table) -> Scheduling_rule.Abku_table.on_loss table l
-  | None -> ());
   t.loads.(b) <- l - 1;
   (* A removal lowers the max by at most one, exactly when the last
      max-loaded bin lost a ball. *)
@@ -217,32 +173,6 @@ let insert_with_rule rule g t =
       in
       go 1 (Prng.Rng.int g t.n)
 
-(* {2 Sampled (cutoff-table) ABKU insertion} *)
-
-let enable_sampled_insertion t ~d =
-  if d < 1 then invalid_arg "Bins.enable_sampled_insertion: d must be >= 1";
-  let table =
-    Scheduling_rule.Abku_table.create ~d ~n:t.n ~max_level:t.max_load
-      ~count:(fun l ->
-        if l = 0 then t.n - Int_vec.length t.nonempty
-        else if l < Array.length t.count_by_load then t.count_by_load.(l)
-        else 0)
-  in
-  t.sampler <- Some (d, table)
-
-let sampled_insertion t =
-  match t.sampler with Some (d, _) -> Some d | None -> None
-
-let insert_sampled g t =
-  match t.sampler with
-  | None -> invalid_arg "Bins.insert_sampled: sampler not enabled"
-  | Some (d, table) ->
-      let level = Scheduling_rule.Abku_table.draw_level table g in
-      let bucket = t.by_level.(level) in
-      let b = Int_vec.get bucket (Prng.Rng.int g (Int_vec.length bucket)) in
-      add_ball t b;
-      (b, d)
-
 let reset_loads t per_bin =
   if Array.length per_bin <> t.n then
     invalid_arg "Bins.reset_loads: dimension mismatch";
@@ -277,7 +207,6 @@ type snapshot = {
   sn_balls : int array;
   sn_slot_order : int array;
   sn_nonempty : int array;
-  sn_levels : int array array;
 }
 
 let snapshot t =
@@ -297,7 +226,6 @@ let snapshot t =
     sn_balls = vec t.balls;
     sn_slot_order = slot_order;
     sn_nonempty = vec t.nonempty;
-    sn_levels = Array.init (t.max_load + 1) (fun l -> vec t.by_level.(l));
   }
 
 let of_snapshot s =
@@ -348,25 +276,4 @@ let of_snapshot s =
       t.pos_in_nonempty.(b) <- Int_vec.length t.nonempty;
       Int_vec.push t.nonempty b)
     s.sn_nonempty;
-  (* Rebuild the per-level buckets in the recorded order (their order is
-     sampled by the cutoff-table insertion, so it is part of the
-     replayable state). *)
-  ensure_level t (Array.length s.sn_levels - 1);
-  Array.iter (fun bucket -> Int_vec.clear bucket) t.by_level;
-  let placed = ref 0 in
-  let seen_bin = Array.make s.sn_n false in
-  Array.iteri
-    (fun l bins ->
-      Array.iter
-        (fun b ->
-          if b < 0 || b >= s.sn_n || t.loads.(b) <> l || seen_bin.(b) then
-            invalid_arg "Bins.of_snapshot: level bucket mismatch";
-          seen_bin.(b) <- true;
-          t.pos_in_level.(b) <- Int_vec.length t.by_level.(l);
-          Int_vec.push t.by_level.(l) b;
-          incr placed)
-        bins)
-    s.sn_levels;
-  if !placed <> s.sn_n then
-    invalid_arg "Bins.of_snapshot: level bucket mismatch";
   t

@@ -18,8 +18,7 @@ val of_loads : int array -> t
 
 val copy : t -> t
 (** A fresh system with the same per-bin loads.  Internal orders
-    (registry, slot stacks, level buckets) are canonicalized, not
-    replicated, and sampled-insertion mode is not carried over — use
+    (registry, slot stacks) are canonicalized, not replicated — use
     {!snapshot}/{!of_snapshot} for replay-exact duplication. *)
 
 val n : t -> int
@@ -54,24 +53,6 @@ val insert_with_rule : Scheduling_rule.t -> Prng.Rng.t -> t -> int * int
     i.u.r. per the rule (least-loaded-so-far wins, ADAP keeps probing
     while its threshold demands).  Returns [(bin, probes_used)]. *)
 
-val enable_sampled_insertion : t -> d:int -> unit
-(** Switch this store to cutoff-table ABKU\[d\] insertion: build a
-    {!Scheduling_rule.Abku_table} over the current level counts and
-    keep it maintained (O(1)) through every subsequent ball move.
-    Backs the [counts-sampled] representation of {!Repr} in the serve
-    layer.  @raise Invalid_argument if [d < 1]. *)
-
-val sampled_insertion : t -> int option
-(** [Some d] when sampled insertion is enabled. *)
-
-val insert_sampled : Prng.Rng.t -> t -> int * int
-(** Place one ball using the cutoff table: one float draw picks the
-    destination load level (exactly the law of the least-loaded of [d]
-    uniform probes), one int draw picks the bin uniformly inside that
-    level's bucket.  Equal in law to [insert_with_rule (Abku d)] but
-    not in trace (2 draws instead of [d]).  Returns [(bin, d)].
-    @raise Invalid_argument unless {!enable_sampled_insertion} ran. *)
-
 val reset_loads : t -> int array -> unit
 (** Overwrite the state with the given per-bin loads, in place (O(m)) —
     the reset primitive of the simulation engine.
@@ -100,10 +81,6 @@ type snapshot = {
       (** Every slot exactly once, listed in each bin's internal stack
           order (bins concatenated in id order). *)
   sn_nonempty : int array;  (** The non-empty bins, in internal order. *)
-  sn_levels : int array array;
-      (** Entry [l]: the bins at load [l], in bucket order (entry [0]
-          lists the empty bins).  Sampled insertion picks uniformly
-          inside a bucket, so bucket order is replayable state too. *)
 }
 
 val snapshot : t -> snapshot

@@ -31,6 +31,3 @@ let swap_remove v i =
   v.len <- v.len - 1;
   v.data.(i) <- v.data.(v.len);
   x
-
-let clear v = v.len <- 0
-

@@ -20,5 +20,3 @@ val pop : t -> int
 val swap_remove : t -> int -> int
 (** [swap_remove v i] removes index [i] in O(1) by moving the last
     element into its place; returns the removed value. *)
-
-val clear : t -> unit

@@ -14,15 +14,11 @@ type spec = {
 }
 
 val time_to_max_load :
-  ?repr:Repr.t ->
   rng:Prng.Rng.t -> spec -> target:int -> limit:int -> int option
-(** Steps from the adversarial state until [max_load <= target].
-    [repr] selects the state backend (default {!Repr.Array_backed}, the
-    oracle with the historical draw order). *)
+(** Steps from the adversarial state until [max_load <= target]. *)
 
 val measure_with_metrics :
   ?domains:int ->
-  ?repr:Repr.t ->
   rng:Prng.Rng.t -> reps:int -> spec -> target:int -> limit:int ->
   Coupling.Coalescence.measurement * Engine.Metrics.snapshot
 (** Like {!measure}, additionally returning the aggregated engine
@@ -31,7 +27,6 @@ val measure_with_metrics :
 
 val measure :
   ?domains:int ->
-  ?repr:Repr.t ->
   rng:Prng.Rng.t -> reps:int -> spec -> target:int -> limit:int ->
   Coupling.Coalescence.measurement
 (** Repeated {!time_to_max_load} (failures = runs hitting [limit]).
@@ -39,6 +34,4 @@ val measure :
     (default 1) fans repetitions over OCaml domains with bit-identical
     results (generators split before the fan-out), and with
     [BENCH_METRICS=1] the aggregated engine counters are printed.
-    [repr] as in {!time_to_max_load}; backends that preserve the draw
-    order leave every measurement bit-identical.
     @raise Invalid_argument if [reps <= 0]. *)

@@ -4,7 +4,7 @@
    Loadvec.Count_vector.  See DESIGN.md, "The representation layer". *)
 
 type t =
-  | Array_backed  (* sorted load array (Mutable_vector / Bins) — oracle *)
+  | Array_backed  (* sorted load array (Mutable_vector) — oracle *)
   | Count_backed  (* count vector, same RNG draw order as the array *)
   | Count_sampled  (* count vector + cutoff-table d-choice sampling *)
 

@@ -10,9 +10,9 @@
 
 type t =
   | Array_backed
-      (** Sorted load array ({!Loadvec.Mutable_vector} /
-          {!Bins}) — the oracle all other backends are checked
-          against, and the default everywhere. *)
+      (** Sorted load array ({!Loadvec.Mutable_vector}) — the oracle
+          all other backends are checked against, and the default
+          everywhere. *)
   | Count_backed
       (** {!Loadvec.Count_vector} multiset state; consumes the same
           draws as the array path, so traces are bit-identical. *)

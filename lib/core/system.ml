@@ -1,28 +1,16 @@
 type t = { scenario : Scenario.t; rule : Scheduling_rule.t; bins : Bins.t }
 
-let create ?(repr = Repr.Array_backed) scenario rule bins =
+let create scenario rule bins =
   if Bins.num_balls bins = 0 then invalid_arg "System.create: no balls";
-  (* Bins is already count-indexed, so [Count_backed] changes nothing
-     here; only [Count_sampled] switches the insertion machinery (and
-     only ABKU has a sampled form — ADAP's threshold is adaptive). *)
-  (match (repr, rule) with
-  | Repr.Count_sampled, Scheduling_rule.Abku d ->
-      Bins.enable_sampled_insertion bins ~d
-  | _ -> ());
   { scenario; rule; bins }
 
 let bins t = t.bins
-let sampled t = Bins.sampled_insertion t.bins <> None
-
-let insert g t =
-  if sampled t then Bins.insert_sampled g t.bins
-  else Bins.insert_with_rule t.rule g t.bins
 
 let step_probes g t =
   (match t.scenario with
   | Scenario.A -> ignore (Bins.remove_ball_uniform g t.bins)
   | Scenario.B -> ignore (Bins.remove_from_random_nonempty g t.bins));
-  let _, probes = insert g t in
+  let _, probes = Bins.insert_with_rule t.rule g t.bins in
   probes
 
 let step g t = ignore (step_probes g t)
@@ -49,12 +37,9 @@ let sim ?metrics t =
   in
   let extend g = function
     | Engine.Event.Insert _ ->
-        let was_sampled = sampled t in
-        let bin, probes = insert g t in
+        let bin, probes = Bins.insert_with_rule t.rule g t.bins in
         Engine.Metrics.add_probes metrics probes;
-        (* Sampled insertion consumes one float + one int, whatever the
-           rule's probe count [d] (the law it reports as probes). *)
-        Engine.Metrics.add_draws metrics (if was_sampled then 2 else probes);
+        Engine.Metrics.add_draws metrics probes;
         Engine.Metrics.watermark metrics (Bins.max_load t.bins);
         Engine.Event.Placed bin
     | Engine.Event.Remove ->
@@ -75,7 +60,7 @@ let sim ?metrics t =
     ~step:(fun g ->
       let probes = step_probes g t in
       Engine.Metrics.add_probes metrics probes;
-      Engine.Metrics.add_draws metrics (1 + if sampled t then 2 else probes))
+      Engine.Metrics.add_draws metrics (1 + probes))
     ~observe:(fun () -> Bins.loads t.bins)
     ~reset:(fun loads -> Bins.reset_loads t.bins loads)
     ~probe:(fun () -> Bins.max_load t.bins)

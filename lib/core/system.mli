@@ -2,18 +2,16 @@
 
     One step = remove a ball per the scenario, then insert a new one per
     the rule.  This is the application-level view (jobs on servers) used
-    by the recovery experiments; it is distributionally identical to
-    {!Dynamic_process.chain} on the normalized state. *)
+    by the recovery experiments and every sequential serve shard; it is
+    distributionally identical to {!Dynamic_process.chain} on the
+    normalized state, which [repro validate]'s "(served)" subjects
+    check through {!sim}. *)
 
 type t
 
-val create : ?repr:Repr.t -> Scenario.t -> Scheduling_rule.t -> Bins.t -> t
-(** Adopts (and will mutate) the given bins.  [repr] (default
-    {!Repr.Array_backed}) selects the insertion machinery:
-    [Count_sampled] with an ABKU rule enables the bins'
-    {!Bins.enable_sampled_insertion} cutoff table (2 draws per insert,
-    equal in law but not in trace); [Count_backed] is identical to
-    [Array_backed] here, since {!Bins} is already count-indexed.
+val create : Scenario.t -> Scheduling_rule.t -> Bins.t -> t
+(** Adopts (and will mutate) the given bins; insertion probes them by
+    {!Bins.insert_with_rule}.
     @raise Invalid_argument if the bins hold no balls. *)
 
 val bins : t -> Bins.t

@@ -8,7 +8,7 @@
    boundaries (the batch-invariance property the tests pin down).
 
    Removal routing picks a shard with probability proportional to its
-   router-tracked ball count, so the global removal law of scenario A
+   ball count, so the global removal law of scenario A
    (ball uniform among all balls) is exact.  For scenario B it is an
    approximation (exact B would weight by non-empty bins); insertion
    probes stay within the routed shard, which narrows d-choice to one
@@ -29,8 +29,6 @@ type t = {
   config : config;
   shards : Shard.t array;
   router : Prng.Rng.t;
-  counts : int array;  (* router-tracked balls per shard *)
-  mutable total : int;
   mutable seq : int;  (* mutation events routed since creation *)
   mutable tel : Telemetry.t option;
       (* When attached, route and shard-apply stages are timed into it;
@@ -39,9 +37,15 @@ type t = {
 
 let config t = t.config
 let seq t = t.seq
-let total_balls t = t.total
+
+let total_balls t =
+  Array.fold_left (fun acc sh -> acc + Shard.balls sh) 0 t.shards
 
 let validate_config c =
+  if c.repr <> Core.Repr.Array_backed then
+    invalid_arg
+      ("Serve.Cluster: repr " ^ Core.Repr.name c.repr
+     ^ " is not served (shards are array-backed)");
   if c.n <= 0 then invalid_arg "Serve.Cluster: n must be positive";
   if c.m < 0 then invalid_arg "Serve.Cluster: m must be non-negative";
   if c.shards <= 0 then invalid_arg "Serve.Cluster: shards must be positive";
@@ -64,16 +68,6 @@ let initial_loads c =
   let q = c.m / c.n and r = c.m mod c.n in
   Array.init c.n (fun i -> if i < r then q + 1 else q)
 
-let build config mk_shard =
-  validate_config config;
-  let shards = Array.init config.shards mk_shard in
-  let counts = Array.map Shard.balls shards in
-  { config; shards;
-    router = Prng.Rng.create ~seed:config.seed ();  (* replaced by callers *)
-    counts;
-    total = Array.fold_left ( + ) 0 counts;
-    seq = 0; tel = None }
-
 let create config =
   validate_config config;
   let root = Prng.Rng.create ~seed:config.seed () in
@@ -90,12 +84,9 @@ let create config =
             always works) or lower the shard count"
            s config.n config.m config.shards);
     Shard.create ~id:s ~lo ~process:config.process ~scenario:config.scenario
-      ~rule:config.rule ~repr:config.repr ~loads:slice
-      ~rng:(Prng.Rng.split root)
+      ~rule:config.rule ~loads:slice ~rng:(Prng.Rng.split root)
   in
-  let t = build config mk in
-  (* Overwrite the placeholder router with the derived stream. *)
-  { t with router }
+  { config; shards = Array.init config.shards mk; router; seq = 0; tel = None }
 
 (* {2 Routing} *)
 
@@ -111,38 +102,25 @@ let hash_key k =
      negative, which would make [mod shards] negative. *)
   to_int z land Stdlib.max_int
 
-let pick_weighted t =
-  (* Shard with probability proportional to its ball count; caller
-     guarantees [t.total > 0]. *)
-  let r = Prng.Rng.int t.router t.total in
-  let rec go s acc =
-    let acc = acc + t.counts.(s) in
-    if r < acc then s else go (s + 1) acc
-  in
-  go 0 0
-
-(* Route one mutation.  Returns its shard and updates the router's
-   ball accounting, or -1 (reject) — rejects consume no randomness,
-   which keeps replay exact across them. *)
+(* Route one mutation to its shard, or -1 (reject) — rejects consume
+   no randomness, which keeps replay exact across them.  A [Remove] or
+   [Step] (a composite remove-then-insert within one shard) draws a
+   shard with probability proportional to its ball count, so it only
+   reaches a shard that has a ball to remove. *)
 let route t ev =
   match ev with
-  | Engine.Event.Insert key ->
-      let s = hash_key key mod t.config.shards in
-      t.counts.(s) <- t.counts.(s) + 1;
-      t.total <- t.total + 1;
-      s
-  | Engine.Event.Remove ->
-      if t.total = 0 then -1
+  | Engine.Event.Insert key -> hash_key key mod t.config.shards
+  | Engine.Event.Remove | Engine.Event.Step ->
+      let total = total_balls t in
+      if total = 0 then -1
       else begin
-        let s = pick_weighted t in
-        t.counts.(s) <- t.counts.(s) - 1;
-        t.total <- t.total - 1;
-        s
+        let r = Prng.Rng.int t.router total in
+        let rec go s acc =
+          let acc = acc + Shard.balls t.shards.(s) in
+          if r < acc then s else go (s + 1) acc
+        in
+        go 0 0
       end
-  | Engine.Event.Step ->
-      (* Composite remove-then-insert stays within one shard: net zero
-         ball movement, weighted like a removal. *)
-      if t.total = 0 then -1 else pick_weighted t
   | _ -> invalid_arg "Serve.Cluster.route: not a single-shard mutation"
 
 let max_load t =
@@ -162,7 +140,7 @@ let set_telemetry t tel =
     Obs.Registry.gauge (Telemetry.registry tel) ?labels name ~help read
   in
   gauge "seq" "Mutations routed over the service history" (fun () -> t.seq);
-  gauge "balls" "Balls currently in the system" (fun () -> t.total);
+  gauge "balls" "Balls currently in the system" (fun () -> total_balls t);
   gauge "max_load" "Current maximum bin load" (fun () -> max_load t);
   gauge "watermark" "Highest load seen since boot" (fun () -> watermark t);
   Array.iteri
@@ -207,8 +185,7 @@ let mutate t replies i ev since =
   match ev with
   | Engine.Event.Round when t.config.process = Process.Rbb ->
       (* A broadcast: every shard advances one synchronous round.  The
-         router draws nothing and its ball accounting is untouched —
-         rounds conserve balls. *)
+         router draws nothing — rounds conserve balls. *)
       let since = end_stage t Telemetry.Route ev since in
       for s = 0 to Array.length t.shards - 1 do
         ignore (Shard.apply t.shards.(s) ev)
@@ -267,32 +244,24 @@ let apply t ev = (apply_batch t [| ev |]).(0)
 type state = {
   seq : int;
   router : int64 array;
-  counts : int array;
   shards : Shard.state array;
 }
 
 let state (t : t) =
   { seq = t.seq; router = Prng.Rng.save t.router;
-    counts = Array.copy t.counts;
     shards = Array.map Shard.state t.shards }
 
 let of_state config (st : state) =
   validate_config config;
   if Array.length st.shards <> config.shards then
     invalid_arg "Serve.Cluster.of_state: shard count mismatch";
-  if Array.length st.counts <> config.shards then
-    invalid_arg "Serve.Cluster.of_state: counts length mismatch";
   let mk s =
     let lo, len = shard_range config s in
     let shard_st = st.shards.(s) in
     if shard_st.Shard.bins.Core.Bins.sn_n <> len then
       invalid_arg "Serve.Cluster.of_state: shard width mismatch";
     Shard.of_state ~lo ~process:config.process
-      ~scenario:config.scenario ~rule:config.rule ~repr:config.repr shard_st
+      ~scenario:config.scenario ~rule:config.rule shard_st
   in
-  let t = build config mk in
-  let t = { t with router = Prng.Rng.restore st.router } in
-  Array.blit st.counts 0 t.counts 0 config.shards;
-  t.total <- Array.fold_left ( + ) 0 st.counts;
-  t.seq <- st.seq;
-  t
+  { config; shards = Array.init config.shards mk;
+    router = Prng.Rng.restore st.router; seq = st.seq; tel = None }

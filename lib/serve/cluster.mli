@@ -7,9 +7,9 @@
     - [Insert key] — routed by a stateless splitmix hash of [key] mod
       shards;
     - [Remove] / [Step] — routed to a shard drawn from the {e router's}
-      generator with probability proportional to its tracked ball count
-      (exact for the global scenario-A removal law; an approximation
-      for B);
+      generator with probability proportional to its ball count
+      ({!Shard.balls}; exact for the global scenario-A removal law, an
+      approximation for B);
     - [Round] (round-synchronous clusters only) — a {e broadcast}: every
       shard advances one synchronous round, in shard order; the router
       draws nothing (rounds conserve balls);
@@ -35,20 +35,18 @@ type config = {
   scenario : Core.Scenario.t;
   rule : Core.Scheduling_rule.t;
   repr : Core.Repr.t;
-      (** Representation backend for the shards' insertion machinery.
-          [Count_sampled] with an ABKU rule switches every shard to
-          cutoff-table insertion (see {!Core.Bins.insert_sampled});
-          [Array_backed] and [Count_backed] are identical here, since
-          {!Core.Bins} is already count-indexed.  Part of the durability
-          fingerprint: snapshots and journals record it. *)
+      (** Must be {!Core.Repr.Array_backed}: every shard steps per-bin
+          loads on {!Core.Bins}.  {!create} and {!of_state} refuse any
+          other value. *)
   seed : int;
 }
 
 type t
 
 val create : config -> t
-(** @raise Invalid_argument on a non-positive [n] or [shards], [shards >
-    n], or an initial placement that leaves some shard without a ball. *)
+(** @raise Invalid_argument on a [repr] other than [Array_backed], a
+    non-positive [n] or [shards], [shards > n], or an initial placement
+    that leaves some shard without a ball. *)
 
 val config : t -> config
 
@@ -57,6 +55,7 @@ val seq : t -> int
     this is the journal sequence number). *)
 
 val total_balls : t -> int
+(** The sum of the shards' ball counts, O(shards). *)
 
 val set_telemetry : t -> Telemetry.t -> unit
 (** Attach a telemetry bank: route and shard-apply stages are timed
@@ -80,7 +79,6 @@ val apply : t -> Engine.Event.t -> Engine.Event.reply
 type state = {
   seq : int;
   router : int64 array;  (** {!Prng.Rng.save} words of the router. *)
-  counts : int array;  (** Router-tracked balls per shard. *)
   shards : Shard.state array;
 }
 
@@ -88,5 +86,7 @@ val state : t -> state
 
 val of_state : config -> state -> t
 (** Rebuild a cluster that replays bit-identically to the one
-    {!state} was taken from.
-    @raise Invalid_argument on a config/state mismatch. *)
+    {!state} was taken from.  The router weights come from the
+    restored shards' own ball counts.
+    @raise Invalid_argument on a config/state mismatch, or as
+    {!create} on a bad config. *)

@@ -1,33 +1,33 @@
 (* Durability for the allocation service: a snapshot file plus an
    append-only event journal.
 
-   Snapshot schema "repro.serve-snapshot/4" (primitives from
+   Snapshot schema "repro.serve-snapshot/5" (primitives from
    {!Common.Codec}: integers int64 LE, strings and arrays
    length-prefixed):
 
-     magic[23] = "repro.serve-snapshot/4\n"
+     magic[23] = "repro.serve-snapshot/5\n"
      fingerprint            — n, m, shards, seed, process, scenario,
-                              rule, repr
+                              rule
      seq                    — mutations routed when the snapshot was cut
      router[5]              — router generator words
-     counts[shards]         — router ball accounting
      per shard: applied, watermark, rng[5],
-                registry (n, balls[...], slot_order[...], nonempty[...],
-                          levels: count then one int array per load level)
+                registry (n, balls[...], slot_order[...], nonempty[...])
 
    Schema /2 replaced the per-shard load vector with the full
    {!Core.Bins} registry snapshot: loads alone do not replay
    bit-identically because removals sample registry orders.  Schema /3
-   added the representation backend to the fingerprint and the
-   per-level bucket orders to the registry: sampled insertion picks
-   uniformly inside a bucket, so bucket order is replayable state too.
-   Schema /4 added the process family (sequential vs round-synchronous)
-   to the fingerprint: the same event suffix means different things to
-   different machines.
+   added the representation backend to the fingerprint and per-level
+   bucket orders to the registry, for a cutoff-table insertion that
+   picked uniformly inside a bucket.  Schema /4 added the process
+   family (sequential vs round-synchronous) to the fingerprint: the
+   same event suffix means different things to different machines.
+   Schema /5 dropped the backend, the bucket orders and the router's
+   per-shard ball counts: every shard is array-backed, and the router
+   weights each shard by the ball count its restored registry holds.
 
-   Journal schema "repro.serve-journal/3" (bumped alongside /4 for the
-   fingerprint's process field and the round record): the same
-   fingerprint header, then records
+   Journal schema "repro.serve-journal/4" (bumped alongside /5 for the
+   fingerprint without the backend; /3 added the process field and the
+   round record): the same fingerprint header, then records
 
      [seq i64][count i64][count x event][trailer "JRNL"]
      event = tag u8: 0 = Step | 1 = Insert key:i64 | 2 = Remove
@@ -45,8 +45,8 @@
    snapshot cut at a record boundary is exactly: apply each record with
    [record.seq >= snapshot.seq]. *)
 
-let snapshot_magic = "repro.serve-snapshot/4\n"
-let journal_magic = "repro.serve-journal/3\n"
+let snapshot_magic = "repro.serve-snapshot/5\n"
+let journal_magic = "repro.serve-journal/4\n"
 let trailer = "JRNL"
 
 type fingerprint = {
@@ -57,20 +57,17 @@ type fingerprint = {
   process : string;
   scenario : string;
   rule : string;
-  repr : string;
 }
 
 let fingerprint_of_config (c : Cluster.config) =
   { n = c.n; m = c.m; shards = c.shards; seed = c.seed;
     process = Process.name c.process;
     scenario = Core.Scenario.name c.scenario;
-    rule = Core.Scheduling_rule.name c.rule;
-    repr = Core.Repr.name c.repr }
+    rule = Core.Scheduling_rule.name c.rule }
 
 let fingerprint_to_string fp =
-  Printf.sprintf
-    "n=%d m=%d shards=%d seed=%d process=%s scenario=%s rule=%s repr=%s" fp.n
-    fp.m fp.shards fp.seed fp.process fp.scenario fp.rule fp.repr
+  Printf.sprintf "n=%d m=%d shards=%d seed=%d process=%s scenario=%s rule=%s"
+    fp.n fp.m fp.shards fp.seed fp.process fp.scenario fp.rule
 
 (* {2 Encoding} *)
 
@@ -78,7 +75,7 @@ module Codec = Common.Codec
 
 let put_fingerprint buf fp =
   List.iter (Codec.put_int buf) [ fp.n; fp.m; fp.shards; fp.seed ];
-  List.iter (Codec.put_string buf) [ fp.process; fp.scenario; fp.rule; fp.repr ]
+  List.iter (Codec.put_string buf) [ fp.process; fp.scenario; fp.rule ]
 
 let get_fingerprint c =
   let n = Codec.get_int c in
@@ -88,8 +85,7 @@ let get_fingerprint c =
   let process = Codec.get_string c in
   let scenario = Codec.get_string c in
   let rule = Codec.get_string c in
-  let repr = Codec.get_string c in
-  { n; m; shards; seed; process; scenario; rule; repr }
+  { n; m; shards; seed; process; scenario; rule }
 
 let check_fingerprint ~file fp on_disk =
   if on_disk <> fp then
@@ -113,7 +109,6 @@ let save_snapshot ~path fp (st : Cluster.state) =
   put_fingerprint buf fp;
   Codec.put_int buf st.seq;
   Codec.put_int64s buf st.router;
-  Codec.put_ints buf st.counts;
   Codec.put_int buf (Array.length st.shards);
   Array.iter
     (fun (sh : Shard.state) ->
@@ -122,9 +117,7 @@ let save_snapshot ~path fp (st : Cluster.state) =
       Codec.put_int64s buf sh.rng;
       Codec.put_int buf b.Core.Bins.sn_n;
       List.iter (Codec.put_ints buf)
-        [ b.sn_balls; b.sn_slot_order; b.sn_nonempty ];
-      Codec.put_int buf (Array.length b.sn_levels);
-      Array.iter (Codec.put_ints buf) b.sn_levels)
+        [ b.sn_balls; b.sn_slot_order; b.sn_nonempty ])
     st.shards;
   Codec.write_file path buf
 
@@ -136,12 +129,8 @@ let get_shard c =
   let sn_balls = Codec.get_ints c in
   let sn_slot_order = Codec.get_ints c in
   let sn_nonempty = Codec.get_ints c in
-  let sn_levels =
-    Array.init (Codec.get_count c ~size:8) (fun _ -> Codec.get_ints c)
-  in
   { Shard.applied; watermark; rng;
-    bins =
-      { Core.Bins.sn_n; sn_balls; sn_slot_order; sn_nonempty; sn_levels } }
+    bins = { Core.Bins.sn_n; sn_balls; sn_slot_order; sn_nonempty } }
 
 let load_snapshot ~path fp =
   Codec.read_file path
@@ -150,12 +139,11 @@ let load_snapshot ~path fp =
          check_fingerprint ~file:("snapshot " ^ path) fp on_disk;
          let seq = Codec.get_int c in
          let router = Codec.get_int64s c in
-         let counts = Codec.get_ints c in
          let shards =
            Array.init (Codec.get_count c ~size:8) (fun _ -> get_shard c)
          in
          Codec.finish c;
-         { Cluster.seq; router; counts; shards })
+         { Cluster.seq; router; shards })
 
 (* {2 Journal records} *)
 

@@ -2,8 +2,12 @@
     append-only event journal.
 
     Both files open with a versioned magic string
-    ([repro.serve-snapshot/4] / [repro.serve-journal/3]) and a service
-    {!fingerprint}, encoded with {!Common.Codec}.  Snapshots are written
+    ([repro.serve-snapshot/5] / [repro.serve-journal/4]) and a service
+    {!fingerprint}, encoded with {!Common.Codec}.  Schemas /5 and /4
+    carry no representation backend (every shard is array-backed), and
+    the snapshot holds no per-level bucket orders and no router ball
+    counts (the router reads each restored shard's own); older files
+    fail on their magic.  Snapshots are written
     to a temporary sibling and renamed into place; journal records end
     with a trailer written last, so a kill mid-append leaves a torn tail
     that {!replay} stops at ({!Writer.open_at} truncates it).  Records
@@ -20,7 +24,6 @@ type fingerprint = {
   process : string;  (** {!Serve.Process.name} — the hosted family. *)
   scenario : string;  (** {!Core.Scenario.name}. *)
   rule : string;  (** {!Core.Scheduling_rule.name}. *)
-  repr : string;  (** {!Core.Repr.name} — the representation backend. *)
 }
 
 val fingerprint_of_config : Cluster.config -> fingerprint

@@ -17,16 +17,16 @@ type t = {
   mutable applied : int;  (* mutations applied (all accepted) *)
 }
 
-let machine_for ~process ~scenario ~rule ~repr store =
+let machine_for ~process ~scenario ~rule store =
   match process with
   | Process.Sequential ->
-      Core.System.sim (Core.System.create ~repr scenario rule store)
+      Core.System.sim (Core.System.create scenario rule store)
   | Process.Rbb -> (
       match Rbb.of_scheduling_rule rule with
       | Ok r -> Rbb.service_sim (Rbb.make r ~n:(Core.Bins.n store)) store
       | Error e -> invalid_arg ("Serve.Shard: " ^ e))
 
-let create ~id ~lo ~process ~scenario ~rule ~repr ~loads ~rng =
+let create ~id ~lo ~process ~scenario ~rule ~loads ~rng =
   if Array.length loads = 0 then invalid_arg "Serve.Shard.create: no bins";
   let balls = Array.fold_left ( + ) 0 loads in
   if balls = 0 then
@@ -36,7 +36,7 @@ let create ~id ~lo ~process ~scenario ~rule ~repr ~loads ~rng =
           least one initial ball (raise m or lower the shard count)"
          id);
   let store = Core.Bins.of_loads loads in
-  let machine = machine_for ~process ~scenario ~rule ~repr store in
+  let machine = machine_for ~process ~scenario ~rule store in
   (* Seed the watermark with the initial maximum so [Watermark] covers
      the whole service history, not just post-boot mutations. *)
   Engine.Metrics.watermark
@@ -86,24 +86,17 @@ let state (t : t) : state =
    scenarios sample internal registry orders.  [Core.System.create]
    refuses empty systems, but a sequential shard may have been
    legitimately drained to zero balls by snapshot time: boot those with
-   one phantom ball and clear it (an empty registry has no order to
-   lose).  The round-synchronous machine has no such refusal (rounds
-   conserve balls), so it boots directly. *)
-let of_state ~lo ~process ~scenario ~rule ~repr (st : state) =
+   one phantom ball in bin 0 and clear it (an empty registry has no
+   order to lose).  The round-synchronous machine has no such refusal
+   (rounds conserve balls), so it boots directly. *)
+let of_state ~lo ~process ~scenario ~rule (st : state) =
   let store = Core.Bins.of_snapshot st.bins in
   let n = Core.Bins.n store in
   let drained =
     process = Process.Sequential && Core.Bins.num_balls store = 0
   in
-  (* Give the phantom to the bin at the TAIL of the level-0 bucket:
-     moving that one out and back is a push-pop on both buckets, so the
-     add/reset pair below leaves every recorded bucket order intact
-     (bucket order is replayable state for sampled insertion). *)
-  if drained then begin
-    let l0 = st.bins.Core.Bins.sn_levels.(0) in
-    Core.Bins.add_ball store l0.(Array.length l0 - 1)
-  end;
-  let machine = machine_for ~process ~scenario ~rule ~repr store in
+  if drained then Core.Bins.add_ball store 0;
+  let machine = machine_for ~process ~scenario ~rule store in
   if drained then Core.Bins.reset_loads store (Array.make n 0);
   assert ((not drained) || Core.Bins.snapshot store = st.bins);
   Engine.Metrics.watermark (Engine.Sim.metrics machine) st.watermark;

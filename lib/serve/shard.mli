@@ -15,13 +15,12 @@ val create :
   process:Process.t ->
   scenario:Core.Scenario.t ->
   rule:Core.Scheduling_rule.t ->
-  repr:Core.Repr.t ->
   loads:int array ->
   rng:Prng.Rng.t ->
   t
-(** [process] selects the hosted machine; [scenario]/[repr] configure
-    the sequential one (see {!Core.System.create}) and are ignored by
-    the round-synchronous machine, whose [rule] must be ABKU
+(** [process] selects the hosted machine; [scenario] configures the
+    sequential one (see {!Core.System.create}) and is ignored by the
+    round-synchronous machine, whose [rule] must be ABKU
     ({!Rbb.of_scheduling_rule}).
     @raise Invalid_argument when [loads] is empty or holds no balls
     (every shard must start with at least one ball, because the
@@ -73,7 +72,6 @@ val of_state :
   process:Process.t ->
   scenario:Core.Scenario.t ->
   rule:Core.Scheduling_rule.t ->
-  repr:Core.Repr.t ->
   state ->
   t
 (** Accepts a drained state (zero balls) even though {!create} refuses

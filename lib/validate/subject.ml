@@ -18,7 +18,8 @@ let name (P s) = s.name
 let family (P s) = s.family
 let state_count (P s) = Array.length s.states
 
-let balls ?block_rows ?(repr = Core.Repr.Array_backed) scenario rule ~n ~m =
+let balls_spec ?block_rows ?(repr = Core.Repr.Array_backed) scenario rule ~n
+    ~m =
   let p = Core.Dynamic_process.make scenario rule ~n in
   let start = Lv.all_in_one ~n ~m in
   let bound =
@@ -34,25 +35,26 @@ let balls ?block_rows ?(repr = Core.Repr.Array_backed) scenario rule ~n ~m =
     | Core.Repr.Array_backed -> ""
     | r -> Printf.sprintf " (%s)" (Core.Repr.name r)
   in
-  P
-    {
-      name =
-        Printf.sprintf "%s n=%d m=%d%s" (Core.Dynamic_process.name p) n m
-          suffix;
-      family = "balls";
-      states = Markov.Partition_space.enumerate ~n ~m;
-      transitions = Core.Dynamic_process.exact_transitions p;
-      fresh_sim = (fun () -> Core.Dynamic_process.sim_repr ~repr p start);
-      start;
-      bound;
-      block_rows;
-    }
+  {
+    name =
+      Printf.sprintf "%s n=%d m=%d%s" (Core.Dynamic_process.name p) n m suffix;
+    family = "balls";
+    states = Markov.Partition_space.enumerate ~n ~m;
+    transitions = Core.Dynamic_process.exact_transitions p;
+    fresh_sim = (fun () -> Core.Dynamic_process.sim_repr ~repr p start);
+    start;
+    bound;
+    block_rows;
+  }
+
+let balls ?block_rows ?repr scenario rule ~n ~m =
+  P (balls_spec ?block_rows ?repr scenario rule ~n ~m)
 
 (* Round-synchronous subjects: the RBB sims answer [Step] as one full
    round, so the Step-driven conformance harness needs no changes — it
    checks the empirical one-round law against [Rbb.exact_transitions]
    and the long-run occupancy against the exact stationary vector. *)
-let rbb ?block_rows ?(repr = Core.Repr.Array_backed) rule ~n ~m =
+let rbb_spec ?block_rows ?(repr = Core.Repr.Array_backed) rule ~n ~m =
   let p = Rbb.make rule ~n in
   let start = Lv.all_in_one ~n ~m in
   let suffix =
@@ -60,17 +62,44 @@ let rbb ?block_rows ?(repr = Core.Repr.Array_backed) rule ~n ~m =
     | Core.Repr.Array_backed -> ""
     | r -> Printf.sprintf " (%s)" (Core.Repr.name r)
   in
-  P
-    {
-      name = Printf.sprintf "%s n=%d m=%d%s" (Rbb.name p) n m suffix;
-      family = "rbb";
-      states = Markov.Partition_space.enumerate ~n ~m;
-      transitions = Rbb.exact_transitions p;
-      fresh_sim = (fun () -> Rbb.sim_repr ~repr p start);
-      start;
-      bound = Some ("Los-Sauerwald", Theory.Bounds.rbb_mixing ~n ~m);
-      block_rows;
-    }
+  {
+    name = Printf.sprintf "%s n=%d m=%d%s" (Rbb.name p) n m suffix;
+    family = "rbb";
+    states = Markov.Partition_space.enumerate ~n ~m;
+    transitions = Rbb.exact_transitions p;
+    fresh_sim = (fun () -> Rbb.sim_repr ~repr p start);
+    start;
+    bound = Some ("Los-Sauerwald", Theory.Bounds.rbb_mixing ~n ~m);
+    block_rows;
+  }
+
+let rbb ?block_rows ?repr rule ~n ~m = P (rbb_spec ?block_rows ?repr rule ~n ~m)
+
+(* The machine a serve shard hosts, on identity bins ({!Core.Bins}),
+   stepped with [Engine.Sim.apply … Step] as [Serve.Shard.apply] steps
+   it, and observed as its normalized load vector: the same exact law,
+   one-step checks and bound as the normalized subject [s].  Reset puts
+   the sorted loads in bins 0..n-1; the law does not depend on which
+   bin holds which load. *)
+let served (s : Lv.t spec) machine =
+  let fresh_sim () =
+    let inner = machine (Core.Bins.of_loads (Lv.to_array s.start)) in
+    Engine.Sim.make ~watermark:false
+      ~step:(fun g -> ignore (Engine.Sim.apply inner g Engine.Event.Step))
+      ~observe:(fun () -> Lv.of_array (Engine.Sim.observe inner))
+      ~reset:(fun v -> Engine.Sim.reset inner (Lv.to_array v))
+      ~probe:(fun () -> Engine.Sim.probe inner)
+      ()
+  in
+  P { s with name = s.name ^ " (served)"; fresh_sim }
+
+let served_system scenario rule ~n ~m =
+  served (balls_spec scenario rule ~n ~m) (fun bins ->
+      Core.System.sim (Core.System.create scenario rule bins))
+
+let served_rbb rule ~n ~m =
+  let p = Rbb.make rule ~n in
+  served (rbb_spec rule ~n ~m) (fun bins -> Rbb.service_sim p bins)
 
 (* The Section 6 edge-orientation class chain, over the states
    reachable from the adversarial one, against Corollary 6.4. *)
@@ -144,7 +173,9 @@ let relocation scenario ~d ~relocations ~n ~m =
    against: the sampled backend redistributes RNG draws, so this
    equality-in-law net is its correctness argument (DESIGN.md, "The
    representation layer") — the draw-order-preserving count backend
-   needs no subject of its own, being bit-identical to the oracle. *)
+   needs no subject of its own, being bit-identical to the oracle.  The
+   served subjects come last, so that adding them moved no other
+   subject's generator stream. *)
 let quick_catalog () =
   [
     balls Core.Scenario.A (Core.Scheduling_rule.abku 2) ~n:4 ~m:4;
@@ -153,6 +184,7 @@ let quick_catalog () =
     edge ~block_rows:4 ~n:3 ();
     rbb Rbb.uniform ~n:4 ~m:4;
     rbb (Rbb.dchoice 2) ~n:4 ~m:5;
+    served_system Core.Scenario.A (Core.Scheduling_rule.abku 2) ~n:4 ~m:4;
   ]
 
 let full_catalog () =
@@ -179,4 +211,7 @@ let full_catalog () =
     rbb Rbb.uniform ~n:4 ~m:4;
     rbb ~block_rows:8 (Rbb.dchoice 2) ~n:4 ~m:5;
     rbb ~repr:Core.Repr.Count_sampled (Rbb.dchoice 2) ~n:4 ~m:4;
+    served_system Core.Scenario.A (Core.Scheduling_rule.abku 2) ~n:4 ~m:4;
+    served_system Core.Scenario.B (Core.Scheduling_rule.abku 2) ~n:4 ~m:4;
+    served_rbb (Rbb.dchoice 2) ~n:4 ~m:5;
   ]

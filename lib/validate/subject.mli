@@ -54,9 +54,13 @@ val balls :
 
 val quick_catalog : unit -> t list
 (** Cheap subjects for CI and [--quick] runs: two balls-into-bins, one
-    edge orientation and two round-synchronous RBB processes. *)
+    edge orientation, two round-synchronous RBB processes and the
+    served Id-ABKU\[2\] machine. *)
 
 val full_catalog : unit -> t list
 (** The full conformance matrix: Id/Ib × ABKU/ADAP closed processes,
     the edge class chain, a capacity-bounded open system, a relocation
-    process and the RBB round family — 14 subjects on small (n, m). *)
+    process, the RBB round family, and the machines a serve shard hosts
+    ({!Core.System.sim} for Id- and Ib-ABKU\[2\], {!Rbb.service_sim}
+    for RBB-d2), named with a ["(served)"] suffix and stepped through
+    {!Engine.Sim.apply} — 17 subjects on small (n, m). *)

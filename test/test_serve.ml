@@ -6,7 +6,7 @@
 
 let rng_of seed = Prng.Rng.create ~seed ()
 
-let mk_config ?(seed = 0x5EED) ?(m_factor = 2) ?(repr = Core.Repr.Array_backed)
+let mk_config ?(seed = 0x5EED) ?(m_factor = 2)
     ?(process = Serve.Process.Sequential) ~n ~shards () =
   {
     Serve.Cluster.n;
@@ -15,7 +15,7 @@ let mk_config ?(seed = 0x5EED) ?(m_factor = 2) ?(repr = Core.Repr.Array_backed)
     process;
     scenario = (if seed land 1 = 0 then Core.Scenario.A else Core.Scenario.B);
     rule = Core.Scheduling_rule.abku 2;
-    repr;
+    repr = Core.Repr.Array_backed;
     seed;
   }
 
@@ -114,28 +114,30 @@ let qcheck_batch_invariance =
    final state's snapshot bytes.  The batch-invariance property above
    compares the cluster with itself; these digests, recorded from a
    cluster that queued mutations per shard and applied them at the next
-   query, hold its replies across changes to how it applies events. *)
+   query, hold its replies across changes to how it applies events.
+   [mk_config] gives even seeds scenario A and odd seeds scenario B; the
+   reply digests of 0x52 and 0x54 were recorded from the cluster whose
+   router kept its own per-shard ball counts.  The state digests moved
+   with snapshot schema /5. *)
 let pinned_streams =
   Serve.Process.
-    [ ("seq, 1 shard, array", Sequential, 1, Core.Repr.Array_backed, 0x51,
-       "9407964b3b98661577a81071c0605827", "ce7ded25fabc68b7549c0eef13c0eef9");
-      ("seq, 1 shard, counts-sampled", Sequential, 1, Core.Repr.Count_sampled, 0x52,
-       "640d0ba811124aee2042be62d0b9ab16", "5d8829037481fefa59673a90ac463c57");
-      ("seq, 4 shards, array", Sequential, 4, Core.Repr.Array_backed, 0x53,
-       "0642e0d3ccc57571f2c89fc4a2baedc7", "894946301449957f301d2b9699c95134");
-      ("seq, 4 shards, counts-sampled", Sequential, 4, Core.Repr.Count_sampled, 0x54,
-       "14d0cc8035def434911b677ddac96e11", "ea68af4adecb75721d5e562a32b80968");
-      ("rbb, 2 shards, array", Rbb, 2, Core.Repr.Array_backed, 0x55,
-       "fdfb42a8eb5ebee684e1ee195a10cacc", "2953f1d167dda9ade3401e9d48f4ebfa");
-      ("rbb, 2 shards, counts-sampled", Rbb, 2, Core.Repr.Count_sampled, 0x56,
-       "aa31e6daac769d975200d0c8b2a63fb2", "449389c773a1e8aad8e29e1c2534768d") ]
+    [ ("seq, 1 shard, B", Sequential, 1, 0x51,
+       "9407964b3b98661577a81071c0605827", "ca3cb0e4069f1d14e280af28188e8246");
+      ("seq, 1 shard, A", Sequential, 1, 0x52,
+       "01243f89e64de208978891c244adf560", "b2cc4cce1da06f2987c006dc460ec159");
+      ("seq, 4 shards, B", Sequential, 4, 0x53,
+       "0642e0d3ccc57571f2c89fc4a2baedc7", "90938ac125372a660fb68910835fdbdb");
+      ("seq, 4 shards, A", Sequential, 4, 0x54,
+       "5abd03ee7902df081a6f6a252a1cd7e9", "7c914f6e74a39e109b647a19c3d34a7d");
+      ("rbb, 2 shards", Rbb, 2, 0x55,
+       "fdfb42a8eb5ebee684e1ee195a10cacc", "7c2d76d96403b279429b5abc4177398d") ]
 
 let test_pinned_replies () =
   with_dir (fun dir ->
       Unix.mkdir dir 0o700;
       List.iter
-        (fun (name, process, shards, repr, seed, replies_hex, state_hex) ->
-          let config = mk_config ~seed ~process ~repr ~n:48 ~shards () in
+        (fun (name, process, shards, seed, replies_hex, state_hex) ->
+          let config = mk_config ~seed ~process ~n:48 ~shards () in
           let g = rng_of seed in
           let gen = if process = Serve.Process.Rbb then gen_rbb_events else gen_events in
           let cluster = Serve.Cluster.create config in
@@ -151,9 +153,9 @@ let test_pinned_replies () =
             (Digest.to_hex (Digest.file path)))
         pinned_streams)
 
-let state_roundtrip_prop ?repr ?process ?(gen = gen_events) (seed, n, shards) =
+let state_roundtrip_prop ?process ?(gen = gen_events) (seed, n, shards) =
       let shards = min shards n in
-      let config = mk_config ~seed ?repr ?process ~n ~shards () in
+      let config = mk_config ~seed ?process ~n ~shards () in
       let g = rng_of (seed + 31) in
       let cluster = Serve.Cluster.create config in
       ignore (Serve.Cluster.apply_batch cluster (gen g 80));
@@ -172,15 +174,6 @@ let qcheck_state_roundtrip =
     QCheck.(triple small_int (int_range 4 40) (int_range 1 4))
     state_roundtrip_prop
 
-(* The counts-sampled backend samples the per-level bucket orders, so
-   the /3 snapshot's [sn_levels] must carry them: without that, replies
-   after a restore would diverge from the never-restored cluster. *)
-let qcheck_sampled_state_roundtrip =
-  QCheck.Test.make
-    ~name:"sampled-repr of_state . state is the identity" ~count:80
-    QCheck.(triple small_int (int_range 4 40) (int_range 1 4))
-    (state_roundtrip_prop ~repr:Core.Repr.Count_sampled)
-
 let qcheck_rbb_state_roundtrip =
   QCheck.Test.make
     ~name:"rbb cluster of_state . state is the identity" ~count:80
@@ -189,10 +182,10 @@ let qcheck_rbb_state_roundtrip =
 
 (* {2 Crash-recovery properties} *)
 
-let kill_and_restore_prop ?repr ?process ?(gen = gen_events)
+let kill_and_restore_prop ?process ?(gen = gen_events)
     (seed, n, shards, snapshot_every) =
       let shards = min shards n in
-      let config = mk_config ~seed ?repr ?process ~n ~shards () in
+      let config = mk_config ~seed ?process ~n ~shards () in
       let g = rng_of (seed + 41) in
       let chunks = random_chunks g (gen g (20 + Prng.Rng.int g 150)) in
       let cut = Prng.Rng.int g (List.length chunks + 1) in
@@ -234,13 +227,6 @@ let qcheck_kill_and_restore =
     ~count:60
     QCheck.(quad small_int (int_range 4 32) (int_range 1 4) (int_range 1 60))
     kill_and_restore_prop
-
-let qcheck_sampled_kill_and_restore =
-  QCheck.Test.make
-    ~name:"sampled-repr store restore replays to the never-killed state"
-    ~count:40
-    QCheck.(quad small_int (int_range 4 32) (int_range 1 4) (int_range 1 60))
-    (kill_and_restore_prop ~repr:Core.Repr.Count_sampled)
 
 (* Round records ride the journal (tag 3) and the /4 snapshot carries
    the process field: an rbb shard cluster must replay through a kill
@@ -466,19 +452,36 @@ let test_fingerprint_mismatch () =
       let s = store_exn ~dir config in
       ignore (Serve.Store.apply_batch s (gen_events (rng_of 9) 30));
       Serve.Store.close s;
-      (match Serve.Store.open_ ~dir { config with seed = config.seed + 1 } with
+      match Serve.Store.open_ ~dir { config with seed = config.seed + 1 } with
       | Error _ -> ()
       | Ok s ->
           Serve.Store.close s;
-          Alcotest.fail "foreign state directory was accepted");
-      (* The representation backend is part of the fingerprint too: a
-         sampled-repr service must not adopt an array-repr directory. *)
-      match Serve.Store.open_ ~dir { config with repr = Core.Repr.Count_sampled }
-      with
-      | Error _ -> ()
-      | Ok s ->
-          Serve.Store.close s;
-          Alcotest.fail "state directory with another repr was accepted")
+          Alcotest.fail "foreign state directory was accepted")
+
+(* Every shard is array-backed: a cluster refuses any other backend,
+   and a store refuses it before writing to an existing directory. *)
+let test_only_array_served () =
+  let config = mk_config ~seed:8 ~n:8 ~shards:2 () in
+  with_dir (fun dir ->
+      let s = store_exn ~dir config in
+      ignore (Serve.Store.apply_batch s (gen_events (rng_of 9) 30));
+      Serve.Store.close s;
+      let before = dir_contents dir in
+      List.iter
+        (fun repr ->
+          let config = { config with repr } in
+          let name = Core.Repr.name repr in
+          (match Serve.Cluster.create config with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "Cluster.create accepted repr %s" name);
+          (match Serve.Store.open_ ~dir config with
+          | Error _ -> ()
+          | Ok s ->
+              Serve.Store.close s;
+              Alcotest.failf "Store.open_ accepted repr %s" name);
+          Alcotest.(check bool) (name ^ ": nothing written") true
+            (dir_contents dir = before))
+        [ Core.Repr.Count_backed; Core.Repr.Count_sampled ])
 
 let test_rng_save_restore () =
   let g = rng_of 123 in
@@ -1587,6 +1590,8 @@ let suite =
       test_extreme_insert_keys;
     Alcotest.test_case "foreign state directory is refused" `Quick
       test_fingerprint_mismatch;
+    Alcotest.test_case "only the array repr is served" `Quick
+      test_only_array_served;
     Alcotest.test_case "rng save/restore replays the stream" `Quick
       test_rng_save_restore;
     Alcotest.test_case "wire parse" `Quick test_wire_parse;
@@ -1611,10 +1616,8 @@ let suite =
       [
         qcheck_batch_invariance;
         qcheck_state_roundtrip;
-        qcheck_sampled_state_roundtrip;
         qcheck_rbb_state_roundtrip;
         qcheck_kill_and_restore;
-        qcheck_sampled_kill_and_restore;
         qcheck_rbb_kill_and_restore;
         qcheck_torn_tail;
       ]

@@ -267,6 +267,26 @@ let test_corrupted_stepper_fails_true_passes () =
         (Validate.Sequential.verdict_name good.Validate.Conformance.verdict))
     seeds
 
+(* The machine a serve shard hosts, on identity bins and stepped through
+   [Engine.Sim.apply], is held to the normalized chain's exact law. *)
+let test_served_machine_passes () =
+  let served =
+    List.find
+      (fun s -> Validate.Subject.name s = "Id-ABKU[2] n=4 m=4 (served)")
+      (Validate.Subject.quick_catalog ())
+  in
+  List.iter
+    (fun seed ->
+      let rng = Prng.Rng.create ~seed () in
+      let r =
+        Validate.Conformance.run_subject ~quick:true ~alpha:0.01 ~rng served
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "served machine passes (seed %d)" seed)
+        "PASS"
+        (Validate.Sequential.verdict_name r.Validate.Conformance.verdict))
+    [ 11; 22; 33 ]
+
 (* --- report ---------------------------------------------------------- *)
 
 let test_report_and_exit_code () =
@@ -310,5 +330,6 @@ let suite =
     ( "corrupted stepper fails, true passes",
       `Slow,
       test_corrupted_stepper_fails_true_passes );
+    ("served machine passes", `Quick, test_served_machine_passes);
     ("report json and exit code", `Quick, test_report_and_exit_code);
   ]
