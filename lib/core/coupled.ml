@@ -1,22 +1,14 @@
 module Mv = Loadvec.Mutable_vector
 module Lv = Loadvec.Load_vector
 
-(* Both copies remove by one variate, then read one probe stream: x
-   inserts from [g], y from a duplicate of it, and [g] continues from
-   whichever copy probed further.  The copies draw the same ranks up to
-   the shorter probe count, and more probes always means more raw draws
-   (even through [Rng.int]'s rejection loop), so this is exactly the
-   draw order of one lazily extended probe sequence shared by both. *)
+(* Both copies remove by one variate, scanned in one pass, then insert
+   from one probe sequence read in lockstep. *)
 let monotone process =
   let sc = Dynamic_process.scenario process in
   let rule = Dynamic_process.rule process in
   let step g x y =
-    let u = Prng.Rng.float g in
-    Load_state.Array.remove x sc ~u;
-    Load_state.Array.remove y sc ~u;
-    let g' = Prng.Rng.duplicate g in
-    let px = Load_state.Array.insert x rule g in
-    if Load_state.Array.insert y rule g' > px then Prng.Rng.catch_up g ~from:g';
+    Scenario.remove_pair sc x y ~u:(Prng.Rng.float g);
+    Load_state.insert_pair x y rule g;
     (x, y)
   in
   Coupling.Coupled_chain.make ~step ~equal:Mv.equal

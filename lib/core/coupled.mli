@@ -8,9 +8,9 @@
        inverse CDF from one shared uniform variate, and the insertions
        read one shared probe sequence (the right-oriented coupling of
        Lemma 3.3 with [Φ] the identity, which Lemma 3.4 licenses for both
-       ABKU and ADAP).  One copy probes from the generator, the other
-       from a {!Prng.Rng.duplicate} of it, and the generator then
-       {!Prng.Rng.catch_up}s with whichever copy probed further;}
+       ABKU and ADAP).  The removal scans both copies in one pass
+       ({!Scenario.remove_pair}); each probe is drawn once and offered
+       to every copy still probing ({!Load_state.insert_pair});}
     {- the {e paper} couplings, defined exactly as in Section 4
        (scenario A) and Section 5 (scenario B) for pairs at distance
        [Δ = 1], used to check Corollary 4.2 and Claims 5.1–5.3
@@ -20,8 +20,8 @@ val monotone :
   Dynamic_process.t -> Loadvec.Mutable_vector.t Coupling.Coupled_chain.t
 (** Monotone coupling on mutable states.  The step mutates its arguments
     and returns them; callers must not retain old states (the coalescence
-    runners do not).  Under ABKU[d] a step allocates only the generator
-    duplicate and the returned pair. *)
+    runners do not).  Under ABKU[d] a step allocates only the boxed
+    removal variate and the returned pair, 5 words. *)
 
 val find_adjacent_offsets :
   Loadvec.Load_vector.t -> Loadvec.Load_vector.t -> (int * int) option

@@ -19,50 +19,89 @@ module type S = sig
   val eject_all : t -> int
 end
 
+(* ABKU[d]'s rank: the maximum of d uniform ranks — on a normalized
+   vector, the least loaded of d uniform bins.  The one draw behind the
+   array oracle, the count twin and the monotone coupling's insertion. *)
+let abku_rank g ~n d =
+  let best = ref (Prng.Rng.int g n) in
+  for _ = 2 to d do
+    let b = Prng.Rng.int g n in
+    if b > !best then best := b
+  done;
+  !best
+
+(* ADAP from probe [t] on, with best rank [best] of level [l]: probing
+   goes on until the best rank's level meets its threshold, reading the
+   level again only when the best rank improves.  [level s r] is the
+   load at rank [r]; [add s r l] adds a ball at rank [r], whose load is
+   [l].  Returns the probe count. *)
+let rec adap_from ~level ~add s rule x g ~n t best l =
+  if t > Scheduling_rule.probe_cap then
+    Scheduling_rule.probe_cap_exceeded rule ~n;
+  if Adaptive.threshold x l <= t then begin
+    add s best l;
+    t
+  end
+  else
+    let b = Prng.Rng.int g n in
+    if b > best then adap_from ~level ~add s rule x g ~n (t + 1) b (level s b)
+    else adap_from ~level ~add s rule x g ~n (t + 1) best l
+
 (* Direct-draw insertion, shared by the array oracle and the count twin
-   so that the two consume the generator identically.  ABKU[d] lands at
-   the maximum of d uniform ranks — on a normalized vector, the least
-   loaded of d uniform bins.  ADAP keeps probing until the best rank's
-   level meets its threshold, reading the level again only when the
-   best rank improves.  [level s r] is the load at rank [r]; [add s r l]
-   adds a ball at rank [r], whose load is [l].  Returns the probe
+   so that the two consume the generator identically.  Returns the probe
    count. *)
 let insert_direct ~level ~add s rule g ~n =
   match rule with
   | Scheduling_rule.Abku d ->
-      let best = ref (Prng.Rng.int g n) in
-      for _ = 2 to d do
-        let b = Prng.Rng.int g n in
-        if b > !best then best := b
-      done;
-      add s !best (level s !best);
+      let r = abku_rank g ~n d in
+      add s r (level s r);
       d
   | Scheduling_rule.Adap x ->
-      let rec go t best l =
-        if t > Scheduling_rule.probe_cap then
-          Scheduling_rule.probe_cap_exceeded rule ~n;
-        if Adaptive.threshold x l <= t then begin
-          add s best l;
-          t
-        end
-        else
-          let b = Prng.Rng.int g n in
-          if b > best then go (t + 1) b (level s b) else go (t + 1) best l
-      in
       let r = Prng.Rng.int g n in
-      go 1 r (level s r)
+      adap_from ~level ~add s rule x g ~n 1 r (level s r)
+
+let add_at v r _ = ignore (Mv.incr_at v r)
 
 module Array = struct
   include Mv
 
   let remove v sc ~u = ignore (decr_at v (Scenario.remove_rank sc v ~u))
-
-  let insert v rule g =
-    insert_direct ~level:get ~add:(fun v r _ -> ignore (incr_at v r)) v rule g
-      ~n:(dim v)
-
+  let insert v rule g = insert_direct ~level:get ~add:add_at v rule g ~n:(dim v)
   let insert_draws ~probes = probes
 end
+
+(* Lockstep insertion into two arrays: each probe is drawn once and
+   offered to every copy still probing.  While both probe, their best
+   ranks agree (each is the maximum of the same prefix) and only their
+   levels differ; once one stops, the other goes on alone.  So the
+   generator advances by the longer of the two probe counts. *)
+let insert_pair x y rule g =
+  let n = Mv.dim x in
+  match rule with
+  | Scheduling_rule.Abku d ->
+      let r = abku_rank g ~n d in
+      ignore (Mv.incr_at x r);
+      ignore (Mv.incr_at y r)
+  | Scheduling_rule.Adap xs ->
+      let alone v l t best =
+        ignore (adap_from ~level:Mv.get ~add:add_at v rule xs g ~n t best l)
+      in
+      let rec both t best lx ly =
+        if t > Scheduling_rule.probe_cap then
+          Scheduling_rule.probe_cap_exceeded rule ~n;
+        if Adaptive.threshold xs lx <= t || Adaptive.threshold xs ly <= t
+        then begin
+          (* A copy that stops at [t] draws nothing more. *)
+          alone x lx t best;
+          alone y ly t best
+        end
+        else
+          let b = Prng.Rng.int g n in
+          if b > best then both (t + 1) b (Mv.get x b) (Mv.get y b)
+          else both (t + 1) best lx ly
+      in
+      let r = Prng.Rng.int g n in
+      both 1 r (Mv.get x r) (Mv.get y r)
 
 module Counts = struct
   include Cv

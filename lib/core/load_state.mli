@@ -40,6 +40,18 @@ end
 module Array : S with type t = Loadvec.Mutable_vector.t
 (** The sorted load array: the oracle. *)
 
+val insert_pair :
+  Loadvec.Mutable_vector.t -> Loadvec.Mutable_vector.t ->
+  Scheduling_rule.t -> Prng.Rng.t -> unit
+(** [insert_pair x y rule g] inserts one ball into each of two distinct
+    arrays of one dimension, from one probe sequence read in lockstep:
+    each probe is drawn once and offered to every copy still probing
+    (the right-oriented coupling of Lemma 3.3 with [Φ] the identity).
+    Each copy lands where {!Array.insert} would from the same stream,
+    and [g] advances by the longer of the two probe counts.  ABKU[d]'s
+    rank is drawn by the routine {!Array.insert} and {!Counts.insert}
+    use. *)
+
 module Counts : S with type t = Loadvec.Count_vector.t
 (** The count vector, drawing exactly as {!Array} does. *)
 

@@ -16,9 +16,21 @@ val process_prefix : t -> string
 
 val remove_rank : t -> Loadvec.Mutable_vector.t -> u:float -> int
 (** [remove_rank sc v ~u] maps the uniform variate [u ∈ [0,1)] to the
-    rank to decrement, by inverse CDF.  Feeding two coupled copies the
-    same [u] yields the monotone removal coupling.
+    rank to decrement, by inverse CDF.  Under A the rank is the first
+    whose prefix sum exceeds [⌊u·m⌋], an integer comparison that picks
+    the same rank as [u·m < prefix sum] for every [u].  Feeding two
+    coupled copies the same [u] yields the monotone removal coupling.
     @raise Invalid_argument if the vector is empty of balls. *)
+
+val remove_pair :
+  t -> Loadvec.Mutable_vector.t -> Loadvec.Mutable_vector.t -> u:float -> unit
+(** [remove_pair sc x y ~u] decrements [x] at [remove_rank sc x ~u] and
+    [y] at [remove_rank sc y ~u], the removal half of the monotone
+    coupling.  Under A it scans both prefix sums in one pass, with a
+    target per copy (the totals may differ).  [x] and [y] are distinct
+    vectors.
+    @raise Invalid_argument if either vector is empty of balls, or
+    under A if the dimensions differ. *)
 
 val remove_level : t -> Loadvec.Count_vector.t -> u:float -> int
 (** Count-vector form of {!remove_rank}: same variate, same branch

@@ -100,17 +100,17 @@ let level_of_rank t r =
    (Scenario.remove_rank) walks ranks accumulating integer loads and
    stops at the first rank with [target < acc]; within a level block of
    c bins the partial sums are A + l, A + 2l, ..., A + c*l, so the scan
-   leaves the block iff [target >= A + c*l].  Comparing float [target]
-   against exact integer partial sums reproduces the array scan's
-   branch decisions bit-for-bit, so the level returned here is exactly
-   the level of the rank the array scan picks.  Both scans here are
-   loops, so a call allocates no closure. *)
+   leaves the block iff [target >= A + c*l].  Comparing the same integer
+   [target] against the block's last partial sum reproduces the array
+   scan's branch decisions, so the level returned here is exactly the
+   level of the rank the array scan picks.  Both scans here are loops,
+   so a call allocates no closure. *)
 let level_of_ball t ~target =
   if t.total <= 0 then invalid_arg "Count_vector.level_of_ball: no balls";
   let l = ref t.max_level and acc = ref 0 and found = ref false in
   while (not !found) && !l >= 1 do
     acc := !acc + (!l * t.counts.(!l));
-    if target < float_of_int !acc then found := true else decr l
+    if target < !acc then found := true else decr l
   done;
   if !found then !l else Stdlib.max 1 (min_load t)
 

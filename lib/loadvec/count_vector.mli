@@ -39,12 +39,12 @@ val level_of_rank : t -> int -> int
 (** Load of the bin at rank [r] of the descending sort (O(L)).
     @raise Invalid_argument unless [0 <= r < dim]. *)
 
-val level_of_ball : t -> target:float -> int
+val level_of_ball : t -> target:int -> int
 (** Level at which the scenario-A inverse-CDF scan stops: the smallest
-    descending-level prefix whose ball mass exceeds [target].  Matches
-    the branch decisions of the rank-by-rank scan in
-    [Scenario.remove_rank] bit-for-bit (integer partial sums compared
-    against the same float target), so the array and count steppers
+    descending-level prefix whose ball mass exceeds [target] (the
+    integer [⌊u·m⌋]).  Matches the branch decisions of the rank-by-rank
+    scan in [Scenario.remove_rank] (integer partial sums compared
+    against the same integer target), so the array and count steppers
     remove from the same load class on the same draw.
     @raise Invalid_argument if the vector has no balls. *)
 

@@ -6,11 +6,6 @@ let create ?(seed = 0x5EED) () =
 
 let copy g = { gen = Xoshiro.copy g.gen; sm = Splitmix64.split g.sm }
 
-let duplicate g =
-  { gen = Xoshiro.copy g.gen; sm = Splitmix64.create (Splitmix64.state g.sm) }
-
-let catch_up g ~from = Xoshiro.blit ~src:from.gen ~dst:g.gen
-
 let split g =
   let sm = Splitmix64.split g.sm in
   { gen = Xoshiro.of_splitmix sm; sm }

@@ -12,23 +12,11 @@ val create : ?seed:int -> unit -> t
     is 0x5EED. *)
 
 val copy : t -> t
-(** [copy g] duplicates the current state; the copy replays the same
+(** [copy g] copies the current state; the copy replays the same
     stream.  This is the primitive used to build identity couplings.
     It also advances [g]'s splitter (the copy gets a split of it), so a
     later [split g] returns a different stream than it would have
-    without the copy; {!duplicate} leaves [g] untouched. *)
-
-val duplicate : t -> t
-(** [duplicate g] is a generator in exactly [g]'s state: it replays
-    [g]'s stream, and its splitter is a copy of [g]'s.  Unlike {!copy}
-    it does not advance [g] at all.  With {!catch_up} it lets two
-    copies of a chain read one stream in turn. *)
-
-val catch_up : t -> from:t -> unit
-(** [catch_up g ~from] sets [g]'s stream to continue where [from]'s
-    stands, leaving [g]'s splitter as it is.  After
-    [let d = duplicate g in ...; catch_up g ~from:d], [g] has advanced
-    by the draws made from [d]. *)
+    without the copy. *)
 
 val split : t -> t
 (** [split g] derives a statistically independent generator from [g],

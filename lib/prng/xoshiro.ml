@@ -30,7 +30,6 @@ let of_splitmix sm =
 let of_seed seed = of_splitmix (Splitmix64.create seed)
 
 let copy = Bytes.copy
-let blit ~src ~dst = Bytes.blit src 0 dst 0 32
 
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))

@@ -16,13 +16,9 @@ val of_splitmix : Splitmix64.t -> t
 (** [of_splitmix sm] draws the four state words from [sm], advancing it. *)
 
 val copy : t -> t
-(** [copy g] is an independent duplicate of the current state of [g]; both
+(** [copy g] is an independent copy of the current state of [g]; both
     copies subsequently produce the same stream.  Used to implement shared
     randomness in couplings. *)
-
-val blit : src:t -> dst:t -> unit
-(** [blit ~src ~dst] overwrites [dst]'s state with [src]'s, so [dst]
-    continues [src]'s stream. *)
 
 val next : t -> int64
 (** [next g] advances [g] and returns the next 64 pseudo-random bits. *)

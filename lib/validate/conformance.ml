@@ -26,12 +26,32 @@ type report = {
 
 let span_args args = if Obs.enabled () then args () else []
 
-(* Start states for the one-step checks: the subject's own start plus a
-   deterministic spread across the enumeration. *)
-let one_step_start_indices ~quick ~size start_idx =
+(* The state whose exact one-step row has the most distinct successors
+   of positive mass, the lowest index on ties.  The spread below can
+   miss every state a wrong law shows in: at n = m = 4 it is (4),
+   (1,1,1,1) and (2,2), whose non-empty bins all hold one load, so a
+   removal biased among non-empty bins leaves their rows as they are.
+   The richest row, (3,1) there, has the most successors to get wrong. *)
+let richest_row space (s : _ Subject.spec) =
+  let best = ref 0 and most = ref (-1) in
+  for i = 0 to Space.size space - 1 do
+    let row =
+      Space.dense_law space (s.Subject.transitions (Space.state space i))
+    in
+    let k = Array.fold_left (fun k p -> if p > 0. then k + 1 else k) 0 row in
+    if k > !most then begin
+      best := i;
+      most := k
+    end
+  done;
+  !best
+
+(* Start states for the one-step checks: the subject's own start, a
+   deterministic spread across the enumeration, and the richest row. *)
+let one_step_start_indices ~quick ~size ~richest start_idx =
   let wanted =
-    if quick then [ start_idx; size / 2 ]
-    else [ start_idx; 0; size - 1; size / 2 ]
+    if quick then [ start_idx; size / 2; richest ]
+    else [ start_idx; 0; size - 1; size / 2; richest ]
   in
   List.fold_left
     (fun acc i -> if List.mem i acc then acc else acc @ [ i ])
@@ -227,7 +247,8 @@ let run_subject ?(domains = 1) ~quick ~alpha ~rng (Subject.P s) =
       let one_steps =
         List.map
           (one_step_check ~domains ~cfg:one_cfg ~rng space s)
-          (one_step_start_indices ~quick ~size:(Space.size space) start_idx)
+          (one_step_start_indices ~quick ~size:(Space.size space)
+             ~richest:(richest_row space s) start_idx)
       in
       let stationary =
         stationary_check ~domains ~cfg:one_cfg ~rng space s ~chain

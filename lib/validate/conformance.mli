@@ -4,9 +4,10 @@
     ({!Markov.Exact_builder}) over the subject's state space and runs:
 
     - {b one-step} checks: from a deterministic selection of start
-      states (always including the subject's start), single simulator
-      steps are collected and their frequencies sequentially tested
-      against the exact transition row;
+      states (always including the subject's start and the state whose
+      exact row has the most successors), single simulator steps are
+      collected and their frequencies sequentially tested against the
+      exact transition row;
     - a {b stationary} check: long trajectories are thinned at the exact
       τ(0.01) spacing (so consecutive observations are nearly
       independent) and the occupancy frequencies are tested against the

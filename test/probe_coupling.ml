@@ -1,17 +1,20 @@
 (* The monotone coupling's step as first written: both copies insert by
    reading one lazily extended [Core.Probe] sequence through
-   [Scheduling_rule.choose_rank].  [Core.Coupled.monotone] now inserts
-   through [Load_state.Array] with a generator duplicate instead; this is
-   the reference its draw order is tested against. *)
+   [Scheduling_rule.choose_rank].  [Core.Coupled.monotone] now draws each
+   probe once and offers it to every copy still probing
+   ([Core.Load_state.insert_pair]); this is the reference its draw order
+   is tested against. *)
 
 module Mv = Loadvec.Mutable_vector
 
 let insert_shared rule probe v =
-  let rank, _probes =
+  let rank, probes =
     Core.Scheduling_rule.choose_rank rule ~loads:(Mv.unsafe_loads v) ~probe
   in
-  ignore (Mv.incr_at v rank)
+  ignore (Mv.incr_at v rank);
+  probes
 
+(* Returns the probes x's and y's insertions read. *)
 let step process g x y =
   let sc = Core.Dynamic_process.scenario process in
   let rule = Core.Dynamic_process.rule process in
@@ -19,5 +22,5 @@ let step process g x y =
   ignore (Mv.decr_at x (Core.Scenario.remove_rank sc x ~u));
   ignore (Mv.decr_at y (Core.Scenario.remove_rank sc y ~u));
   let probe = Core.Probe.create g ~n:(Core.Dynamic_process.n process) in
-  insert_shared rule probe x;
-  insert_shared rule probe y
+  let px = insert_shared rule probe x in
+  (px, insert_shared rule probe y)

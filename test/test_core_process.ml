@@ -518,7 +518,7 @@ let qcheck_abku_table_refill_equals_create =
       in
       let ok = ref (same ()) in
       let p = Dp.make Core.Scenario.A (Sr.abku d) ~n in
-      let g' = Prng.Rng.duplicate g in
+      let g' = Prng.Rng.copy g in
       for _ = 1 to 15 do
         let level =
           Core.Scenario.remove_level (Dp.scenario p) cv ~u:(Prng.Rng.float g)
@@ -540,8 +540,12 @@ let qcheck_abku_table_refill_equals_create =
    step it replaced (test/probe_coupling.ml): from a random start pair,
    50 joint steps leave both implementations in the same pair, and their
    generators at the same point of the stream.  Under ADAP the copies
-   probe different counts, so the generator's catch-up to the longer
-   prober is what keeps the streams together. *)
+   probe different counts, and the lockstep loop ends either way round;
+   the run counts the steps where each copy probed further and requires
+   both orders to have occurred. *)
+let x_probed_further = ref 0
+let y_probed_further = ref 0
+
 let qcheck_monotone_matches_probe_reference =
   let rules =
     [| Sr.abku 1; Sr.abku 2; Sr.abku 3;
@@ -565,10 +569,26 @@ let qcheck_monotone_matches_probe_reference =
       let ok = ref true in
       for _ = 1 to 50 do
         ignore (c.Coupling.Coupled_chain.step g x y);
-        Probe_coupling.step p g' x' y';
+        let px, py = Probe_coupling.step p g' x' y' in
+        if px > py then incr x_probed_further;
+        if py > px then incr y_probed_further;
         if not (Mv.equal x x' && Mv.equal y y') then ok := false
       done;
       !ok && Prng.Rng.bits64 g = Prng.Rng.bits64 g')
+
+let monotone_matches_probe_reference =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest qcheck_monotone_matches_probe_reference
+  in
+  ( name,
+    speed,
+    fun () ->
+      x_probed_further := 0;
+      y_probed_further := 0;
+      run ();
+      if !x_probed_further = 0 || !y_probed_further = 0 then
+        Alcotest.failf "ADAP steps where x / y probed further: %d / %d"
+          !x_probed_further !y_probed_further )
 
 (* The class-level law against the per-rank law it replaced
    (test/per_rank_law.ml): merged, both put the same mass on the same
@@ -653,7 +673,7 @@ let suite =
   @ [
       Alcotest.test_case "sampled reset replays a fresh sim" `Quick
         test_sampled_reset_replays_fresh;
-      QCheck_alcotest.to_alcotest qcheck_monotone_matches_probe_reference;
+      monotone_matches_probe_reference;
       QCheck_alcotest.to_alcotest qcheck_abku_table_refill_equals_create;
       QCheck_alcotest.to_alcotest qcheck_exact_law_matches_per_rank;
     ]

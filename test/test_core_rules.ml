@@ -228,6 +228,64 @@ let test_scenario_remove_rank_matches_distribution () =
         counts)
     [ Core.Scenario.A; Core.Scenario.B ]
 
+(* A normalized vector of [m] balls over the first [k] of [n] bins, so
+   its last [n - k] ranks are empty. *)
+let vector_with_empty_tail g ~n ~k ~m =
+  let a = Array.make n 0 in
+  for _ = 1 to m do
+    let i = Prng.Rng.int g k in
+    a.(i) <- a.(i) + 1
+  done;
+  Lv.of_array a
+
+(* The variates worth pinning besides a random one: the least, and the
+   greatest below 1, 1 − 2^-53, where ⌊u·m⌋ = m − 1 and both scans must
+   reach the last non-empty rank. *)
+let variates g = [ Prng.Rng.float g; 0.; Float.pred 1. ]
+
+(* The integer scans pick the rank and class the float scans did (test/
+   float_scan.ml), for every variate.  u·m is exact when m is a power of
+   two, so m avoids them: the scans must agree where u·m rounds. *)
+let qcheck_integer_scan_matches_float =
+  QCheck.Test.make ~name:"integer inverse CDF = float scan" ~count:500
+    QCheck.(quad small_int (int_range 1 24) (int_range 1 24) (int_range 1 5000))
+    (fun (seed, n, k, m) ->
+      let k = Stdlib.min k n in
+      let m = if m land (m - 1) = 0 then 3 * m else m in
+      let g = rng ~seed () in
+      let lv = vector_with_empty_tail g ~n ~k ~m in
+      let v = Mv.of_load_vector lv and cv = Loadvec.Count_vector.of_load_vector lv in
+      List.for_all
+        (fun u ->
+          Core.Scenario.remove_rank Core.Scenario.A v ~u
+          = Float_scan.remove_rank v ~u
+          && Core.Scenario.remove_level Core.Scenario.A cv ~u
+             = Float_scan.remove_level cv ~u)
+        (variates g))
+
+(* The one-pass pair removal decrements each copy where its own removal
+   would, also when the two totals differ. *)
+let qcheck_remove_pair_matches_two_removals =
+  QCheck.Test.make ~name:"remove_pair = two removals" ~count:500
+    QCheck.(
+      quad small_int (int_range 1 16) (pair (int_range 1 60) (int_range 1 60))
+        (pair bool bool))
+    (fun (seed, n, (mx, my), (equal_totals, scenario_b)) ->
+      let sc = if scenario_b then Core.Scenario.B else Core.Scenario.A in
+      let my = if equal_totals then mx else my in
+      let g = rng ~seed () in
+      let lx = vector_with_empty_tail g ~n ~k:n ~m:mx in
+      let ly = vector_with_empty_tail g ~n ~k:(1 + Prng.Rng.int g n) ~m:my in
+      List.for_all
+        (fun u ->
+          let x = Mv.of_load_vector lx and y = Mv.of_load_vector ly in
+          let x' = Mv.of_load_vector lx and y' = Mv.of_load_vector ly in
+          Core.Scenario.remove_pair sc x y ~u;
+          Core.Load_state.Array.remove x' sc ~u;
+          Core.Load_state.Array.remove y' sc ~u;
+          Mv.equal x x' && Mv.equal y y')
+        (variates g))
+
 let test_rule_names () =
   Alcotest.(check string) "abku" "ABKU[2]" (Sr.name (Sr.abku 2));
   let x = Core.Adaptive.constant 2 in
@@ -272,4 +330,9 @@ let suite =
       ("remove_rank matches law", test_scenario_remove_rank_matches_distribution);
       ("rule names", test_rule_names);
     ]
-  @ List.map QCheck_alcotest.to_alcotest [ qcheck_rank_distribution_sums_to_one ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        qcheck_rank_distribution_sums_to_one;
+        qcheck_integer_scan_matches_float;
+        qcheck_remove_pair_matches_two_removals;
+      ]

@@ -133,6 +133,16 @@ let test_core_errors () =
         (Core.Scenario.remove_rank Core.Scenario.A
            (Mv.of_load_vector (Lv.of_array [| 0; 0 |]))
            ~u:0.5));
+  inv "Scenario.remove_pair: no balls" (fun () ->
+      Core.Scenario.remove_pair Core.Scenario.B
+        (Mv.of_load_vector (Lv.of_array [| 1; 0 |]))
+        (Mv.of_load_vector (Lv.of_array [| 0; 0 |]))
+        ~u:0.5);
+  inv "Scenario.remove_pair: dimension mismatch" (fun () ->
+      Core.Scenario.remove_pair Core.Scenario.A
+        (Mv.of_load_vector (Lv.of_array [| 1; 0 |]))
+        (Mv.of_load_vector (Lv.of_array [| 1; 0; 0 |]))
+        ~u:0.5);
   inv "Scenario.removal_distribution: no balls" (fun () ->
       ignore (Core.Scenario.removal_distribution Core.Scenario.B ~loads:[| 0 |]));
   inv "Bins.create: n must be positive" (fun () ->

@@ -318,7 +318,7 @@ let qcheck_counts_level_of_ball =
           if target < float_of_int acc then i else scan (i + 1) acc
       in
       let rank = scan 0 0 in
-      loads.(rank) = Cv.level_of_ball cv ~target)
+      loads.(rank) = Cv.level_of_ball cv ~target:(int_of_float target))
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)

@@ -252,30 +252,6 @@ let test_pinned_stream () =
        -8180877080738042710L; 8709371129873715009L |]
     (Prng.Rng.save g)
 
-(* [duplicate] leaves its source untouched (unlike [copy], which
-   advances the source's splitter), and [catch_up] moves the source's
-   stream to where the duplicate stands. *)
-let test_duplicate_catch_up () =
-  let a = rng () and b = rng () in
-  let d = Prng.Rng.duplicate a in
-  Alcotest.(check (array int64)) "duplicate saves like its source"
-    (Prng.Rng.save a) (Prng.Rng.save d);
-  Alcotest.(check (array int64)) "source untouched" (Prng.Rng.save b)
-    (Prng.Rng.save a);
-  for _ = 1 to 5 do
-    ignore (Prng.Rng.int d 1000)
-  done;
-  Prng.Rng.catch_up a ~from:d;
-  for _ = 1 to 5 do
-    ignore (Prng.Rng.int b 1000)
-  done;
-  for _ = 1 to 20 do
-    Alcotest.(check int64) "caught up" (Prng.Rng.bits64 b) (Prng.Rng.bits64 a)
-  done;
-  Alcotest.(check int64) "splitter untouched"
-    (Prng.Rng.bits64 (Prng.Rng.split b))
-    (Prng.Rng.bits64 (Prng.Rng.split a))
-
 (* The bounded draws read the generator's bits as tagged ints, and the
    state is unboxed, so they allocate nothing. *)
 let test_draws_do_not_allocate () =
@@ -321,6 +297,5 @@ let suite =
       [
         ("xoshiro256++ known answers", test_xoshiro_known_answers);
         ("pinned stream of the default seed", test_pinned_stream);
-        ("duplicate and catch_up", test_duplicate_catch_up);
         ("bounded draws do not allocate", test_draws_do_not_allocate);
       ]

@@ -206,11 +206,10 @@ let test_sequential () =
 
 (* --- the corrupted-stepper contract ---------------------------------- *)
 
-(* A stepper with a deliberate off-by-one bin choice: ABKU[2] probes two
-   ranks, but the ball lands one rank below the probe winner.  The
-   conformance harness must reject it at alpha = 0.01 while the real
-   stepper passes — on every seed tried. *)
-let corrupted_abku2_subject ~n ~m =
+(* An Id-ABKU[2] subject over Ω_m whose simulator steps the sorted
+   array by [step g v]: the exact law is the real process's, so a
+   planted defect in [step] must show as a FAIL. *)
+let planted_abku2_subject ~label ~n ~m step =
   let p =
     Core.Dynamic_process.make Core.Scenario.A (Core.Scheduling_rule.abku 2) ~n
   in
@@ -218,13 +217,7 @@ let corrupted_abku2_subject ~n ~m =
   let fresh_sim () =
     let v = Mv.of_load_vector start in
     Engine.Sim.make ~watermark:false
-      ~step:(fun g ->
-        let u = Prng.Rng.float g in
-        ignore (Mv.decr_at v (Core.Scenario.remove_rank Core.Scenario.A v ~u));
-        let i = Prng.Rng.int g n and j = Prng.Rng.int g n in
-        let winner = if i > j then i else j in
-        let off_by_one = if winner + 1 < n then winner + 1 else winner in
-        ignore (Mv.incr_at v off_by_one))
+      ~step:(fun g -> step g v)
       ~observe:(fun () -> Mv.to_load_vector v)
       ~reset:(fun lv -> Mv.set_from_load_vector v lv)
       ~probe:(fun () -> Mv.max_load v)
@@ -232,7 +225,8 @@ let corrupted_abku2_subject ~n ~m =
   in
   Validate.Subject.P
     {
-      Validate.Subject.name = Printf.sprintf "corrupted Id-ABKU[2] n=%d m=%d" n m;
+      Validate.Subject.name =
+        Printf.sprintf "%s Id-ABKU[2] n=%d m=%d" label n m;
       family = "balls";
       states = Markov.Partition_space.enumerate ~n ~m;
       transitions = Core.Dynamic_process.exact_transitions p;
@@ -241,6 +235,19 @@ let corrupted_abku2_subject ~n ~m =
       bound = None;
       block_rows = None;
     }
+
+(* A stepper with a deliberate off-by-one bin choice: ABKU[2] probes two
+   ranks, but the ball lands one rank below the probe winner.  The
+   conformance harness must reject it at alpha = 0.01 while the real
+   stepper passes — on every seed tried. *)
+let corrupted_abku2_subject ~n ~m =
+  planted_abku2_subject ~label:"corrupted" ~n ~m (fun g v ->
+      let u = Prng.Rng.float g in
+      ignore (Mv.decr_at v (Core.Scenario.remove_rank Core.Scenario.A v ~u));
+      let i = Prng.Rng.int g n and j = Prng.Rng.int g n in
+      let winner = if i > j then i else j in
+      let off_by_one = if winner + 1 < n then winner + 1 else winner in
+      ignore (Mv.incr_at v off_by_one))
 
 let test_corrupted_stepper_fails_true_passes () =
   let seeds = [ 11; 22; 33 ] in
@@ -266,6 +273,50 @@ let test_corrupted_stepper_fails_true_passes () =
         "PASS"
         (Validate.Sequential.verdict_name good.Validate.Conformance.verdict))
     seeds
+
+(* A removal biased among non-empty bins: a quarter of the removals take
+   the last non-empty rank instead of a uniform ball.  From a state whose
+   non-empty bins all hold one load the bias changes nothing, so of the
+   n = m = 4 states only (3,1) and (2,1,1) can show it.  The harness adds
+   the state with the richest exact row, (3,1), whose one-step check must
+   catch the bias on every seed. *)
+let biased_removal_subject ~n ~m =
+  planted_abku2_subject ~label:"biased-removal" ~n ~m (fun g v ->
+      let u = Prng.Rng.float g in
+      let r =
+        if Prng.Rng.int g 4 = 0 then Mv.support v - 1
+        else Core.Scenario.remove_rank Core.Scenario.A v ~u
+      in
+      ignore (Mv.decr_at v r);
+      ignore
+        (Core.Load_state.Array.insert v (Core.Scheduling_rule.abku 2) g))
+
+let test_biased_removal_fails_from_richest_row () =
+  let states = Markov.Partition_space.enumerate ~n:4 ~m:4 in
+  let idx = ref (-1) in
+  Array.iteri
+    (fun i s -> if Lv.to_array s = [| 3; 1; 0; 0 |] then idx := i)
+    states;
+  let richest = Printf.sprintf "one-step x%d" !idx in
+  List.iter
+    (fun seed ->
+      let rng = Prng.Rng.create ~seed () in
+      let r =
+        Validate.Conformance.run_subject ~quick:true ~alpha:0.01 ~rng
+          (biased_removal_subject ~n:4 ~m:4)
+      in
+      match
+        List.find_opt
+          (fun (c : Validate.Conformance.check) -> c.check = richest)
+          r.Validate.Conformance.checks
+      with
+      | None -> Alcotest.failf "no %s check (seed %d)" richest seed
+      | Some c ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s fails (seed %d)" richest seed)
+            "FAIL"
+            (Validate.Sequential.verdict_name c.verdict))
+    [ 11; 22; 33 ]
 
 (* The machine a serve shard hosts, on identity bins and stepped through
    [Engine.Sim.apply], is held to the normalized chain's exact law. *)
@@ -331,5 +382,8 @@ let suite =
       `Slow,
       test_corrupted_stepper_fails_true_passes );
     ("served machine passes", `Quick, test_served_machine_passes);
+    ( "biased removal fails from the richest row",
+      `Quick,
+      test_biased_removal_fails_from_richest_row );
     ("report json and exit code", `Quick, test_report_and_exit_code);
   ]
