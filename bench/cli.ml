@@ -10,21 +10,21 @@ open Cmdliner
 let env ?(getenv = Sys.getenv_opt) name =
   match getenv name with Some "" -> None | v -> v
 
-(* Every count flag of the suite and of `repro` parses through this. *)
-let positive =
+(* Every count flag of the suite and of `repro` parses through these:
+   [at_least k] accepts the integers >= k. *)
+let at_least k =
   let parse s =
     match int_of_string_opt s with
-    | Some v when v >= 1 -> Ok v
+    | Some v when v >= k -> Ok v
     | _ ->
         Error
           (`Msg
-            (Printf.sprintf "invalid value '%s', expected an integer >= 1" s))
+            (Printf.sprintf "invalid value '%s', expected an integer >= %d" s
+               k))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let repr =
-  let parse s = Result.map_error (fun m -> `Msg m) (Core.Repr.of_string s) in
-  Arg.conv (parse, fun ppf r -> Format.pp_print_string ppf (Core.Repr.name r))
+let positive = at_least 1
 
 let config =
   let d = Experiment.Config.default in
@@ -36,9 +36,9 @@ let config =
     Arg.(value & opt (some string) None & var names name ~docv doc)
   in
   let make full seed domains csv_dir json_dir trace checkpoint_dir resume
-      metrics_dump repr =
+      metrics_dump =
     { Experiment.Config.full; seed; domains; csv_dir; json_dir; trace;
-      checkpoint_dir; resume; metrics_dump; repr }
+      checkpoint_dir; resume; metrics_dump }
   in
   Term.(
     const make
@@ -64,11 +64,7 @@ let config =
          it stale snapshots are deleted and the run starts fresh."
     $ flag [ "metrics" ] "BENCH_METRICS"
         "Print the engine counter tables (steps, probes, draws, phases) \
-         after instrumented measurements."
-    $ Arg.(value & opt repr d.repr
-           & var [ "repr" ] "BENCH_REPR" ~docv:"NAME"
-               ("Stepper state backend: " ^ Core.Repr.help
-              ^ ".  Only experiments flagged in $(b,--list -v) honour it.")))
+         after instrumented measurements.")
 
 let tags =
   let flatten l = List.filter (( <> ) "") (List.concat l) in
@@ -91,8 +87,7 @@ let run config ids list_only verbose tags =
         ("bench: " ^ Experiment.Driver.selection_error_message specs e);
       exit 2
   | Ok selected when list_only ->
-      Experiment.Driver.print_list ~verbose ~repr:config.Experiment.Config.repr
-        selected
+      Experiment.Driver.print_list ~verbose selected
   | Ok selected -> ignore (Experiment.Driver.run ~config selected)
 
 let cmd =
@@ -111,8 +106,7 @@ let cmd =
   let verbose =
     Arg.(value & flag
          & info [ "v"; "verbose" ]
-             ~doc:"With $(b,--list): show each spec's quick/full grid and \
-                   the representation backend it will run with.")
+             ~doc:"With $(b,--list): show each spec's quick/full grid.")
   in
   let exits =
     Cmd.Exit.info 2 ~doc:"on an unknown id or tag, or an empty selection."

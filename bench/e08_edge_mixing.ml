@@ -100,7 +100,7 @@ let run ctx =
           (Edgeorient.Path_metric.gamma_pairs metric)
       in
       let lemma_bound =
-        Coupling.Path_coupling.bound_contractive ~beta
+        Theory.Bounds.path_coupling_case1 ~beta
           ~diameter:(Edgeorient.Path_metric.diameter metric) ~eps:0.25
       in
       Ctx.row exact_table

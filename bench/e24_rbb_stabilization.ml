@@ -12,7 +12,6 @@ module Ctx = Experiment.Ctx
 
 let run ctx =
   let reps = Ctx.reps ctx in
-  let repr = Ctx.repr ctx in
   List.iter
     (fun (rule, key) ->
       let table =
@@ -37,7 +36,7 @@ let run ctx =
             Engine.Runner.measure ~domains:(Ctx.domains ctx) ~rng ~reps
               ~limit:(50 * n)
               (fun g metrics ~limit ->
-                let s = Rbb.sim_repr ~metrics ~repr p (Lv.all_in_one ~n ~m) in
+                let s = Rbb.sim_repr ~metrics p (Lv.all_in_one ~n ~m) in
                 Engine.Sim.first_hit s g ~pred:(fun ml -> ml <= target) ~limit)
           in
           points := (float_of_int n, meas.median) :: !points;
@@ -61,7 +60,7 @@ let run ctx =
 let spec =
   Experiment.Spec.v ~id:"e24"
     ~claim:"RBB self-stabilizes to max load O(log n) within O(n) rounds"
-    ~tags:[ "rbb"; "recovery"; "sim" ] ~uses_repr:true
+    ~tags:[ "rbb"; "recovery"; "sim" ]
     ~grid:
       (Experiment.Grid.v ~axis:"n=m" ~quick:[ 128; 256; 512; 1024 ]
          ~full:[ 128; 256; 512; 1024; 2048; 4096 ] ~reps:(11, 31) ())

@@ -4,26 +4,33 @@
 
 open Cmdliner
 
-(* ---- shared argument parsing ---- *)
+(* ---- shared arguments: each flag is defined once ---- *)
+
+let at_least = Experiments.Cli.at_least
+let positive = Experiments.Cli.positive
 
 let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 0x5EED & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let positive = Experiments.Cli.positive
+(* The generator every stochastic subcommand draws from. *)
+let rng_arg = Term.(const (fun seed -> Prng.Rng.create ~seed ()) $ seed_arg)
 
 let n_arg =
   let doc = "Number of bins / servers / vertices." in
   Arg.(value & opt positive 256 & info [ "n" ] ~docv:"N" ~doc)
 
-let m_arg =
-  let doc = "Number of balls (defaults to n)." in
-  Arg.(value & opt (some int) None & info [ "m" ] ~docv:"M" ~doc)
-
-(* The dynamic processes remove a ball every step, so they need one. *)
-let balls_arg =
-  let doc = "Number of balls, at least 1 (defaults to n)." in
-  Arg.(value & opt (some positive) None & info [ "m" ] ~docv:"M" ~doc)
+(* The size (n, m), with m defaulting to n and at least [min]: the
+   dynamic processes remove a ball every step, so they need one. *)
+let size_arg ~min =
+  let doc =
+    if min = 0 then "Number of balls (defaults to n)."
+    else Printf.sprintf "Number of balls, at least %d (defaults to n)." min
+  in
+  let m_arg =
+    Arg.(value & opt (some (at_least min)) None & info [ "m" ] ~docv:"M" ~doc)
+  in
+  Term.(const (fun n m -> (n, Option.value m ~default:n)) $ n_arg $ m_arg)
 
 let scenario_arg =
   let conv_scenario =
@@ -69,7 +76,14 @@ let steps_arg ~default =
   let doc = "Number of process steps." in
   Arg.(value & opt int default & info [ "steps" ] ~docv:"STEPS" ~doc)
 
-let resolve_m n = function Some m -> m | None -> n
+let reps_arg ~default ~doc =
+  Arg.(value & opt positive default & info [ "reps" ] ~docv:"REPS" ~doc)
+
+let d_arg ~doc = Arg.(value & opt positive 2 & info [ "d" ] ~docv:"D" ~doc)
+let adversarial_arg ~doc = Arg.(value & flag & info [ "adversarial" ] ~doc)
+
+let domains_arg ~doc =
+  Arg.(value & opt positive 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 (* Refuse, with exit 2, a size the command's paper bound is undefined
    at. *)
@@ -79,11 +93,49 @@ let require cmd ok what =
     exit 2
   end
 
+(* ---- the paper's per-scenario choices ---- *)
+
+(* The mean-field fixed point of the fluid limit. *)
+let fixed_point = function
+  | Core.Scenario.A -> Fluid.Mean_field.fixed_point_a
+  | Core.Scenario.B -> Fluid.Mean_field.fixed_point_b
+
+(* The growth scale of recovery from all-in-one, and the multiple of it
+   at which a run gives up. *)
+let recovery_scale scenario ~n =
+  match scenario with
+  | Core.Scenario.A -> (Theory.Bounds.recovery_a_steps ~n, 500)
+  | Core.Scenario.B -> (Theory.Bounds.recovery_b_steps ~n, 100)
+
+(* The coalescence scale (Theorem 1's tau(1/4) for A, the improved
+   m^2 ln m for B), and the multiple of it at which a coupling run gives
+   up.  m^2 ln m is undefined at one ball, so B refuses m < 2. *)
+let coalescence_scale cmd scenario ~m =
+  match scenario with
+  | Core.Scenario.A -> (Theory.Bounds.theorem1 ~m ~eps:0.25, 100)
+  | Core.Scenario.B ->
+      require cmd (m >= 2) "scenario B needs m >= 2 balls";
+      (Theory.Bounds.scenario_b_improved ~m, 200)
+
+(* The paper's bound on tau(eps): Theorem 1 for A, Claim 5.3 for B, with
+   B's improved m^2 ln m after it when [improved]. *)
+let print_bound ?(improved = false) scenario ~n ~m ~eps =
+  match scenario with
+  | Core.Scenario.A ->
+      Printf.printf "Theorem 1 bound: %.0f\n" (Theory.Bounds.theorem1 ~m ~eps)
+  | Core.Scenario.B ->
+      Printf.printf "Claim 5.3 bound: %.0f" (Theory.Bounds.claim53 ~n ~m ~eps);
+      if improved then
+        Printf.printf "; improved m^2 ln m: %.0f"
+          (Theory.Bounds.scenario_b_improved ~m);
+      print_char '\n'
+
+let process_name scenario rule ~n =
+  Core.Dynamic_process.name (Core.Dynamic_process.make scenario rule ~n)
+
 (* ---- simulate ---- *)
 
-let simulate seed n m scenario rule steps adversarial =
-  let m = resolve_m n m in
-  let g = Prng.Rng.create ~seed () in
+let simulate g (n, m) scenario rule steps adversarial =
   let loads =
     if adversarial then begin
       let a = Array.make n 0 in
@@ -93,10 +145,8 @@ let simulate seed n m scenario rule steps adversarial =
     else Loadvec.Load_vector.to_array (Loadvec.Load_vector.uniform ~n ~m)
   in
   let system = Core.System.create scenario rule (Core.Bins.of_loads loads) in
-  Printf.printf "process %s-%s, n = %d, m = %d, %d steps\n"
-    (Core.Scenario.process_prefix scenario)
-    (Core.Scheduling_rule.name rule)
-    n m steps;
+  Printf.printf "process %s, n = %d, m = %d, %d steps\n"
+    (process_name scenario rule ~n) n m steps;
   let probes = Stats.Summary.create () in
   let max_summary = Stats.Summary.create () in
   for _ = 1 to steps do
@@ -113,32 +163,21 @@ let simulate seed n m scenario rule steps adversarial =
     (Format.asprintf "%a" Stats.Freq.pp hist)
 
 let simulate_cmd =
-  let adversarial =
-    Arg.(value & flag
-         & info [ "adversarial" ] ~doc:"Start with all balls in one bin.")
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a dynamic allocation process")
-    Term.(const simulate $ seed_arg $ n_arg $ balls_arg $ scenario_arg $ rule_arg
-          $ steps_arg ~default:100_000 $ adversarial)
+    Term.(const simulate $ rng_arg $ size_arg ~min:1 $ scenario_arg $ rule_arg
+          $ steps_arg ~default:100_000
+          $ adversarial_arg ~doc:"Start with all balls in one bin.")
 
 (* ---- recover ---- *)
 
-let recover seed n m scenario rule reps target =
-  let m = resolve_m n m in
+let recover rng (n, m) scenario rule reps target =
   require "recover" (n >= 2) "needs n >= 2 bins";
-  let rng = Prng.Rng.create ~seed () in
   let d = match rule with Core.Scheduling_rule.Abku d -> d | Adap _ -> 2 in
   let fluid =
-    match scenario with
-    | Core.Scenario.A ->
-        Fluid.Mean_field.fixed_point_a ~d
-          ~m_over_n:(float_of_int m /. float_of_int n)
-          ~levels:60
-    | Core.Scenario.B ->
-        Fluid.Mean_field.fixed_point_b ~d
-          ~m_over_n:(float_of_int m /. float_of_int n)
-          ~levels:60
+    fixed_point scenario ~d
+      ~m_over_n:(float_of_int m /. float_of_int n)
+      ~levels:60
   in
   let target =
     match target with
@@ -146,31 +185,17 @@ let recover seed n m scenario rule reps target =
     | None -> Fluid.Mean_field.predicted_max_load ~n fluid + 1
   in
   let spec = { Core.Recovery.scenario; rule; n; m } in
-  let limit =
-    match scenario with
-    | Core.Scenario.A -> 500 * int_of_float (Theory.Bounds.recovery_a_steps ~n)
-    | Core.Scenario.B -> 100 * int_of_float (Theory.Bounds.recovery_b_steps ~n)
-  in
+  let scale, patience = recovery_scale scenario ~n in
+  let limit = patience * int_of_float scale in
   let meas = Core.Recovery.measure ~rng ~reps spec ~target ~limit in
   Printf.printf
-    "recovery of %s-%s from all-in-one to max load <= %d (n=%d, m=%d, %d runs)\n"
-    (Core.Scenario.process_prefix scenario)
-    (Core.Scheduling_rule.name rule)
-    target n m reps;
+    "recovery of %s from all-in-one to max load <= %d (n=%d, m=%d, %d runs)\n"
+    (process_name scenario rule ~n) target n m reps;
   Printf.printf "median %.0f steps [q10 %.0f, q90 %.0f], %d runs hit the limit\n"
     meas.median meas.q10 meas.q90 meas.failures;
-  let bound =
-    match scenario with
-    | Core.Scenario.A -> Theory.Bounds.recovery_a_steps ~n
-    | Core.Scenario.B -> Theory.Bounds.recovery_b_steps ~n
-  in
-  Printf.printf "paper growth scale: %.0f\n" bound
+  Printf.printf "paper growth scale: %.0f\n" scale
 
 let recover_cmd =
-  let reps =
-    Arg.(value & opt positive 11
-         & info [ "reps" ] ~docv:"REPS" ~doc:"Repetitions.")
-  in
   let target =
     Arg.(value & opt (some int) None
          & info [ "target" ] ~docv:"LOAD"
@@ -178,25 +203,18 @@ let recover_cmd =
   in
   Cmd.v
     (Cmd.info "recover" ~doc:"Measure recovery time from the worst state")
-    Term.(const recover $ seed_arg $ n_arg $ balls_arg $ scenario_arg $ rule_arg
-          $ reps $ target)
+    Term.(const recover $ rng_arg $ size_arg ~min:1 $ scenario_arg $ rule_arg
+          $ reps_arg ~default:11 ~doc:"Repetitions." $ target)
 
 (* ---- couple ---- *)
 
-let couple seed n m scenario rule reps =
-  let m = resolve_m n m in
-  require "couple" (scenario = Core.Scenario.A || m >= 2) "scenario B needs m >= 2 balls";
-  let rng = Prng.Rng.create ~seed () in
+let couple rng (n, m) scenario rule reps =
+  let scale, patience = coalescence_scale "couple" scenario ~m in
   let process = Core.Dynamic_process.make scenario rule ~n in
   let coupled = Core.Coupled.monotone process in
-  let limit =
-    match scenario with
-    | Core.Scenario.A -> 100 * int_of_float (Theory.Bounds.theorem1 ~m ~eps:0.25)
-    | Core.Scenario.B ->
-        200 * int_of_float (Theory.Bounds.scenario_b_improved ~m)
-  in
   let meas =
-    Coupling.Coalescence.measure ~reps ~limit ~rng coupled ~init:(fun _g ->
+    Coupling.Coalescence.measure ~reps ~limit:(patience * int_of_float scale)
+      ~rng coupled ~init:(fun _g ->
         ( Loadvec.Mutable_vector.of_load_vector
             (Loadvec.Load_vector.all_in_one ~n ~m),
           Loadvec.Mutable_vector.of_load_vector
@@ -206,28 +224,17 @@ let couple seed n m scenario rule reps =
     (Core.Dynamic_process.name process) n m reps;
   Printf.printf "median %.0f [q10 %.0f, q90 %.0f], failures %d\n" meas.median
     meas.q10 meas.q90 meas.failures;
-  (match scenario with
-  | Core.Scenario.A ->
-      Printf.printf "Theorem 1 bound: %.0f\n"
-        (Theory.Bounds.theorem1 ~m ~eps:0.25)
-  | Core.Scenario.B ->
-      Printf.printf "Claim 5.3 bound: %.0f; improved m^2 ln m: %.0f\n"
-        (Theory.Bounds.claim53 ~n ~m ~eps:0.25)
-        (Theory.Bounds.scenario_b_improved ~m))
+  print_bound ~improved:true scenario ~n ~m ~eps:0.25
 
 let couple_cmd =
-  let reps =
-    Arg.(value & opt positive 15
-         & info [ "reps" ] ~docv:"REPS" ~doc:"Repetitions.")
-  in
   Cmd.v
     (Cmd.info "couple" ~doc:"Measure coupling coalescence time")
-    Term.(const couple $ seed_arg $ n_arg $ balls_arg $ scenario_arg $ rule_arg $ reps)
+    Term.(const couple $ rng_arg $ size_arg ~min:1 $ scenario_arg $ rule_arg
+          $ reps_arg ~default:15 ~doc:"Repetitions.")
 
 (* ---- edge ---- *)
 
-let edge seed n steps adversarial =
-  let g = Prng.Rng.create ~seed () in
+let edge g n steps adversarial =
   let t =
     if adversarial then Edgeorient.Orientation.adversarial ~n
     else Edgeorient.Orientation.create ~n
@@ -250,30 +257,19 @@ let edge seed n steps adversarial =
     (Theory.Bounds.theorem2 ~n)
 
 let edge_cmd =
-  let adversarial =
-    Arg.(value & flag
-         & info [ "adversarial" ] ~doc:"Start from the adversarial state.")
-  in
   let vertices =
-    let parse s =
-      match int_of_string_opt s with
-      | Some v when v >= 2 -> Ok v
-      | _ ->
-          Error
-            (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= 2" s))
-    in
-    Arg.(value & opt (conv (parse, Format.pp_print_int)) 256
+    Arg.(value & opt (at_least 2) 256
          & info [ "n" ] ~docv:"N" ~doc:"Number of vertices, at least 2.")
   in
   Cmd.v
     (Cmd.info "edge" ~doc:"Run the greedy edge orientation protocol")
-    Term.(const edge $ seed_arg $ vertices $ steps_arg ~default:100_000 $ adversarial)
+    Term.(const edge $ rng_arg $ vertices $ steps_arg ~default:100_000
+          $ adversarial_arg ~doc:"Start from the adversarial state.")
 
 (* ---- exact ---- *)
 
-let exact n m scenario rule eps domains block_rows spill checkpoint resume
+let exact (n, m) scenario rule eps domains block_rows spill checkpoint resume
     max_states starts_mode =
-  let m = resolve_m n m in
   let count = Markov.Partition_space.count ~n ~m in
   if count > max_states then begin
     Printf.eprintf
@@ -349,11 +345,7 @@ let exact n m scenario rule eps domains block_rows spill checkpoint resume
                (Markov.Exact.state chain i))
             pi.(i))
       order;
-    match scenario with
-    | Core.Scenario.A ->
-        Printf.printf "Theorem 1 bound: %.0f\n" (Theory.Bounds.theorem1 ~m ~eps)
-    | Core.Scenario.B ->
-        Printf.printf "Claim 5.3 bound: %.0f\n" (Theory.Bounds.claim53 ~n ~m ~eps)
+    print_bound scenario ~n ~m ~eps
   end
 
 let exact_cmd =
@@ -368,12 +360,6 @@ let exact_cmd =
     in
     Arg.(value & opt (conv (parse, Format.pp_print_float)) 0.25
          & info [ "eps" ] ~docv:"EPS" ~doc:"Mixing threshold, in (0, 1).")
-  in
-  let domains =
-    Arg.(value & opt positive 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains for the mixing search; the result is \
-                   identical for any value.")
   in
   let block_rows =
     Arg.(value & opt (some positive) None
@@ -416,19 +402,17 @@ let exact_cmd =
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Exact mixing time on a small state space")
-    Term.(const exact $ n_arg $ balls_arg $ scenario_arg $ rule_arg $ eps $ domains
+    Term.(const exact $ size_arg ~min:1 $ scenario_arg $ rule_arg $ eps
+          $ domains_arg
+              ~doc:"Worker domains for the mixing search; the result is \
+                    identical for any value."
           $ block_rows $ spill $ checkpoint $ resume $ max_states $ starts)
 
 (* ---- fluid ---- *)
 
-let fluid n m scenario d levels =
-  let m = resolve_m n m in
+let fluid (n, m) scenario d levels =
   let m_over_n = float_of_int m /. float_of_int n in
-  let s =
-    match scenario with
-    | Core.Scenario.A -> Fluid.Mean_field.fixed_point_a ~d ~m_over_n ~levels
-    | Core.Scenario.B -> Fluid.Mean_field.fixed_point_b ~d ~m_over_n ~levels
-  in
+  let s = fixed_point scenario ~d ~m_over_n ~levels in
   Printf.printf
     "fluid fixed point, scenario %s, d = %d, m/n = %.2f (s_i = fraction of \
      bins with load >= i)\n"
@@ -440,33 +424,23 @@ let fluid n m scenario d levels =
     (Fluid.Mean_field.predicted_max_load ~n s)
 
 let fluid_cmd =
-  let d =
-    Arg.(value & opt positive 2
-         & info [ "d" ] ~docv:"D" ~doc:"Number of choices.")
-  in
   let levels =
     Arg.(value & opt positive 30
          & info [ "levels" ] ~docv:"L" ~doc:"Truncation level.")
   in
   Cmd.v
     (Cmd.info "fluid" ~doc:"Print the fluid-limit stationary profile")
-    Term.(const fluid $ n_arg $ balls_arg $ scenario_arg $ d $ levels)
+    Term.(const fluid $ size_arg ~min:1 $ scenario_arg
+          $ d_arg ~doc:"Number of choices." $ levels)
 
 (* ---- tv: empirical mixing profile ---- *)
 
-let tv seed n m scenario rule reps =
-  let m = resolve_m n m in
-  require "tv" (scenario = Core.Scenario.A || m >= 2) "scenario B needs m >= 2 balls";
-  let rng = Prng.Rng.create ~seed () in
+let tv rng (n, m) scenario rule reps =
+  let scale, _ = coalescence_scale "tv" scenario ~m in
   let process = Core.Dynamic_process.make scenario rule ~n in
   let step g v =
     Core.Dynamic_process.step_in_place process g v;
     v
-  in
-  let scale =
-    match scenario with
-    | Core.Scenario.A -> Theory.Bounds.theorem1 ~m ~eps:0.25
-    | Core.Scenario.B -> Theory.Bounds.scenario_b_improved ~m
   in
   let limit = 2 * int_of_float scale in
   let rec times t acc = if t > limit then List.rev acc else times (4 * t) (t :: acc) in
@@ -489,19 +463,14 @@ let tv seed n m scenario rule reps =
   Printf.printf "\npaper scale for this scenario: %.0f\n" scale
 
 let tv_cmd =
-  let reps =
-    Arg.(value & opt positive 500
-         & info [ "reps" ] ~docv:"REPS" ~doc:"Runs per point.")
-  in
   Cmd.v
     (Cmd.info "tv" ~doc:"Empirical total-variation decay profile")
-    Term.(const tv $ seed_arg $ n_arg $ balls_arg $ scenario_arg $ rule_arg $ reps)
+    Term.(const tv $ rng_arg $ size_arg ~min:1 $ scenario_arg $ rule_arg
+          $ reps_arg ~default:500 ~doc:"Runs per point.")
 
 (* ---- weighted ---- *)
 
-let weighted seed n m d tail =
-  let m = resolve_m n m in
-  let g = Prng.Rng.create ~seed () in
+let weighted g (n, m) d tail =
   let t = Core.Weighted.static_run g ~n ~m ~d ~dist:tail in
   Printf.printf "weighted allocation: n = %d, m = %d, d = %d, weights %s\n" n m
     d
@@ -512,9 +481,6 @@ let weighted seed n m d tail =
     (Core.Weighted.total_weight t /. float_of_int n)
 
 let weighted_cmd =
-  let d =
-    Arg.(value & opt positive 2 & info [ "d" ] ~docv:"D" ~doc:"Choices.")
-  in
   let tail =
     Arg.(value
          & opt
@@ -531,13 +497,12 @@ let weighted_cmd =
   in
   Cmd.v
     (Cmd.info "weighted" ~doc:"Weighted-jobs allocation")
-    Term.(const weighted $ seed_arg $ n_arg $ m_arg $ d $ tail)
+    Term.(const weighted $ rng_arg $ size_arg ~min:0 $ d_arg ~doc:"Choices."
+          $ tail)
 
 (* ---- parallel ---- *)
 
-let parallel seed n m d rounds =
-  let m = resolve_m n m in
-  let g = Prng.Rng.create ~seed () in
+let parallel g (n, m) d rounds =
   let result = Core.Parallel_alloc.run g ~n ~m ~d ~rounds () in
   Printf.printf
     "collision protocol: n = %d, m = %d, d = %d, %d rounds\n" n m d rounds;
@@ -545,21 +510,17 @@ let parallel seed n m d rounds =
     result.max_load result.rounds_used result.fallback_balls
 
 let parallel_cmd =
-  let d =
-    Arg.(value & opt positive 2 & info [ "d" ] ~docv:"D" ~doc:"Candidates.")
-  in
   let rounds =
     Arg.(value & opt int 3 & info [ "rounds" ] ~docv:"R" ~doc:"Parallel rounds.")
   in
   Cmd.v
     (Cmd.info "parallel" ~doc:"Parallel collision-protocol allocation")
-    Term.(const parallel $ seed_arg $ n_arg $ m_arg $ d $ rounds)
+    Term.(const parallel $ rng_arg $ size_arg ~min:0
+          $ d_arg ~doc:"Candidates." $ rounds)
 
 (* ---- removal: Section 7 generalized removal laws ---- *)
 
-let removal seed n m rule law =
-  let m = resolve_m n m in
-  let g = Prng.Rng.create ~seed () in
+let removal g (n, m) rule law =
   let removal_rule =
     match law with
     | `A -> Core.Removal.scenario_a
@@ -603,7 +564,7 @@ let removal_cmd =
   in
   Cmd.v
     (Cmd.info "removal" ~doc:"Recovery under a generalized removal law")
-    Term.(const removal $ seed_arg $ n_arg $ m_arg $ rule_arg $ law)
+    Term.(const removal $ rng_arg $ size_arg ~min:0 $ rule_arg $ law)
 
 (* ---- validate: statistical conformance (lib/validate) ---- *)
 
@@ -674,12 +635,6 @@ let validate_cmd =
          & info [ "alpha" ] ~docv:"ALPHA"
              ~doc:"False-FAIL budget per conformance check.")
   in
-  let domains =
-    Arg.(value & opt positive 1
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Sampling fan-out width; the report is identical for any \
-                   value.")
-  in
   let json =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
@@ -698,8 +653,11 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Certify simulators against exact chains and paper bounds")
-    Term.(const validate $ quick $ alpha $ seed_arg $ domains $ json $ only
-          $ list_only)
+    Term.(const validate $ quick $ alpha $ seed_arg
+          $ domains_arg
+              ~doc:"Sampling fan-out width; the report is identical for any \
+                    value."
+          $ json $ only $ list_only)
 
 (* ---- serve / load / query: allocation-as-a-service (lib/serve) ---- *)
 
@@ -720,9 +678,8 @@ let connect_arg =
   Arg.(value & opt address_conv default_address
        & info [ "connect" ] ~docv:"ADDR" ~doc)
 
-let serve seed n m scenario rule process listen shards dir snapshot_every sync
-    () quiet trace trace_sample =
-  let m = resolve_m n m in
+let serve seed (n, m) scenario rule process listen shards dir snapshot_every
+    sync () quiet trace trace_sample =
   let cluster =
     { Serve.Cluster.n; m; shards; process; scenario; rule;
       repr = Core.Repr.Array_backed; seed }
@@ -774,7 +731,7 @@ let serve_cmd =
                    Without it the service is ephemeral.")
   in
   let snapshot_every =
-    Arg.(value & opt int 1_000_000
+    Arg.(value & opt positive 1_000_000
          & info [ "snapshot-every" ] ~docv:"EVENTS"
              ~doc:"Cut a snapshot (and compact the journal) every EVENTS \
                    mutations.")
@@ -806,7 +763,7 @@ let serve_cmd =
                    Perfetto trace to FILE on graceful shutdown.")
   in
   let trace_sample =
-    Arg.(value & opt int 64
+    Arg.(value & opt positive 64
          & info [ "trace-sample" ] ~docv:"N"
              ~doc:"With --trace, sample every Nth request (at most one per \
                    select round) for a full \
@@ -814,7 +771,7 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve" ~doc:"Run the allocation service daemon")
-    Term.(const serve $ seed_arg $ n_arg $ m_arg $ scenario_arg $ rule_arg
+    Term.(const serve $ seed_arg $ size_arg ~min:0 $ scenario_arg $ rule_arg
           $ process $ listen $ shards $ dir $ snapshot_every $ sync $ domains
           $ quiet $ trace $ trace_sample)
 
@@ -845,11 +802,11 @@ let load connect ops batch mix seed =
 
 let load_cmd =
   let ops =
-    Arg.(value & opt int 200_000
+    Arg.(value & opt positive 200_000
          & info [ "ops" ] ~docv:"N" ~doc:"Requests to send.")
   in
   let batch =
-    Arg.(value & opt int 512
+    Arg.(value & opt positive 512
          & info [ "batch" ] ~docv:"N" ~doc:"Pipelined requests per write.")
   in
   let mix =

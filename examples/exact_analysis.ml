@@ -71,8 +71,7 @@ let () =
     (Theory.Bounds.theorem1 ~m:n ~eps:0.25);
   Printf.printf
     "Path Coupling Lemma with the measured beta: %.1f\n"
-    (Coupling.Path_coupling.bound_contractive ~beta
-       ~diameter:(n - 1) ~eps:0.25);
+    (Theory.Bounds.path_coupling_case1 ~beta ~diameter:(n - 1) ~eps:0.25);
   Printf.printf
     "\nEverything lines up: exact %d ~ coalescence %.0f <= lemma-with-\
      measured-beta <= Theorem 1.\n"

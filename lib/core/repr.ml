@@ -14,15 +14,3 @@ let name = function
   | Array_backed -> "array"
   | Count_backed -> "counts"
   | Count_sampled -> "counts-sampled"
-
-let of_string = function
-  | "array" -> Ok Array_backed
-  | "counts" -> Ok Count_backed
-  | "counts-sampled" -> Ok Count_sampled
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown representation %S (expected one of: %s)" s
-           (String.concat ", " (List.map name all)))
-
-let help = "array | counts | counts-sampled"

@@ -27,8 +27,5 @@ type t =
 val all : t list
 
 val name : t -> string
-(** ["array"], ["counts"], ["counts-sampled"] — the spelling accepted
-    by [--repr] flags and the [BENCH_REPR] environment variable. *)
-
-val of_string : string -> (t, string) result
-val help : string
+(** ["array"], ["counts"], ["counts-sampled"] — the names tables and
+    validate subjects print. *)

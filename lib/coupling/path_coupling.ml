@@ -1,22 +1,3 @@
-let check_common ~diameter ~eps name =
-  if diameter < 1 then invalid_arg (name ^ ": diameter must be >= 1");
-  if not (eps > 0. && eps < 1.) then invalid_arg (name ^ ": eps must be in (0,1)")
-
-let bound_contractive ~beta ~diameter ~eps =
-  check_common ~diameter ~eps "Path_coupling.bound_contractive";
-  if not (beta >= 0. && beta < 1.) then
-    invalid_arg "Path_coupling.bound_contractive: beta must be in [0,1)";
-  log (float_of_int diameter /. eps) /. (1. -. beta)
-
-let bound_non_contractive ~alpha ~diameter ~eps =
-  check_common ~diameter ~eps "Path_coupling.bound_non_contractive";
-  if not (alpha > 0. && alpha <= 1.) then
-    invalid_arg "Path_coupling.bound_non_contractive: alpha must be in (0,1]";
-  let d = float_of_int diameter in
-  Float.of_int
-    (int_of_float (ceil (exp 1. *. d *. d /. alpha)))
-  *. ceil (log (1. /. eps))
-
 let beta_estimate ~reps ~rng c ~pair =
   if reps <= 0 then invalid_arg "Path_coupling.beta_estimate: reps";
   let sum_delta = ref 0 in

@@ -1,25 +1,12 @@
-(** The Path Coupling Lemma of Bubley and Dyer (paper, Lemma 3.1) as
-    bound calculators.
+(** The inputs of the Path Coupling Lemma of Bubley and Dyer (paper,
+    Lemma 3.1), estimated from a coupling.
 
-    Given an integer metric Δ with diameter [d_max] on the state space, a
-    set Γ of adjacent pairs along which any pair decomposes geodesically,
-    and a coupling defined on Γ:
-
-    {ul
-    {- case (1): if [E Δ(X', Y') ≤ β·Δ(X,Y)] with [β < 1] then
-       [τ(ε) ≤ ln(d_max·ε⁻¹) / (1 − β)];}
-    {- case (2): if [β ≤ 1] and [Pr(Δ changes) ≥ α > 0] on Γ then
-       [τ(ε) ≤ ⌈e·d_max²/α⌉·⌈ln ε⁻¹⌉].}} *)
-
-val bound_contractive : beta:float -> diameter:int -> eps:float -> float
-(** Case (1).
-    @raise Invalid_argument unless [0 <= beta < 1], [diameter >= 1] and
-    [0 < eps < 1]. *)
-
-val bound_non_contractive : alpha:float -> diameter:int -> eps:float -> float
-(** Case (2).
-    @raise Invalid_argument unless [0 < alpha <= 1], [diameter >= 1] and
-    [0 < eps < 1]. *)
+    Given an integer metric Δ on the state space, a set Γ of adjacent
+    pairs along which any pair decomposes geodesically, and a coupling
+    defined on Γ, the lemma bounds τ(ε) from the contraction β of
+    [E Δ(X', Y')] on Γ (case 1) or from the probability α that Δ changes
+    (case 2).  The calculators are [Theory.Bounds.path_coupling_case1]
+    and [Theory.Bounds.path_coupling_case2]. *)
 
 val beta_estimate :
   reps:int ->

@@ -15,7 +15,6 @@ type t = {
   metrics_dump : bool;
       (** Print the engine counter tables (steps, probes, draws,
           phases) after instrumented measurements. *)
-  repr : Core.Repr.t;  (** State-representation backend for the stepper hot paths. *)
 }
 
 let default =
@@ -29,7 +28,6 @@ let default =
     checkpoint_dir = None;
     resume = false;
     metrics_dump = false;
-    repr = Core.Repr.Array_backed;
   }
 
 let mode_name cfg = if cfg.full then "FULL" else "quick"

@@ -24,11 +24,6 @@ type t = {
       (** Print engine counter tables after instrumented measurements
           ([BENCH_METRICS]); {!Driver.run} forwards this to
           {!Engine.Metrics.set_dump}. *)
-  repr : Core.Repr.t;
-      (** State-representation backend for the stepper hot paths
-          ([BENCH_REPR]).  Specs that honour it are flagged
-          {!Spec.t.uses_repr}; all others run the array oracle
-          regardless. *)
 }
 
 val default : t

@@ -50,7 +50,6 @@ let make ~config ~id ~claim ~tags ~grid =
 let full t = t.config.Config.full
 let domains t = t.config.Config.domains
 let seed t = t.config.Config.seed
-let repr t = t.config.Config.repr
 let rng t ~experiment = Config.rng_for t.config ~experiment
 
 let sizes t =

@@ -29,10 +29,6 @@ val full : t -> bool
 val domains : t -> int
 val seed : t -> int
 
-val repr : t -> Core.Repr.t
-(** The configured state backend ({!Config.t.repr}); specs flagged
-    [uses_repr] thread it into their steppers. *)
-
 val rng : t -> experiment:int -> Prng.Rng.t
 (** An independent stream per sub-experiment key (see
     {!Config.rng_for}). *)

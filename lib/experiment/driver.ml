@@ -67,16 +67,14 @@ let select specs ~ids ~tags =
     in
     if selected = [] then Error Empty_selection else Ok selected
 
-let print_list ?(verbose = false) ?(repr = Core.Repr.Array_backed) specs =
+let print_list ?(verbose = false) specs =
   List.iter
     (fun (s : Spec.t) ->
       Printf.printf "%-6s %s%s\n" s.id s.claim
         (match s.tags with
         | [] -> ""
         | tags -> Printf.sprintf "  [%s]" (String.concat " " tags));
-      if verbose then begin
-        Printf.printf "       repr: %s\n"
-          (if s.uses_repr then Core.Repr.name repr else "array (fixed)");
+      if verbose then
         match s.grid with
         | None -> Printf.printf "       grid: none\n"
         | Some g ->
@@ -89,8 +87,7 @@ let print_list ?(verbose = false) ?(repr = Core.Repr.Array_backed) specs =
             let fmt ns = String.concat " " (List.map string_of_int ns) in
             Printf.printf "       %s: quick %d cells [%s]%s; full %d cells [%s]%s\n"
               g.Grid.axis (cells false) (fmt (sizes false)) (reps_str false)
-              (cells true) (fmt (sizes true)) (reps_str true)
-      end)
+              (cells true) (fmt (sizes true)) (reps_str true))
     specs
 
 let print_banner config =
@@ -113,13 +110,12 @@ let telemetry_json () =
 let results_json ~config outcomes =
   Json.Obj
     [
-      ("schema", Json.String "repro.bench-results/4");
+      ("schema", Json.String "repro.bench-results/5");
       ( "config",
         Json.Obj
           [
             ("mode", Json.String (Config.mode_name config));
             ("seed", Json.Int config.Config.seed);
-            ("repr", Json.String (Core.Repr.name config.Config.repr));
             ("domains", Json.Int config.Config.domains);
           ] );
       ( "experiments",

@@ -25,12 +25,10 @@ val select :
     [Unknown_tags] error; valid tags that merely match nothing in the
     id-selected base are [Empty_selection]. *)
 
-val print_list : ?verbose:bool -> ?repr:Core.Repr.t -> Spec.t list -> unit
-(** One line per spec: id, claim, tags.  With [~verbose:true], extra
-    lines per spec show which representation backend the grid will use —
-    [repr] (default [Array_backed]) for specs with {!Spec.t.uses_repr},
-    ["array (fixed)"] otherwise — and the grid axis with the quick and
-    full cell counts, sizes and replication counts. *)
+val print_list : ?verbose:bool -> Spec.t list -> unit
+(** One line per spec: id, claim, tags.  With [~verbose:true], an extra
+    line per spec shows the grid axis with the quick and full cell
+    counts, sizes and replication counts. *)
 
 val run : ?banner:bool -> config:Config.t -> Spec.t list -> Json.t
 (** Run the specs in order: banner (unless [~banner:false]), per-spec

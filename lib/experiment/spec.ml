@@ -10,13 +10,12 @@ type t = {
   grid : Grid.t option;
   default : bool;  (* part of the no-argument run? *)
   auto_heading : bool;  (* driver prints the "#### ID — claim" heading *)
-  uses_repr : bool;  (* grid honours Config.repr (vs always the array oracle) *)
   run : Ctx.t -> unit;
 }
 
-let v ?(tags = []) ?grid ?(default = true) ?(auto_heading = true)
-    ?(uses_repr = false) ~id ~claim run =
+let v ?(tags = []) ?grid ?(default = true) ?(auto_heading = true) ~id ~claim
+    run =
   if id = "" then invalid_arg "Spec.v: empty id";
-  { id; claim; tags; grid; default; auto_heading; uses_repr; run }
+  { id; claim; tags; grid; default; auto_heading; run }
 
 let has_tag t tag = List.mem tag t.tags

@@ -10,10 +10,6 @@ type t = private {
   grid : Grid.t option;
   default : bool;  (** Included in the no-argument run. *)
   auto_heading : bool;  (** Driver prints the ["#### ID — claim"] heading. *)
-  uses_repr : bool;
-      (** Whether the spec's grid honours {!Config.t.repr} — selectable
-          state backends for its stepper hot paths.  Specs without the
-          flag always run the array oracle; [--list -v] reports which. *)
   run : Ctx.t -> unit;
 }
 
@@ -22,13 +18,11 @@ val v :
   ?grid:Grid.t ->
   ?default:bool ->
   ?auto_heading:bool ->
-  ?uses_repr:bool ->
   id:string ->
   claim:string ->
   (Ctx.t -> unit) ->
   t
-(** [default] and [auto_heading] default to [true]; [uses_repr] to
-    [false].
+(** [default] and [auto_heading] default to [true].
     @raise Invalid_argument on an empty id. *)
 
 val has_tag : t -> string -> bool

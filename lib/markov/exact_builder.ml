@@ -5,17 +5,12 @@ type 'state source =
 let enumerated states = Enumerated states
 let reachable ~root = Reachable root
 
-(* One [hash]/[equal] default for every index this module builds:
-   structural unless the caller supplies either half. *)
-let new_index ?hash ?equal () =
-  let s_hash, s_equal = State_index.structural () in
-  State_index.create
-    ~hash:(Option.value hash ~default:s_hash)
-    ~equal:(Option.value equal ~default:s_equal)
-    64
+let new_index () =
+  let hash, equal = State_index.structural () in
+  State_index.create ~hash ~equal 64
 
-let reachable_states ?hash ?equal ~root ~transitions () =
-  let index = new_index ?hash ?equal () in
+let reachable_states ~root ~transitions () =
+  let index = new_index () in
   ignore (State_index.add index root);
   (* BFS without an explicit queue: ids are assigned in discovery order,
      so the frontier is exactly the ids not yet processed. *)
@@ -60,8 +55,8 @@ let validate_row ~find row =
    one.  Either way the full transition structure is materialized only
    inside the {!Blocked_csr} store — with [~spill], never all at once in
    memory. *)
-let build ?block_rows ?spill ?hash ?equal source ~transitions =
-  let index = new_index ?hash ?equal () in
+let build ?block_rows ?spill source ~transitions =
+  let index = new_index () in
   let b = Blocked_csr.builder ?block_rows ?spill () in
   (match source with
   | Enumerated states ->
@@ -103,11 +98,10 @@ type 'state analysis = {
   mix_seconds : float;
 }
 
-let build_mix ?eps ?max_t ?domains ?block_rows ?spill ?hash ?equal ?starts
-    ?checkpoint source ~transitions =
+let build_mix ?eps ?max_t ?domains ?starts ?checkpoint source ~transitions =
   let t0 = Obs.Clock.now_ns () in
   let sp = Obs.begin_span "exact.build" in
-  let chain = build ?block_rows ?spill ?hash ?equal source ~transitions in
+  let chain = build source ~transitions in
   Obs.end_span ~args:[ ("states", Obs.Int (Exact.size chain)) ] sp;
   let t1 = Obs.Clock.now_ns () in
   let starts =

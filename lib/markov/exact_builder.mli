@@ -13,9 +13,8 @@
     BFS frontier property (a state's row is fully determined when it is
     dequeued) means discovery and row emission are one pass.  With
     [~spill] the store pages completed shards to disk, so builds whose
-    transition structure exceeds RAM still finish.  State interning goes
-    through {!State_index} with an explicit [hash]/[equal] when the
-    caller has one (falling back to structural hashing). *)
+    transition structure exceeds RAM still finish.  States are interned
+    through a structurally hashed {!State_index}. *)
 
 type 'state source
 
@@ -27,21 +26,15 @@ val reachable : root:'state -> 'state source
     discovered by breadth-first search. *)
 
 val reachable_states :
-  ?hash:('state -> int) ->
-  ?equal:('state -> 'state -> bool) ->
   root:'state ->
   transitions:('state -> ('state * float) list) ->
   unit ->
   'state array
-(** The BFS closure itself, in discovery order — [root] first.  States
-    are interned through a {!State_index} keyed by [hash]/[equal]
-    (default: structural). *)
+(** The BFS closure itself, in discovery order — [root] first. *)
 
 val build :
   ?block_rows:int ->
   ?spill:string ->
-  ?hash:('state -> int) ->
-  ?equal:('state -> 'state -> bool) ->
   'state source ->
   transitions:('state -> ('state * float) list) ->
   'state Exact.t
@@ -69,16 +62,13 @@ val build_mix :
   ?eps:float ->
   ?max_t:int ->
   ?domains:int ->
-  ?block_rows:int ->
-  ?spill:string ->
-  ?hash:('state -> int) ->
-  ?equal:('state -> 'state -> bool) ->
   ?starts:'state array ->
   ?checkpoint:Exact_checkpoint.sink ->
   'state source ->
   transitions:('state -> ('state * float) list) ->
   'state analysis
-(** Build the chain and compute its exact mixing time (defaults as
+(** Build the chain in memory, as {!build} with its default block size,
+    and compute its exact mixing time (defaults as
     {!Exact.mixing_time}).  [starts] restricts the mixing search to the
     given states (members of the space); [checkpoint] makes the mixing
     phase resumable through the sink, as {!Exact.mixing_time}.

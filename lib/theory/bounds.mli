@@ -31,9 +31,17 @@ val edge_lower : n:int -> float
 (** The Ω(n²) remark: rendered as [n²]. *)
 
 val path_coupling_case1 : beta:float -> diameter:int -> eps:float -> float
+(** Lemma 3.1, case (1): if [E Δ(X', Y') ≤ β·Δ(X,Y)] on adjacent pairs
+    with [β < 1], then [τ(ε) ≤ ln(diameter·ε⁻¹) / (1 − β)].
+    @raise Invalid_argument unless [0 <= beta < 1], [diameter >= 1] and
+    [0 < eps < 1]. *)
+
 val path_coupling_case2 : alpha:float -> diameter:int -> eps:float -> float
-(** Lemma 3.1 calculators (same as [Coupling.Path_coupling] but kept here
-    so theory-only code need not depend on the simulation stack). *)
+(** Lemma 3.1, case (2): if [β ≤ 1] and [Pr(Δ changes) ≥ α > 0] on
+    adjacent pairs, then [τ(ε) ≤ ⌈e·diameter²/α⌉·⌈ln ε⁻¹⌉].
+    [Coupling.Path_coupling.beta_estimate] estimates β and α.
+    @raise Invalid_argument unless [0 < alpha <= 1], [diameter >= 1] and
+    [0 < eps < 1]. *)
 
 val azar_static_max_load : n:int -> m:int -> d:int -> float
 (** Azar et al.: static max load ≈ [ln ln n / ln d + m/n] for d ≥ 2 and

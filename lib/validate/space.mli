@@ -4,7 +4,7 @@
     counts over a finite state space — against {e exact} laws given as
     dense probability vectors in the same indexing.  This module holds
     the shared indexing (states are compared and hashed structurally,
-    like {!Markov.Exact_builder.build} by default) and the batched
+    like {!Markov.Exact_builder.build}) and the batched
     trajectory collection over {!Engine.Runner}, so counts are
     deterministic for any domain count.
 

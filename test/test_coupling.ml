@@ -1,6 +1,8 @@
-(* Tests for the generic coupling machinery and the Path Coupling Lemma
-   calculators. *)
+(* Tests for the generic coupling machinery and the Path Coupling Lemma:
+   its calculators ([Theory.Bounds]) and the empirical estimate of their
+   inputs ([Path_coupling.beta_estimate]). *)
 
+module B = Theory.Bounds
 module Cc = Coupling.Coupled_chain
 module Pc = Coupling.Path_coupling
 
@@ -95,7 +97,7 @@ let test_bound_contractive () =
   (* Theorem 1 shape: beta = 1 - 1/m, diameter m gives ~ m ln(m/eps). *)
   let m = 100 in
   let b =
-    Pc.bound_contractive ~beta:(1. -. (1. /. float_of_int m)) ~diameter:m
+    B.path_coupling_case1 ~beta:(1. -. (1. /. float_of_int m)) ~diameter:m
       ~eps:0.25
   in
   let expected = float_of_int m *. log (float_of_int m /. 0.25) in
@@ -103,27 +105,27 @@ let test_bound_contractive () =
     (Float.abs (b -. expected) < 1e-6)
 
 let test_bound_contractive_monotone () =
-  let b1 = Pc.bound_contractive ~beta:0.5 ~diameter:10 ~eps:0.25 in
-  let b2 = Pc.bound_contractive ~beta:0.9 ~diameter:10 ~eps:0.25 in
+  let b1 = B.path_coupling_case1 ~beta:0.5 ~diameter:10 ~eps:0.25 in
+  let b2 = B.path_coupling_case1 ~beta:0.9 ~diameter:10 ~eps:0.25 in
   Alcotest.(check bool) "slower contraction, bigger bound" true (b2 > b1);
-  let b3 = Pc.bound_contractive ~beta:0.5 ~diameter:10 ~eps:0.01 in
+  let b3 = B.path_coupling_case1 ~beta:0.5 ~diameter:10 ~eps:0.01 in
   Alcotest.(check bool) "smaller eps, bigger bound" true (b3 > b1)
 
 let test_bound_non_contractive () =
-  let b = Pc.bound_non_contractive ~alpha:0.5 ~diameter:10 ~eps:0.25 in
+  let b = B.path_coupling_case2 ~alpha:0.5 ~diameter:10 ~eps:0.25 in
   (* ceil(e * 100 / 0.5) * ceil(ln 4) = 544 * 2 *)
   Alcotest.(check bool) "value" true (Float.abs (b -. 1088.) < 1e-6)
 
 let test_bound_invalid () =
   Alcotest.check_raises "beta = 1"
-    (Invalid_argument "Path_coupling.bound_contractive: beta must be in [0,1)")
-    (fun () -> ignore (Pc.bound_contractive ~beta:1. ~diameter:2 ~eps:0.5));
+    (Invalid_argument "Bounds.path_coupling_case1: beta")
+    (fun () -> ignore (B.path_coupling_case1 ~beta:1. ~diameter:2 ~eps:0.5));
   Alcotest.check_raises "alpha = 0"
-    (Invalid_argument "Path_coupling.bound_non_contractive: alpha must be in (0,1]")
-    (fun () -> ignore (Pc.bound_non_contractive ~alpha:0. ~diameter:2 ~eps:0.5));
+    (Invalid_argument "Bounds.path_coupling_case2: alpha")
+    (fun () -> ignore (B.path_coupling_case2 ~alpha:0. ~diameter:2 ~eps:0.5));
   Alcotest.check_raises "bad eps"
-    (Invalid_argument "Path_coupling.bound_contractive: eps must be in (0,1)")
-    (fun () -> ignore (Pc.bound_contractive ~beta:0.5 ~diameter:2 ~eps:0.))
+    (Invalid_argument "Bounds.path_coupling_case1: eps not in (0,1)")
+    (fun () -> ignore (B.path_coupling_case1 ~beta:0.5 ~diameter:2 ~eps:0.))
 
 let test_beta_estimate () =
   (* Coupling that always contracts distance-1 pairs to 0: beta = 0 and

@@ -219,7 +219,7 @@ let test_json_sink_writes_file () =
   close_in ic;
   Alcotest.(check bool)
     "schema marker present" true
-    (contains ~sub:"repro.bench-results/4" contents);
+    (contains ~sub:"repro.bench-results/5" contents);
   Alcotest.(check string)
     "file matches the returned document"
     (Experiment.Json.to_string doc ^ "\n")
@@ -399,7 +399,6 @@ let suite =
     ("config rejects non-integer BENCH_SEED", rejects "BENCH_SEED" "abc");
     ("config rejects non-integer BENCH_DOMAINS", rejects "BENCH_DOMAINS" "abc");
     ("config rejects BENCH_DOMAINS < 1", rejects "BENCH_DOMAINS" "0");
-    ("config rejects unknown BENCH_REPR", rejects "BENCH_REPR" "abc");
     ("config flags win over variables", test_cli_flags_and_variables);
   ]
   |> List.map (fun (name, f) -> (name, `Quick, f))

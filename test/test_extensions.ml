@@ -22,7 +22,7 @@ let test_delayed_bound_values () =
   (* And it never beats Lemma 3.1(1) by more than the ln(1/beta) vs
      (1 - beta) slack. *)
   let lemma =
-    Coupling.Path_coupling.bound_contractive ~beta:0.5 ~diameter:16 ~eps:0.25
+    Theory.Bounds.path_coupling_case1 ~beta:0.5 ~diameter:16 ~eps:0.25
   in
   Alcotest.(check bool) "within the lemma's slack" true
     (6. <= lemma +. 1. && 6. >= (lemma /. 2.) -. 1.)

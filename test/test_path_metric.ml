@@ -139,8 +139,8 @@ let test_path_coupling_bound_from_exact_beta () =
   in
   Alcotest.(check bool) "beta < 1" true (beta < 1.);
   let bound =
-    Coupling.Path_coupling.bound_contractive ~beta
-      ~diameter:(P.diameter metric) ~eps:0.25
+    Theory.Bounds.path_coupling_case1 ~beta ~diameter:(P.diameter metric)
+      ~eps:0.25
   in
   (* Same unified pipeline as bench/e08: reachable closure -> chain. *)
   let chain = C.exact_chain ~from:(C.start ~n) in

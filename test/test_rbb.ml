@@ -1,7 +1,8 @@
 (* The RBB subsystem's contracts: the one-round law is a probability
    distribution over the partition space and conserves the ball count;
    every backend's round conserves it too; the count-backed round is
-   bit-identical to the array oracle; the sampled round is equal in law
+   bit-identical to the array oracle, on small random starts and from
+   all-in-one at n = m = 1024; the sampled round is equal in law
    (checked against the exact one-round law on a tiny space); and the
    event vocabulary behaves — normalized sims answer [Round]/[Step] and
    nothing else mutating, the identity-based service machine inserts by
@@ -83,6 +84,18 @@ let qcheck_rounds_conserve =
           Lv.total v = m && Lv.is_normalized (Lv.to_array v))
         Core.Repr.all)
 
+(* The max load after each of [rounds] rounds from [start], and the
+   final vector. *)
+let trace repr p start ~seed ~rounds =
+  let g = rng_of seed in
+  let s = Rbb.sim_repr ~repr p start in
+  let max_loads =
+    Array.init rounds (fun _ ->
+        Engine.Sim.step s g;
+        Engine.Sim.probe s)
+  in
+  (max_loads, Engine.Sim.observe s)
+
 let qcheck_counts_bit_identical =
   QCheck.Test.make
     ~name:"rbb count-backed rounds are bit-identical to the array oracle"
@@ -92,19 +105,34 @@ let qcheck_counts_bit_identical =
     (fun (seed, n, m, d) ->
       let p = Rbb.make (rule_of_d d) ~n in
       let start = random_vector (rng_of seed) ~n ~m in
-      let trace repr =
-        let g = rng_of (seed + 11) in
-        let s = Rbb.sim_repr ~repr p start in
-        let probes =
-          Array.init 8 (fun _ ->
-              Engine.Sim.step s g;
-              Engine.Sim.probe s)
-        in
-        (probes, Engine.Sim.observe s)
-      in
+      let trace repr = trace repr p start ~seed:(seed + 11) ~rounds:8 in
       let pa, va = trace Core.Repr.Array_backed in
       let pc, vc = trace Core.Repr.Count_backed in
       pa = pc && Lv.equal va vc)
+
+(* The same contract at E24's scale: from all-in-one at n = m = 1024,
+   where the max load starts at 1024 (a regime no small-n property
+   reaches), the count backend replays the array oracle round for round
+   under both rules. *)
+let test_counts_replay_array_at_scale () =
+  let n = 1024 and rounds = 2048 in
+  let start = Lv.all_in_one ~n ~m:n in
+  List.iter
+    (fun rule ->
+      let p = Rbb.make rule ~n in
+      let trace repr = trace repr p start ~seed:0xE24 ~rounds in
+      let ma, va = trace Core.Repr.Array_backed in
+      let mc, vc = trace Core.Repr.Count_backed in
+      Array.iteri
+        (fun t a ->
+          if a <> mc.(t) then
+            Alcotest.failf "RBB-%s round %d: max load %d (array) vs %d (counts)"
+              (Rbb.rule_name rule) (t + 1) a mc.(t))
+        ma;
+      if not (Lv.equal va vc) then
+        Alcotest.failf "RBB-%s: the vectors differ after %d rounds"
+          (Rbb.rule_name rule) rounds)
+    [ Rbb.uniform; Rbb.dchoice 2 ]
 
 let qcheck_chain_matches_sim =
   QCheck.Test.make
@@ -264,3 +292,8 @@ let suite =
         qcheck_counts_bit_identical;
         qcheck_chain_matches_sim;
       ]
+  @ [
+      Alcotest.test_case
+        "counts replay the array oracle from all-in-one at n = m = 1024"
+        `Quick test_counts_replay_array_at_scale;
+    ]

@@ -72,18 +72,6 @@ let test_recovery_steps () =
   Alcotest.(check bool) "B slower than A" true
     (B.recovery_b_steps ~n:100 > B.recovery_a_steps ~n:100)
 
-let test_path_coupling_match () =
-  (* The theory-side calculators agree with the coupling library's. *)
-  Alcotest.(check bool) "case 1" true
-    (feq
-       (B.path_coupling_case1 ~beta:0.7 ~diameter:12 ~eps:0.1)
-       (Coupling.Path_coupling.bound_contractive ~beta:0.7 ~diameter:12 ~eps:0.1));
-  Alcotest.(check bool) "case 2" true
-    (feq
-       (B.path_coupling_case2 ~alpha:0.3 ~diameter:12 ~eps:0.1)
-       (Coupling.Path_coupling.bound_non_contractive ~alpha:0.3 ~diameter:12
-          ~eps:0.1))
-
 let test_theorem1_consistent_with_lemma () =
   (* Theorem 1 is Lemma 3.1(1) at beta = 1 - 1/m, diameter m (up to the
      ceiling). *)
@@ -130,7 +118,6 @@ let suite =
       ("Azar static formulas", test_azar_static);
       ("edge stationary unfairness", test_edge_stationary_unfairness);
       ("recovery step formulas", test_recovery_steps);
-      ("path coupling calculators agree", test_path_coupling_match);
       ("theorem 1 = lemma 3.1(1)", test_theorem1_consistent_with_lemma);
       ("rbb bounds", test_rbb_bounds);
     ]
